@@ -3,8 +3,7 @@ representation degradation in a toy multimodal decoder transformer."""
 
 __version__ = "0.1.0"
 
-from .numerics import (RngStream, ShapeError, cosine, covariance, matmul,
-                       pearson_corr, sym_eig)
+from .numerics import RngStream, ShapeError, covariance, pearson_corr
 from .autodiff import (Node, Parameter, backward, no_grad, stop_gradient)
 from .optim import AdamW, WarmupCosine
 from .gradcheck import finite_diff_check

@@ -290,18 +290,6 @@ def narrow(a: Node, axis: int, start: int, length: int) -> Node:
     return record("narrow", v, (a,), bk)
 
 
-def softmax(a: Node) -> Node:
-    """Softmax over the last axis."""
-    x = a.value
-    e = np.exp(x - x.max(axis=-1, keepdims=True))
-    s = e / e.sum(axis=-1, keepdims=True)
-
-    def bk(g):
-        return (s * (g - np.sum(g * s, axis=-1, keepdims=True)),)
-
-    return record("softmax", s, (a,), bk)
-
-
 def masked_softmax(a: Node, mask: np.ndarray) -> Node:
     """Softmax over the last axis restricted to mask==True entries.
 
@@ -424,7 +412,10 @@ def cosine_rows(p: Node, z: Node, floor: float = COSINE_NORM_FLOOR) -> Node:
     """Row-wise cosine similarity of two N x D matrices -> N vector.
 
     Rows where either operand's norm is below `floor` yield similarity 0
-    with zero gradient (consistent with numerics.cosine).
+    with zero gradient: a zero-length feature carries no alignment signal
+    and must not poison the loss with NaN. Because of the floor, a row's
+    result is invariant to scaling either operand only while both norms
+    stay at or above it.
     """
     pv, zv = p.value, z.value
     if pv.shape != zv.shape or pv.ndim != 2:

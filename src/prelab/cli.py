@@ -1,18 +1,17 @@
 """Command-line surface: gen-data, train, dump, metrics, report.
 
-Exit codes: 0 success, 2 validation error (bad flags or config), 1 runtime
-error. PRELAB_THREADS caps internal worker threads (default 1); all outputs
-are byte-deterministic for fixed inputs and seeds.
+Exit codes: 0 success, 2 validation error (bad flags or config, or a
+dataset that does not match the run), 1 runtime error. Every output is
+byte-deterministic for fixed inputs and seeds, except train_time.csv,
+which holds the per-step wall times of a training run.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, asdict, fields
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -23,8 +22,9 @@ from .data import (DataSpec, Dataset, export_label_map_text, generate_dataset,
                    load_dataset, token_name)
 from .diagnostics import (linear_probe, logit_lens, patch_metrics_over_images,
                           pool_global, similarity_map, stat_props)
-from .model import (MllmConfig, llm_forward, load_checkpoint, lm_loss,
-                    dump_hidden_states, read_hidden_states, save_checkpoint)
+from .model import (ANCHOR_PRE_LLM, ANCHOR_PRE_PROJ, MllmConfig, llm_forward,
+                    load_checkpoint, lm_loss, dump_hidden_states, read_hidden_states,
+                    save_checkpoint)
 from .reports import (MetricsReport, config_hash, read_metrics_csv,
                       write_comparison, write_summary_text)
 from .training import Trainer, make_batch
@@ -34,67 +34,24 @@ class ConfigError(ValueError):
     """Invalid run configuration or command arguments."""
 
 
-def thread_count() -> int:
-    raw = os.environ.get("PRELAB_THREADS", "1")
-    try:
-        n = int(raw)
-    except ValueError:
-        raise ConfigError(f"PRELAB_THREADS must be an integer, got {raw!r}")
-    if n < 1:
-        raise ConfigError(f"PRELAB_THREADS must be >= 1, got {n}")
-    return n
-
-
-def _parallel_map(fn, items):
-    n = thread_count()
-    items = list(items)
-    if n == 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=n) as pool:
-        return list(pool.map(fn, items))  # collected in order: reproducible
-
-
 @dataclass
-class RunConfig:
-    """Everything a training run needs; serialized next to its outputs."""
+class RunConfig(MllmConfig):
+    """Everything a training run needs: the model fields it inherits plus
+    the run fields below; serialized flat next to its outputs."""
 
-    # model
-    grid: int = 8
-    patch: int = 4
-    d_v: int = 32
-    d_l: int = 64
-    layers: int = 8
-    heads: int = 4
-    vocab: int = 64
-    lam: float = 0.5
-    target_layer: int = 4
-    anchor: str = "pre-llm"
-    prompt_len: int = 4
-    max_answer: int = 12
-    mlp_ratio: int = 2
-    seed: int = 0
-    # run
     dataset: str = ""
+    out_dir: str = ""
     steps: int = 500
     batch_size: int = 8
     lr: float = 3e-4
     weight_decay: float = 0.0
     warmup_frac: float = 0.03
     use_schedule: bool = True
-    out_dir: str = ""
     diag_every: int = 0
-
-    def model_config(self) -> MllmConfig:
-        return MllmConfig(grid=self.grid, patch=self.patch, d_v=self.d_v,
-                          d_l=self.d_l, layers=self.layers, heads=self.heads,
-                          vocab=self.vocab, lam=self.lam,
-                          target_layer=self.target_layer, anchor=self.anchor,
-                          prompt_len=self.prompt_len, max_answer=self.max_answer,
-                          mlp_ratio=self.mlp_ratio, seed=self.seed)
 
     def validate(self) -> None:
         try:
-            self.model_config().validate()
+            super().validate()
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
         if self.steps < 1:
@@ -107,9 +64,6 @@ class RunConfig:
             raise ConfigError(f"warmup fraction must be in [0, 1), got {self.warmup_frac}")
         if self.diag_every < 0:
             raise ConfigError(f"diag cadence must be >= 0, got {self.diag_every}")
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 _RUN_FIELDS = {f.name for f in fields(RunConfig)}
@@ -157,63 +111,61 @@ def cmd_gen_data(args) -> int:
     return 0
 
 
+# Run fields whose flag is not "--" + the field name with dashes, or that
+# take more than a type and a default. Every other field but _NO_FLAG gets
+# a plain flag typed and defaulted from RunConfig.
+_FLAG_SPECS = {
+    "dataset": {"flag": "--data", "required": True, "metavar": "DATA",
+                "help": "dataset directory"},
+    "out_dir": {"flag": "--out", "required": True, "metavar": "OUT",
+                "help": "run output directory"},
+    "lam": {"flag": "--lambda", "type": float, "default": RunConfig.lam,
+            "help": "auxiliary loss weight; 0 runs the pure baseline"},
+    "anchor": {"choices": [ANCHOR_PRE_LLM, ANCHOR_PRE_PROJ], "default": RunConfig.anchor},
+    "use_schedule": {"flag": "--no-schedule", "action": "store_false",
+                     "help": "constant learning rate instead of warmup+cosine"},
+}
+_NO_FLAG = ("vocab", "prompt_len")
+
+
 def _add_run_flags(p: argparse.ArgumentParser) -> None:
-    defaults = RunConfig()
-    p.add_argument("--data", required=True, help="dataset directory")
-    p.add_argument("--out", required=True, help="run output directory")
-    p.add_argument("--steps", type=int, default=defaults.steps)
-    p.add_argument("--batch-size", type=int, default=defaults.batch_size)
-    p.add_argument("--lr", type=float, default=defaults.lr)
-    p.add_argument("--lambda", dest="lam", type=float, default=defaults.lam,
-                   help="auxiliary loss weight; 0 runs the pure baseline")
-    p.add_argument("--target-layer", type=int, default=defaults.target_layer)
-    p.add_argument("--anchor", choices=["pre-llm", "pre-proj"], default=defaults.anchor)
-    p.add_argument("--seed", type=int, default=defaults.seed)
-    p.add_argument("--weight-decay", type=float, default=defaults.weight_decay)
-    p.add_argument("--warmup-frac", type=float, default=defaults.warmup_frac)
-    p.add_argument("--no-schedule", action="store_true",
-                   help="constant learning rate instead of warmup+cosine")
-    p.add_argument("--grid", type=int, default=defaults.grid)
-    p.add_argument("--patch", type=int, default=defaults.patch)
-    p.add_argument("--d-v", type=int, default=defaults.d_v)
-    p.add_argument("--d-l", type=int, default=defaults.d_l)
-    p.add_argument("--layers", type=int, default=defaults.layers)
-    p.add_argument("--heads", type=int, default=defaults.heads)
-    p.add_argument("--mlp-ratio", type=int, default=defaults.mlp_ratio)
-    p.add_argument("--max-answer", type=int, default=defaults.max_answer)
-    p.add_argument("--diag-every", type=int, default=defaults.diag_every)
+    model_fields = fields(MllmConfig)
+    for f in fields(RunConfig)[len(model_fields):] + model_fields:  # run flags first
+        if f.name in _NO_FLAG:
+            continue
+        spec = dict(_FLAG_SPECS.get(f.name, {"type": type(f.default), "default": f.default}))
+        flag = spec.pop("flag", "--" + f.name.replace("_", "-"))
+        p.add_argument(flag, dest=f.name, **spec)
 
 
 def _run_config_from_args(args) -> RunConfig:
-    return run_config_from_dict({
-        "grid": args.grid, "patch": args.patch, "d_v": args.d_v, "d_l": args.d_l,
-        "layers": args.layers, "heads": args.heads, "lam": args.lam,
-        "target_layer": args.target_layer, "anchor": args.anchor,
-        "max_answer": args.max_answer, "seed": args.seed,
-        "dataset": str(args.data), "steps": args.steps,
-        "batch_size": args.batch_size, "lr": args.lr,
-        "weight_decay": args.weight_decay, "warmup_frac": args.warmup_frac,
-        "use_schedule": not args.no_schedule, "out_dir": str(args.out),
-        "mlp_ratio": args.mlp_ratio, "diag_every": args.diag_every,
-    })
+    return run_config_from_dict({k: v for k, v in vars(args).items() if k in _RUN_FIELDS})
 
 
-def _load_dataset_checked(path) -> Dataset:
+def _load_dataset_checked(path, run_cfg: RunConfig) -> Dataset:
+    """Load a dataset, refusing (exit 2) one whose patch grid, patch size or
+    vocabulary differ from the run's."""
     path = Path(path)
     if not (path / "manifest.json").exists():
         raise ConfigError(f"no dataset manifest in {path}")
-    return load_dataset(path)
+    dataset = load_dataset(path)
+    for what, have, want in (("grid", dataset.spec.grid, run_cfg.grid),
+                             ("patch", dataset.spec.patch, run_cfg.patch),
+                             ("vocab", dataset.vocab_size, run_cfg.vocab)):
+        if have != want:
+            raise ConfigError(f"dataset {path} has {what} {have}, the run has {want}")
+    return dataset
 
 
 def cmd_train(args) -> int:
     run_cfg = _run_config_from_args(args)
-    dataset = _load_dataset_checked(run_cfg.dataset)
+    dataset = _load_dataset_checked(run_cfg.dataset, run_cfg)
     out = Path(run_cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     (out / "config.json").write_text(
         json.dumps(run_cfg.to_dict(), indent=2, sort_keys=True) + "\n")
 
-    trainer = Trainer(run_cfg.model_config(), dataset, steps=run_cfg.steps,
+    trainer = Trainer(run_cfg, dataset, steps=run_cfg.steps,
                       batch_size=run_cfg.batch_size, lr=run_cfg.lr,
                       weight_decay=run_cfg.weight_decay,
                       warmup_frac=run_cfg.warmup_frac,
@@ -227,6 +179,8 @@ def cmd_train(args) -> int:
 
     reports = trainer.run(log_path=out / "train_log.csv", on_step=on_step)
     save_checkpoint(trainer.params, out / "checkpoint.prea")
+    lines = ["step,wall_time"] + [f"{r.step},{r.wall_time:.6f}" for r in reports]
+    (out / "train_time.csv").write_text("\n".join(lines) + "\n")
     if eval_rows:
         lines = ["step,eval_lm"] + [f"{s},{v!r}" for s, v in eval_rows]
         (out / "eval.csv").write_text("\n".join(lines) + "\n")
@@ -256,7 +210,7 @@ def _load_run(run_dir):
     if not ckpt_path.exists():
         raise ConfigError(f"no checkpoint.prea in {run_dir}")
     run_cfg = load_run_config(cfg_path)
-    params = load_checkpoint(run_cfg.model_config(), ckpt_path)
+    params = load_checkpoint(run_cfg, ckpt_path)
     return run_cfg, params
 
 
@@ -271,24 +225,23 @@ def _split_examples(dataset, split):
 
 def cmd_dump(args) -> int:
     run_cfg, params = _load_run(args.run)
-    dataset = _load_dataset_checked(args.data)
+    dataset = _load_dataset_checked(args.data, run_cfg)
     examples = _split_examples(dataset, args.split)
     if args.limit:
         examples = examples[: args.limit]
     if not examples:
         raise ConfigError(f"split {args.split!r} has no examples")
-    cfg = run_cfg.model_config()
     traces, ids = [], []
     with ad.no_grad():
         for i in range(0, len(examples), 50):
             chunk = examples[i : i + 50]
-            batch = make_batch(params, cfg, chunk)
+            batch = make_batch(params, run_cfg, chunk)
             traces.append(llm_forward(params, batch.z, batch.prompts, batch.answers))
             ids.extend(ex.id for ex in chunk)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
-    dump_hidden_states(traces, ids, out, grid=cfg.grid)
-    print(f"dumped {len(ids)} examples x {cfg.layers + 2} visual tensors to {out}")
+    dump_hidden_states(traces, ids, out, grid=run_cfg.grid)
+    print(f"dumped {len(ids)} examples x {run_cfg.layers + 2} visual tensors to {out}")
     return 0
 
 
@@ -309,11 +262,10 @@ def _default_sim_choice(dataset, ids):
 
 def cmd_metrics(args) -> int:
     run_cfg, params = _load_run(args.run)
-    cfg = run_cfg.model_config()
-    dataset = _load_dataset_checked(args.data)
+    dataset = _load_dataset_checked(args.data, run_cfg)
     grid, hidden = read_hidden_states(args.hidden)
-    if grid != cfg.grid:
-        raise ConfigError(f"hidden states grid {grid} != run grid {cfg.grid}")
+    if grid != run_cfg.grid:
+        raise ConfigError(f"hidden states grid {grid} != run grid {run_cfg.grid}")
     ids = sorted(hidden)
     n_layers = len(hidden[ids[0]]["layers"])
 
@@ -347,12 +299,8 @@ def cmd_metrics(args) -> int:
                        for l in range(n_layers)]
     probe = linear_probe(pooled_by_layer, probe_labels, train_idx, test_idx)
 
-    def layer_metrics(layer):
-        pm = patch_metrics_over_images(layer_features(layer), labels_per_image)
-        sp = stat_props(pooled_by_layer[layer])
-        return pm, sp
-
-    per_layer = _parallel_map(layer_metrics, range(n_layers))
+    per_layer = [(patch_metrics_over_images(layer_features(l), labels_per_image),
+                  stat_props(pooled_by_layer[l])) for l in range(n_layers)]
 
     rows = []
     for layer, (pm, sp) in enumerate(per_layer):

@@ -425,11 +425,6 @@ def export_label_map_text(labels: np.ndarray, path) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def read_label_map_text(path) -> np.ndarray:
-    rows = [[int(v) for v in line.split()] for line in Path(path).read_text().splitlines() if line]
-    return np.array(rows, dtype=np.int64)
-
-
 def pad_answers(answers, max_answer: int) -> np.ndarray:
     """Right-pad variable-length answers with IGNORE_ID to a [B, K] batch."""
     out = np.full((len(answers), max_answer), IGNORE_ID, dtype=np.int64)

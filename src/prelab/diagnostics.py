@@ -27,7 +27,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .numerics import COSINE_NORM_FLOOR, ShapeError, covariance, pearson_corr, sym_eig
+from .numerics import COSINE_NORM_FLOOR, ShapeError, covariance, pearson_corr
 
 CONTRAST_FLOOR = 1e-6
 PCA_VARIANCE_THRESHOLD = 0.95
@@ -138,9 +138,7 @@ def pca_effective_dim(features: np.ndarray,
     """Minimum number of principal components explaining `threshold` of the
     variance. Tiny negative numerical eigenvalues are clamped to zero;
     all-zero variance returns k=1 with the degenerate flag set."""
-    cov = covariance(features)
-    eigvals, _ = sym_eig(cov)
-    eigvals = np.maximum(eigvals, 0.0)
+    eigvals = np.maximum(np.linalg.eigvalsh(covariance(features))[::-1], 0.0)
     total = eigvals.sum()
     if total <= 0.0:
         return EffectiveDim(1, True)

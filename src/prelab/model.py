@@ -13,7 +13,7 @@ visual segment bitwise equal to the projector output.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, asdict, field
+from dataclasses import dataclass, asdict
 
 import numpy as np
 
@@ -141,9 +141,6 @@ class MllmParams:
         out += self.ln_f.params() + self.head.params() + self.pred_head.params()
         return out
 
-    def param_dict(self) -> dict:
-        return {p.name: p for p in self.trainable()}
-
 
 @dataclass
 class ForwardTrace:
@@ -161,9 +158,6 @@ class ForwardTrace:
     @property
     def visual_start(self) -> int:
         return self.prompt_len
-
-    def visual_segment(self, layer: int) -> Node:
-        return ad.narrow(self.layers[layer], 1, self.visual_start, self.n_patches)
 
     def visual_values(self, layer: int) -> np.ndarray:
         return self.layers[layer].value[:, self.visual_start : self.visual_start + self.n_patches, :]
@@ -330,121 +324,6 @@ def check_finite_losses(lm: Node, pre: Node = None, total: Node = None) -> None:
         raise NonFiniteLossError(f"prediction loss is non-finite: {float(pre.value)}")
     if total is not None and not np.isfinite(total.value):
         raise NonFiniteLossError(f"total loss is non-finite: {float(total.value)}")
-
-
-def grad_check_total_loss(params: MllmParams, z: np.ndarray, prompts: np.ndarray,
-                          answers: np.ndarray, h: float = 1e-5,
-                          coords_per_param: int = 64) -> float:
-    """Finite-difference check of the combined loss over every trainable
-    tensor; returns the max relative error against backward gradients.
-
-    The detached anchor is held at its base value during probe evaluations:
-    backward computes the partial derivative with the anchor treated as a
-    constant (that is what the stop-gradient means), so the differences must
-    measure the same partial derivative.
-
-    Central differences are exact about which layers a perturbation can
-    reach, so each probe re-evaluates only from the perturbed tensor's depth
-    onward, reusing the cached unperturbed prefix (bitwise identical to a
-    full re-run; asserted once per depth before probing). Coordinates are
-    the top-|gradient| entries per tensor, coords_per_param of them.
-    """
-    from .gradcheck import relative_error, select_coords
-
-    cfg = params.cfg
-    lam = cfg.lam
-    for p in params.trainable():
-        p.zero_grad()
-    trace = llm_forward(params, z, prompts, answers)
-    total, lm, pre = total_loss(trace, answers, params)
-    ad.backward(total)
-    grads = {p.name: p.grad.copy() for p in params.trainable()}
-
-    layer_vals = [layer.value for layer in trace.layers]
-    lm0 = float(lm.value)
-    pre0 = float(pre.value) if pre is not None else None
-    total0 = float(total.value)
-    t = layer_vals[0].shape[1]
-    mask_t = params.mask[:t, :t]
-    answer_start = cfg.prompt_len + cfg.n_patches
-    if lam != 0.0:
-        if cfg.anchor == ANCHOR_PRE_LLM:
-            anchor_vals = trace.hv0.value.reshape(-1, cfg.d_l)
-        else:
-            anchor_vals = trace.z.reshape(-1, cfg.d_v)
-
-    def combine(lm_v, pre_v):
-        return lm_v if lam == 0.0 else lm_v + lam * pre_v
-
-    def lm_from_final(h_node):
-        logits = params.head(params.ln_f(h_node))
-        return float(_answer_nll(logits, answers, answer_start).value)
-
-    def pre_from_layer(h_node):
-        rows = _visual_rows(h_node, cfg.prompt_len, cfg.n_patches, cfg.d_l)
-        return float(_patch_pred_loss(rows, ad.constant(anchor_vals),
-                                      params.pred_head).value)
-
-    def eval_kind(kind):
-        with ad.no_grad():
-            if kind[0] == "input":
-                tr = llm_forward(params, z, prompts, answers)
-                lm_v = float(lm_loss(tr, answers).value)
-                pre_v = pre0 if lam == 0.0 else pre_from_layer(tr.layers[cfg.target_layer])
-                return combine(lm_v, pre_v)
-            if kind[0] == "block":
-                start = kind[1]
-                node = ad.constant(layer_vals[start])
-                pre_v = pre0
-                for j in range(start, cfg.layers):
-                    node = params.blocks[j](node, mask_t)
-                    if lam != 0.0 and j + 1 == cfg.target_layer:
-                        pre_v = pre_from_layer(node)
-                return combine(lm_from_final(node), pre_v)
-            if kind[0] == "readout":
-                return combine(lm_from_final(ad.constant(layer_vals[-1])), pre0)
-            # prediction head: the language path is untouched
-            return combine(lm0, pre_from_layer(ad.constant(layer_vals[cfg.target_layer])))
-
-    def kind_of(name: str):
-        if name.startswith("block"):
-            return ("block", int(name.split(".")[0][5:]))
-        if name.startswith(("ln_f", "head")):
-            return ("readout",)
-        if name.startswith("pred_head"):
-            return ("pred",)
-        return ("input",)
-
-    # guard the incremental paths: unperturbed they must reproduce the full
-    # loss bit for bit
-    checked = set()
-    for p in params.trainable():
-        kind = kind_of(p.name)
-        if kind in checked:
-            continue
-        checked.add(kind)
-        got = eval_kind(kind)
-        if got != total0:
-            raise AssertionError(
-                f"incremental evaluation for {kind} diverged: {got!r} != {total0!r}")
-
-    worst = 0.0
-    for p in params.trainable():
-        kind = kind_of(p.name)
-        flat_grad = grads[p.name].ravel()
-        flat_val = p.value.reshape(-1)
-        for i in select_coords(flat_grad, coords_per_param):
-            orig = flat_val[i]
-            flat_val[i] = orig + h
-            f_plus = eval_kind(kind)
-            flat_val[i] = orig - h
-            f_minus = eval_kind(kind)
-            flat_val[i] = orig
-            fd = (f_plus - f_minus) / (2.0 * h)
-            err = relative_error(float(flat_grad[i]), fd)
-            if err > worst:
-                worst = err
-    return worst
 
 
 def dump_hidden_states(traces, example_ids, path, grid: int) -> None:

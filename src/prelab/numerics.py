@@ -1,8 +1,10 @@
-"""Dense float64 tensor numerics: matmul, cosine, Jacobi eigensolver, statistics.
+"""Dense float64 statistics and the deterministic random stream.
 
-All functions operate on numpy float64 arrays and are pure. The eigensolver
-and the correlation/covariance routines are written for bit-reproducibility:
-fixed iteration order, explicit symmetrization, deterministic tie-breaking.
+All functions operate on numpy float64 arrays and are pure. The
+covariance and correlation routines are written for bit-reproducibility:
+their outputs are made exactly symmetric by mirroring the upper triangle.
+COSINE_NORM_FLOOR is the norm below which every cosine in the package
+(autodiff.cosine_rows, the diagnostics' unit rows) is defined as 0.
 """
 
 from __future__ import annotations
@@ -18,136 +20,9 @@ class ShapeError(ValueError):
     """Operand shapes violate an operation's contract."""
 
 
-class NonSymmetricError(ValueError):
-    """Matrix expected to be symmetric is not (beyond tolerance)."""
-
-
-class ConvergenceError(RuntimeError):
-    """Iterative routine failed to reach its tolerance."""
-
-
 def as_f64(x) -> np.ndarray:
     a = np.asarray(x, dtype=np.float64)
     return a
-
-
-def check_finite(x: np.ndarray, what: str = "input") -> np.ndarray:
-    if not np.all(np.isfinite(x)):
-        raise ValueError(f"{what} contains non-finite values")
-    return x
-
-
-def matmul(a, b) -> np.ndarray:
-    """Matrix product of two 2-D arrays with a fixed left-to-right
-    accumulation order over the inner dimension (k = 0, 1, ...), so results
-    are identical across platforms and BLAS builds.
-    """
-    a = as_f64(a)
-    b = as_f64(b)
-    if a.ndim != 2 or b.ndim != 2:
-        raise ShapeError(f"matmul expects 2-D operands, got {a.shape} and {b.shape}")
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(f"matmul inner dimensions differ: {a.shape} vs {b.shape}")
-    out = np.zeros((a.shape[0], b.shape[1]))
-    for k in range(a.shape[1]):
-        out += a[:, k : k + 1] * b[k : k + 1, :]
-    return out
-
-
-def cosine(p, z) -> float:
-    """Cosine similarity (p.z)/(|p||z|) of two equal-length vectors.
-
-    If either norm is below COSINE_NORM_FLOOR the result is 0.0: a
-    zero-length feature carries no alignment signal and must not poison
-    downstream losses with NaN. Because of the floor, the result is
-    invariant to scaling either vector only while both norms stay at or
-    above COSINE_NORM_FLOOR.
-    """
-    p = as_f64(p).ravel()
-    z = as_f64(z).ravel()
-    if p.shape != z.shape:
-        raise ShapeError(f"cosine length mismatch: {p.shape[0]} vs {z.shape[0]}")
-    pn = float(np.sqrt(np.dot(p, p)))
-    zn = float(np.sqrt(np.dot(z, z)))
-    if pn < COSINE_NORM_FLOOR or zn < COSINE_NORM_FLOOR:
-        return 0.0
-    return float(np.dot(p, z) / (pn * zn))
-
-
-def sym_eig(m, tol: float = 1e-12, max_sweeps: int = 100):
-    """Eigendecomposition of a symmetric matrix by cyclic Jacobi rotations.
-
-    Sweeps over the strict upper triangle in row-major order, rotating away
-    each off-diagonal entry, until max |off-diagonal| < tol or max_sweeps is
-    exhausted. Returns (eigenvalues, eigenvectors) with eigenvalues sorted
-    descending (ties keep their pre-sort index order) and each eigenvector
-    column sign-normalized so its first nonzero component is non-negative.
-    """
-    a = as_f64(m).copy()
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ShapeError(f"sym_eig expects a square matrix, got {a.shape}")
-    n = a.shape[0]
-    if n == 0:
-        raise ShapeError("sym_eig expects a non-empty matrix")
-    if np.max(np.abs(a - a.T)) > 1e-9:
-        raise NonSymmetricError(
-            f"matrix is not symmetric (max |a-a.T| = {np.max(np.abs(a - a.T)):g})"
-        )
-    # exact symmetry so rotations stay consistent
-    a = (np.triu(a) + np.triu(a, 1).T) if n > 1 else a
-    v = np.eye(n)
-
-    def max_offdiag() -> float:
-        if n == 1:
-            return 0.0
-        return float(np.max(np.abs(a[np.triu_indices(n, 1)])))
-
-    converged = n == 1 or max_offdiag() < tol
-    for _ in range(max_sweeps):
-        if converged:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if abs(apq) < tol:
-                    continue
-                # stable rotation zeroing a[p, q]
-                theta = (a[q, q] - a[p, p]) / (2.0 * apq)
-                t = 1.0 / (abs(theta) + np.sqrt(theta * theta + 1.0))
-                if theta < 0.0:
-                    t = -t
-                c = 1.0 / np.sqrt(t * t + 1.0)
-                s = t * c
-                colp = a[:, p].copy()
-                colq = a[:, q].copy()
-                a[:, p] = c * colp - s * colq
-                a[:, q] = s * colp + c * colq
-                rowp = a[p, :].copy()
-                rowq = a[q, :].copy()
-                a[p, :] = c * rowp - s * rowq
-                a[q, :] = s * rowp + c * rowq
-                a[p, q] = 0.0
-                a[q, p] = 0.0
-                vp = v[:, p].copy()
-                vq = v[:, q].copy()
-                v[:, p] = c * vp - s * vq
-                v[:, q] = s * vp + c * vq
-        converged = max_offdiag() < tol
-    if not converged:
-        raise ConvergenceError(
-            f"Jacobi sweep limit reached, residual off-diagonal {max_offdiag():g}"
-        )
-
-    eigvals = np.diag(a).copy()
-    order = np.argsort(-eigvals, kind="stable")
-    eigvals = eigvals[order]
-    vecs = v[:, order]
-    for j in range(n):
-        col = vecs[:, j]
-        nz = np.nonzero(col)[0]
-        if nz.size and col[nz[0]] < 0.0:
-            vecs[:, j] = -col
-    return eigvals, vecs
 
 
 def covariance(x) -> np.ndarray:
@@ -237,6 +112,3 @@ class RngStream:
 
     def uniform(self, low=0.0, high=1.0, size=None):
         return self._gen.uniform(low, high, size=size)
-
-    def shuffle(self, x) -> None:
-        self._gen.shuffle(x)

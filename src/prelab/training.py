@@ -1,5 +1,6 @@
 """Training loop: batch assembly, the regularized training step, and the
-per-step CSV log."""
+per-step CSV log (losses only, so it is byte-deterministic for a fixed
+seed; step wall times are reported on each StepReport)."""
 
 from __future__ import annotations
 
@@ -16,7 +17,7 @@ from .model import (MllmConfig, MllmParams, check_finite_losses, encode_image,
 from .numerics import RngStream
 from .optim import AdamW, WarmupCosine, grad_norm
 
-LOG_HEADER = "step,lm_loss,pre_loss,total_loss,grad_norm,wall_time"
+LOG_HEADER = "step,lm_loss,pre_loss,total_loss,grad_norm"
 
 
 @dataclass
@@ -37,7 +38,7 @@ class StepReport:
 
     def csv_row(self) -> str:
         return (f"{self.step},{self.lm!r},{self.pre!r},{self.total!r},"
-                f"{self.grad_norm!r},{self.wall_time:.6f}")
+                f"{self.grad_norm!r}")
 
 
 def make_batch(params: MllmParams, cfg: MllmConfig, examples) -> Batch:
@@ -103,7 +104,7 @@ class Trainer:
         idx = self.batch_rng.integers(0, len(self.train_examples), size=self.batch_size)
         return make_batch(self.params, self.cfg, [self.train_examples[i] for i in idx])
 
-    def run(self, log_path=None, fixed_batch: Batch = None, on_step=None) -> list:
+    def run(self, log_path=None, on_step=None) -> list:
         """Run self.steps optimization steps; returns the list of StepReports
         and optionally streams them to a CSV log."""
         reports = []
@@ -114,8 +115,7 @@ class Trainer:
             log_file.write(LOG_HEADER + "\n")
         try:
             for _ in range(self.steps):
-                batch = fixed_batch if fixed_batch is not None else self.sample_batch()
-                report = train_step(self.params, self.opt, batch)
+                report = train_step(self.params, self.opt, self.sample_batch())
                 reports.append(report)
                 if log_file is not None:
                     log_file.write(report.csv_row() + "\n")

@@ -89,12 +89,14 @@ class TestPrimitiveGradients:
         check_grad(loss, RNG.normal(size=(2, 2)))
 
     def test_softmax(self):
+        # an all-True mask makes masked_softmax the plain softmax
+        mask = np.ones((3, 5), dtype=bool)
         w = ad.constant(RNG.normal(size=(3, 5)))
-        check_grad(lambda x: ad.sum_all(ad.mul(ad.softmax(x), w)),
+        check_grad(lambda x: ad.sum_all(ad.mul(ad.masked_softmax(x, mask), w)),
                    RNG.normal(size=(3, 5)))
 
     def test_softmax_uniform_on_zeros(self):
-        s = ad.softmax(ad.constant(np.zeros(3)))
+        s = ad.masked_softmax(ad.constant(np.zeros(3)), np.ones(3, dtype=bool))
         assert np.allclose(s.value, [1 / 3] * 3, atol=0)
 
     def test_masked_softmax(self):

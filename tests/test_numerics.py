@@ -2,50 +2,20 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from prelab.numerics import (COSINE_NORM_FLOOR, ConvergenceError,
-                             NonSymmetricError, RngStream, ShapeError, cosine,
-                             covariance, matmul, pearson_corr, sym_eig)
+from prelab import autodiff as ad
+from prelab.numerics import (COSINE_NORM_FLOOR, RngStream, ShapeError,
+                             covariance, pearson_corr)
 
 
-class TestMatmul:
-    def test_identity(self):
-        a = np.array([[1.0, 2.0], [3.0, 4.0]])
-        assert np.array_equal(matmul(np.eye(2), a), a)
-
-    def test_hand_evaluated(self):
-        # scalar hand evaluation: [[1*5+2*7, 1*6+2*8], [3*5+4*7, 3*6+4*8]]
-        out = matmul([[1, 2], [3, 4]], [[5, 6], [7, 8]])
-        assert np.array_equal(out, [[19.0, 22.0], [43.0, 50.0]])
-
-    def test_shape_mismatch_names_both_shapes(self):
-        with pytest.raises(ShapeError, match=r"\(2, 3\).*\(2, 3\)"):
-            matmul(np.zeros((2, 3)), np.zeros((2, 3)))
-
-    def test_left_to_right_summation_order(self):
-        rng = np.random.default_rng(0)
-        a = rng.normal(size=(5, 7))
-        b = rng.normal(size=(7, 4))
-        expected = np.zeros((5, 4))
-        for i in range(5):
-            for j in range(4):
-                acc = 0.0
-                for k in range(7):
-                    acc += a[i, k] * b[k, j]
-                expected[i, j] = acc
-        assert np.array_equal(matmul(a, b), expected)
-
-    def test_associativity(self):
-        rng = np.random.default_rng(1)
-        for _ in range(10):
-            a = rng.normal(size=(4, 6))
-            b = rng.normal(size=(6, 3))
-            c = rng.normal(size=(3, 5))
-            left = matmul(matmul(a, b), c)
-            right = matmul(a, matmul(b, c))
-            assert np.max(np.abs(left - right)) < 1e-9 * max(1.0, np.max(np.abs(left)))
+def cosine(p, z) -> float:
+    """The package's cosine of two vectors: one-row autodiff.cosine_rows."""
+    rows = [ad.constant(np.asarray(v, dtype=np.float64).reshape(1, -1)) for v in (p, z)]
+    return float(ad.cosine_rows(*rows).value[0])
 
 
 class TestCosine:
+    """The floored cosine contract (COSINE_NORM_FLOOR), on one row."""
+
     def test_identical(self):
         assert cosine([1.0, 0.0], [1.0, 0.0]) == 1.0
 
@@ -77,74 +47,6 @@ class TestCosine:
         assume(np.sqrt(np.dot(p, p)) >= COSINE_NORM_FLOOR)
         assume(np.sqrt(np.dot(q, q)) >= COSINE_NORM_FLOOR)
         assert abs(cosine(q, z) - cosine(p, z)) < 1e-12
-
-
-class TestSymEig:
-    def test_identity(self):
-        w, v = sym_eig(np.eye(3))
-        assert np.array_equal(w, np.ones(3))
-        assert np.array_equal(v, np.eye(3))
-
-    def test_diagonal(self):
-        w, v = sym_eig(np.diag([3.0, 1.0]))
-        assert np.array_equal(w, [3.0, 1.0])
-        assert np.array_equal(v, np.eye(2))
-
-    def test_reconstruction_random_6x6(self):
-        rng = np.random.default_rng(2)
-        for _ in range(20):
-            x = rng.normal(size=(6, 6))
-            m = (x + x.T) / 2
-            w, v = sym_eig(m)
-            assert np.max(np.abs(v @ np.diag(w) @ v.T - m)) < 1e-9
-
-    def test_trace_preserved_and_orthonormal(self):
-        rng = np.random.default_rng(3)
-        for n in (2, 5, 9):
-            x = rng.normal(size=(n, n))
-            m = x + x.T
-            w, v = sym_eig(m)
-            assert abs(w.sum() - np.trace(m)) < 1e-9
-            assert np.max(np.abs(v.T @ v - np.eye(n))) < 1e-9
-
-    def test_descending_order(self):
-        rng = np.random.default_rng(4)
-        x = rng.normal(size=(7, 7))
-        w, _ = sym_eig(x + x.T)
-        assert np.all(np.diff(w) <= 0)
-
-    def test_sign_canonicalization(self):
-        rng = np.random.default_rng(5)
-        x = rng.normal(size=(5, 5))
-        _, v = sym_eig(x + x.T)
-        for j in range(5):
-            col = v[:, j]
-            nz = np.nonzero(col)[0]
-            assert col[nz[0]] >= 0
-
-    def test_tie_breaking_stable(self):
-        # repeated eigenvalue 2.0: sorted descending, tied pair keeps its
-        # pre-sort ordering (deterministic output)
-        w, _ = sym_eig(np.diag([2.0, 5.0, 2.0]))
-        assert np.array_equal(w, [5.0, 2.0, 2.0])
-
-    def test_non_symmetric_rejected(self):
-        with pytest.raises(NonSymmetricError):
-            sym_eig(np.array([[1.0, 2.0], [0.5, 1.0]]))
-
-    def test_non_convergence_reports_residual(self):
-        m = np.eye(4) + 0.3
-        with pytest.raises(ConvergenceError, match="residual"):
-            sym_eig(m, max_sweeps=0)
-
-    def test_agrees_with_library_eigensolver(self):
-        rng = np.random.default_rng(6)
-        for _ in range(10):
-            x = rng.normal(size=(8, 8))
-            m = x + x.T
-            w, _ = sym_eig(m)
-            w_ref = np.sort(np.linalg.eigvalsh(m))[::-1]
-            assert np.max(np.abs(w - w_ref)) < 1e-9
 
 
 class TestCovariance:
