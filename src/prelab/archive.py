@@ -1,4 +1,5 @@
-"""Binary tensor archive with CRC32 integrity check.
+"""Binary tensor archive with CRC32 integrity check, the one file format of
+checkpoints, hidden-state dumps and dataset splits.
 
 Layout (all little-endian):
 
@@ -8,12 +9,14 @@ Layout (all little-endian):
     trailing CRC32 (u32) of all preceding bytes
 
 The CRC is verified before any tensor is decoded, so a corrupted file never
-surfaces partial data. Payloads are float32 on disk; readers return float32
-arrays and callers widen as needed.
+surfaces partial data. Payloads are float32 on disk, integers as whole numbers
+(exact up to 2**24); readers return float32 and callers widen or cast back.
+Writes go through a sibling temp file renamed onto the target.
 """
 
 from __future__ import annotations
 
+import os
 import struct
 import zlib
 from pathlib import Path
@@ -58,7 +61,12 @@ def write_archive(path, entries) -> None:
             buf += struct.pack("<I", dim)
         buf += arr.tobytes()
     buf += struct.pack("<I", zlib.crc32(bytes(buf)) & 0xFFFFFFFF)
-    Path(path).write_bytes(bytes(buf))
+    tmp = Path(f"{path}.tmp")
+    try:
+        tmp.write_bytes(bytes(buf))
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 def read_archive(path) -> dict:

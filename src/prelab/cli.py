@@ -224,11 +224,12 @@ def _split_examples(dataset, split):
 
 
 def cmd_dump(args) -> int:
+    if args.limit < 0:
+        raise ConfigError(f"--limit must be >= 0, got {args.limit}")
     run_cfg, params = _load_run(args.run)
     dataset = _load_dataset_checked(args.data, run_cfg)
     examples = _split_examples(dataset, args.split)
-    if args.limit:
-        examples = examples[: args.limit]
+    examples = examples[: args.limit or None]
     if not examples:
         raise ConfigError(f"split {args.split!r} has no examples")
     traces, ids = [], []

@@ -17,13 +17,13 @@ answer is verifiable from the label map alone.
 from __future__ import annotations
 
 import json
-import struct
 import zlib
 from dataclasses import dataclass, field, asdict
 from pathlib import Path
 
 import numpy as np
 
+from .archive import read_archive, write_archive
 from .numerics import RngStream
 
 # ---------------------------------------------------------------------------
@@ -243,72 +243,16 @@ def generate_qa(image: SyntheticImage, rng: RngStream) -> QaPair:
 
 
 # ---------------------------------------------------------------------------
-# dataset container (magic "PRED"): like the tensor archive but dtype-tagged
-# so label maps and token sequences stay u16 on disk
+# dataset splits: one tensor archive each. Label maps and token ids are stored
+# as whole-number float32 (exact up to 2**24); loading refuses other values.
 # ---------------------------------------------------------------------------
 
-_DS_MAGIC = b"PRED"
-_DS_VERSION = 1
-_DTYPES = {0: "<f4", 1: "<u2"}
-_DTYPE_CODES = {"float32": 0, "uint16": 1}
+DATASET_FORMAT = "prelab-dataset/2"
+_INT_FIELDS = ("labels", "prompt", "answer", "probe")
 
 
 class DatasetError(RuntimeError):
     pass
-
-
-def _write_container(path, items) -> None:
-    buf = bytearray()
-    buf += _DS_MAGIC
-    buf += struct.pack("<HI", _DS_VERSION, len(items))
-    for name, arr in items:
-        arr = np.asarray(arr)
-        if arr.dtype == np.float32 or arr.dtype == np.float64:
-            code, dt = 0, "<f4"
-        else:
-            code, dt = 1, "<u2"
-        arr = np.ascontiguousarray(arr, dtype=dt)
-        raw_name = name.encode("utf-8")
-        buf += struct.pack("<H", len(raw_name))
-        buf += raw_name
-        buf += struct.pack("<BB", code, arr.ndim)
-        for dim in arr.shape:
-            buf += struct.pack("<I", dim)
-        buf += arr.tobytes()
-    buf += struct.pack("<I", zlib.crc32(bytes(buf)) & 0xFFFFFFFF)
-    Path(path).write_bytes(bytes(buf))
-
-
-def _read_container(path) -> dict:
-    raw = Path(path).read_bytes()
-    if len(raw) < 14 or raw[:4] != _DS_MAGIC:
-        raise DatasetError(f"not a dataset container: {path}")
-    if struct.unpack("<I", raw[-4:])[0] != (zlib.crc32(raw[:-4]) & 0xFFFFFFFF):
-        raise DatasetError(f"dataset container CRC mismatch: {path}")
-    body = raw[:-4]
-    pos = 4
-    version, count = struct.unpack_from("<HI", body, pos)
-    pos += 6
-    if version != _DS_VERSION:
-        raise DatasetError(f"unsupported dataset container version {version}")
-    out = {}
-    for _ in range(count):
-        (name_len,) = struct.unpack_from("<H", body, pos)
-        pos += 2
-        name = body[pos : pos + name_len].decode("utf-8")
-        pos += name_len
-        code, rank = struct.unpack_from("<BB", body, pos)
-        pos += 2
-        dims = struct.unpack_from(f"<{rank}I", body, pos) if rank else ()
-        pos += 4 * rank
-        dt = _DTYPES[code]
-        size = int(np.prod(dims, dtype=np.int64)) if rank else 1
-        arr = np.frombuffer(body, dtype=dt, count=size, offset=pos).reshape(dims).copy()
-        pos += arr.itemsize * size
-        out[name] = arr
-    if pos != len(body):
-        raise DatasetError("trailing bytes in dataset container")
-    return out
 
 
 @dataclass
@@ -350,7 +294,7 @@ def split_ids(n: int) -> dict:
 
 
 def generate_dataset(n: int, seed: int, out_dir, spec: DataSpec = None) -> dict:
-    """Generate n examples and write one container per split plus a manifest.
+    """Generate n examples and write one archive per split plus a manifest.
 
     Each example draws from its own RNG substream keyed by id, so the output
     is byte-identical for a given (n, seed, spec) regardless of generation
@@ -375,14 +319,12 @@ def generate_dataset(n: int, seed: int, out_dir, spec: DataSpec = None) -> dict:
         for i in ids:
             img, qa = examples[i]
             key = f"{i:08d}"
-            items.append((f"{key}/image", img.pixels.astype(np.float32)))
-            items.append((f"{key}/labels", img.labels.astype(np.uint16)))
-            items.append((f"{key}/prompt", qa.prompt.astype(np.uint16)))
-            items.append((f"{key}/answer", qa.answer.astype(np.uint16)))
-            items.append((f"{key}/probe", np.array([qa.probe_label], dtype=np.uint16)))
-        _write_container(out_dir / f"{split_name}.bin", items)
+            items += [(f"{key}/image", img.pixels), (f"{key}/labels", img.labels),
+                      (f"{key}/prompt", qa.prompt), (f"{key}/answer", qa.answer),
+                      (f"{key}/probe", [qa.probe_label])]
+        write_archive(out_dir / f"{split_name}.bin", items)
     manifest = {
-        "format": "prelab-dataset/1",
+        "format": DATASET_FORMAT,
         "seed": int(seed),
         "n": int(n),
         "vocab_size": VOCAB_SIZE,
@@ -394,15 +336,24 @@ def generate_dataset(n: int, seed: int, out_dir, spec: DataSpec = None) -> dict:
     return manifest
 
 
+def _read_split(path) -> dict:
+    entries = read_archive(path)
+    ints = [arr.ravel() for name, arr in entries.items() if name.rsplit("/", 1)[-1] in _INT_FIELDS]
+    vals = np.concatenate(ints) if ints else np.zeros(0)
+    if not np.all((vals >= 0) & (vals <= 0xFFFF) & (vals == np.floor(vals))):
+        raise DatasetError(f"{path}: an integer entry is not a whole number in [0, 65535]")
+    return entries
+
+
 def load_dataset(path) -> Dataset:
     path = Path(path)
     manifest = json.loads((path / "manifest.json").read_text())
-    if manifest.get("format") != "prelab-dataset/1":
-        raise DatasetError(f"unknown dataset format in {path / 'manifest.json'}")
+    if manifest.get("format") != DATASET_FORMAT:
+        raise DatasetError(f"unknown dataset format in {path}; regenerate it with prelab gen-data")
     spec = DataSpec(**manifest["spec"])
     ds = Dataset(spec=spec, seed=manifest["seed"], vocab_size=manifest["vocab_size"])
     for split_name in SPLIT_NAMES:
-        entries = _read_container(path / f"{split_name}.bin")
+        entries = _read_split(path / f"{split_name}.bin")
         ids = sorted({int(name.split("/")[0]) for name in entries})
         examples = []
         for i in ids:

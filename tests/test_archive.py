@@ -1,3 +1,4 @@
+import os
 import struct
 import zlib
 
@@ -72,6 +73,22 @@ def test_bad_magic(tmp_path):
     path.write_bytes(b"NOPE" + b"\x00" * 32)
     with pytest.raises(ArchiveError, match="magic"):
         read_archive(path)
+
+
+def test_failed_write_leaves_old_archive_and_no_temp_file(tmp_path, monkeypatch):
+    path = tmp_path / "t.prea"
+    write_archive(path, {"x": np.arange(4, dtype=np.float32)})
+    assert os.listdir(tmp_path) == ["t.prea"]  # no temp file after a good write
+    old = path.read_bytes()
+
+    def fail(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(os, "replace", fail)
+    with pytest.raises(OSError, match="disk full"):
+        write_archive(path, {"x": np.zeros(9, dtype=np.float32)})
+    assert path.read_bytes() == old
+    assert os.listdir(tmp_path) == ["t.prea"]
 
 
 # Hypothesis requires float32 bounds that float32 represents exactly; 1e30

@@ -1,5 +1,5 @@
-"""CLI tests: a golden tiny pipeline, the run config round trip, and the
-exit code for a dataset that does not match the run."""
+"""CLI tests: a golden tiny pipeline, the run config round trip, and exit
+code 2 for a dataset that does not match the run or a negative dump limit."""
 
 import json
 import shutil
@@ -125,3 +125,13 @@ def test_dump_on_mismatched_dataset_exits_2(golden, tmp_path, capsys):
     assert rc == 2
     assert "grid 4, the run has 8" in capsys.readouterr().err
     assert not (tmp_path / "h.prea").exists()
+
+
+def test_dump_with_negative_limit_exits_2(golden, tmp_path, capsys):
+    w, _, _ = golden
+    out = tmp_path / "h.prea"
+    rc = main(["dump", "--run", str(w / "run"), "--data", str(w / "data"),
+               "--out", str(out), "--limit", "-5"])
+    assert rc == 2
+    assert "--limit must be >= 0, got -5" in capsys.readouterr().err
+    assert not out.exists()

@@ -1,6 +1,10 @@
 import numpy as np
+import pytest
 
-from prelab.diagnostics import EffectiveDim, pca_effective_dim
+from prelab.diagnostics import (CONTRAST_FLOOR, ContrastValue, EffectiveDim,
+                                NoEligibleClassError, cohesion, contrast, coupling,
+                                patch_metrics_over_images, pca_effective_dim, similarity_map)
+from prelab.numerics import ShapeError
 
 THRESHOLDS = (0.5, 0.8, 0.95, 0.99)
 
@@ -69,3 +73,79 @@ class TestPcaEffectiveDim:
             k = pca_effective_dim(x, threshold=t)
             assert pca_effective_dim(x[:, perm], threshold=t) == k
             assert pca_effective_dim(x @ rot, threshold=t) == k
+
+
+def at_angle(cos):
+    """A unit vector in the plane whose cosine with (1, 0) is `cos`."""
+    return np.array([cos, np.sqrt(1.0 - cos * cos)])
+
+
+def orthonormal_scene():
+    """Two classes along orthonormal directions, rows scaled arbitrarily,
+    plus background rows that point anywhere."""
+    e = np.eye(3)
+    labels = np.array([1, 1, 1, 2, 2, 0, 0, 0])
+    feats = np.array([2.0 * e[0], 0.5 * e[0], 7.0 * e[0], 3.0 * e[1], 0.1 * e[1],
+                      e[0] + e[1], -e[0], np.ones(3)])
+    return feats, labels
+
+
+class TestPatchStructure:
+    def test_orthonormal_classes(self):
+        feats, labels = orthonormal_scene()
+        assert cohesion(feats, labels) == 1.0
+        assert coupling(feats, labels) == 0.0
+        assert contrast(1.0, 0.0) == ContrastValue(1.0 / CONTRAST_FLOOR, True)
+        assert contrast(1.0, 0.5) == ContrastValue(2.0, False)
+
+    def test_background_patches_are_excluded(self):
+        feats, labels = orthonormal_scene()
+        objects = labels > 0
+        rng = np.random.default_rng(0)
+        for _ in range(3):
+            feats[~objects] = rng.normal(size=(np.sum(~objects), 3))
+            assert cohesion(feats, labels) == cohesion(feats[objects], labels[objects])
+            assert coupling(feats, labels) == coupling(feats[objects], labels[objects])
+
+    def test_no_eligible_class(self):
+        feats = np.eye(4)
+        with pytest.raises(NoEligibleClassError):
+            cohesion(feats, [1, 2, 0, 0])  # every class is a lone patch
+        with pytest.raises(NoEligibleClassError):
+            coupling(feats, [1, 1, 1, 0])  # a single class
+        with pytest.raises(NoEligibleClassError):
+            patch_metrics_over_images([feats, feats], [[1, 0, 0, 0], [0, 0, 0, 0]])
+
+    def test_similarity_map(self):
+        feats = np.array([[1.0, 0.0], [3.0, 0.0], [0.0, 2.0], [-1.0, 0.0]])
+        sims = similarity_map(feats, 0, grid=2)
+        assert sims.shape == (2, 2)
+        assert np.array_equal(sims, [[1.0, 1.0], [0.0, -1.0]])
+        assert np.array_equal(similarity_map(feats, 0), sims.ravel())
+        # a zero row has cosine 0 with everything, itself included, yet the
+        # probe's self-similarity is pinned to 1
+        feats[2] = 0.0
+        assert np.array_equal(similarity_map(feats, 2), [0.0, 0.0, 1.0, 0.0])
+        with pytest.raises(ShapeError):
+            similarity_map(feats, 0, grid=3)
+        with pytest.raises(IndexError):
+            similarity_map(feats, 4)
+
+    def test_dataset_contrast_is_ratio_of_means(self):
+        u = at_angle(1.0)
+        images = [  # (features, labels, cohesion, coupling)
+            (np.array([u, u, at_angle(0.5), at_angle(0.5)]), [1, 1, 2, 2], 1.0, 0.5),
+            (np.array([u, u, at_angle(-0.25), at_angle(-0.25)]), [1, 1, 2, 2], 1.0, -0.25),
+            (np.array([u, at_angle(0.5), -u, u]), [1, 1, 0, 0], 0.5, None),
+        ]
+        for feats, labels, coh, coup in images:
+            assert cohesion(feats, labels) == pytest.approx(coh, abs=1e-12)
+            if coup is not None:
+                assert coupling(feats, labels) == pytest.approx(coup, abs=1e-12)
+        pm = patch_metrics_over_images([i[0] for i in images], [i[1] for i in images])
+        assert pm.cohesion == pytest.approx(2.5 / 3, abs=1e-12)
+        assert pm.coupling == pytest.approx(0.125, abs=1e-12)
+        # the mean of the per-image ratios would be (2 + 1e6) / 2, the second
+        # image's coupling being floored
+        assert pm.contrast == pytest.approx((2.5 / 3) / 0.125, rel=1e-12)
+        assert (pm.n_cohesion_images, pm.n_coupling_images, pm.n_floored) == (3, 2, 1)
