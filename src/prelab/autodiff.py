@@ -143,27 +143,6 @@ def backward(loss: Node) -> None:
                 grads[parent.id] = pg
 
 
-def params_in_graph(loss: Node) -> set:
-    """Parameters reachable from loss along differentiable edges.
-
-    stop_gradient cuts parent links, so a parameter whose every path to the
-    loss crosses a stop-gradient never appears here and its .grad is
-    untouched by backward().
-    """
-    out = set()
-    seen = set()
-    stack = [loss]
-    while stack:
-        node = stack.pop()
-        if node.id in seen:
-            continue
-        seen.add(node.id)
-        if node.param is not None:
-            out.add(node.param)
-        stack.extend(node.parents)
-    return out
-
-
 def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
     """Sum g down to `shape`, inverting numpy broadcasting."""
     while g.ndim > len(shape):
@@ -211,10 +190,6 @@ def scale(a: Node, c: float) -> Node:
 
 def neg(a: Node) -> Node:
     return scale(a, -1.0)
-
-
-def sub(a: Node, b: Node) -> Node:
-    return add(a, neg(b))
 
 
 def matmul(a: Node, b: Node) -> Node:
@@ -327,15 +302,15 @@ def log_softmax(a: Node) -> Node:
     return record("log_softmax", v, (a,), bk)
 
 
-def layer_norm(a: Node, gamma: Node, beta: Node, eps: float = LAYER_NORM_EPS) -> Node:
+def layer_norm(a: Node, gamma: Node, beta: Node) -> Node:
     """Normalize the last axis to zero mean / unit variance, then affine."""
     x = a.value
     d = x.shape[-1]
     mu = x.mean(axis=-1, keepdims=True)
-    xc = x - mu
-    var = np.mean(xc * xc, axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = xc * inv
+    xhat = x - mu
+    var = np.mean(xhat * xhat, axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(var + LAYER_NORM_EPS)
+    xhat *= inv  # in place: one [.., d] buffer fewer at the peak
     v = xhat * gamma.value + beta.value
 
     def bk(g):
@@ -408,21 +383,21 @@ def mean_all(a: Node) -> Node:
     return scale(sum_all(a), 1.0 / a.value.size)
 
 
-def cosine_rows(p: Node, z: Node, floor: float = COSINE_NORM_FLOOR) -> Node:
+def cosine_rows(p: Node, z: Node) -> Node:
     """Row-wise cosine similarity of two N x D matrices -> N vector.
 
-    Rows where either operand's norm is below `floor` yield similarity 0
-    with zero gradient: a zero-length feature carries no alignment signal
-    and must not poison the loss with NaN. Because of the floor, a row's
-    result is invariant to scaling either operand only while both norms
-    stay at or above it.
+    Rows where either operand's norm is below COSINE_NORM_FLOOR yield
+    similarity 0 with zero gradient: a zero-length feature carries no
+    alignment signal and must not poison the loss with NaN. Because of the
+    floor, a row's result is invariant to scaling either operand only while
+    both norms stay at or above it.
     """
     pv, zv = p.value, z.value
     if pv.shape != zv.shape or pv.ndim != 2:
         raise ShapeError(f"cosine_rows expects matching N x D, got {pv.shape} vs {zv.shape}")
     pn = np.sqrt(np.sum(pv * pv, axis=1))
     zn = np.sqrt(np.sum(zv * zv, axis=1))
-    ok = (pn >= floor) & (zn >= floor)
+    ok = (pn >= COSINE_NORM_FLOOR) & (zn >= COSINE_NORM_FLOOR)
     denom = np.where(ok, pn * zn, 1.0)
     dots = np.sum(pv * zv, axis=1)
     c = np.where(ok, dots / denom, 0.0)

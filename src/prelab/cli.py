@@ -9,6 +9,7 @@ which holds the per-step wall times of a training run.
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import sys
 from dataclasses import dataclass, fields
@@ -276,14 +277,10 @@ def cmd_metrics(args) -> int:
         for ex in dataset.splits[name]:
             split_of[ex.id] = name
             meta_of[ex.id] = ex
-    for name in ("train",):
-        for ex in dataset.splits[name]:
-            split_of.setdefault(ex.id, name)
-            meta_of.setdefault(ex.id, ex)
     missing = [i for i in ids if i not in meta_of]
     if missing:
-        raise ConfigError(f"{len(missing)} dumped examples not in dataset "
-                          f"(first: {missing[0]})")
+        raise ConfigError(f"{len(missing)} dumped examples not in the dataset's probe "
+                          f"splits (first: {missing[0]}; dump with --split probe)")
 
     labels_per_image = [meta_of[i].labels for i in ids]
     probe_labels = np.array([meta_of[i].probe_label for i in ids])
@@ -293,24 +290,7 @@ def cmd_metrics(args) -> int:
         raise ConfigError("metrics needs examples from both probe splits "
                           "(dump with --split probe)")
 
-    def layer_features(layer):
-        return [hidden[i]["layers"][layer] for i in ids]
-
-    pooled_by_layer = [np.stack([pool_global(f) for f in layer_features(l)])
-                       for l in range(n_layers)]
-    probe = linear_probe(pooled_by_layer, probe_labels, train_idx, test_idx)
-
-    per_layer = [(patch_metrics_over_images(layer_features(l), labels_per_image),
-                  stat_props(pooled_by_layer[l])) for l in range(n_layers)]
-
-    rows = []
-    for layer, (pm, sp) in enumerate(per_layer):
-        rows.append({"layer": layer, "probe_acc": probe.accuracies[layer],
-                     "cohesion": pm.cohesion, "coupling": pm.coupling,
-                     "contrast": pm.contrast, "eff_dim": sp.effective_dim,
-                     "redundancy": sp.redundancy})
-
-    # similarity maps for one probe patch
+    # the probe patch of the similarity maps
     sim_id = args.sim_example
     sim_patch = args.sim_patch
     if sim_id is None:
@@ -321,6 +301,26 @@ def cmd_metrics(args) -> int:
         sim_patch = 0
     if sim_id not in hidden:
         raise ConfigError(f"similarity example {sim_id} not in the hidden archive")
+    if not 0 <= sim_patch < grid * grid:
+        raise ConfigError(f"--sim-patch {sim_patch} outside [0, {grid * grid}) "
+                          f"for a {grid}x{grid} grid")
+
+    def layer_features(layer):
+        return [hidden[i]["layers"][layer] for i in ids]
+
+    pooled_by_layer = [np.stack([pool_global(f) for f in layer_features(l)])
+                       for l in range(n_layers)]
+    probe_accs = linear_probe(pooled_by_layer, probe_labels, train_idx, test_idx)
+
+    per_layer = [(patch_metrics_over_images(layer_features(l), labels_per_image),
+                  stat_props(pooled_by_layer[l])) for l in range(n_layers)]
+
+    rows = []
+    for layer, (pm, sp) in enumerate(per_layer):
+        rows.append({"layer": layer, "probe_acc": probe_accs[layer],
+                     "cohesion": pm.cohesion, "coupling": pm.coupling,
+                     "contrast": pm.contrast, "eff_dim": sp.effective_dim,
+                     "redundancy": sp.redundancy})
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -337,8 +337,7 @@ def cmd_metrics(args) -> int:
                   "top": [(tok, token_name(tok), mass) for tok, mass in d.top_tokens]}
                  for d in lens]
     with open(out / "logitlens.csv", "w", newline="") as fh:
-        import csv as _csv
-        writer = _csv.writer(fh)
+        writer = csv.writer(fh)
         writer.writerow(["layer", "rank", "token", "token_name", "mass"])
         for entry in lens_rows:
             for rank, (tok, name, mass) in enumerate(entry["top"], 1):
@@ -370,10 +369,9 @@ def _read_metrics_dir(path):
     lens_rows = []
     lens_path = path / "logitlens.csv"
     if lens_path.exists():
-        import csv as _csv
         by_layer = {}
         with open(lens_path, newline="") as fh:
-            for row in _csv.DictReader(fh):
+            for row in csv.DictReader(fh):
                 by_layer.setdefault(int(row["layer"]), []).append(
                     (int(row["token"]), row["token_name"], float(row["mass"])))
         lens_rows = [{"layer": layer, "top": tops}
@@ -391,12 +389,17 @@ def cmd_report(args) -> int:
     p_rows, p_meta, p_lens, p_sims = _read_metrics_dir(args.pre)
     if len(b_rows) != len(p_rows):
         raise ConfigError("metric tables have different layer counts")
-    sim_layers = args.sim_layers or sorted(set(b_sims) & set(p_sims))
+    common = sorted(set(b_sims) & set(p_sims))
+    sim_layers = args.sim_layers or common
+    absent = [l for l in sim_layers if l not in common]
+    if absent:
+        raise ConfigError(f"--sim-layers {absent} have no similarity map in both metrics "
+                          f"directories (layers with one: {common})")
     out = Path(args.out)
     write_comparison(
         b_rows, p_rows, out,
-        baseline_sim={l: b_sims[l] for l in sim_layers if l in b_sims},
-        pre_sim={l: p_sims[l] for l in sim_layers if l in p_sims},
+        baseline_sim={l: b_sims[l] for l in sim_layers},
+        pre_sim={l: p_sims[l] for l in sim_layers},
         sim_probe_index=b_meta.get("sim_patch"),
         baseline_lens=b_lens, pre_lens=p_lens,
     )

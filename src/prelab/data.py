@@ -244,11 +244,11 @@ def generate_qa(image: SyntheticImage, rng: RngStream) -> QaPair:
 
 # ---------------------------------------------------------------------------
 # dataset splits: one tensor archive each. Label maps and token ids are stored
-# as whole-number float32 (exact up to 2**24); loading refuses other values.
+# as whole-number float32 (exact up to 2**24); loading refuses values that are
+# not whole numbers or that the manifest's vocabulary and classes rule out.
 # ---------------------------------------------------------------------------
 
 DATASET_FORMAT = "prelab-dataset/2"
-_INT_FIELDS = ("labels", "prompt", "answer", "probe")
 
 
 class DatasetError(RuntimeError):
@@ -336,12 +336,17 @@ def generate_dataset(n: int, seed: int, out_dir, spec: DataSpec = None) -> dict:
     return manifest
 
 
-def _read_split(path) -> dict:
+def _read_split(path, bounds: dict) -> dict:
+    """Read one split archive; bounds maps each integer field to the
+    inclusive range (lo, hi) its values must lie in."""
     entries = read_archive(path)
-    ints = [arr.ravel() for name, arr in entries.items() if name.rsplit("/", 1)[-1] in _INT_FIELDS]
-    vals = np.concatenate(ints) if ints else np.zeros(0)
-    if not np.all((vals >= 0) & (vals <= 0xFFFF) & (vals == np.floor(vals))):
-        raise DatasetError(f"{path}: an integer entry is not a whole number in [0, 65535]")
+    for kind, (lo, hi) in bounds.items():
+        vals = np.concatenate([arr.ravel() for name, arr in entries.items()
+                               if name.endswith("/" + kind)] or [np.zeros(0)])
+        if not np.all(vals == np.floor(vals)):
+            raise DatasetError(f"{path}: an integer entry is not a whole number")
+        if not np.all((vals >= lo) & (vals <= hi)):
+            raise DatasetError(f"{path}: an integer entry of {kind!r} lies outside [{lo}, {hi}]")
     return entries
 
 
@@ -352,8 +357,11 @@ def load_dataset(path) -> Dataset:
         raise DatasetError(f"unknown dataset format in {path}; regenerate it with prelab gen-data")
     spec = DataSpec(**manifest["spec"])
     ds = Dataset(spec=spec, seed=manifest["seed"], vocab_size=manifest["vocab_size"])
+    last_token = ds.vocab_size - 1
+    bounds = {"labels": (0, spec.num_classes), "prompt": (0, last_token),
+              "answer": (0, last_token), "probe": (1, spec.num_classes)}
     for split_name in SPLIT_NAMES:
-        entries = _read_split(path / f"{split_name}.bin")
+        entries = _read_split(path / f"{split_name}.bin", bounds)
         ids = sorted({int(name.split("/")[0]) for name in entries})
         examples = []
         for i in ids:

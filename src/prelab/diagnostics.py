@@ -27,6 +27,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import autodiff as ad
 from .numerics import COSINE_NORM_FLOOR, ShapeError, covariance, pearson_corr
 
 CONTRAST_FLOOR = 1e-6
@@ -162,12 +163,6 @@ def redundancy(features: np.ndarray) -> float:
 # linear probing
 # ---------------------------------------------------------------------------
 
-@dataclass
-class ProbeResult:
-    accuracies: list          # one entry per layer, including layer 0
-    weights: list = None      # optional per-layer probe weight matrices
-
-
 def _ridge_probe_accuracy(x_train, y_train, x_test, y_test, alpha_scale=1e-3):
     classes = np.unique(y_train)
     if classes.size < 2:
@@ -187,11 +182,12 @@ def _ridge_probe_accuracy(x_train, y_train, x_test, y_test, alpha_scale=1e-3):
     alpha = alpha_scale * np.trace(gram) / d
     w = np.linalg.solve(gram + alpha * np.eye(d), xt.T @ y)
     pred = classes[np.argmax(xe @ w, axis=1)]
-    return float(np.mean(pred == y_test)), w
+    return float(np.mean(pred == y_test))
 
 
-def linear_probe(features_by_layer, labels, train_idx, test_idx) -> ProbeResult:
-    """Closed-form one-vs-rest ridge probe per layer.
+def linear_probe(features_by_layer, labels, train_idx, test_idx) -> list:
+    """Closed-form one-vs-rest ridge probe per layer; returns the test
+    accuracy of each layer, in order.
 
     features_by_layer: sequence of [N, d] arrays (one per recorded layer).
     Features are standardized per dimension with train-split statistics;
@@ -201,14 +197,12 @@ def linear_probe(features_by_layer, labels, train_idx, test_idx) -> ProbeResult:
     labels = np.asarray(labels)
     train_idx = np.asarray(train_idx)
     test_idx = np.asarray(test_idx)
-    accs, weights = [], []
+    accs = []
     for feats in features_by_layer:
         feats = np.asarray(feats, dtype=np.float64)
-        acc, w = _ridge_probe_accuracy(feats[train_idx], labels[train_idx],
-                                       feats[test_idx], labels[test_idx])
-        accs.append(acc)
-        weights.append(w)
-    return ProbeResult(accuracies=accs, weights=weights)
+        accs.append(_ridge_probe_accuracy(feats[train_idx], labels[train_idx],
+                                          feats[test_idx], labels[test_idx]))
+    return accs
 
 
 # ---------------------------------------------------------------------------
@@ -222,25 +216,18 @@ class LogitLensDist:
     top_tokens: list          # [(token_id, mass)] sorted by mass desc
 
 
-def _final_norm(x, gamma, beta, eps):
-    mu = x.mean(axis=-1, keepdims=True)
-    xc = x - mu
-    var = np.mean(xc * xc, axis=-1, keepdims=True)
-    return (xc / np.sqrt(var + eps)) * gamma + beta
-
-
-def logit_lens(visual_by_layer, ln_gamma, ln_beta, head_w, head_b,
-               top_k: int = 5, eps: float = 1e-12) -> list:
+def logit_lens(visual_by_layer, ln_gamma, ln_beta, head_w, head_b, top_k: int = 5) -> list:
     """Decode visual hidden states of every layer through the final norm and
     output head; per layer, softmax each patch and average the resulting
-    distributions over all patches and examples.
+    distributions over all patches and examples. The norm is the model's own
+    layer-norm forward, so the last layer decodes exactly as the model does.
 
     visual_by_layer: sequence over layers of [M, d] stacked patch states.
     """
+    gamma, beta = ad.constant(ln_gamma), ad.constant(ln_beta)
     out = []
     for layer, states in enumerate(visual_by_layer):
-        states = np.asarray(states, dtype=np.float64)
-        logits = _final_norm(states, ln_gamma, ln_beta, eps) @ head_w + head_b
+        logits = ad.layer_norm(ad.constant(states), gamma, beta).value @ head_w + head_b
         shifted = logits - logits.max(axis=-1, keepdims=True)
         e = np.exp(shifted)
         probs = e / e.sum(axis=-1, keepdims=True)

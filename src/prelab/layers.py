@@ -56,22 +56,9 @@ class Embedding:
 
 
 class Mlp:
-    """Two-layer feed-forward block with GELU."""
-
-    def __init__(self, name: str, d: int, hidden: int, rng: RngStream):
-        self.fc1 = Linear(f"{name}.fc1", d, hidden, rng.split("fc1"))
-        self.fc2 = Linear(f"{name}.fc2", hidden, d, rng.split("fc2"))
-
-    def __call__(self, x: Node) -> Node:
-        return self.fc2(ad.gelu(self.fc1(x)))
-
-    def params(self):
-        return self.fc1.params() + self.fc2.params()
-
-
-class PredictionHead:
-    """Shallow 2-layer MLP (GELU between, no norm) mapping hidden states to
-    the anchor feature space."""
+    """Two-layer feed-forward map with GELU between and no norm: the decoder
+    block's MLP (d_out = d_in) and the prediction head that maps hidden
+    states to the anchor feature space."""
 
     def __init__(self, name: str, d_in: int, d_hidden: int, d_out: int, rng: RngStream):
         self.fc1 = Linear(f"{name}.fc1", d_in, d_hidden, rng.split("fc1"))
@@ -136,7 +123,7 @@ class DecoderBlock:
         self.ln1 = LayerNorm(f"{name}.ln1", d)
         self.attn = CausalSelfAttention(f"{name}.attn", d, heads, rng.split("attn"))
         self.ln2 = LayerNorm(f"{name}.ln2", d)
-        self.mlp = Mlp(f"{name}.mlp", d, mlp_hidden, rng.split("mlp"))
+        self.mlp = Mlp(f"{name}.mlp", d, mlp_hidden, d, rng.split("mlp"))
 
     def __call__(self, x: Node, mask: np.ndarray) -> Node:
         x = ad.add(x, self.attn(self.ln1(x), mask))

@@ -21,8 +21,7 @@ from . import autodiff as ad
 from .autodiff import Node, stop_gradient
 from .archive import write_archive, read_archive
 from .data import IGNORE_ID, VOCAB_SIZE
-from .layers import (DecoderBlock, Embedding, LayerNorm, Linear,
-                     PredictionHead, additive_causal_mask)
+from .layers import DecoderBlock, Embedding, LayerNorm, Linear, Mlp, additive_causal_mask
 from .numerics import RngStream, ShapeError
 
 ANCHOR_PRE_LLM = "pre-llm"
@@ -112,11 +111,10 @@ class MllmParams:
     simply skipped in the forward pass.
     """
 
-    def __init__(self, cfg: MllmConfig, seed: int = None):
+    def __init__(self, cfg: MllmConfig):
         cfg.validate()
         self.cfg = cfg
-        seed = cfg.seed if seed is None else seed
-        rng = RngStream(seed).split("params")
+        rng = RngStream(cfg.seed).split("params")
         d_patch = cfg.patch * cfg.patch
         self.wv = rng.split("vision").normal((d_patch, cfg.d_v), std=1.0 / np.sqrt(d_patch))
         self.pos_code = POS_CODE_SCALE * sincos_position_code(cfg.grid, cfg.d_v)
@@ -130,8 +128,7 @@ class MllmParams:
         ]
         self.ln_f = LayerNorm("ln_f", cfg.d_l)
         self.head = Linear("head", cfg.d_l, cfg.vocab, rng.split("head"))
-        self.pred_head = PredictionHead("pred_head", cfg.d_l, cfg.d_l, cfg.d_anchor,
-                                        rng.split("pred_head"))
+        self.pred_head = Mlp("pred_head", cfg.d_l, cfg.d_l, cfg.d_anchor, rng.split("pred_head"))
         self.mask = additive_causal_mask(cfg.seq_len)
 
     def trainable(self) -> list:
@@ -169,11 +166,8 @@ def encode_image(params: MllmParams, images: np.ndarray) -> np.ndarray:
     numpy; no gradients ever flow here."""
     cfg = params.cfg
     imgs = np.asarray(images, dtype=np.float64)
-    single = imgs.ndim == 2
-    if single:
-        imgs = imgs[None]
     if imgs.ndim != 3:
-        raise ShapeError(f"encode_image expects [B, H, W] or [H, W], got {imgs.shape}")
+        raise ShapeError(f"encode_image expects [B, H, W], got {imgs.shape}")
     b, hpix, wpix = imgs.shape
     p = cfg.patch
     if hpix % p or wpix % p:
@@ -183,17 +177,7 @@ def encode_image(params: MllmParams, images: np.ndarray) -> np.ndarray:
         raise ShapeError(f"image implies a {g}x{wpix // p} grid, model expects "
                          f"{cfg.grid}x{cfg.grid}")
     patches = imgs.reshape(b, g, p, g, p).transpose(0, 1, 3, 2, 4).reshape(b, g * g, p * p)
-    z = patches @ params.wv + params.pos_code
-    return z[0] if single else z
-
-
-def project(params: MllmParams, z) -> Node:
-    """Map encoder features into the decoder embedding space."""
-    z_node = ad.as_node(z)
-    if z_node.value.shape[-1] != params.cfg.d_v:
-        raise ShapeError(f"projector expects feature width {params.cfg.d_v}, "
-                         f"got {z_node.value.shape}")
-    return params.proj(z_node)
+    return patches @ params.wv + params.pos_code
 
 
 def llm_forward(params: MllmParams, z: np.ndarray, prompts: np.ndarray,
@@ -207,7 +191,7 @@ def llm_forward(params: MllmParams, z: np.ndarray, prompts: np.ndarray,
     z = np.asarray(z, dtype=np.float64)
     prompts = np.asarray(prompts, dtype=np.int64)
     answers = np.asarray(answers, dtype=np.int64)
-    if z.ndim != 3 or z.shape[1] != cfg.n_patches:
+    if z.ndim != 3 or z.shape[1:] != (cfg.n_patches, cfg.d_v):
         raise ShapeError(f"visual features must be [B, {cfg.n_patches}, {cfg.d_v}], got {z.shape}")
     if prompts.shape[1] != cfg.prompt_len:
         raise ShapeError(f"prompt length {prompts.shape[1]} != configured {cfg.prompt_len}")
@@ -218,7 +202,7 @@ def llm_forward(params: MllmParams, z: np.ndarray, prompts: np.ndarray,
     if t > cfg.seq_len:
         raise ShapeError(f"sequence length {t} exceeds configured max {cfg.seq_len}")
 
-    hv0 = project(params, z)
+    hv0 = params.proj(ad.constant(z))
     prompt_pos = np.arange(cfg.prompt_len)
     answer_pos = np.arange(cfg.prompt_len + cfg.n_patches, t)
     prompt_emb = ad.add(params.tok_emb(prompts), params.pos_emb(prompt_pos))
@@ -276,8 +260,7 @@ def _visual_rows(trace_layer: Node, visual_start: int, n_patches: int, d: int) -
     return ad.reshape(seg, (b * n_patches, d))
 
 
-def pre_loss(trace: ForwardTrace, params: MllmParams, target_layer: int = None,
-             anchor: str = None) -> Node:
+def pre_loss(trace: ForwardTrace, params: MllmParams) -> Node:
     """Negative mean per-patch cosine between the predicted features of the
     target layer's visual hidden states and the detached anchor features.
 
@@ -286,20 +269,16 @@ def pre_loss(trace: ForwardTrace, params: MllmParams, target_layer: int = None,
     target: no gradient ever reaches the projector or encoder through it.
     """
     cfg = params.cfg
-    target_layer = cfg.target_layer if target_layer is None else target_layer
-    anchor = cfg.anchor if anchor is None else anchor
-    if not 1 <= target_layer <= len(trace.layers) - 1:
-        raise ValueError(f"target layer {target_layer} outside [1, {len(trace.layers) - 1}]")
+    if not 1 <= cfg.target_layer <= len(trace.layers) - 1:
+        raise ValueError(f"target layer {cfg.target_layer} outside [1, {len(trace.layers) - 1}]")
     b = trace.z.shape[0]
     n_rows = b * trace.n_patches
-    hvl = _visual_rows(trace.layers[target_layer], trace.visual_start,
+    hvl = _visual_rows(trace.layers[cfg.target_layer], trace.visual_start,
                        trace.n_patches, cfg.d_l)
-    if anchor == ANCHOR_PRE_LLM:
+    if cfg.anchor == ANCHOR_PRE_LLM:
         anchor_node = stop_gradient(ad.reshape(trace.hv0, (n_rows, cfg.d_l)))
-    elif anchor == ANCHOR_PRE_PROJ:
-        anchor_node = stop_gradient(ad.constant(trace.z.reshape(n_rows, cfg.d_v)))
     else:
-        raise ValueError(f"unknown anchor source {anchor!r}")
+        anchor_node = stop_gradient(ad.constant(trace.z.reshape(n_rows, cfg.d_v)))
     return _patch_pred_loss(hvl, anchor_node, params.pred_head)
 
 
@@ -329,10 +308,8 @@ def check_finite_losses(lm: Node, pre: Node = None, total: Node = None) -> None:
 def dump_hidden_states(traces, example_ids, path, grid: int) -> None:
     """Write encoder features and per-layer visual hidden states to a tensor
     archive: entries ex<ID>/z and ex<ID>/hv<LL> (layer index in the name),
-    plus a meta/grid entry with the patch grid shape. One trace may hold a
-    batch; ids map to batch rows in order."""
-    if not isinstance(traces, (list, tuple)):
-        traces = [traces]
+    plus a meta/grid entry with the patch grid shape. traces is a list of
+    batched traces; ids map to their rows in order."""
     entries = [("meta/grid", np.array([grid, grid], dtype=np.float32))]
     flat = []
     for trace in traces:

@@ -20,17 +20,12 @@ class ShapeError(ValueError):
     """Operand shapes violate an operation's contract."""
 
 
-def as_f64(x) -> np.ndarray:
-    a = np.asarray(x, dtype=np.float64)
-    return a
-
-
 def covariance(x) -> np.ndarray:
     """Sample covariance (divisor N-1) of rows of x (shape N x D), centered
     per column. Output is made exactly symmetric by mirroring the upper
     triangle.
     """
-    x = as_f64(x)
+    x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2:
         raise ShapeError(f"covariance expects an N x D matrix, got {x.shape}")
     n = x.shape[0]
@@ -50,7 +45,7 @@ def pearson_corr(x) -> np.ndarray:
     is 1. The diagonal is set to exactly 1 for all columns and the matrix
     is exactly symmetric.
     """
-    x = as_f64(x)
+    x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2:
         raise ShapeError(f"pearson_corr expects an N x D matrix, got {x.shape}")
     n, d = x.shape
@@ -94,8 +89,8 @@ class RngStream:
     def split(self, label) -> "RngStream":
         return RngStream(self.seed, self._path + (_label_hash(label),))
 
-    def normal(self, shape, std: float = 1.0, mean: float = 0.0) -> np.ndarray:
-        return self._gen.normal(loc=mean, scale=std, size=shape)
+    def normal(self, shape, std: float = 1.0) -> np.ndarray:
+        return self._gen.normal(scale=std, size=shape)
 
     def truncated_normal(self, shape, std: float, trunc_sigmas: float = 2.0) -> np.ndarray:
         """Gaussian draws resampled (not clipped) until within trunc_sigmas."""

@@ -104,24 +104,16 @@ class Trainer:
         idx = self.batch_rng.integers(0, len(self.train_examples), size=self.batch_size)
         return make_batch(self.params, self.cfg, [self.train_examples[i] for i in idx])
 
-    def run(self, log_path=None, on_step=None) -> list:
-        """Run self.steps optimization steps; returns the list of StepReports
-        and optionally streams them to a CSV log."""
+    def run(self, log_path, on_step) -> list:
+        """Run self.steps optimization steps, streaming each StepReport to the
+        CSV log at log_path and to on_step; returns the reports."""
         reports = []
-        log_file = None
-        if log_path is not None:
-            Path(log_path).parent.mkdir(parents=True, exist_ok=True)
-            log_file = open(log_path, "w")
+        Path(log_path).parent.mkdir(parents=True, exist_ok=True)
+        with open(log_path, "w") as log_file:
             log_file.write(LOG_HEADER + "\n")
-        try:
             for _ in range(self.steps):
                 report = train_step(self.params, self.opt, self.sample_batch())
                 reports.append(report)
-                if log_file is not None:
-                    log_file.write(report.csv_row() + "\n")
-                if on_step is not None:
-                    on_step(report)
-        finally:
-            if log_file is not None:
-                log_file.close()
+                log_file.write(report.csv_row() + "\n")
+                on_step(report)
         return reports

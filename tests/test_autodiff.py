@@ -27,6 +27,21 @@ def numeric_grad(f, x, h=1e-6):
     return g
 
 
+def params_in_graph(loss):
+    """Parameters reachable from loss along parent links. stop_gradient cuts
+    those links, so a parameter behind one never appears here."""
+    out, seen, stack = set(), set(), [loss]
+    while stack:
+        node = stack.pop()
+        if node.id in seen:
+            continue
+        seen.add(node.id)
+        if node.param is not None:
+            out.add(node.param)
+        stack.extend(node.parents)
+    return out
+
+
 def check_grad(make_loss, x_val, h=1e-6, tol=1e-4):
     """Backward gradient of make_loss(param) vs finite differences."""
     p = Parameter("x", x_val.copy())
@@ -194,7 +209,7 @@ class TestStopGradient:
         a = Parameter("a", np.ones(2))
         b = Parameter("b", np.ones(2))
         loss = ad.sum_all(ad.mul(a.node(), stop_gradient(b.node())))
-        reachable = ad.params_in_graph(loss)
+        reachable = params_in_graph(loss)
         assert a in reachable and b not in reachable
 
 

@@ -1,5 +1,6 @@
 """CLI tests: a golden tiny pipeline, the run config round trip, and exit
-code 2 for a dataset that does not match the run or a negative dump limit."""
+code 2, with nothing written, for a dataset that does not match the run, a
+negative dump limit, or a similarity patch or layer that does not exist."""
 
 import json
 import shutil
@@ -134,4 +135,24 @@ def test_dump_with_negative_limit_exits_2(golden, tmp_path, capsys):
                "--out", str(out), "--limit", "-5"])
     assert rc == 2
     assert "--limit must be >= 0, got -5" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_metrics_with_sim_patch_outside_the_grid_exits_2(golden, tmp_path, capsys):
+    w, _, _ = golden
+    out = tmp_path / "metrics"
+    rc = main(["metrics", "--hidden", str(w / "hidden.prea"), "--data", str(w / "data"),
+               "--run", str(w / "run"), "--out", str(out), "--sim-patch", "16"])
+    assert rc == 2
+    assert "--sim-patch 16 outside [0, 16) for a 4x4 grid" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_report_with_sim_layer_not_dumped_exits_2(golden, tmp_path, capsys):
+    w, _, _ = golden
+    out = tmp_path / "report"
+    rc = main(["report", "--baseline", str(w / "metrics"), "--pre", str(w / "metrics"),
+               "--out", str(out), "--sim-layers", "1", "99"])
+    assert rc == 2
+    assert "--sim-layers [99] have no similarity map" in capsys.readouterr().err
     assert not out.exists()

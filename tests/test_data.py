@@ -1,6 +1,7 @@
 """Dataset tests: byte-determinism of generation, answers that follow from the
 label map, the archive round trip of every field, and refusal of split
-archives or manifests that the loader cannot trust."""
+archives or manifests that the loader cannot trust, including token ids and
+labels outside the manifest's vocabulary and classes."""
 
 import json
 import re
@@ -11,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 from scipy import ndimage
 
 from prelab.archive import read_archive, write_archive
+from prelab.cli import main
 from prelab.data import (CLASS_BASE, DIGIT_BASE, SPLIT_NAMES, TOK_COUNT, TOK_DOMINANT,
                          TOK_WHAT, DataSpec, DatasetError, generate_dataset, generate_image,
                          generate_qa, load_dataset)
@@ -86,17 +88,44 @@ def test_load_returns_the_generated_arrays(tmp_path):
         assert ex.probe_label == qa.probe_label
 
 
+def set_first_entry(path, field, value):
+    entries = read_archive(path)
+    name = next(n for n in entries if n.endswith("/" + field))
+    entries[name].flat[0] = value
+    write_archive(path, entries)
+
+
 @pytest.mark.parametrize("field", ["labels", "prompt", "answer", "probe"])
 @pytest.mark.parametrize("value", [2.5, -1.0, 65536.0, np.nan])
 def test_integer_entry_out_of_range_is_refused(tmp_path, field, value):
     generate_dataset(20, 0, tmp_path, DataSpec(grid=4))
     path = tmp_path / "train.bin"
-    entries = read_archive(path)
-    name = next(n for n in entries if n.endswith("/" + field))
-    entries[name].flat[0] = value
-    write_archive(path, entries)
+    set_first_entry(path, field, value)
     with pytest.raises(DatasetError, match=re.escape(f"{path}: an integer entry")):
         load_dataset(tmp_path)
+
+
+@pytest.mark.parametrize("field,value,bounds", [
+    ("prompt", 70, "[0, 63]"), ("answer", 64, "[0, 63]"),
+    ("labels", 99, "[0, 10]"), ("probe", 0, "[1, 10]"), ("probe", 11, "[1, 10]")])
+def test_entry_outside_vocabulary_or_classes_is_refused(tmp_path, field, value, bounds):
+    generate_dataset(20, 0, tmp_path, DataSpec(grid=4))  # vocabulary 64, 10 classes
+    path = tmp_path / "train.bin"
+    set_first_entry(path, field, value)
+    with pytest.raises(DatasetError, match=re.escape(
+            f"{path}: an integer entry of {field!r} lies outside {bounds}")):
+        load_dataset(tmp_path)
+
+
+def test_train_on_out_of_vocabulary_token_exits_1_and_writes_nothing(tmp_path, capsys):
+    data, out = tmp_path / "data", tmp_path / "run"
+    generate_dataset(20, 0, data, DataSpec(grid=4))
+    set_first_entry(data / "train.bin", "prompt", 70)
+    rc = main(["train", "--data", str(data), "--out", str(out), "--steps", "1",
+               "--grid", "4", "--layers", "2", "--target-layer", "1"])
+    assert rc == 1
+    assert "'prompt' lies outside [0, 63]" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_old_manifest_format_is_refused(tmp_path):

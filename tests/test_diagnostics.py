@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
 
+from prelab import autodiff as ad
 from prelab.diagnostics import (CONTRAST_FLOOR, ContrastValue, EffectiveDim,
                                 NoEligibleClassError, cohesion, contrast, coupling,
-                                patch_metrics_over_images, pca_effective_dim, similarity_map)
+                                linear_probe, logit_lens, patch_metrics_over_images,
+                                pca_effective_dim, similarity_map)
+from prelab.model import MllmConfig, MllmParams, encode_image, llm_forward
 from prelab.numerics import ShapeError
 
 THRESHOLDS = (0.5, 0.8, 0.95, 0.99)
@@ -149,3 +152,44 @@ class TestPatchStructure:
         # image's coupling being floored
         assert pm.contrast == pytest.approx((2.5 / 3) / 0.125, rel=1e-12)
         assert (pm.n_cohesion_images, pm.n_coupling_images, pm.n_floored) == (3, 2, 1)
+
+
+class TestLinearProbe:
+    def test_separable_features_give_accuracy_one(self):
+        rng = np.random.default_rng(0)
+        labels = np.arange(60) % 3 + 1
+        separable = 5.0 * np.eye(4)[labels] + 0.1 * rng.normal(size=(60, 4))
+        shifted = separable @ rng.normal(size=(4, 6)) + 2.0  # still linearly separable
+        accs = linear_probe([separable, shifted], labels, np.arange(40), np.arange(40, 60))
+        assert accs == [1.0, 1.0]
+
+    def test_constant_features_predict_the_majority_class(self):
+        # train split: 6 of 10 examples are class 2; test split: 3 of 5
+        labels = np.array([2, 2, 1, 2, 3, 2, 1, 2, 2, 3, 2, 1, 2, 3, 2])
+        accs = linear_probe([np.ones((15, 3))], labels, np.arange(10), np.arange(10, 15))
+        assert accs == [0.6]
+
+
+class TestLogitLens:
+    def test_last_layer_decodes_as_the_model(self):
+        cfg = MllmConfig(grid=2, patch=2, d_v=8, d_l=8, layers=2, heads=2, target_layer=1)
+        params = MllmParams(cfg)
+        rng = np.random.default_rng(1)
+        for p in params.ln_f.params():  # move the final norm off its identity init
+            p.value[...] = rng.normal(size=p.value.shape)
+        z = encode_image(params, rng.uniform(size=(3, 4, 4)))
+        answers = rng.integers(0, 32, size=(3, 2))
+        with ad.no_grad():
+            trace = llm_forward(params, z, rng.integers(0, 32, size=(3, 4)), answers)
+        visual = [trace.visual_values(l).reshape(-1, cfg.d_l) for l in range(cfg.layers + 1)]
+        lens = logit_lens(visual, params.ln_f.gamma.value, params.ln_f.beta.value,
+                          params.head.w.value, params.head.b.value)
+        assert [d.layer for d in lens] == [0, 1, 2]
+        start = trace.visual_start
+        logits = trace.logits.value[:, start:start + cfg.n_patches].reshape(-1, cfg.vocab)
+        e = np.exp(logits - logits.max(axis=-1, keepdims=True))
+        expected = (e / e.sum(axis=-1, keepdims=True)).mean(axis=0)
+        assert np.max(np.abs(lens[-1].distribution - expected)) < 1e-12
+        tops = lens[-1].top_tokens
+        assert [t for t, _ in tops] == list(np.argsort(-expected, kind="stable")[:5])
+        assert all(a[1] >= b[1] for a, b in zip(tops, tops[1:]))

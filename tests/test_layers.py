@@ -3,8 +3,7 @@ import numpy as np
 from prelab import autodiff as ad
 from prelab.autodiff import backward, constant
 from prelab.layers import (CausalSelfAttention, DecoderBlock, Embedding,
-                           LayerNorm, Linear, Mlp, PredictionHead,
-                           additive_causal_mask, causal_mask)
+                           LayerNorm, Linear, Mlp, additive_causal_mask, causal_mask)
 from prelab.numerics import RngStream
 
 RNG = np.random.default_rng(31)
@@ -71,9 +70,10 @@ def test_embedding_lookup_rows():
 
 
 def test_mlp_and_prediction_head_shapes():
-    mlp = Mlp("m", 8, 16, RngStream(6))
+    # a decoder block's MLP keeps the width; a prediction head maps to d_out
+    mlp = Mlp("m", 8, 16, 8, RngStream(6))
     assert mlp(constant(RNG.normal(size=(3, 8)))).value.shape == (3, 8)
-    head = PredictionHead("p", 8, 8, 5, RngStream(7))
+    head = Mlp("p", 8, 8, 5, RngStream(7))
     assert head(constant(RNG.normal(size=(3, 8)))).value.shape == (3, 5)
     assert len(head.params()) == 4
 

@@ -1,0 +1,59 @@
+"""Training tests: byte-identical losses for a fixed seed, the prediction
+loss reported as NaN when lambda is 0, and a non-finite loss stopping the
+step with an error that names the component."""
+
+import math
+
+import numpy as np
+import pytest
+
+from prelab import autodiff as ad
+from prelab import model
+from prelab.data import DataSpec, generate_dataset, load_dataset
+from prelab.model import MllmConfig, NonFiniteLossError
+from prelab.training import LOG_HEADER, Trainer, train_step
+
+
+@pytest.fixture(scope="module")
+def dataset(tmp_path_factory):
+    path = tmp_path_factory.mktemp("data")
+    generate_dataset(40, 2, path, DataSpec(grid=4))
+    return load_dataset(path)
+
+
+def trainer(dataset, lam=0.5):
+    cfg = MllmConfig(grid=4, d_l=16, layers=2, heads=2, target_layer=1, lam=lam, seed=3)
+    return Trainer(cfg, dataset, steps=3, batch_size=4)
+
+
+def losses(reports):
+    return [(r.step, r.lm, r.pre, r.total, r.grad_norm) for r in reports]
+
+
+def test_same_seed_gives_identical_losses(dataset, tmp_path):
+    seen = []
+    first = trainer(dataset).run(tmp_path / "a.csv", seen.append)
+    second = trainer(dataset).run(tmp_path / "b.csv", lambda report: None)
+    assert seen == first and [r.step for r in first] == [1, 2, 3]
+    assert losses(first) == losses(second)
+    assert all(math.isfinite(r.pre) for r in first)
+    log = (tmp_path / "a.csv").read_text()
+    assert log.splitlines()[0] == LOG_HEADER
+    assert log == (tmp_path / "b.csv").read_text()
+
+
+def test_lambda_zero_reports_pre_as_nan(dataset, tmp_path):
+    reports = trainer(dataset, lam=0.0).run(tmp_path / "log.csv", lambda report: None)
+    assert all(math.isnan(r.pre) and r.total == r.lm for r in reports)
+
+
+@pytest.mark.parametrize("component", ["language-model", "prediction"])
+def test_non_finite_loss_names_the_component(dataset, monkeypatch, component):
+    t = trainer(dataset)
+    if component == "language-model":
+        t.params.head.b.value[0] = np.nan
+    else:
+        monkeypatch.setattr(model, "pre_loss", lambda trace, params: ad.constant(np.inf))
+    with pytest.raises(NonFiniteLossError, match=f"^{component} loss is non-finite"):
+        train_step(t.params, t.opt, t.sample_batch())
+    assert t.opt.step_count == 0
