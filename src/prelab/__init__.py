@@ -6,7 +6,6 @@ __version__ = "0.1.0"
 from .numerics import RngStream, ShapeError, covariance, pearson_corr
 from .autodiff import (Node, Parameter, backward, no_grad, stop_gradient)
 from .optim import AdamW, WarmupCosine
-from .gradcheck import finite_diff_check
 from .archive import ArchiveError, read_archive, write_archive
 from .data import DataSpec, generate_dataset, generate_image, generate_qa, load_dataset
 from .model import (MllmConfig, MllmParams, encode_image, llm_forward, lm_loss,

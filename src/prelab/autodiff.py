@@ -192,34 +192,29 @@ def neg(a: Node) -> Node:
     return scale(a, -1.0)
 
 
-def matmul(a: Node, b: Node) -> Node:
-    """Matrix product; operands must be >= 2-D, leading dims broadcast."""
-    if a.value.ndim < 2 or b.value.ndim < 2:
-        raise ShapeError(f"matmul expects >=2-D operands, got {a.shape} and {b.shape}")
-    if a.value.shape[-1] != b.value.shape[-2]:
-        raise ShapeError(f"matmul inner dimensions differ: {a.shape} vs {b.shape}")
-    v = np.matmul(a.value, b.value)
+def linear(x: Node, w: Node, b: Node = None) -> Node:
+    """x @ w (+ b) over the last axis of x. Leading axes are flattened into
+    the rows of one 2-D GEMM, so the weight gradient x2.T @ g2 is one GEMM
+    too, not one per batch entry plus a sum over the batch."""
+    xv, wv = x.value, w.value
+    if wv.ndim != 2 or xv.ndim < 1 or xv.shape[-1] != wv.shape[0]:
+        raise ShapeError(f"linear expects [..., d_in] and [d_in, d_out], "
+                         f"got {x.shape} and {w.shape}")
+    if b is not None and b.value.shape != wv.shape[1:]:
+        raise ShapeError(f"linear bias shape {b.shape} != ({wv.shape[1]},)")
+    x2 = xv.reshape(-1, wv.shape[0])
+    v = x2 @ wv
+    if b is not None:
+        v += b.value
 
     def bk(g):
-        ga = np.matmul(g, b.value.swapaxes(-1, -2))
-        gb = np.matmul(a.value.swapaxes(-1, -2), g)
-        return _unbroadcast(ga, a.value.shape), _unbroadcast(gb, b.value.shape)
+        g2 = g.reshape(v.shape)
+        gx = (g2 @ wv.T).reshape(xv.shape)
+        gw = x2.T @ g2
+        return (gx, gw) if b is None else (gx, gw, g2.sum(axis=0))
 
-    return record("matmul", v, (a, b), bk)
-
-
-def transpose(a: Node, axes) -> Node:
-    axes = tuple(axes)
-    v = a.value.transpose(axes)
-    inv = [0] * len(axes)
-    for i, ax in enumerate(axes):
-        inv[ax] = i
-    inv = tuple(inv)
-
-    def bk(g):
-        return (g.transpose(inv),)
-
-    return record("transpose", v, (a,), bk)
+    parents = (x, w) if b is None else (x, w, b)
+    return record("linear", v.reshape(xv.shape[:-1] + wv.shape[1:]), parents, bk)
 
 
 def reshape(a: Node, shape) -> Node:
@@ -265,27 +260,52 @@ def narrow(a: Node, axis: int, start: int, length: int) -> Node:
     return record("narrow", v, (a,), bk)
 
 
-def masked_softmax(a: Node, mask: np.ndarray) -> Node:
-    """Softmax over the last axis restricted to mask==True entries.
+def causal_attention(qkv: Node, heads: int, mask: np.ndarray) -> Node:
+    """Multi-head masked self-attention core: softmax(q k^T / sqrt(d_h) + mask) v.
 
-    Masked logits are driven to -inf before the exponent, so excluded
-    entries get weight exactly 0.0 (not an underflowed near-zero): masked
-    positions can never leak value or gradient, bit for bit. Every row must
-    have at least one allowed entry; inputs must be finite.
+    qkv is the fused [B, T, 3d] projection, columns [q | k | v], d = heads *
+    d_h; mask is [T, T], 0 where position i may attend to j and -inf
+    elsewhere. Returns [B, T, d] with the heads merged back in order.
+
+    Only allowed entries are exponentiated and masked weights are exactly
+    0.0, so a masked position leaks neither value nor gradient, bit for bit.
+    Every row must allow one entry. Backward keeps only P, q, k and v and
+    uses dS = P * (dP - rowsum(dP * P)), as FlashAttention does (Dao et al.
+    2022).
     """
-    x = a.value
-    if mask.dtype == bool:
-        mask = np.where(mask, 0.0, -np.inf)
-    y = x + mask
-    m = y.max(axis=-1, keepdims=True)
-    np.subtract(y, m, out=y)
-    np.exp(y, out=y)
-    s = y / y.sum(axis=-1, keepdims=True)
+    x = qkv.value
+    if x.ndim != 3 or heads < 1 or x.shape[2] % (3 * heads) != 0:
+        raise ShapeError(f"causal_attention expects [B, T, 3 * heads * d_h] with {heads} "
+                         f"heads, got {qkv.shape}")
+    bsz, t, d3 = x.shape
+    if mask.shape != (t, t):
+        raise ShapeError(f"attention mask shape {mask.shape} != ({t}, {t})")
+    d, dh = d3 // 3, d3 // (3 * heads)
+    c = 1.0 / np.sqrt(dh)
+    allowed = mask == 0.0
+    q, k, v = x.reshape(bsz, t, 3, heads, dh).transpose(2, 0, 3, 1, 4)  # views, [B, H, T, dh]
+    p = q @ k.swapaxes(-1, -2)
+    p *= c
+    p -= np.max(p, axis=-1, keepdims=True, where=allowed, initial=-np.inf)
+    np.exp(p, out=p, where=allowed)
+    np.copyto(p, 0.0, where=~allowed)
+    p /= p.sum(axis=-1, keepdims=True)
+    out = (p @ v).transpose(0, 2, 1, 3).reshape(bsz, t, d)
 
     def bk(g):
-        return (s * (g - np.sum(g * s, axis=-1, keepdims=True)), None)
+        go = g.reshape(bsz, t, heads, dh).transpose(0, 2, 1, 3)
+        gqkv = np.empty((bsz, t, 3, heads, dh))
+        gq, gk, gv = gqkv.transpose(2, 0, 3, 1, 4)
+        np.matmul(p.swapaxes(-1, -2), go, out=gv)
+        ds = go @ v.swapaxes(-1, -2)  # dP, turned into dS in place
+        ds -= np.einsum("bhij,bhij->bhi", ds, p)[..., None]
+        ds *= p
+        np.matmul(ds, k, out=gq)
+        np.matmul(ds.swapaxes(-1, -2), q, out=gk)
+        gqkv[:, :, :2] *= c  # the score scale, on [B, T, 2d] rather than [B, H, T, T]
+        return (gqkv.reshape(bsz, t, d3),)
 
-    return record("masked_softmax", s, (a, constant(mask)), bk)
+    return record("causal_attention", out, (qkv,), bk)
 
 
 def log_softmax(a: Node) -> Node:
@@ -386,18 +406,19 @@ def mean_all(a: Node) -> Node:
 def cosine_rows(p: Node, z: Node) -> Node:
     """Row-wise cosine similarity of two N x D matrices -> N vector.
 
-    Rows where either operand's norm is below COSINE_NORM_FLOOR yield
+    Rows with finite norms, either of them below COSINE_NORM_FLOOR, yield
     similarity 0 with zero gradient: a zero-length feature carries no
     alignment signal and must not poison the loss with NaN. Because of the
     floor, a row's result is invariant to scaling either operand only while
-    both norms stay at or above it.
+    both norms stay at or above it. A row with a non-finite norm yields NaN,
+    so a broken operand shows in the loss instead of reading as 0.
     """
     pv, zv = p.value, z.value
     if pv.shape != zv.shape or pv.ndim != 2:
         raise ShapeError(f"cosine_rows expects matching N x D, got {pv.shape} vs {zv.shape}")
     pn = np.sqrt(np.sum(pv * pv, axis=1))
     zn = np.sqrt(np.sum(zv * zv, axis=1))
-    ok = (pn >= COSINE_NORM_FLOOR) & (zn >= COSINE_NORM_FLOOR)
+    ok = ((pn >= COSINE_NORM_FLOOR) & (zn >= COSINE_NORM_FLOOR)) | ~np.isfinite(pn + zn)
     denom = np.where(ok, pn * zn, 1.0)
     dots = np.sum(pv * zv, axis=1)
     c = np.where(ok, dots / denom, 0.0)

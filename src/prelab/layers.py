@@ -18,15 +18,15 @@ INIT_STD = 0.02
 
 
 class Linear:
+    """x @ w + b over the last axis as one ad.linear tape op: any leading
+    axes of x become the rows of a single 2-D GEMM."""
+
     def __init__(self, name: str, d_in: int, d_out: int, rng: RngStream, bias: bool = True):
         self.w = Parameter(f"{name}.w", rng.split("w").truncated_normal((d_in, d_out), INIT_STD))
         self.b = Parameter(f"{name}.b", np.zeros(d_out)) if bias else None
 
     def __call__(self, x: Node) -> Node:
-        out = ad.matmul(x, self.w.node())
-        if self.b is not None:
-            out = ad.add(out, self.b.node())
-        return out
+        return ad.linear(x, self.w.node(), None if self.b is None else self.b.node())
 
     def params(self):
         return [self.w] if self.b is None else [self.w, self.b]
@@ -71,46 +71,27 @@ class Mlp:
         return self.fc1.params() + self.fc2.params()
 
 
-def causal_mask(t: int) -> np.ndarray:
-    """Boolean [t, t] mask, True where position i may attend to j (j <= i)."""
-    return np.tril(np.ones((t, t), dtype=bool))
-
-
 def additive_causal_mask(t: int) -> np.ndarray:
-    """Float [t, t] mask: 0 where attention is allowed, -inf above the
-    diagonal. Precomputed once so every attention call just adds it."""
-    return np.where(causal_mask(t), 0.0, -np.inf)
+    """Float [t, t] mask: 0 where position i may attend to j (j <= i), -inf
+    above the diagonal. Precomputed once and sliced for every attention call."""
+    return np.where(np.tril(np.ones((t, t), dtype=bool)), 0.0, -np.inf)
 
 
 class CausalSelfAttention:
-    """Multi-head causal self-attention with a fused q/k/v projection and no
-    projection biases."""
+    """Multi-head causal self-attention: a fused q/k/v projection, the
+    attention core as one tape op (ad.causal_attention: heads split, scaled,
+    masked, softmaxed, applied to v and merged again) and an output
+    projection. Neither projection has a bias."""
 
     def __init__(self, name: str, d: int, heads: int, rng: RngStream):
         if d % heads != 0:
             raise ValueError(f"model width {d} not divisible by {heads} heads")
-        self.d = d
         self.heads = heads
-        self.d_head = d // heads
         self.wqkv = Linear(f"{name}.qkv", d, 3 * d, rng.split("qkv"), bias=False)
         self.wo = Linear(f"{name}.o", d, d, rng.split("o"), bias=False)
 
-    def _split_heads(self, x: Node, b: int, t: int) -> Node:
-        x = ad.reshape(x, (b, t, self.heads, self.d_head))
-        return ad.transpose(x, (0, 2, 1, 3))  # [B, H, T, dh]
-
     def __call__(self, x: Node, mask: np.ndarray) -> Node:
-        b, t, _ = x.value.shape
-        qkv = self.wqkv(x)  # [B, T, 3d], columns [q | k | v]
-        q = self._split_heads(ad.narrow(qkv, 2, 0, self.d), b, t)
-        k = self._split_heads(ad.narrow(qkv, 2, self.d, self.d), b, t)
-        v = self._split_heads(ad.narrow(qkv, 2, 2 * self.d, self.d), b, t)
-        scores = ad.scale(ad.matmul(q, ad.transpose(k, (0, 1, 3, 2))),
-                          1.0 / np.sqrt(self.d_head))
-        attn = ad.masked_softmax(scores, mask)
-        out = ad.matmul(attn, v)  # [B, H, T, dh]
-        out = ad.reshape(ad.transpose(out, (0, 2, 1, 3)), (b, t, self.d))
-        return self.wo(out)
+        return self.wo(ad.causal_attention(self.wqkv(x), self.heads, mask))
 
     def params(self):
         return self.wqkv.params() + self.wo.params()

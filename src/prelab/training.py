@@ -12,12 +12,13 @@ import numpy as np
 
 from . import autodiff as ad
 from .data import Dataset, pad_answers
-from .model import (MllmConfig, MllmParams, check_finite_losses, encode_image,
-                    llm_forward, total_loss)
+from .model import (MllmConfig, MllmParams, NonFiniteLossError, check_finite_losses,
+                    encode_image, llm_forward, total_loss)
 from .numerics import RngStream
 from .optim import AdamW, WarmupCosine, grad_norm
 
 LOG_HEADER = "step,lm_loss,pre_loss,total_loss,grad_norm"
+DIVERGED_LM_FACTOR = 10.0
 
 
 @dataclass
@@ -52,8 +53,10 @@ def make_batch(params: MllmParams, cfg: MllmConfig, examples) -> Batch:
 def train_step(params: MllmParams, opt: AdamW, batch: Batch) -> StepReport:
     """One optimization step: forward, both losses, backward, AdamW update.
 
-    Aborts with a diagnostic naming the offending loss component if any
-    value goes non-finite.
+    Raises NonFiniteLossError, naming the offending quantity, before any
+    parameter changes: if a loss or the gradient norm is NaN or Inf, or if
+    the LM loss exceeds DIVERGED_LM_FACTOR * ln(vocab) (41.6 at vocab 64),
+    ten times chance level, which only a diverged run reaches. The CLI exits 1.
     """
     if batch.z.shape[0] == 0:
         raise ValueError("empty batch")
@@ -61,9 +64,15 @@ def train_step(params: MllmParams, opt: AdamW, batch: Batch) -> StepReport:
     trace = llm_forward(params, batch.z, batch.prompts, batch.answers)
     total, lm, pre = total_loss(trace, batch.answers, params)
     check_finite_losses(lm, pre, total)
+    lm_limit = DIVERGED_LM_FACTOR * np.log(params.cfg.vocab)
+    if lm.value > lm_limit:
+        raise NonFiniteLossError(f"language-model loss diverged: {float(lm.value)!r} > "
+                                 f"{DIVERGED_LM_FACTOR:g} ln(vocab) = {lm_limit:.4g}")
     opt.zero_grad()
     ad.backward(total)
     gnorm = grad_norm(opt.params)
+    if not np.isfinite(gnorm):
+        raise NonFiniteLossError(f"gradient norm is non-finite: {gnorm!r}")
     opt.step()
     wall = time.perf_counter() - t0
     return StepReport(step=opt.step_count, lm=float(lm.value),

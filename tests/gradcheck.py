@@ -1,10 +1,11 @@
-"""Central finite-difference verification of reverse-mode gradients."""
+"""Central finite-difference verification of reverse-mode gradients, shared
+by the gradient tests of the engine and of the model."""
 
 from __future__ import annotations
 
 import numpy as np
 
-from . import autodiff as ad
+from prelab import autodiff as ad
 
 REL_FLOOR = 1e-10
 

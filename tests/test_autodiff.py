@@ -6,6 +6,7 @@ import pytest
 
 from prelab import autodiff as ad
 from prelab.autodiff import Node, Parameter, backward, no_grad, stop_gradient
+from prelab.layers import additive_causal_mask
 from prelab.numerics import ShapeError
 
 RNG = np.random.default_rng(20)
@@ -42,6 +43,23 @@ def params_in_graph(loss):
     return out
 
 
+def attention_reference(qkv, heads):
+    """Causal attention in plain numpy, one batch entry and head at a time."""
+    b, t, d3 = qkv.shape
+    d = d3 // 3
+    dh = d // heads
+    out = np.zeros((b, t, d))
+    for i in range(b):
+        for h in range(heads):
+            cols = slice(h * dh, (h + 1) * dh)
+            q, k, v = (qkv[i, :, j * d:(j + 1) * d][:, cols] for j in range(3))
+            scores = q @ k.T / np.sqrt(dh)
+            scores[np.triu_indices(t, 1)] = -np.inf
+            weights = np.exp(scores - scores.max(axis=1, keepdims=True))
+            out[i, :, cols] = (weights / weights.sum(axis=1, keepdims=True)) @ v
+    return out
+
+
 def check_grad(make_loss, x_val, h=1e-6, tol=1e-4):
     """Backward gradient of make_loss(param) vs finite differences."""
     p = Parameter("x", x_val.copy())
@@ -72,26 +90,45 @@ class TestPrimitiveGradients:
     def test_scale(self):
         check_grad(lambda x: ad.sum_all(ad.scale(x, -2.5)), RNG.normal(size=(5,)))
 
-    def test_matmul_2d(self):
-        b = ad.constant(RNG.normal(size=(3, 4)))
-        check_grad(lambda x: ad.sum_all(ad.mul(ad.matmul(x, b), ad.matmul(x, b))),
+    def test_linear_2d(self):
+        w = ad.constant(RNG.normal(size=(3, 4)))
+        b = ad.constant(RNG.normal(size=(4,)))
+        check_grad(lambda x: ad.sum_all(ad.mul(ad.linear(x, w, b), ad.linear(x, w, b))),
                    RNG.normal(size=(2, 3)))
 
-    def test_matmul_batched_times_2d(self):
+    def test_linear_3d(self):
         w = RNG.normal(size=(3, 2))
-        check_grad(lambda x: ad.sum_all(ad.matmul(x, ad.constant(w))),
+        check_grad(lambda x: ad.sum_all(ad.linear(x, ad.constant(w))),
                    RNG.normal(size=(2, 4, 3)))
 
-    def test_matmul_weight_side(self):
+    def test_linear_weight_side(self):
         a = ad.constant(RNG.normal(size=(2, 5, 3)))
-        check_grad(lambda x: ad.mean_all(ad.mul(ad.matmul(a, x), ad.matmul(a, x))),
+        check_grad(lambda x: ad.mean_all(ad.mul(ad.linear(a, x), ad.linear(a, x))),
                    RNG.normal(size=(3, 4)))
 
-    def test_transpose_reshape(self):
+    def test_linear_bias_side(self):
+        a = ad.constant(RNG.normal(size=(2, 5, 3)))
+        w = ad.constant(RNG.normal(size=(3, 4)))
+        check_grad(lambda b: ad.mean_all(ad.mul(ad.linear(a, w, b), ad.linear(a, w, b))),
+                   RNG.normal(size=(4,)))
+
+    def test_linear_is_matmul_plus_bias(self):
+        x, w, b = RNG.normal(size=(2, 5, 3)), RNG.normal(size=(3, 4)), RNG.normal(size=(4,))
+        out = ad.linear(ad.constant(x), ad.constant(w), ad.constant(b)).value
+        assert out.shape == (2, 5, 4)
+        assert np.allclose(out, np.matmul(x, w) + b, rtol=1e-14, atol=0)
+
+    def test_linear_shape_errors(self):
+        x = ad.constant(np.ones((2, 3)))
+        with pytest.raises(ShapeError):
+            ad.linear(x, ad.constant(np.ones((4, 2))))
+        with pytest.raises(ShapeError):
+            ad.linear(x, ad.constant(np.ones((3, 2))), ad.constant(np.ones(3)))
+
+    def test_reshape(self):
         w = ad.constant(RNG.normal(size=(6, 2)))
-        check_grad(lambda x: ad.sum_all(
-            ad.mul(ad.reshape(ad.transpose(x, (1, 0, 2)), (6, 2)), w)),
-            RNG.normal(size=(3, 2, 2)))
+        check_grad(lambda x: ad.sum_all(ad.mul(ad.reshape(x, (6, 2)), w)),
+                   RNG.normal(size=(3, 2, 2)))
 
     def test_concat_narrow(self):
         other = ad.constant(RNG.normal(size=(2, 3)))
@@ -104,27 +141,57 @@ class TestPrimitiveGradients:
         check_grad(loss, RNG.normal(size=(2, 2)))
 
     def test_softmax(self):
-        # an all-True mask makes masked_softmax the plain softmax
-        mask = np.ones((3, 5), dtype=bool)
-        w = ad.constant(RNG.normal(size=(3, 5)))
-        check_grad(lambda x: ad.sum_all(ad.mul(ad.masked_softmax(x, mask), w)),
-                   RNG.normal(size=(3, 5)))
+        # an all-zero additive mask allows every entry: plain softmax attention
+        w = ad.constant(RNG.normal(size=(2, 4, 4)))
+        mask = np.zeros((4, 4))
+        check_grad(lambda x: ad.sum_all(ad.mul(ad.causal_attention(x, 2, mask), w)),
+                   RNG.normal(size=(2, 4, 12)))
 
     def test_softmax_uniform_on_zeros(self):
-        s = ad.masked_softmax(ad.constant(np.zeros(3)), np.ones(3, dtype=bool))
-        assert np.allclose(s.value, [1 / 3] * 3, atol=0)
+        # q = 0 makes every score 0: row i weights v_0..v_i uniformly
+        qkv = RNG.normal(size=(1, 4, 6))
+        qkv[..., :2] = 0.0
+        out = ad.causal_attention(ad.constant(qkv), 1, additive_causal_mask(4)).value
+        v = qkv[0, :, 4:]
+        means = np.cumsum(v, axis=0) / np.arange(1, 5)[:, None]
+        assert np.allclose(out[0], means, rtol=1e-14, atol=1e-15)
 
-    def test_masked_softmax(self):
-        mask = np.tril(np.ones((4, 4), dtype=bool))
-        w = ad.constant(RNG.normal(size=(2, 4, 4)))
-        check_grad(lambda x: ad.sum_all(ad.mul(ad.masked_softmax(x, mask), w)),
-                   RNG.normal(size=(2, 4, 4)))
+    def test_causal_attention(self):
+        # 2 heads of width 2 over T = 5
+        w = ad.constant(RNG.normal(size=(2, 5, 4)))
+        mask = additive_causal_mask(5)
+        check_grad(lambda x: ad.sum_all(ad.mul(ad.causal_attention(x, 2, mask), w)),
+                   RNG.normal(size=(2, 5, 12)))
 
-    def test_masked_softmax_exact_zeros(self):
-        mask = np.array([[True, False], [True, True]])
-        s = ad.masked_softmax(ad.constant(RNG.normal(size=(2, 2))), mask)
-        assert s.value[0, 1] == 0.0
-        assert abs(s.value[0, 0] - 1.0) < 1e-15
+    def test_causal_attention_matches_numpy_reference(self):
+        qkv = RNG.normal(size=(2, 6, 18))
+        out = ad.causal_attention(ad.constant(qkv), 3, additive_causal_mask(6)).value
+        ref = attention_reference(qkv, 3)
+        assert np.max(np.abs(out - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    def test_causal_attention_masked_entries_exact_zero(self):
+        # Position 0 may attend only to itself: its weight is exactly 1 and
+        # every masked weight exactly 0, so its output is v_0 bit for bit.
+        # A loss on the first s positions sends exactly zero gradient to the
+        # k and v rows after s.
+        heads, d, s = 2, 4, 2
+        p = Parameter("qkv", RNG.normal(size=(2, 5, 3 * d)))
+        out = ad.causal_attention(p.node(), heads, additive_causal_mask(5))
+        assert np.array_equal(out.value[:, 0], p.value[:, 0, 2 * d:])
+        w = np.zeros((2, 5, d))
+        w[:, :s] = RNG.normal(size=(2, s, d))
+        backward(ad.sum_all(ad.mul(out, ad.constant(w))))
+        assert np.all(p.grad[:, s:, d:] == 0.0)
+        assert np.all(p.grad[:, :s, d:] != 0.0)
+
+    def test_causal_attention_shape_errors(self):
+        with pytest.raises(ShapeError):
+            # 3d = 12 is not a multiple of 3 * heads = 9
+            ad.causal_attention(ad.constant(np.ones((1, 4, 12))), 3, additive_causal_mask(4))
+        with pytest.raises(ShapeError):
+            ad.causal_attention(ad.constant(np.ones((1, 4, 12))), 2, additive_causal_mask(5))
+        with pytest.raises(ShapeError):
+            ad.causal_attention(ad.constant(np.ones((4, 12))), 2, additive_causal_mask(4))
 
     def test_log_softmax(self):
         w = ad.constant(RNG.normal(size=(3, 6)))
@@ -186,6 +253,14 @@ class TestPrimitiveGradients:
         assert out.value[1] == 1.0
         backward(ad.sum_all(out))
         assert np.array_equal(p.grad[0], [0.0, 0.0])
+
+    def test_cosine_rows_non_finite_row_is_nan(self):
+        # a NaN or Inf row is not floored, even against a zero row
+        p = ad.constant(np.array([[np.nan, 1.0], [np.inf, 0.0], [np.nan, 0.0], [0.0, 0.0]]))
+        z = ad.constant(np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 0.0], [1.0, 0.0]]))
+        with np.errstate(invalid="ignore"):  # inf / inf
+            out = ad.cosine_rows(p, z).value
+        assert np.all(np.isnan(out[:3])) and out[3] == 0.0
 
 
 class TestStopGradient:

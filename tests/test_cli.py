@@ -1,6 +1,7 @@
-"""CLI tests: a golden tiny pipeline, the run config round trip, and exit
-code 2, with nothing written, for a dataset that does not match the run, a
-negative dump limit, or a similarity patch or layer that does not exist."""
+"""CLI tests: a golden tiny pipeline, the run config round trip, exit code
+2, with nothing written, for a dataset that does not match the run, a
+negative dump limit, or a similarity patch or layer that does not exist,
+and exit code 1, with no checkpoint, for a run that diverges."""
 
 import json
 import shutil
@@ -156,3 +157,15 @@ def test_report_with_sim_layer_not_dumped_exits_2(golden, tmp_path, capsys):
     assert rc == 2
     assert "--sim-layers [99] have no similarity map" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_diverged_training_exits_1_without_a_checkpoint(golden, tmp_path, capsys):
+    # At lr 1e6 the LM loss jumps from 4.2 to about 5e12 at step 2.
+    w, _, _ = golden
+    out = tmp_path / "run"
+    rc = main(["train", "--data", str(w / "data"), "--out", str(out), "--steps", "6",
+               "--batch-size", "4", "--seed", "1", "--lr", "1e6"] + TINY_MODEL)
+    assert rc == 1
+    assert "language-model loss diverged" in capsys.readouterr().err
+    assert not (out / "checkpoint.prea").exists()
+    assert len((out / "train_log.csv").read_text().splitlines()) == 2  # header, step 1

@@ -2,7 +2,7 @@ import numpy as np
 
 from prelab import autodiff as ad
 from prelab.autodiff import Parameter
-from prelab.gradcheck import finite_diff_check, relative_error, select_coords
+from gradcheck import finite_diff_check, relative_error, select_coords
 
 
 def test_relative_error_definition():
@@ -40,7 +40,7 @@ def test_nontrivial_composition():
     t = ad.constant(rng.normal(size=(6, 4)))
 
     def loss():
-        h = ad.gelu(ad.matmul(p.node(), ad.constant(rng.standard_normal((4, 4)) * 0 + np.eye(4))))
+        h = ad.gelu(ad.linear(p.node(), ad.constant(np.eye(4))))
         return ad.mean_all(ad.cosine_rows(h, t))
 
     err = finite_diff_check(loss, [p])

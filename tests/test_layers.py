@@ -3,7 +3,7 @@ import numpy as np
 from prelab import autodiff as ad
 from prelab.autodiff import backward, constant
 from prelab.layers import (CausalSelfAttention, DecoderBlock, Embedding,
-                           LayerNorm, Linear, Mlp, additive_causal_mask, causal_mask)
+                           LayerNorm, Linear, Mlp, additive_causal_mask)
 from prelab.numerics import RngStream
 
 RNG = np.random.default_rng(31)
@@ -25,10 +25,36 @@ def test_linear_named_substreams_are_stable():
 
 
 def test_causal_mask_shapes():
-    m = causal_mask(4)
-    assert m[2, 2] and m[3, 0] and not m[0, 1]
     add = additive_causal_mask(4)
-    assert add[2, 2] == 0.0 and np.isneginf(add[0, 1])
+    assert add.shape == (4, 4)
+    assert add[2, 2] == 0.0 and add[3, 0] == 0.0 and np.isneginf(add[0, 1])
+    assert np.array_equal(np.isneginf(add), np.triu(np.ones((4, 4), dtype=bool), 1))
+
+
+def test_linear_flattens_leading_axes():
+    lin = Linear("l", 6, 3, RngStream(8))
+    lin.b.value[:] = RNG.normal(size=3)
+    x = RNG.normal(size=(2, 4, 6))
+    out = lin(constant(x)).value
+    assert out.shape == (2, 4, 3)
+    flat = lin(constant(x.reshape(8, 6))).value
+    assert np.array_equal(out.reshape(8, 3), flat)
+
+
+def test_attention_matches_numpy_reference():
+    attn = CausalSelfAttention("a", 12, 3, RngStream(9))
+    x = RNG.normal(size=(2, 5, 12))
+    out = attn(constant(x), additive_causal_mask(5)).value
+    d, dh = 12, 4
+    qkv = x @ attn.wqkv.w.value
+    ref = np.zeros((2, 5, d))
+    for h in range(3):
+        q, k, v = (qkv[..., j * d + h * dh: j * d + (h + 1) * dh] for j in range(3))
+        scores = q @ k.transpose(0, 2, 1) / 2.0 + additive_causal_mask(5)
+        weights = np.exp(scores - scores.max(axis=-1, keepdims=True))
+        ref[..., h * dh:(h + 1) * dh] = weights / weights.sum(axis=-1, keepdims=True) @ v
+    ref = ref @ attn.wo.w.value
+    assert np.max(np.abs(out - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 def test_attention_causality_bitwise():

@@ -1,6 +1,7 @@
 """Training tests: byte-identical losses for a fixed seed, the prediction
-loss reported as NaN when lambda is 0, and a non-finite loss stopping the
-step with an error that names the component."""
+loss reported as NaN when lambda is 0, and a non-finite loss or gradient
+norm stopping the step, before any parameter changes, with an error that
+names the component."""
 
 import math
 
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 
 from prelab import autodiff as ad
-from prelab import model
+from prelab import model, training
 from prelab.data import DataSpec, generate_dataset, load_dataset
 from prelab.model import MllmConfig, NonFiniteLossError
 from prelab.training import LOG_HEADER, Trainer, train_step
@@ -55,5 +56,37 @@ def test_non_finite_loss_names_the_component(dataset, monkeypatch, component):
     else:
         monkeypatch.setattr(model, "pre_loss", lambda trace, params: ad.constant(np.inf))
     with pytest.raises(NonFiniteLossError, match=f"^{component} loss is non-finite"):
+        train_step(t.params, t.opt, t.sample_batch())
+    assert t.opt.step_count == 0
+
+
+def parameter_bytes(t):
+    return [p.value.tobytes() for p in t.opt.params]
+
+
+def test_nan_prediction_head_stops_the_step_before_the_update(dataset):
+    t = trainer(dataset)
+    t.params.pred_head.fc2.w.value[0, 0] = np.nan
+    before = parameter_bytes(t)
+    with pytest.raises(NonFiniteLossError, match="^prediction loss is non-finite"):
+        train_step(t.params, t.opt, t.sample_batch())
+    assert t.opt.step_count == 0
+    assert parameter_bytes(t) == before
+
+
+def test_non_finite_gradient_norm_stops_the_step_before_the_update(dataset, monkeypatch):
+    t = trainer(dataset)
+    monkeypatch.setattr(training, "grad_norm", lambda params: float("nan"))
+    before = parameter_bytes(t)
+    with pytest.raises(NonFiniteLossError, match="^gradient norm is non-finite"):
+        train_step(t.params, t.opt, t.sample_batch())
+    assert t.opt.step_count == 0
+    assert parameter_bytes(t) == before
+
+
+def test_lm_loss_above_ten_times_chance_is_divergence(dataset):
+    t = trainer(dataset)
+    t.params.head.w.value *= 1e4  # finite, but far from chance
+    with pytest.raises(NonFiniteLossError, match="^language-model loss diverged: .* > 10 ln"):
         train_step(t.params, t.opt, t.sample_batch())
     assert t.opt.step_count == 0
