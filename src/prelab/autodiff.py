@@ -9,11 +9,16 @@ id is a deterministic reverse-topological order.
 stop_gradient() is a first-class primitive: it re-wraps a value as a
 parentless constant node, so nothing upstream of it can ever receive
 gradient -- the exact zeros are structural, not numerical.
+
+Importing this module sets glibc's malloc policy so that the memory one
+tape frees is reused by the next (_keep_freed_heap_mapped).
 """
 
 from __future__ import annotations
 
+import ctypes
 import itertools
+import platform
 from contextlib import contextmanager
 
 import numpy as np
@@ -25,6 +30,26 @@ _ids = itertools.count()
 _grad_enabled = True
 
 LAYER_NORM_EPS = 1e-12
+
+_M_TRIM_THRESHOLD = -1  # mallopt(3) parameter numbers, from glibc's malloc.h
+_M_MMAP_THRESHOLD = -3
+_MMAP_THRESHOLD_MAX = 32 << 20  # glibc's largest mmap threshold on 64-bit
+
+
+def _keep_freed_heap_mapped() -> None:
+    """Stop glibc returning freed pages to the kernel: each train step frees
+    a tape of tens of MB, and by default the next step faults it all back
+    in. Trimming off plus the 64-bit maximum mmap threshold keep every array
+    under 32 MiB on a heap that stays mapped; either one alone faults more."""
+    if platform.libc_ver()[0] != "glibc":
+        return
+    mallopt = ctypes.CDLL(None).mallopt
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    mallopt(_M_TRIM_THRESHOLD, -1)  # -1: never trim
+    mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD_MAX)
+
+
+_keep_freed_heap_mapped()
 
 
 @contextmanager

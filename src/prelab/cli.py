@@ -28,7 +28,7 @@ from .model import (ANCHOR_PRE_LLM, ANCHOR_PRE_PROJ, MllmConfig, llm_forward,
                     save_checkpoint)
 from .reports import (MetricsReport, config_hash, read_metrics_csv,
                       write_comparison, write_summary_text)
-from .training import Trainer, make_batch
+from .training import Trainer, check_dataset_matches, make_batch
 
 
 class ConfigError(ValueError):
@@ -150,11 +150,10 @@ def _load_dataset_checked(path, run_cfg: RunConfig) -> Dataset:
     if not (path / "manifest.json").exists():
         raise ConfigError(f"no dataset manifest in {path}")
     dataset = load_dataset(path)
-    for what, have, want in (("grid", dataset.spec.grid, run_cfg.grid),
-                             ("patch", dataset.spec.patch, run_cfg.patch),
-                             ("vocab", dataset.vocab_size, run_cfg.vocab)):
-        if have != want:
-            raise ConfigError(f"dataset {path} has {what} {have}, the run has {want}")
+    try:
+        check_dataset_matches(dataset, run_cfg)
+    except ValueError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
     return dataset
 
 

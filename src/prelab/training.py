@@ -80,6 +80,15 @@ def train_step(params: MllmParams, opt: AdamW, batch: Batch) -> StepReport:
                       total=float(total.value), grad_norm=gnorm, wall_time=wall)
 
 
+def check_dataset_matches(dataset: Dataset, cfg: MllmConfig) -> None:
+    """Raise ValueError if the dataset's grid, patch or vocab is not cfg's."""
+    for what, have, want in (("grid", dataset.spec.grid, cfg.grid),
+                             ("patch", dataset.spec.patch, cfg.patch),
+                             ("vocab", dataset.vocab_size, cfg.vocab)):
+        if have != want:
+            raise ValueError(f"dataset has {what} {have}, the run has {want}")
+
+
 class Trainer:
     """Deterministic single-threaded trainer over a generated dataset.
 
@@ -92,10 +101,7 @@ class Trainer:
                  batch_size: int = 8, lr: float = 3e-4, weight_decay: float = 0.0,
                  warmup_frac: float = 0.03, use_schedule: bool = True):
         cfg.validate()
-        if dataset.vocab_size != cfg.vocab:
-            raise ValueError(f"dataset vocab {dataset.vocab_size} != model vocab {cfg.vocab}")
-        if dataset.spec.grid != cfg.grid or dataset.spec.patch != cfg.patch:
-            raise ValueError("dataset patch grid does not match the model configuration")
+        check_dataset_matches(dataset, cfg)
         self.cfg = cfg
         self.dataset = dataset
         self.steps = steps

@@ -72,3 +72,60 @@ def test_lambda_zero_total_is_lm(anchor):
     total, lm, pre = total_loss(llm_forward(params, z, prompts, answers), answers, params)
     assert total is lm
     assert pre is None
+
+
+def test_forward_is_causal_over_prompt_visual_answer():
+    # Causality over [prompt | visual | answer], through every recorded layer:
+    # new answer tokens leave the prompt and visual rows bitwise unchanged,
+    # and a new image leaves the prompt rows bitwise unchanged.
+    params, z, prompts, answers = tiny(model.ANCHOR_PRE_LLM)
+    rng = np.random.default_rng(1)
+    other_answers = rng.integers(0, 32, size=answers.shape)
+    other_z = encode_image(params, rng.uniform(size=(3, 4, 4)))
+    with ad.no_grad():
+        base = llm_forward(params, z, prompts, answers)
+        new_answers = llm_forward(params, z, prompts, other_answers)
+        new_image = llm_forward(params, other_z, prompts, answers)
+    cfg = params.cfg
+    answer_start = base.visual_start + base.n_patches
+    assert len(base.layers) == cfg.layers + 1
+    for layer in range(cfg.layers + 1):
+        before = base.layers[layer].value
+        assert (new_answers.layers[layer].value[:, :answer_start].tobytes()
+                == before[:, :answer_start].tobytes())
+        assert (new_image.layers[layer].value[:, :base.visual_start].tobytes()
+                == before[:, :base.visual_start].tobytes())
+        # the changes did reach the rows after them
+        assert not np.array_equal(new_answers.layers[layer].value[:, answer_start:],
+                                  before[:, answer_start:])
+        assert not np.array_equal(new_image.layers[layer].value[:, base.visual_start:],
+                                  before[:, base.visual_start:])
+
+
+def test_pre_llm_anchor_passes_exactly_zero_gradient():
+    # The stop-gradient anchor must act as a constant: backward(total) gives
+    # every parameter, bitwise, the gradient of the same loss with the anchor
+    # replaced by a constant copy of the projected visual tokens.
+    params, z, prompts, answers = tiny(model.ANCHOR_PRE_LLM)
+    cfg = params.cfg
+
+    def grads(loss):
+        for p in params.trainable():
+            p.zero_grad()
+        ad.backward(loss)
+        return [p.grad.copy() for p in params.trainable()]
+
+    trace = llm_forward(params, z, prompts, answers)
+    total = total_loss(trace, answers, params)[0]
+    with_stop_gradient = grads(total)
+
+    trace = llm_forward(params, z, prompts, answers)
+    rows = model._visual_rows(trace.layers[cfg.target_layer], trace.visual_start,
+                              trace.n_patches, cfg.d_l)
+    anchor = ad.constant(trace.hv0.value.reshape(-1, cfg.d_l).copy())
+    pinned = ad.add(lm_loss(trace, answers),
+                    ad.scale(model._patch_pred_loss(rows, anchor, params.pred_head), cfg.lam))
+    assert pinned.value == total.value
+    with_constant = grads(pinned)
+    for p, a, b in zip(params.trainable(), with_stop_gradient, with_constant):
+        assert a.tobytes() == b.tobytes(), p.name
