@@ -1,4 +1,8 @@
-"""Reverse-mode automatic differentiation over float64 numpy arrays.
+"""Reverse-mode automatic differentiation over floating numpy arrays.
+
+Every op keeps the floating dtype of its inputs, forward and backward: a
+float32 model trains in float32 and a float64 one stays float64. Scalar
+constants inside ops are Python floats, which never widen an array.
 
 A Node wraps an eagerly computed value plus a backward closure; the graph
 formed by parent references is the tape for one forward pass and is
@@ -18,6 +22,7 @@ from __future__ import annotations
 
 import ctypes
 import itertools
+import math
 import platform
 from contextlib import contextmanager
 
@@ -65,11 +70,12 @@ def no_grad():
 
 
 class Parameter:
-    """A named trainable tensor with a persistent gradient accumulator."""
+    """A named trainable tensor with a persistent gradient accumulator of
+    the same dtype."""
 
     def __init__(self, name: str, value: np.ndarray):
         self.name = name
-        self.value = np.asarray(value, dtype=np.float64)
+        self.value = np.asarray(value)
         self.grad = np.zeros_like(self.value)
 
     def node(self) -> "Node":
@@ -90,7 +96,7 @@ class Node:
                  param=None, op="const"):
         self.id = next(_ids)
         if type(value) is not np.ndarray:
-            value = np.asarray(value, dtype=np.float64)
+            value = np.asarray(value)  # a numpy scalar keeps its dtype
         self.value = value
         self.parents = parents if type(parents) is tuple else tuple(parents)
         self.backward_fn = backward_fn
@@ -107,7 +113,7 @@ class Node:
 
 
 def constant(value) -> Node:
-    return Node(np.asarray(value, dtype=np.float64), op="const")
+    return Node(np.asarray(value), op="const")
 
 
 def as_node(x) -> Node:
@@ -306,7 +312,7 @@ def causal_attention(qkv: Node, heads: int, mask: np.ndarray) -> Node:
     if mask.shape != (t, t):
         raise ShapeError(f"attention mask shape {mask.shape} != ({t}, {t})")
     d, dh = d3 // 3, d3 // (3 * heads)
-    c = 1.0 / np.sqrt(dh)
+    c = 1.0 / math.sqrt(dh)
     allowed = mask == 0.0
     q, k, v = x.reshape(bsz, t, 3, heads, dh).transpose(2, 0, 3, 1, 4)  # views, [B, H, T, dh]
     p = q @ k.swapaxes(-1, -2)
@@ -319,7 +325,7 @@ def causal_attention(qkv: Node, heads: int, mask: np.ndarray) -> Node:
 
     def bk(g):
         go = g.reshape(bsz, t, heads, dh).transpose(0, 2, 1, 3)
-        gqkv = np.empty((bsz, t, 3, heads, dh))
+        gqkv = np.empty((bsz, t, 3, heads, dh), dtype=x.dtype)
         gq, gk, gv = gqkv.transpose(2, 0, 3, 1, 4)
         np.matmul(p.swapaxes(-1, -2), go, out=gv)
         ds = go @ v.swapaxes(-1, -2)  # dP, turned into dS in place
@@ -370,8 +376,8 @@ def layer_norm(a: Node, gamma: Node, beta: Node) -> Node:
     return record("layer_norm", v, (a, gamma, beta), bk)
 
 
-_SQRT2 = np.sqrt(2.0)
-_INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
+_SQRT2 = math.sqrt(2.0)
+_INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 
 def gelu(a: Node) -> Node:

@@ -1,5 +1,9 @@
 """Neural layers over the autodiff engine.
 
+Dtype rule: every trainable parameter is created as PARAM_DTYPE (float32),
+so a train step runs forward, tape, backward and AdamW in float32. Random
+draws are taken in float64 and rounded once.
+
 Initialization: linear weights N(0, 0.02^2) truncated at 2 sigma (resampled,
 not clipped), biases zero, embedding tables N(0, 0.02^2) untruncated. Every
 layer draws from its own named RngStream substream, so adding or removing a
@@ -15,6 +19,7 @@ from .autodiff import Node, Parameter
 from .numerics import RngStream
 
 INIT_STD = 0.02
+PARAM_DTYPE = np.float32
 
 
 class Linear:
@@ -22,8 +27,9 @@ class Linear:
     axes of x become the rows of a single 2-D GEMM."""
 
     def __init__(self, name: str, d_in: int, d_out: int, rng: RngStream, bias: bool = True):
-        self.w = Parameter(f"{name}.w", rng.split("w").truncated_normal((d_in, d_out), INIT_STD))
-        self.b = Parameter(f"{name}.b", np.zeros(d_out)) if bias else None
+        w = rng.split("w").truncated_normal((d_in, d_out), INIT_STD)
+        self.w = Parameter(f"{name}.w", w.astype(PARAM_DTYPE))
+        self.b = Parameter(f"{name}.b", np.zeros(d_out, PARAM_DTYPE)) if bias else None
 
     def __call__(self, x: Node) -> Node:
         return ad.linear(x, self.w.node(), None if self.b is None else self.b.node())
@@ -34,8 +40,8 @@ class Linear:
 
 class LayerNorm:
     def __init__(self, name: str, d: int):
-        self.gamma = Parameter(f"{name}.gamma", np.ones(d))
-        self.beta = Parameter(f"{name}.beta", np.zeros(d))
+        self.gamma = Parameter(f"{name}.gamma", np.ones(d, PARAM_DTYPE))
+        self.beta = Parameter(f"{name}.beta", np.zeros(d, PARAM_DTYPE))
 
     def __call__(self, x: Node) -> Node:
         return ad.layer_norm(x, self.gamma.node(), self.beta.node())
@@ -46,7 +52,8 @@ class LayerNorm:
 
 class Embedding:
     def __init__(self, name: str, num: int, d: int, rng: RngStream):
-        self.table = Parameter(f"{name}.table", rng.split("table").normal((num, d), INIT_STD))
+        table = rng.split("table").normal((num, d), INIT_STD)
+        self.table = Parameter(f"{name}.table", table.astype(PARAM_DTYPE))
 
     def __call__(self, ids: np.ndarray) -> Node:
         return ad.embedding(self.table.node(), ids)

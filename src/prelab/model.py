@@ -185,10 +185,11 @@ def llm_forward(params: MllmParams, z: np.ndarray, prompts: np.ndarray,
     """Run the decoder over [prompt, visual, answer] and record every layer.
 
     prompts: [B, prompt_len] token ids; answers: [B, K] token ids padded with
-    the ignore id. The causal mask covers the whole sequence.
+    the ignore id. The causal mask covers the whole sequence. z is cast to
+    the parameters' dtype, so the whole forward runs in that dtype.
     """
     cfg = params.cfg
-    z = np.asarray(z, dtype=np.float64)
+    z = np.asarray(z, dtype=params.proj.w.value.dtype)
     prompts = np.asarray(prompts, dtype=np.int64)
     answers = np.asarray(answers, dtype=np.int64)
     if z.ndim != 3 or z.shape[1:] != (cfg.n_patches, cfg.d_v):
@@ -225,7 +226,7 @@ def _answer_nll(logits: Node, answers: np.ndarray, answer_start: int) -> Node:
     pred_logits = ad.narrow(logits, 1, answer_start - 1, k)
     logp = ad.log_softmax(pred_logits)
     picked = ad.take_along_last(logp, answers)
-    mask = (answers != IGNORE_ID).astype(np.float64)
+    mask = (answers != IGNORE_ID).astype(logits.value.dtype)
     n_tokens = mask.sum()
     if n_tokens == 0:
         raise ValueError("no answer tokens to score (all positions are ignore-id)")
@@ -296,15 +297,6 @@ def total_loss(trace: ForwardTrace, answers: np.ndarray, params: MllmParams):
     return ad.add(lm, ad.scale(pre, lam)), lm, pre
 
 
-def check_finite_losses(lm: Node, pre: Node = None, total: Node = None) -> None:
-    if not np.isfinite(lm.value):
-        raise NonFiniteLossError(f"language-model loss is non-finite: {float(lm.value)}")
-    if pre is not None and not np.isfinite(pre.value):
-        raise NonFiniteLossError(f"prediction loss is non-finite: {float(pre.value)}")
-    if total is not None and not np.isfinite(total.value):
-        raise NonFiniteLossError(f"total loss is non-finite: {float(total.value)}")
-
-
 def dump_hidden_states(traces, example_ids, path, grid: int) -> None:
     """Write encoder features and per-layer visual hidden states to a tensor
     archive: entries ex<ID>/z and ex<ID>/hv<LL> (layer index in the name),
@@ -351,14 +343,19 @@ def save_checkpoint(params: MllmParams, path) -> None:
 
 
 def load_checkpoint(cfg: MllmConfig, path) -> MllmParams:
-    """Rebuild parameters from a checkpoint archive (float32 on disk)."""
+    """Rebuild parameters from a checkpoint archive (float32 on disk).
+
+    Trainable parameters keep their own dtype, float32 (layers.PARAM_DTYPE),
+    so a trained model round-trips bit for bit. The frozen encoder matrix is
+    widened back to float64, the encoder's dtype.
+    """
     params = MllmParams(cfg)
     raw = read_archive(path)
     params.wv = raw["frozen/wv"].astype(np.float64)
     for p in params.trainable():
         if p.name not in raw:
             raise KeyError(f"checkpoint missing parameter {p.name!r}")
-        stored = raw[p.name].astype(np.float64)
+        stored = raw[p.name]
         if stored.shape != p.value.shape:
             raise ShapeError(f"checkpoint shape {stored.shape} != {p.value.shape} "
                              f"for {p.name!r}")

@@ -12,8 +12,8 @@ import numpy as np
 
 from . import autodiff as ad
 from .data import Dataset, pad_answers
-from .model import (MllmConfig, MllmParams, NonFiniteLossError, check_finite_losses,
-                    encode_image, llm_forward, total_loss)
+from .model import (MllmConfig, MllmParams, NonFiniteLossError, encode_image, llm_forward,
+                    total_loss)
 from .numerics import RngStream
 from .optim import AdamW, WarmupCosine, grad_norm
 
@@ -50,24 +50,38 @@ def make_batch(params: MllmParams, cfg: MllmConfig, examples) -> Batch:
     return Batch(z=z, prompts=prompts, answers=answers)
 
 
+def _check_losses(lm: ad.Node, pre, total: ad.Node, vocab: int) -> None:
+    if not np.isfinite(lm.value):
+        raise NonFiniteLossError(f"language-model loss is non-finite: {float(lm.value)}")
+    lm_limit = DIVERGED_LM_FACTOR * np.log(vocab)
+    if lm.value > lm_limit:
+        raise NonFiniteLossError(f"language-model loss diverged: {float(lm.value)!r} > "
+                                 f"{DIVERGED_LM_FACTOR:g} ln(vocab) = {lm_limit:.4g}")
+    for what, loss in (("prediction", pre), ("total", total)):
+        if loss is not None and not np.isfinite(loss.value):
+            raise NonFiniteLossError(f"{what} loss is non-finite: {float(loss.value)}")
+
+
 def train_step(params: MllmParams, opt: AdamW, batch: Batch) -> StepReport:
     """One optimization step: forward, both losses, backward, AdamW update.
 
     Raises NonFiniteLossError, naming the offending quantity, before any
-    parameter changes: if a loss or the gradient norm is NaN or Inf, or if
-    the LM loss exceeds DIVERGED_LM_FACTOR * ln(vocab) (41.6 at vocab 64),
-    ten times chance level, which only a diverged run reaches. The CLI exits 1.
+    parameter changes. The checks run in this order:
+      1. the LM loss is NaN or Inf;
+      2. the LM loss exceeds DIVERGED_LM_FACTOR * ln(vocab) (41.6 at vocab
+         64), ten times chance level, which only a diverged run reaches;
+      3. the prediction loss, then the total loss, is NaN or Inf;
+      4. the gradient norm is NaN or Inf.
+    The LM loss comes first because a diverging float32 run can overflow its
+    prediction loss to NaN at the step its LM loss explodes, and the error
+    should name the cause. The CLI exits 1.
     """
     if batch.z.shape[0] == 0:
         raise ValueError("empty batch")
     t0 = time.perf_counter()
     trace = llm_forward(params, batch.z, batch.prompts, batch.answers)
     total, lm, pre = total_loss(trace, batch.answers, params)
-    check_finite_losses(lm, pre, total)
-    lm_limit = DIVERGED_LM_FACTOR * np.log(params.cfg.vocab)
-    if lm.value > lm_limit:
-        raise NonFiniteLossError(f"language-model loss diverged: {float(lm.value)!r} > "
-                                 f"{DIVERGED_LM_FACTOR:g} ln(vocab) = {lm_limit:.4g}")
+    _check_losses(lm, pre, total, params.cfg.vocab)
     opt.zero_grad()
     ad.backward(total)
     gnorm = grad_norm(opt.params)

@@ -26,6 +26,15 @@ def select_coords(flat_grad: np.ndarray, k: int) -> np.ndarray:
     return np.argsort(-np.abs(flat_grad), kind="stable")[:k]
 
 
+def cast_to_float64(params) -> None:
+    """Widen each Parameter's value and grad to float64 in place, so that
+    forward and backward run in float64: central differences at a small h
+    need float64's precision, and models train in float32."""
+    for p in params:
+        p.value = p.value.astype(np.float64)
+        p.grad = np.zeros_like(p.value)
+
+
 def finite_diff_check(loss_fn, params, h: float = 1e-5, coords_per_param: int = 64) -> float:
     """Compare backward gradients of a scalar loss against central finite
     differences and return the max relative error over probed coordinates.

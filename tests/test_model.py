@@ -6,12 +6,13 @@ import pytest
 from prelab import autodiff as ad
 from prelab import model
 from prelab.data import IGNORE_ID
-from gradcheck import finite_diff_check
+from gradcheck import cast_to_float64, finite_diff_check
 from prelab.model import (MllmConfig, MllmParams, encode_image, llm_forward, lm_loss,
                           total_loss)
 
-# Central differences at h=1e-6 against backward, seed 0: the max relative
-# error measured 7.1e-5 (pre-proj) and 2.1e-4 (pre-llm), and at most 1.8e-3
+# tiny() casts the model to float64, as central differences need. Central
+# differences at h=1e-6 against backward, seed 0: the max relative error
+# measured 6.4e-5 (pre-proj) and 2.1e-4 (pre-llm), and at most 1.8e-3
 # over seeds 0-4. The error falls 100x for each 10x cut in h, so it is
 # truncation error: a fresh prediction head's outputs are tiny, and the
 # cosine is strongly curved there. Scaling causal_attention's backward by
@@ -24,6 +25,7 @@ def tiny(anchor, lam=0.5, seed=0):
     cfg = MllmConfig(grid=2, patch=2, d_v=8, d_l=8, layers=2, heads=2,
                      target_layer=1, anchor=anchor, lam=lam, seed=seed)
     params = MllmParams(cfg)
+    cast_to_float64(params.trainable())
     rng = np.random.default_rng(seed)
     z = encode_image(params, rng.uniform(size=(3, 4, 4)))
     prompts = rng.integers(0, 32, size=(3, cfg.prompt_len))

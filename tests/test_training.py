@@ -1,8 +1,10 @@
 """Training tests: byte-identical losses for a fixed seed, the prediction
 loss reported as NaN when lambda is 0, and a non-finite loss or gradient
 norm stopping the step, before any parameter changes, with an error that
-names the component, a dataset that does not match the model refused, and
-a warm train step faulting in no fresh memory."""
+names the component, a dataset that does not match the model refused, a
+warm train step faulting in no fresh memory, a train step that runs in
+float32 throughout while a float64 model stays float64, and a checkpoint
+that round-trips the trained parameters bit for bit."""
 
 import math
 import platform
@@ -13,8 +15,12 @@ import pytest
 from prelab import autodiff as ad
 from prelab import model, training
 from prelab.data import DataSpec, generate_dataset, load_dataset
-from prelab.model import MllmConfig, NonFiniteLossError
-from prelab.training import LOG_HEADER, Trainer, train_step
+from prelab.model import (MllmConfig, MllmParams, NonFiniteLossError, llm_forward,
+                          load_checkpoint, save_checkpoint, total_loss)
+from prelab.training import LOG_HEADER, Trainer, make_batch, train_step
+from gradcheck import cast_to_float64
+
+_backward = ad.backward  # the real one, for tests that patch ad.backward
 
 
 @pytest.fixture(scope="module")
@@ -125,3 +131,69 @@ def test_train_step_does_not_refault_freed_memory(tmp_path):
         train_step(t.params, t.opt, batch)
     faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
     assert faults / 3 < 500
+
+
+def backward_dtypes(loss) -> set:
+    """Run ad.backward(loss) and return the dtypes met on its tape, as
+    {(what, dtype)}: every node value, and every gradient a backward
+    closure returns."""
+    seen, nodes, stack = set(), {}, [loss]
+    while stack:
+        node = stack.pop()
+        if node.id not in nodes:
+            nodes[node.id] = node
+            stack.extend(node.parents)
+
+    def watched(op, fn):
+        def bk(g):
+            grads = fn(g)
+            seen.update((f"{op} gradient", pg.dtype) for pg in grads if pg is not None)
+            return grads
+        return bk
+
+    for node in nodes.values():
+        seen.add((f"{node.op} value", node.value.dtype))
+        if node.backward_fn is not None:
+            node.backward_fn = watched(node.op, node.backward_fn)
+    _backward(loss)
+    return seen
+
+
+def off_dtype(seen, dtype) -> list:
+    return sorted(f"{what}: {d}" for what, d in seen if d != dtype)
+
+
+def test_train_step_runs_in_float32_throughout(tmp_path, monkeypatch):
+    # The train-paper size: grid 8, the default model (lambda 0.5, pre-llm), B 8.
+    generate_dataset(40, 6, tmp_path, DataSpec(grid=8))
+    t = Trainer(MllmConfig(grid=8, seed=6), load_dataset(tmp_path), steps=500, batch_size=8)
+    seen = set()
+    monkeypatch.setattr(ad, "backward", lambda loss: seen.update(backward_dtypes(loss)))
+    report = train_step(t.params, t.opt, t.sample_batch())
+    assert math.isfinite(report.pre) and len(seen) > 10
+    assert off_dtype(seen, np.float32) == []
+    for p in t.opt.params:
+        arrays = (p.value, p.grad, t.opt.m[p.name], t.opt.v[p.name])
+        assert [a.dtype for a in arrays] == [np.float32] * 4, p.name
+
+
+def test_float64_model_stays_float64(dataset):
+    cfg = MllmConfig(grid=4, d_l=16, layers=2, heads=2, target_layer=1, seed=3)
+    params = MllmParams(cfg)
+    cast_to_float64(params.trainable())
+    batch = make_batch(params, cfg, dataset.splits["train"][:4])
+    total = total_loss(llm_forward(params, batch.z, batch.prompts, batch.answers),
+                       batch.answers, params)[0]
+    assert off_dtype(backward_dtypes(total), np.float64) == []
+    assert all(p.grad.dtype == np.float64 and p.grad.any() for p in params.trainable())
+
+
+def test_checkpoint_round_trips_trained_parameters_bitwise(dataset, tmp_path):
+    t = trainer(dataset)
+    t.run(tmp_path / "log.csv", lambda report: None)
+    save_checkpoint(t.params, tmp_path / "checkpoint.prea")
+    loaded = load_checkpoint(t.cfg, tmp_path / "checkpoint.prea")
+    for trained, back in zip(t.params.trainable(), loaded.trainable()):
+        assert back.name == trained.name
+        assert back.value.dtype == trained.value.dtype == np.float32
+        assert back.value.tobytes() == trained.value.tobytes(), trained.name
