@@ -291,29 +291,26 @@ def narrow(a: Node, axis: int, start: int, length: int) -> Node:
     return record("narrow", v, (a,), bk)
 
 
-def causal_attention(qkv: Node, heads: int, mask: np.ndarray) -> Node:
-    """Multi-head masked self-attention core: softmax(q k^T / sqrt(d_h) + mask) v.
+def causal_attention(qkv: Node, heads: int) -> Node:
+    """Multi-head causal self-attention core: softmax(q k^T / sqrt(d_h)) v,
+    where position i attends to positions j <= i only.
 
     qkv is the fused [B, T, 3d] projection, columns [q | k | v], d = heads *
-    d_h; mask is [T, T], 0 where position i may attend to j and -inf
-    elsewhere. Returns [B, T, d] with the heads merged back in order.
+    d_h. Returns [B, T, d] with the heads merged back in order.
 
     Only allowed entries are exponentiated and masked weights are exactly
-    0.0, so a masked position leaks neither value nor gradient, bit for bit.
-    Every row must allow one entry. Backward keeps only P, q, k and v and
-    uses dS = P * (dP - rowsum(dP * P)), as FlashAttention does (Dao et al.
-    2022).
+    0.0, so a later position leaks neither value nor gradient, bit for bit.
+    Backward keeps only P, q, k and v and uses dS = P * (dP - rowsum(dP * P)),
+    as FlashAttention does (Dao et al. 2022).
     """
     x = qkv.value
     if x.ndim != 3 or heads < 1 or x.shape[2] % (3 * heads) != 0:
         raise ShapeError(f"causal_attention expects [B, T, 3 * heads * d_h] with {heads} "
                          f"heads, got {qkv.shape}")
     bsz, t, d3 = x.shape
-    if mask.shape != (t, t):
-        raise ShapeError(f"attention mask shape {mask.shape} != ({t}, {t})")
     d, dh = d3 // 3, d3 // (3 * heads)
     c = 1.0 / math.sqrt(dh)
-    allowed = mask == 0.0
+    allowed = np.tri(t, dtype=bool)
     q, k, v = x.reshape(bsz, t, 3, heads, dh).transpose(2, 0, 3, 1, 4)  # views, [B, H, T, dh]
     p = q @ k.swapaxes(-1, -2)
     p *= c

@@ -19,15 +19,13 @@ import numpy as np
 
 from . import __version__
 from . import autodiff as ad
-from .data import (DataSpec, Dataset, export_label_map_text, generate_dataset,
-                   load_dataset, token_name)
+from .data import DataSpec, Dataset, generate_dataset, load_dataset, token_name
 from .diagnostics import (linear_probe, logit_lens, patch_metrics_over_images,
-                          pool_global, similarity_map, stat_props)
+                          pca_effective_dim, pool_global, redundancy, similarity_map)
 from .model import (ANCHOR_PRE_LLM, ANCHOR_PRE_PROJ, MllmConfig, llm_forward,
                     load_checkpoint, lm_loss, dump_hidden_states, read_hidden_states,
                     save_checkpoint)
-from .reports import (MetricsReport, config_hash, read_metrics_csv,
-                      write_comparison, write_summary_text)
+from .reports import MetricsReport, config_hash, read_metrics_csv, write_comparison
 from .training import Trainer, check_dataset_matches, make_batch
 
 
@@ -100,12 +98,6 @@ def cmd_gen_data(args) -> int:
         raise ConfigError(str(exc)) from None
     out = Path(args.out)
     manifest = generate_dataset(args.n, args.seed, out, spec)
-    if args.export_label_text:
-        ds = load_dataset(out)
-        text_dir = out / "label-maps"
-        text_dir.mkdir(exist_ok=True)
-        for ex in ds.all_examples():
-            export_label_map_text(ex.labels, text_dir / f"{ex.id:08d}.txt")
     print(f"dataset written to {out}")
     print(f"  n={manifest['n']} seed={manifest['seed']} "
           f"splits={manifest['counts']}")
@@ -214,24 +206,13 @@ def _load_run(run_dir):
     return run_cfg, params
 
 
-_SPLIT_CHOICES = ("train", "probe-train", "probe-test", "probe")
-
-
-def _split_examples(dataset, split):
-    if split == "probe":
-        return dataset.splits["probe-train"] + dataset.splits["probe-test"]
-    return dataset.splits[split]
-
-
 def cmd_dump(args) -> int:
-    if args.limit < 0:
-        raise ConfigError(f"--limit must be >= 0, got {args.limit}")
+    """Trace both probe splits, the examples `metrics` reads."""
     run_cfg, params = _load_run(args.run)
     dataset = _load_dataset_checked(args.data, run_cfg)
-    examples = _split_examples(dataset, args.split)
-    examples = examples[: args.limit or None]
+    examples = dataset.splits["probe-train"] + dataset.splits["probe-test"]
     if not examples:
-        raise ConfigError(f"split {args.split!r} has no examples")
+        raise ConfigError(f"the probe splits of {args.data} have no examples")
     traces, ids = [], []
     with ad.no_grad():
         for i in range(0, len(examples), 50):
@@ -279,15 +260,14 @@ def cmd_metrics(args) -> int:
     missing = [i for i in ids if i not in meta_of]
     if missing:
         raise ConfigError(f"{len(missing)} dumped examples not in the dataset's probe "
-                          f"splits (first: {missing[0]}; dump with --split probe)")
+                          f"splits (first: {missing[0]})")
 
     labels_per_image = [meta_of[i].labels for i in ids]
     probe_labels = np.array([meta_of[i].probe_label for i in ids])
     train_idx = np.array([k for k, i in enumerate(ids) if split_of[i] == "probe-train"])
     test_idx = np.array([k for k, i in enumerate(ids) if split_of[i] == "probe-test"])
     if train_idx.size == 0 or test_idx.size == 0:
-        raise ConfigError("metrics needs examples from both probe splits "
-                          "(dump with --split probe)")
+        raise ConfigError("metrics needs examples from both probe splits")
 
     # the probe patch of the similarity maps
     sim_id = args.sim_example
@@ -311,15 +291,15 @@ def cmd_metrics(args) -> int:
                        for l in range(n_layers)]
     probe_accs = linear_probe(pooled_by_layer, probe_labels, train_idx, test_idx)
 
-    per_layer = [(patch_metrics_over_images(layer_features(l), labels_per_image),
-                  stat_props(pooled_by_layer[l])) for l in range(n_layers)]
+    patch_metrics = [patch_metrics_over_images(layer_features(l), labels_per_image)
+                     for l in range(n_layers)]
 
     rows = []
-    for layer, (pm, sp) in enumerate(per_layer):
+    for layer, (pm, pooled) in enumerate(zip(patch_metrics, pooled_by_layer)):
         rows.append({"layer": layer, "probe_acc": probe_accs[layer],
                      "cohesion": pm.cohesion, "coupling": pm.coupling,
-                     "contrast": pm.contrast, "eff_dim": sp.effective_dim,
-                     "redundancy": sp.redundancy})
+                     "contrast": pm.contrast, "eff_dim": pca_effective_dim(pooled),
+                     "redundancy": redundancy(pooled)})
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -351,8 +331,8 @@ def cmd_metrics(args) -> int:
         "n_layers": n_layers,
         "sim_example": int(sim_id),
         "sim_patch": int(sim_patch),
-        "floored_images_per_layer": [pm.n_floored for pm, _ in per_layer],
-        "coupling_images_per_layer": [pm.n_coupling_images for pm, _ in per_layer],
+        "floored_images_per_layer": [pm.n_floored for pm in patch_metrics],
+        "coupling_images_per_layer": [pm.n_coupling_images for pm in patch_metrics],
     }
     MetricsReport(rows=rows, meta=meta).write(out)
     print(f"metrics for {len(ids)} examples x {n_layers} layers -> {out / 'metrics.csv'}")
@@ -361,20 +341,20 @@ def cmd_metrics(args) -> int:
 
 def _read_metrics_dir(path):
     path = Path(path)
+    for name in ("metrics.csv", "summary.json", "logitlens.csv"):
+        if not (path / name).exists():
+            raise ConfigError(f"no {name} in {path}")
     rows = read_metrics_csv(path / "metrics.csv")
     meta = json.loads((path / "summary.json").read_text())
     if config_hash(meta["config"]) != meta["config_hash"]:
         raise ConfigError(f"config hash mismatch in {path / 'summary.json'}")
-    lens_rows = []
-    lens_path = path / "logitlens.csv"
-    if lens_path.exists():
-        by_layer = {}
-        with open(lens_path, newline="") as fh:
-            for row in csv.DictReader(fh):
-                by_layer.setdefault(int(row["layer"]), []).append(
-                    (int(row["token"]), row["token_name"], float(row["mass"])))
-        lens_rows = [{"layer": layer, "top": tops}
-                     for layer, tops in sorted(by_layer.items())]
+    by_layer = {}
+    with open(path / "logitlens.csv", newline="") as fh:
+        for row in csv.DictReader(fh):
+            by_layer.setdefault(int(row["layer"]), []).append(
+                (int(row["token"]), row["token_name"], float(row["mass"])))
+    lens_rows = [{"layer": layer, "top": tops}
+                 for layer, tops in sorted(by_layer.items())]
     sims = {}
     for f in sorted(path.glob("simmap_layer*.txt")):
         layer = int(f.stem.replace("simmap_layer", ""))
@@ -388,6 +368,10 @@ def cmd_report(args) -> int:
     p_rows, p_meta, p_lens, p_sims = _read_metrics_dir(args.pre)
     if len(b_rows) != len(p_rows):
         raise ConfigError("metric tables have different layer counts")
+    for key in ("sim_example", "sim_patch"):
+        if b_meta[key] != p_meta[key]:
+            raise ConfigError(f"similarity maps probe different patches: {key} "
+                              f"{b_meta[key]} (baseline) vs {p_meta[key]} (+aux)")
     common = sorted(set(b_sims) & set(p_sims))
     sim_layers = args.sim_layers or common
     absent = [l for l in sim_layers if l not in common]
@@ -399,7 +383,7 @@ def cmd_report(args) -> int:
         b_rows, p_rows, out,
         baseline_sim={l: b_sims[l] for l in sim_layers},
         pre_sim={l: p_sims[l] for l in sim_layers},
-        sim_probe_index=b_meta.get("sim_patch"),
+        sim_probe_index=b_meta["sim_patch"],
         baseline_lens=b_lens, pre_lens=p_lens,
     )
     mid = len(b_rows) // 2
@@ -416,7 +400,7 @@ def cmd_report(args) -> int:
         f"mid-layer aux effect (contrast, +aux - baseline): "
         f"{p_rows[mid]['contrast'] - b_rows[mid]['contrast']:+.3f}",
     ]
-    write_summary_text(out / "summary.txt", lines)
+    (out / "summary.txt").write_text("\n".join(lines) + "\n")
     print(f"report written to {out}")
     return 0
 
@@ -443,19 +427,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--classes", type=int, default=10)
     p.add_argument("--min-objects", type=int, default=1)
     p.add_argument("--max-objects", type=int, default=4)
-    p.add_argument("--export-label-text", action="store_true")
     p.set_defaults(fn=cmd_gen_data)
 
     p = sub.add_parser("train", help="train the toy model")
     _add_run_flags(p)
     p.set_defaults(fn=cmd_train)
 
-    p = sub.add_parser("dump", help="dump per-layer visual hidden states")
+    p = sub.add_parser("dump", help="dump per-layer visual hidden states of the probe splits")
     p.add_argument("--run", required=True, help="training run directory")
     p.add_argument("--data", required=True)
-    p.add_argument("--split", choices=_SPLIT_CHOICES, default="probe")
     p.add_argument("--out", required=True, help="output archive file")
-    p.add_argument("--limit", type=int, default=0)
     p.set_defaults(fn=cmd_dump)
 
     p = sub.add_parser("metrics", help="compute per-layer diagnostics")

@@ -272,10 +272,6 @@ class Dataset:
     vocab_size: int
     splits: dict = field(default_factory=dict)  # split name -> list[Example]
 
-    def all_examples(self):
-        for name in ("train", "probe-train", "probe-test"):
-            yield from self.splits.get(name, [])
-
 
 SPLIT_NAMES = ("train", "probe-train", "probe-test")
 
@@ -376,12 +372,6 @@ def load_dataset(path) -> Dataset:
             ))
         ds.splits[split_name] = examples
     return ds
-
-
-def export_label_map_text(labels: np.ndarray, path) -> None:
-    """Plain-text grid export: one row per line, space-separated class ids."""
-    lines = [" ".join(str(int(v)) for v in row) for row in labels]
-    Path(path).write_text("\n".join(lines) + "\n")
 
 
 def pad_answers(answers, max_answer: int) -> np.ndarray:

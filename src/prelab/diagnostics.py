@@ -6,7 +6,7 @@ Patch-structure metrics against ground-truth patch labels:
                 same-class patches (unique unordered pairs, i != j)
     coupling  = mean over unordered class pairs of the mean pairwise cosine
                 across the two classes
-    contrast  = cohesion / max(coupling, 1e-6), with a flag on floored cases
+    contrast  = cohesion / max(coupling, 1e-6)
 
 Statistical structure of pooled features:
 
@@ -23,7 +23,6 @@ excluded from the patch metrics throughout.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -101,51 +100,38 @@ def coupling(features: np.ndarray, labels: np.ndarray) -> float:
     return float(np.mean(per_pair))
 
 
-class ContrastValue(NamedTuple):
-    value: float
-    floored: bool
+def contrast(cohesion_value: float, coupling_value: float) -> float:
+    """cohesion / max(coupling, 1e-6)."""
+    return cohesion_value / max(coupling_value, CONTRAST_FLOOR)
 
 
-def contrast(cohesion_value: float, coupling_value: float) -> ContrastValue:
-    """cohesion / max(coupling, 1e-6); the flag marks floored denominators."""
-    floored = coupling_value < CONTRAST_FLOOR
-    return ContrastValue(cohesion_value / max(coupling_value, CONTRAST_FLOOR), floored)
-
-
-def similarity_map(features: np.ndarray, probe_index: int, grid: int = None) -> np.ndarray:
-    """Cosine from one probe patch to every patch; self-similarity pinned to
-    exactly 1. Returns a [g, g] grid when grid is given, else a flat vector."""
+def similarity_map(features: np.ndarray, probe_index: int, grid: int) -> np.ndarray:
+    """Cosine from one probe patch to every patch, as a [grid, grid] array;
+    self-similarity pinned to exactly 1."""
     x = np.asarray(features, dtype=np.float64)
     n = x.shape[0]
     if not 0 <= probe_index < n:
         raise IndexError(f"probe index {probe_index} outside [0, {n})")
+    if grid * grid != n:
+        raise ShapeError(f"{n} patches do not fill a {grid}x{grid} grid")
     xn = _unit_rows(x)
     sims = xn @ xn[probe_index]
     sims[probe_index] = 1.0
-    if grid is not None:
-        if grid * grid != n:
-            raise ShapeError(f"{n} patches do not fill a {grid}x{grid} grid")
-        return sims.reshape(grid, grid)
-    return sims
-
-
-class EffectiveDim(NamedTuple):
-    k: int
-    degenerate: bool
+    return sims.reshape(grid, grid)
 
 
 def pca_effective_dim(features: np.ndarray,
-                      threshold: float = PCA_VARIANCE_THRESHOLD) -> EffectiveDim:
+                      threshold: float = PCA_VARIANCE_THRESHOLD) -> int:
     """Minimum number of principal components explaining `threshold` of the
     variance. Tiny negative numerical eigenvalues are clamped to zero;
-    all-zero variance returns k=1 with the degenerate flag set."""
+    all-zero variance returns 1."""
     eigvals = np.maximum(np.linalg.eigvalsh(covariance(features))[::-1], 0.0)
     total = eigvals.sum()
     if total <= 0.0:
-        return EffectiveDim(1, True)
+        return 1
     ratio = np.cumsum(eigvals) / total
     k = int(np.searchsorted(ratio, threshold) + 1)
-    return EffectiveDim(min(k, eigvals.size), False)
+    return min(k, eigvals.size)
 
 
 def redundancy(features: np.ndarray) -> float:
@@ -283,25 +269,11 @@ def patch_metrics_over_images(features_per_image, labels_per_image) -> PatchMetr
         raise NoEligibleClassError("no image with an eligible class")
     mean_cohesion = float(np.mean(cohesions))
     mean_coupling = float(np.mean(couplings)) if couplings else float("nan")
-    con = contrast(mean_cohesion, mean_coupling) if couplings else None
     return PatchMetrics(
         cohesion=mean_cohesion,
         coupling=mean_coupling,
-        contrast=con.value if con is not None else float("nan"),
+        contrast=contrast(mean_cohesion, mean_coupling) if couplings else float("nan"),
         n_cohesion_images=len(cohesions),
         n_coupling_images=len(couplings),
         n_floored=n_floored,
     )
-
-
-@dataclass
-class StatProps:
-    effective_dim: int
-    redundancy: float
-    degenerate: bool
-
-
-def stat_props(pooled_features: np.ndarray) -> StatProps:
-    eff = pca_effective_dim(pooled_features)
-    return StatProps(effective_dim=eff.k, redundancy=redundancy(pooled_features),
-                     degenerate=eff.degenerate)

@@ -78,12 +78,6 @@ class Mlp:
         return self.fc1.params() + self.fc2.params()
 
 
-def additive_causal_mask(t: int) -> np.ndarray:
-    """Float [t, t] mask: 0 where position i may attend to j (j <= i), -inf
-    above the diagonal. Precomputed once and sliced for every attention call."""
-    return np.where(np.tril(np.ones((t, t), dtype=bool)), 0.0, -np.inf)
-
-
 class CausalSelfAttention:
     """Multi-head causal self-attention: a fused q/k/v projection, the
     attention core as one tape op (ad.causal_attention: heads split, scaled,
@@ -97,8 +91,8 @@ class CausalSelfAttention:
         self.wqkv = Linear(f"{name}.qkv", d, 3 * d, rng.split("qkv"), bias=False)
         self.wo = Linear(f"{name}.o", d, d, rng.split("o"), bias=False)
 
-    def __call__(self, x: Node, mask: np.ndarray) -> Node:
-        return self.wo(ad.causal_attention(self.wqkv(x), self.heads, mask))
+    def __call__(self, x: Node) -> Node:
+        return self.wo(ad.causal_attention(self.wqkv(x), self.heads))
 
     def params(self):
         return self.wqkv.params() + self.wo.params()
@@ -113,8 +107,8 @@ class DecoderBlock:
         self.ln2 = LayerNorm(f"{name}.ln2", d)
         self.mlp = Mlp(f"{name}.mlp", d, mlp_hidden, d, rng.split("mlp"))
 
-    def __call__(self, x: Node, mask: np.ndarray) -> Node:
-        x = ad.add(x, self.attn(self.ln1(x), mask))
+    def __call__(self, x: Node) -> Node:
+        x = ad.add(x, self.attn(self.ln1(x)))
         x = ad.add(x, self.mlp(self.ln2(x)))
         return x
 

@@ -4,8 +4,8 @@ tokens and an auxiliary patch-prediction loss that anchors intermediate-layer
 visual hidden states to their pre-decoder (or pre-projection) values through
 a stop-gradient.
 
-Sequence layout is [prompt tokens, visual tokens, answer tokens] under one
-causal mask, so answers condition on both the prompt and the image. Learned
+Sequence layout is [prompt tokens, visual tokens, answer tokens] under causal
+attention, so answers condition on both the prompt and the image. Learned
 position embeddings are added to text positions only; visual tokens carry a
 fixed 2-D sinusoidal code from the encoder, which keeps the recorded layer-0
 visual segment bitwise equal to the projector output.
@@ -21,7 +21,7 @@ from . import autodiff as ad
 from .autodiff import Node, stop_gradient
 from .archive import write_archive, read_archive
 from .data import IGNORE_ID, VOCAB_SIZE
-from .layers import DecoderBlock, Embedding, LayerNorm, Linear, Mlp, additive_causal_mask
+from .layers import DecoderBlock, Embedding, LayerNorm, Linear, Mlp
 from .numerics import RngStream, ShapeError
 
 ANCHOR_PRE_LLM = "pre-llm"
@@ -129,7 +129,6 @@ class MllmParams:
         self.ln_f = LayerNorm("ln_f", cfg.d_l)
         self.head = Linear("head", cfg.d_l, cfg.vocab, rng.split("head"))
         self.pred_head = Mlp("pred_head", cfg.d_l, cfg.d_l, cfg.d_anchor, rng.split("pred_head"))
-        self.mask = additive_causal_mask(cfg.seq_len)
 
     def trainable(self) -> list:
         out = self.proj.params() + self.tok_emb.params() + self.pos_emb.params()
@@ -185,7 +184,7 @@ def llm_forward(params: MllmParams, z: np.ndarray, prompts: np.ndarray,
     """Run the decoder over [prompt, visual, answer] and record every layer.
 
     prompts: [B, prompt_len] token ids; answers: [B, K] token ids padded with
-    the ignore id. The causal mask covers the whole sequence. z is cast to
+    the ignore id. Attention is causal over the whole sequence. z is cast to
     the parameters' dtype, so the whole forward runs in that dtype.
     """
     cfg = params.cfg
@@ -210,10 +209,9 @@ def llm_forward(params: MllmParams, z: np.ndarray, prompts: np.ndarray,
     answer_emb = ad.add(params.tok_emb(answers), params.pos_emb(answer_pos))
     h = ad.concat([prompt_emb, hv0, answer_emb], axis=1)
 
-    mask = params.mask[:t, :t]
     recorded = [h]
     for block in params.blocks:
-        h = block(h, mask)
+        h = block(h)
         recorded.append(h)
     logits = params.head(params.ln_f(h))
     return ForwardTrace(z=z, hv0=hv0, layers=recorded, logits=logits,

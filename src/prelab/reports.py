@@ -159,7 +159,7 @@ def _heat_color(v: float) -> str:
     return f"#{r:02x}{g:02x}{b:02x}"
 
 
-def svg_heatmap(title: str, grid: np.ndarray, probe_index: int = None) -> str:
+def svg_heatmap(title: str, grid: np.ndarray, probe_index: int) -> str:
     """Grid heatmap of values in [-1, 1]; the probe cell gets a green frame."""
     grid = np.asarray(grid, dtype=np.float64)
     g_rows, g_cols = grid.shape
@@ -179,11 +179,10 @@ def svg_heatmap(title: str, grid: np.ndarray, probe_index: int = None) -> str:
             x, y = 20 + c * cell, 36 + r * cell
             parts.append(f'<rect x="{x}" y="{y}" width="{cell}" height="{cell}" '
                          f'fill="{_heat_color(grid[r, c])}" stroke="#ccc"/>')
-    if probe_index is not None:
-        pr, pc = divmod(probe_index, g_cols)
-        x, y = 20 + pc * cell, 36 + pr * cell
-        parts.append(f'<rect x="{x}" y="{y}" width="{cell}" height="{cell}" '
-                     f'fill="none" stroke="#00a000" stroke-width="3"/>')
+    pr, pc = divmod(probe_index, g_cols)
+    x, y = 20 + pc * cell, 36 + pr * cell
+    parts.append(f'<rect x="{x}" y="{y}" width="{cell}" height="{cell}" '
+                 f'fill="none" stroke="#00a000" stroke-width="3"/>')
     parts.append("</svg>")
     return "\n".join(parts)
 
@@ -195,11 +194,9 @@ def svg_heatmap(title: str, grid: np.ndarray, probe_index: int = None) -> str:
 COMPARE_METRICS = ("probe_acc", "contrast", "eff_dim", "redundancy")
 
 
-def write_comparison(baseline_rows, pre_rows, out_dir,
-                     baseline_sim: dict = None, pre_sim: dict = None,
-                     sim_probe_index: int = None,
-                     baseline_lens=None, pre_lens=None) -> None:
-    """Emit comparison.csv, one overlay SVG per metric, optional similarity
+def write_comparison(baseline_rows, pre_rows, out_dir, baseline_sim: dict, pre_sim: dict,
+                     sim_probe_index: int, baseline_lens, pre_lens) -> None:
+    """Emit comparison.csv, one overlay SVG per metric, the similarity
     heatmaps (grids keyed by layer), and a logit-lens comparison table."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -231,22 +228,15 @@ def write_comparison(baseline_rows, pre_rows, out_dir,
         (out_dir / f"{m}.svg").write_text(svg)
 
     for tag, sims in (("baseline", baseline_sim), ("pre", pre_sim)):
-        if not sims:
-            continue
         for layer, grid in sorted(sims.items()):
             svg = svg_heatmap(f"patch cosine similarity, layer {layer} ({tag})",
                               grid, probe_index=sim_probe_index)
             (out_dir / f"simmap_{tag}_layer{layer:02d}.svg").write_text(svg)
 
-    if baseline_lens is not None and pre_lens is not None:
-        with open(out_dir / "logitlens.csv", "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["run", "layer", "rank", "token", "token_name", "mass"])
-            for tag, lens_rows in (("baseline", baseline_lens), ("pre", pre_lens)):
-                for entry in lens_rows:
-                    for rank, (tok, name, mass) in enumerate(entry["top"], 1):
-                        writer.writerow([tag, entry["layer"], rank, tok, name, _fmt(mass)])
-
-
-def write_summary_text(path, lines) -> None:
-    Path(path).write_text("\n".join(lines) + "\n")
+    with open(out_dir / "logitlens.csv", "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["run", "layer", "rank", "token", "token_name", "mass"])
+        for tag, lens_rows in (("baseline", baseline_lens), ("pre", pre_lens)):
+            for entry in lens_rows:
+                for rank, (tok, name, mass) in enumerate(entry["top"], 1):
+                    writer.writerow([tag, entry["layer"], rank, tok, name, _fmt(mass)])

@@ -6,7 +6,6 @@ import pytest
 
 from prelab import autodiff as ad
 from prelab.autodiff import Node, Parameter, backward, no_grad, stop_gradient
-from prelab.layers import additive_causal_mask
 from prelab.numerics import ShapeError
 
 RNG = np.random.default_rng(20)
@@ -140,18 +139,11 @@ class TestPrimitiveGradients:
 
         check_grad(loss, RNG.normal(size=(2, 2)))
 
-    def test_softmax(self):
-        # an all-zero additive mask allows every entry: plain softmax attention
-        w = ad.constant(RNG.normal(size=(2, 4, 4)))
-        mask = np.zeros((4, 4))
-        check_grad(lambda x: ad.sum_all(ad.mul(ad.causal_attention(x, 2, mask), w)),
-                   RNG.normal(size=(2, 4, 12)))
-
     def test_softmax_uniform_on_zeros(self):
         # q = 0 makes every score 0: row i weights v_0..v_i uniformly
         qkv = RNG.normal(size=(1, 4, 6))
         qkv[..., :2] = 0.0
-        out = ad.causal_attention(ad.constant(qkv), 1, additive_causal_mask(4)).value
+        out = ad.causal_attention(ad.constant(qkv), 1).value
         v = qkv[0, :, 4:]
         means = np.cumsum(v, axis=0) / np.arange(1, 5)[:, None]
         assert np.allclose(out[0], means, rtol=1e-14, atol=1e-15)
@@ -159,13 +151,12 @@ class TestPrimitiveGradients:
     def test_causal_attention(self):
         # 2 heads of width 2 over T = 5
         w = ad.constant(RNG.normal(size=(2, 5, 4)))
-        mask = additive_causal_mask(5)
-        check_grad(lambda x: ad.sum_all(ad.mul(ad.causal_attention(x, 2, mask), w)),
+        check_grad(lambda x: ad.sum_all(ad.mul(ad.causal_attention(x, 2), w)),
                    RNG.normal(size=(2, 5, 12)))
 
     def test_causal_attention_matches_numpy_reference(self):
         qkv = RNG.normal(size=(2, 6, 18))
-        out = ad.causal_attention(ad.constant(qkv), 3, additive_causal_mask(6)).value
+        out = ad.causal_attention(ad.constant(qkv), 3).value
         ref = attention_reference(qkv, 3)
         assert np.max(np.abs(out - ref)) <= 1e-12 * np.max(np.abs(ref))
 
@@ -176,7 +167,7 @@ class TestPrimitiveGradients:
         # k and v rows after s.
         heads, d, s = 2, 4, 2
         p = Parameter("qkv", RNG.normal(size=(2, 5, 3 * d)))
-        out = ad.causal_attention(p.node(), heads, additive_causal_mask(5))
+        out = ad.causal_attention(p.node(), heads)
         assert np.array_equal(out.value[:, 0], p.value[:, 0, 2 * d:])
         w = np.zeros((2, 5, d))
         w[:, :s] = RNG.normal(size=(2, s, d))
@@ -187,11 +178,9 @@ class TestPrimitiveGradients:
     def test_causal_attention_shape_errors(self):
         with pytest.raises(ShapeError):
             # 3d = 12 is not a multiple of 3 * heads = 9
-            ad.causal_attention(ad.constant(np.ones((1, 4, 12))), 3, additive_causal_mask(4))
+            ad.causal_attention(ad.constant(np.ones((1, 4, 12))), 3)
         with pytest.raises(ShapeError):
-            ad.causal_attention(ad.constant(np.ones((1, 4, 12))), 2, additive_causal_mask(5))
-        with pytest.raises(ShapeError):
-            ad.causal_attention(ad.constant(np.ones((4, 12))), 2, additive_causal_mask(4))
+            ad.causal_attention(ad.constant(np.ones((4, 12))), 2)
 
     def test_log_softmax(self):
         w = ad.constant(RNG.normal(size=(3, 6)))

@@ -1,9 +1,11 @@
 """CLI tests: a golden tiny pipeline, the run config round trip, exit code
 2, with nothing written, for a dataset that does not match the run, a
-negative dump limit, or a similarity patch or layer that does not exist,
-and exit code 1, with no checkpoint, for a run that diverges."""
+similarity patch or layer that does not exist, two reports whose similarity
+maps probe different patches, or a metrics directory missing a file, and
+exit code 1, with no checkpoint, for a run that diverges."""
 
 import json
+import re
 import shutil
 from dataclasses import fields
 
@@ -129,16 +131,6 @@ def test_dump_on_mismatched_dataset_exits_2(golden, tmp_path, capsys):
     assert not (tmp_path / "h.prea").exists()
 
 
-def test_dump_with_negative_limit_exits_2(golden, tmp_path, capsys):
-    w, _, _ = golden
-    out = tmp_path / "h.prea"
-    rc = main(["dump", "--run", str(w / "run"), "--data", str(w / "data"),
-               "--out", str(out), "--limit", "-5"])
-    assert rc == 2
-    assert "--limit must be >= 0, got -5" in capsys.readouterr().err
-    assert not out.exists()
-
-
 def test_metrics_with_sim_patch_outside_the_grid_exits_2(golden, tmp_path, capsys):
     w, _, _ = golden
     out = tmp_path / "metrics"
@@ -157,6 +149,44 @@ def test_report_with_sim_layer_not_dumped_exits_2(golden, tmp_path, capsys):
     assert rc == 2
     assert "--sim-layers [99] have no similarity map" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_report_on_different_similarity_probes_exits_2(golden, tmp_path, capsys):
+    w, _, _ = golden
+    sim_patch = json.loads((w / "metrics" / "summary.json").read_text())["sim_patch"]
+    other = tmp_path / "metrics"
+    run_ok(["metrics", "--hidden", w / "hidden.prea", "--data", w / "data", "--run", w / "run",
+            "--out", other, "--sim-patch", (sim_patch + 1) % 16])
+    capsys.readouterr()
+    out = tmp_path / "report"
+    rc = main(["report", "--baseline", str(w / "metrics"), "--pre", str(other),
+               "--out", str(out)])
+    assert rc == 2
+    assert (f"sim_patch {sim_patch} (baseline) vs {(sim_patch + 1) % 16} (+aux)"
+            in capsys.readouterr().err)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("name", ["metrics.csv", "summary.json", "logitlens.csv"])
+def test_report_on_metrics_dir_missing_a_file_exits_2(golden, tmp_path, capsys, name):
+    w, _, _ = golden
+    pre = tmp_path / "metrics"
+    shutil.copytree(w / "metrics", pre)
+    (pre / name).unlink()
+    out = tmp_path / "report"
+    rc = main(["report", "--baseline", str(w / "metrics"), "--pre", str(pre),
+               "--out", str(out)])
+    assert rc == 2
+    assert f"no {name} in {pre}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_dump_takes_only_run_data_and_out(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["dump", "--help"])
+    assert exc.value.code == 0
+    assert set(re.findall(r"--[a-z][a-z-]*", capsys.readouterr().out)) == {
+        "--help", "--run", "--data", "--out"}
 
 
 def test_diverged_training_exits_1_without_a_checkpoint(golden, tmp_path, capsys):

@@ -60,7 +60,7 @@ def expected_answer(labels, prompt):
 def test_every_answer_follows_from_the_label_map(tmp_path, spec):
     generate_dataset(300, 7, tmp_path, spec)
     templates = set()
-    for ex in load_dataset(tmp_path).all_examples():
+    for ex in (ex for split in load_dataset(tmp_path).splits.values() for ex in split):
         expected = expected_answer(ex.labels, ex.prompt)
         assert ex.answer.tolist() == [expected]
         if ex.prompt[0] == TOK_DOMINANT:
@@ -75,7 +75,7 @@ def test_load_returns_the_generated_arrays(tmp_path):
     ds = load_dataset(tmp_path)
     assert sum(len(ds.splits[s]) for s in SPLIT_NAMES) == 40
     root = RngStream(3)
-    for ex in ds.all_examples():
+    for ex in (ex for split in ds.splits.values() for ex in split):
         ex_rng = root.split(ex.id)
         img = generate_image(ex_rng.split("image"), spec)
         qa = generate_qa(img, ex_rng.split("qa"))

@@ -2,10 +2,9 @@ import numpy as np
 import pytest
 
 from prelab import autodiff as ad
-from prelab.diagnostics import (CONTRAST_FLOOR, ContrastValue, EffectiveDim,
-                                NoEligibleClassError, cohesion, contrast, coupling,
-                                linear_probe, logit_lens, patch_metrics_over_images,
-                                pca_effective_dim, similarity_map)
+from prelab.diagnostics import (CONTRAST_FLOOR, NoEligibleClassError, cohesion, contrast,
+                                coupling, linear_probe, logit_lens,
+                                patch_metrics_over_images, pca_effective_dim, similarity_map)
 from prelab.model import MllmConfig, MllmParams, encode_image, llm_forward
 from prelab.numerics import ShapeError
 
@@ -39,33 +38,32 @@ class TestPcaEffectiveDim:
         # variances given out of order, summing to 100: the top-k mass is
         # 50, 80, 90, 96, 99, 100 only once they are sorted descending
         x = features_with_spectrum([1.0, 10.0, 50.0, 3.0, 30.0, 6.0])
-        assert pca_effective_dim(x) == EffectiveDim(4, False)
-        assert pca_effective_dim(x, threshold=0.45) == EffectiveDim(1, False)
-        assert pca_effective_dim(x, threshold=0.85) == EffectiveDim(3, False)
-        assert pca_effective_dim(x, threshold=0.995) == EffectiveDim(6, False)
+        assert pca_effective_dim(x) == 4
+        assert pca_effective_dim(x, threshold=0.45) == 1
+        assert pca_effective_dim(x, threshold=0.85) == 3
+        assert pca_effective_dim(x, threshold=0.995) == 6
 
     def test_rank_deficient(self):
         # rank 2 in 6 dimensions: the zero eigenvalues come back as rounding
         # noise of either sign, are clamped to 0, and add no mass
         x = features_with_spectrum([3.0, 2.0, 0.0, 0.0, 0.0, 0.0], seed=1)
-        assert pca_effective_dim(x) == EffectiveDim(2, False)
-        assert pca_effective_dim(x, threshold=0.999999) == EffectiveDim(2, False)
+        assert pca_effective_dim(x) == 2
+        assert pca_effective_dim(x, threshold=0.999999) == 2
 
     def test_fewer_rows_than_dimensions(self):
         x = np.random.default_rng(2).normal(size=(5, 12))
-        eff = pca_effective_dim(x, threshold=0.999999)
-        assert eff.k <= 4 and not eff.degenerate
+        assert pca_effective_dim(x, threshold=0.999999) <= 4
 
     def test_all_equal_rows_are_degenerate(self):
         x = np.tile(np.array([1.5, -2.0, 0.25, 7.0]), (9, 1))
-        assert pca_effective_dim(x) == EffectiveDim(1, True)
+        assert pca_effective_dim(x) == 1
 
     def test_matches_svd_reference(self):
         rng = np.random.default_rng(3)
         for _ in range(10):
             x = rng.normal(size=(50, 10)) * rng.uniform(0.1, 3.0, size=10)
             for t in THRESHOLDS:
-                assert pca_effective_dim(x, threshold=t).k == reference_k(x, t)
+                assert pca_effective_dim(x, threshold=t) == reference_k(x, t)
 
     def test_invariant_under_permutation_and_rotation(self):
         rng = np.random.default_rng(4)
@@ -98,8 +96,8 @@ class TestPatchStructure:
         feats, labels = orthonormal_scene()
         assert cohesion(feats, labels) == 1.0
         assert coupling(feats, labels) == 0.0
-        assert contrast(1.0, 0.0) == ContrastValue(1.0 / CONTRAST_FLOOR, True)
-        assert contrast(1.0, 0.5) == ContrastValue(2.0, False)
+        assert contrast(1.0, 0.0) == 1.0 / CONTRAST_FLOOR
+        assert contrast(1.0, 0.5) == 2.0
 
     def test_background_patches_are_excluded(self):
         feats, labels = orthonormal_scene()
@@ -124,15 +122,14 @@ class TestPatchStructure:
         sims = similarity_map(feats, 0, grid=2)
         assert sims.shape == (2, 2)
         assert np.array_equal(sims, [[1.0, 1.0], [0.0, -1.0]])
-        assert np.array_equal(similarity_map(feats, 0), sims.ravel())
         # a zero row has cosine 0 with everything, itself included, yet the
         # probe's self-similarity is pinned to 1
         feats[2] = 0.0
-        assert np.array_equal(similarity_map(feats, 2), [0.0, 0.0, 1.0, 0.0])
+        assert np.array_equal(similarity_map(feats, 2, grid=2), [[0.0, 0.0], [1.0, 0.0]])
         with pytest.raises(ShapeError):
             similarity_map(feats, 0, grid=3)
         with pytest.raises(IndexError):
-            similarity_map(feats, 4)
+            similarity_map(feats, 4, grid=2)
 
     def test_dataset_contrast_is_ratio_of_means(self):
         u = at_angle(1.0)

@@ -2,8 +2,7 @@ import numpy as np
 
 from prelab import autodiff as ad
 from prelab.autodiff import backward, constant
-from prelab.layers import (CausalSelfAttention, DecoderBlock, Embedding,
-                           LayerNorm, Linear, Mlp, additive_causal_mask)
+from prelab.layers import CausalSelfAttention, DecoderBlock, Embedding, LayerNorm, Linear, Mlp
 from prelab.numerics import RngStream
 
 RNG = np.random.default_rng(31)
@@ -24,13 +23,6 @@ def test_linear_named_substreams_are_stable():
     assert np.array_equal(a.w.value, b.w.value)
 
 
-def test_causal_mask_shapes():
-    add = additive_causal_mask(4)
-    assert add.shape == (4, 4)
-    assert add[2, 2] == 0.0 and add[3, 0] == 0.0 and np.isneginf(add[0, 1])
-    assert np.array_equal(np.isneginf(add), np.triu(np.ones((4, 4), dtype=bool), 1))
-
-
 def test_linear_flattens_leading_axes():
     lin = Linear("l", 6, 3, RngStream(8))
     lin.b.value[:] = RNG.normal(size=3)
@@ -44,13 +36,14 @@ def test_linear_flattens_leading_axes():
 def test_attention_matches_numpy_reference():
     attn = CausalSelfAttention("a", 12, 3, RngStream(9))
     x = RNG.normal(size=(2, 5, 12))
-    out = attn(constant(x), additive_causal_mask(5)).value
+    out = attn(constant(x)).value
     d, dh = 12, 4
+    upper = np.where(np.triu(np.ones((5, 5), dtype=bool), 1), -np.inf, 0.0)
     qkv = x @ attn.wqkv.w.value
     ref = np.zeros((2, 5, d))
     for h in range(3):
         q, k, v = (qkv[..., j * d + h * dh: j * d + (h + 1) * dh] for j in range(3))
-        scores = q @ k.transpose(0, 2, 1) / 2.0 + additive_causal_mask(5)
+        scores = q @ k.transpose(0, 2, 1) / 2.0 + upper
         weights = np.exp(scores - scores.max(axis=-1, keepdims=True))
         ref[..., h * dh:(h + 1) * dh] = weights / weights.sum(axis=-1, keepdims=True) @ v
     ref = ref @ attn.wo.w.value
@@ -59,20 +52,18 @@ def test_attention_matches_numpy_reference():
 
 def test_attention_causality_bitwise():
     attn = CausalSelfAttention("a", 16, 4, RngStream(2))
-    mask = additive_causal_mask(6)
     x = RNG.normal(size=(2, 6, 16))
-    base = attn(constant(x), mask).value.copy()
+    base = attn(constant(x)).value.copy()
     x2 = x.copy()
     x2[:, -1, :] = RNG.normal(size=(2, 16))  # perturb only the last position
-    pert = attn(constant(x2), mask).value
+    pert = attn(constant(x2)).value
     assert np.array_equal(base[:, :-1, :], pert[:, :-1, :])
     assert not np.array_equal(base[:, -1, :], pert[:, -1, :])
 
 
 def test_attention_gradients_flow_to_all_projections():
     attn = CausalSelfAttention("a", 8, 2, RngStream(3))
-    mask = additive_causal_mask(5)
-    out = attn(constant(RNG.normal(size=(1, 5, 8))), mask)
+    out = attn(constant(RNG.normal(size=(1, 5, 8))))
     backward(ad.sum_all(out))
     for p in attn.params():
         assert np.any(p.grad != 0), p.name
@@ -81,7 +72,7 @@ def test_attention_gradients_flow_to_all_projections():
 def test_block_changes_input():
     block = DecoderBlock("b", 16, 2, 32, RngStream(4))
     x = RNG.normal(size=(1, 4, 16))
-    out = block(constant(x), additive_causal_mask(4)).value
+    out = block(constant(x)).value
     assert out.shape == (1, 4, 16)
     assert not np.array_equal(out, x)
 
