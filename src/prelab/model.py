@@ -335,9 +335,7 @@ def read_hidden_states(path):
 
 
 def save_checkpoint(params: MllmParams, path) -> None:
-    entries = [("frozen/wv", params.wv)]
-    entries += [(p.name, p.value) for p in params.trainable()]
-    write_archive(path, entries)
+    write_archive(path, [(p.name, p.value) for p in params.trainable()])
 
 
 def load_checkpoint(cfg: MllmConfig, path) -> MllmParams:
@@ -345,11 +343,12 @@ def load_checkpoint(cfg: MllmConfig, path) -> MllmParams:
 
     Trainable parameters keep their own dtype, float32 (layers.PARAM_DTYPE),
     so a trained model round-trips bit for bit. The frozen encoder matrix is
-    widened back to float64, the encoder's dtype.
+    not stored: MllmParams(cfg) draws it from the seed, the same float64
+    matrix that training used. Entries the model has no parameter for are
+    ignored.
     """
     params = MllmParams(cfg)
     raw = read_archive(path)
-    params.wv = raw["frozen/wv"].astype(np.float64)
     for p in params.trainable():
         if p.name not in raw:
             raise KeyError(f"checkpoint missing parameter {p.name!r}")

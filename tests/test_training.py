@@ -3,9 +3,11 @@ loss reported as NaN when lambda is 0, and a non-finite loss or gradient
 norm stopping the step, before any parameter changes, with an error that
 names the component, a dataset that does not match the model refused, a
 warm train step faulting in no fresh memory, a train step that runs in
-float32 throughout while a float64 model stays float64, and a checkpoint
-that round-trips the trained parameters bit for bit."""
+float32 throughout while a float64 model stays float64, a checkpoint that
+round-trips the trained parameters bit for bit, and a dump that encodes
+images with the encoder matrix training used."""
 
+import json
 import math
 import platform
 
@@ -14,6 +16,8 @@ import pytest
 
 from prelab import autodiff as ad
 from prelab import model, training
+from prelab.archive import read_archive
+from prelab.cli import RunConfig, main
 from prelab.data import DataSpec, generate_dataset, load_dataset
 from prelab.model import (MllmConfig, MllmParams, NonFiniteLossError, llm_forward,
                           load_checkpoint, save_checkpoint, total_loss)
@@ -197,3 +201,28 @@ def test_checkpoint_round_trips_trained_parameters_bitwise(dataset, tmp_path):
         assert back.name == trained.name
         assert back.value.dtype == trained.value.dtype == np.float32
         assert back.value.tobytes() == trained.value.tobytes(), trained.name
+
+
+def test_dump_encodes_with_the_encoder_matrix_training_used(tmp_path):
+    # The checkpoint holds no encoder matrix: loading draws the frozen float64
+    # matrix from the run seed, bit for bit the one training used.
+    data, run = tmp_path / "data", tmp_path / "run"
+    generate_dataset(40, 2, data, DataSpec(grid=4))
+    dataset = load_dataset(data)
+    cfg = RunConfig(grid=4, d_l=16, layers=2, heads=2, target_layer=1, seed=3,
+                    dataset=str(data), out_dir=str(run), steps=3, batch_size=4)
+    t = Trainer(cfg, dataset, steps=cfg.steps, batch_size=cfg.batch_size)
+    t.run(run / "train_log.csv", lambda report: None)
+    (run / "config.json").write_text(json.dumps(cfg.to_dict()))
+    save_checkpoint(t.params, run / "checkpoint.prea")
+    loaded = load_checkpoint(cfg, run / "checkpoint.prea")
+    assert loaded.wv.dtype == t.params.wv.dtype == np.float64
+    assert loaded.wv.tobytes() == t.params.wv.tobytes()
+
+    assert main(["dump", "--run", str(run), "--data", str(data),
+                 "--out", str(tmp_path / "hidden.prea")]) == 0
+    dumped = read_archive(tmp_path / "hidden.prea")
+    examples = dataset.splits["probe-train"] + dataset.splits["probe-test"]
+    want = make_batch(t.params, cfg, examples).z.astype(np.float32)
+    for ex, z in zip(examples, want):
+        assert dumped[f"ex{ex.id:08d}/z"].tobytes() == z.tobytes(), ex.id
