@@ -105,8 +105,8 @@ def cmd_gen_data(args) -> int:
 
 
 # Run fields whose flag is not "--" + the field name with dashes, or that
-# take more than a type and a default. Every other field but _NO_FLAG gets
-# a plain flag typed and defaulted from RunConfig.
+# take more than a type and a default. Every other field gets a plain flag
+# typed and defaulted from RunConfig.
 _FLAG_SPECS = {
     "dataset": {"flag": "--data", "required": True, "metavar": "DATA",
                 "help": "dataset directory"},
@@ -118,14 +118,11 @@ _FLAG_SPECS = {
     "use_schedule": {"flag": "--no-schedule", "action": "store_false",
                      "help": "constant learning rate instead of warmup+cosine"},
 }
-_NO_FLAG = ("vocab", "prompt_len")
 
 
 def _add_run_flags(p: argparse.ArgumentParser) -> None:
     model_fields = fields(MllmConfig)
     for f in fields(RunConfig)[len(model_fields):] + model_fields:  # run flags first
-        if f.name in _NO_FLAG:
-            continue
         spec = dict(_FLAG_SPECS.get(f.name, {"type": type(f.default), "default": f.default}))
         flag = spec.pop("flag", "--" + f.name.replace("_", "-"))
         p.add_argument(flag, dest=f.name, **spec)
@@ -136,8 +133,8 @@ def _run_config_from_args(args) -> RunConfig:
 
 
 def _load_dataset_checked(path, run_cfg: RunConfig) -> Dataset:
-    """Load a dataset, refusing (exit 2) one whose patch grid, patch size or
-    vocabulary differ from the run's."""
+    """Load a dataset, refusing (exit 2) one whose patch grid or patch size
+    differ from the run's, or whose vocabulary is not the model's."""
     path = Path(path)
     if not (path / "manifest.json").exists():
         raise ConfigError(f"no dataset manifest in {path}")
@@ -187,9 +184,9 @@ def _held_out_lm(trainer, dataset, limit: int = 64) -> float:
     examples = dataset.splits["probe-train"][:limit]
     if not examples:
         return float("nan")
-    batch = make_batch(trainer.params, trainer.cfg, examples)
+    batch = make_batch(trainer.params, examples)
     with ad.no_grad():
-        trace = llm_forward(trainer.params, batch.z, batch.prompts, batch.answers)
+        trace = llm_forward(trainer.params, batch.z, batch.prompts)
         return float(lm_loss(trace, batch.answers).value)
 
 
@@ -210,15 +207,17 @@ def cmd_dump(args) -> int:
     """Trace both probe splits, the examples `metrics` reads."""
     run_cfg, params = _load_run(args.run)
     dataset = _load_dataset_checked(args.data, run_cfg)
+    empty = [name for name in ("probe-train", "probe-test") if not dataset.splits[name]]
+    if empty:
+        raise ConfigError(f"the {' and '.join(empty)} split of {args.data} has no examples; "
+                          f"metrics needs both probe splits")
     examples = dataset.splits["probe-train"] + dataset.splits["probe-test"]
-    if not examples:
-        raise ConfigError(f"the probe splits of {args.data} have no examples")
     traces, ids = [], []
     with ad.no_grad():
         for i in range(0, len(examples), 50):
             chunk = examples[i : i + 50]
-            batch = make_batch(params, run_cfg, chunk)
-            traces.append(llm_forward(params, batch.z, batch.prompts, batch.answers))
+            batch = make_batch(params, chunk)
+            traces.append(llm_forward(params, batch.z, batch.prompts))
             ids.extend(ex.id for ex in chunk)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)

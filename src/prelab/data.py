@@ -32,7 +32,6 @@ from .numerics import RngStream
 
 VOCAB_SIZE = 64
 PAD_ID = 0
-IGNORE_ID = 1  # answer padding, excluded from the language-model loss
 CLASS_BASE = 2  # class id c (1..10) -> token CLASS_BASE + c - 1
 DIGIT_BASE = 12  # digit n (0..9) -> token DIGIT_BASE + n
 TOK_WHAT = 22
@@ -59,7 +58,7 @@ def digit_token(n: int) -> int:
 
 def token_name(tok: int) -> str:
     """Human-readable symbol for a token id (for reports and logs)."""
-    fixed = {PAD_ID: "<pad>", IGNORE_ID: "<ignore>", TOK_WHAT: "what", TOK_AT: "at",
+    fixed = {PAD_ID: "<pad>", TOK_WHAT: "what", TOK_AT: "at",
              TOK_COUNT: "count", TOK_OF: "of", TOK_DOMINANT: "dominant",
              TOK_CLASS: "class", TOK_QMARK: "?"}
     if tok in fixed:
@@ -134,7 +133,7 @@ class SyntheticImage:
 @dataclass
 class QaPair:
     prompt: np.ndarray  # [PROMPT_LEN] token ids
-    answer: np.ndarray  # [1..K] token ids
+    answer: np.ndarray  # [1] token id
     probe_label: int  # dominant object class, the linear-probe target
 
 
@@ -357,28 +356,25 @@ def load_dataset(path) -> Dataset:
     bounds = {"labels": (0, spec.num_classes), "prompt": (0, last_token),
               "answer": (0, last_token), "probe": (1, spec.num_classes)}
     for split_name in SPLIT_NAMES:
-        entries = _read_split(path / f"{split_name}.bin", bounds)
+        split_path = path / f"{split_name}.bin"
+        entries = _read_split(split_path, bounds)
         ids = sorted({int(name.split("/")[0]) for name in entries})
         examples = []
         for i in ids:
             key = f"{i:08d}"
-            examples.append(Example(
+            ex = Example(
                 id=i,
                 image=entries[f"{key}/image"].astype(np.float64),
                 labels=entries[f"{key}/labels"].astype(np.int64),
                 prompt=entries[f"{key}/prompt"].astype(np.int64),
                 answer=entries[f"{key}/answer"].astype(np.int64),
                 probe_label=int(entries[f"{key}/probe"][0]),
-            ))
+            )
+            if ex.prompt.shape != (PROMPT_LEN,) or ex.answer.shape != (1,):
+                raise DatasetError(f"{split_path}: example {i} has prompt shape {ex.prompt.shape} "
+                                   f"and answer shape {ex.answer.shape}, not ({PROMPT_LEN},) "
+                                   f"and (1,)")
+            examples.append(ex)
         ds.splits[split_name] = examples
     return ds
 
-
-def pad_answers(answers, max_answer: int) -> np.ndarray:
-    """Right-pad variable-length answers with IGNORE_ID to a [B, K] batch."""
-    out = np.full((len(answers), max_answer), IGNORE_ID, dtype=np.int64)
-    for row, ans in zip(out, answers):
-        if len(ans) > max_answer:
-            raise ValueError(f"answer length {len(ans)} exceeds max {max_answer}")
-        row[: len(ans)] = ans
-    return out

@@ -1,14 +1,16 @@
 """Toy multimodal decoder: frozen linear patch encoder -> learned projector
--> causal transformer decoder, with a language-modeling loss over answer
-tokens and an auxiliary patch-prediction loss that anchors intermediate-layer
+-> causal transformer decoder, with a language-modeling loss on the answer
+token and an auxiliary patch-prediction loss that anchors intermediate-layer
 visual hidden states to their pre-decoder (or pre-projection) values through
 a stop-gradient.
 
-Sequence layout is [prompt tokens, visual tokens, answer tokens] under causal
-attention, so answers condition on both the prompt and the image. Learned
-position embeddings are added to text positions only; visual tokens carry a
-fixed 2-D sinusoidal code from the encoder, which keeps the recorded layer-0
-visual segment bitwise equal to the projector output.
+Sequence layout is [prompt tokens, visual tokens] under causal attention.
+Every answer is one token, predicted from the last visual position (the
+next-token shift), so it conditions on both the prompt and the image and is
+never an input. Learned position embeddings are added to the prompt only;
+visual tokens carry a fixed 2-D sinusoidal code from the encoder, which
+keeps the recorded layer-0 visual segment bitwise equal to the projector
+output.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Node, stop_gradient
 from .archive import write_archive, read_archive
-from .data import IGNORE_ID, VOCAB_SIZE
+from .data import PROMPT_LEN, VOCAB_SIZE
 from .layers import DecoderBlock, Embedding, LayerNorm, Linear, Mlp
 from .numerics import RngStream, ShapeError
 
@@ -41,12 +43,9 @@ class MllmConfig:
     d_l: int = 64
     layers: int = 8
     heads: int = 4
-    vocab: int = VOCAB_SIZE
     lam: float = 0.5
     target_layer: int = 4
     anchor: str = ANCHOR_PRE_LLM
-    prompt_len: int = 4
-    max_answer: int = 12
     mlp_ratio: int = 2
     seed: int = 0
 
@@ -62,16 +61,10 @@ class MllmConfig:
             raise ValueError(f"d_v must be a multiple of 4 for the 2-D position code")
         if self.anchor not in (ANCHOR_PRE_LLM, ANCHOR_PRE_PROJ):
             raise ValueError(f"unknown anchor source {self.anchor!r}")
-        if self.vocab < 32:
-            raise ValueError(f"vocab {self.vocab} too small for the QA token set")
 
     @property
     def n_patches(self) -> int:
         return self.grid * self.grid
-
-    @property
-    def seq_len(self) -> int:
-        return self.prompt_len + self.n_patches + self.max_answer
 
     @property
     def d_anchor(self) -> int:
@@ -119,15 +112,15 @@ class MllmParams:
         self.wv = rng.split("vision").normal((d_patch, cfg.d_v), std=1.0 / np.sqrt(d_patch))
         self.pos_code = POS_CODE_SCALE * sincos_position_code(cfg.grid, cfg.d_v)
         self.proj = Linear("proj", cfg.d_v, cfg.d_l, rng.split("proj"))
-        self.tok_emb = Embedding("tok_emb", cfg.vocab, cfg.d_l, rng.split("tok_emb"))
-        self.pos_emb = Embedding("pos_emb", cfg.seq_len, cfg.d_l, rng.split("pos_emb"))
+        self.tok_emb = Embedding("tok_emb", VOCAB_SIZE, cfg.d_l, rng.split("tok_emb"))
+        self.pos_emb = Embedding("pos_emb", PROMPT_LEN, cfg.d_l, rng.split("pos_emb"))
         self.blocks = [
             DecoderBlock(f"block{i}", cfg.d_l, cfg.heads, cfg.mlp_ratio * cfg.d_l,
                          rng.split(f"block{i}"))
             for i in range(cfg.layers)
         ]
         self.ln_f = LayerNorm("ln_f", cfg.d_l)
-        self.head = Linear("head", cfg.d_l, cfg.vocab, rng.split("head"))
+        self.head = Linear("head", cfg.d_l, VOCAB_SIZE, rng.split("head"))
         self.pred_head = Mlp("pred_head", cfg.d_l, cfg.d_l, cfg.d_anchor, rng.split("pred_head"))
 
     def trainable(self) -> list:
@@ -140,20 +133,16 @@ class MllmParams:
 
 @dataclass
 class ForwardTrace:
-    """Recorded forward pass: layer-0..L hidden states with segment offsets,
-    the projected visual tokens, the raw encoder features, and the logits."""
+    """Recorded forward pass over [prompt | visual]: layer-0..L hidden states
+    with segment offsets, the projected visual tokens, the raw encoder
+    features, and the answer logits read at the last visual position."""
 
     z: np.ndarray            # [B, N_p, d_v] frozen encoder output
     hv0: Node                # [B, N_p, d_l] projected visual tokens
-    layers: list             # L+1 nodes of [B, T, d_l]; index 0 = decoder input
-    logits: Node             # [B, T, vocab]
-    prompt_len: int
+    layers: list             # L+1 nodes of [B, PROMPT_LEN + N_p, d_l]; 0 = decoder input
+    logits: Node             # [B, vocab], predicting the answer token
     n_patches: int
-    answer_len: int
-
-    @property
-    def visual_start(self) -> int:
-        return self.prompt_len
+    visual_start = PROMPT_LEN
 
     def visual_values(self, layer: int) -> np.ndarray:
         return self.layers[layer].value[:, self.visual_start : self.visual_start + self.n_patches, :]
@@ -179,72 +168,46 @@ def encode_image(params: MllmParams, images: np.ndarray) -> np.ndarray:
     return patches @ params.wv + params.pos_code
 
 
-def llm_forward(params: MllmParams, z: np.ndarray, prompts: np.ndarray,
-                answers: np.ndarray) -> ForwardTrace:
-    """Run the decoder over [prompt, visual, answer] and record every layer.
+def llm_forward(params: MllmParams, z: np.ndarray, prompts: np.ndarray) -> ForwardTrace:
+    """Run the decoder over [prompt, visual] and record every layer.
 
-    prompts: [B, prompt_len] token ids; answers: [B, K] token ids padded with
-    the ignore id. Attention is causal over the whole sequence. z is cast to
-    the parameters' dtype, so the whole forward runs in that dtype.
+    prompts: [B, PROMPT_LEN] token ids. Attention is causal over the whole
+    sequence. The answer logits come from the last row only, through ln_f
+    and head. z is cast to the parameters' dtype, so the whole forward runs
+    in that dtype.
     """
     cfg = params.cfg
     z = np.asarray(z, dtype=params.proj.w.value.dtype)
     prompts = np.asarray(prompts, dtype=np.int64)
-    answers = np.asarray(answers, dtype=np.int64)
     if z.ndim != 3 or z.shape[1:] != (cfg.n_patches, cfg.d_v):
         raise ShapeError(f"visual features must be [B, {cfg.n_patches}, {cfg.d_v}], got {z.shape}")
-    if prompts.shape[1] != cfg.prompt_len:
-        raise ShapeError(f"prompt length {prompts.shape[1]} != configured {cfg.prompt_len}")
-    if answers.shape[1] > cfg.max_answer:
-        raise ShapeError(f"answer block {answers.shape[1]} exceeds max {cfg.max_answer}")
-    k = answers.shape[1]
-    t = cfg.prompt_len + cfg.n_patches + k
-    if t > cfg.seq_len:
-        raise ShapeError(f"sequence length {t} exceeds configured max {cfg.seq_len}")
+    if prompts.shape[1] != PROMPT_LEN:
+        raise ShapeError(f"prompt length {prompts.shape[1]} != {PROMPT_LEN}")
 
     hv0 = params.proj(ad.constant(z))
-    prompt_pos = np.arange(cfg.prompt_len)
-    answer_pos = np.arange(cfg.prompt_len + cfg.n_patches, t)
-    prompt_emb = ad.add(params.tok_emb(prompts), params.pos_emb(prompt_pos))
-    answer_emb = ad.add(params.tok_emb(answers), params.pos_emb(answer_pos))
-    h = ad.concat([prompt_emb, hv0, answer_emb], axis=1)
+    prompt_emb = ad.add(params.tok_emb(prompts), params.pos_emb(np.arange(PROMPT_LEN)))
+    h = ad.concat([prompt_emb, hv0], axis=1)
 
     recorded = [h]
     for block in params.blocks:
         h = block(h)
         recorded.append(h)
-    logits = params.head(params.ln_f(h))
+    b, t, d = h.value.shape
+    last = ad.reshape(ad.narrow(h, 1, t - 1, 1), (b, d))
+    logits = params.head(params.ln_f(last))
     return ForwardTrace(z=z, hv0=hv0, layers=recorded, logits=logits,
-                        prompt_len=cfg.prompt_len, n_patches=cfg.n_patches,
-                        answer_len=k)
-
-
-def _answer_nll(logits: Node, answers: np.ndarray, answer_start: int) -> Node:
-    k = answers.shape[1]
-    pred_logits = ad.narrow(logits, 1, answer_start - 1, k)
-    logp = ad.log_softmax(pred_logits)
-    picked = ad.take_along_last(logp, answers)
-    mask = (answers != IGNORE_ID).astype(logits.value.dtype)
-    n_tokens = mask.sum()
-    if n_tokens == 0:
-        raise ValueError("no answer tokens to score (all positions are ignore-id)")
-    return ad.scale(ad.sum_all(ad.mul(picked, ad.constant(mask))), -1.0 / n_tokens)
+                        n_patches=cfg.n_patches)
 
 
 def lm_loss(trace: ForwardTrace, answers: np.ndarray) -> Node:
-    """Mean negative log-likelihood of the answer tokens.
-
-    The prediction for answer position j comes from the logits one position
-    earlier (next-token shift), so the first answer token is predicted from
-    the last visual token. Ignore-id positions are masked out; the mean is
-    over all unmasked answer tokens in the batch. (The raw objective sums
-    per token; the mean keeps the loss scale, and hence the auxiliary-loss
-    weight, comparable across answer lengths.)
-    """
+    """Mean negative log-likelihood of the answer tokens, answers: [B]
+    token ids, one per example, predicted from the last visual position."""
     answers = np.asarray(answers, dtype=np.int64)
-    if answers.shape[1] != trace.answer_len:
-        raise ShapeError(f"answers shape {answers.shape} != recorded block {trace.answer_len}")
-    return _answer_nll(trace.logits, answers, trace.prompt_len + trace.n_patches)
+    b = trace.logits.value.shape[0]
+    if answers.shape != (b,):
+        raise ShapeError(f"answers shape {answers.shape} != ({b},)")
+    picked = ad.take_along_last(ad.log_softmax(trace.logits), answers)
+    return ad.scale(ad.sum_all(picked), -1.0 / b)
 
 
 def _patch_pred_loss(visual_rows: Node, anchor: Node, pred_head) -> Node:

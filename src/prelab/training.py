@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 
 from . import autodiff as ad
-from .data import Dataset, pad_answers
+from .data import VOCAB_SIZE, Dataset
 from .model import (MllmConfig, MllmParams, NonFiniteLossError, encode_image, llm_forward,
                     total_loss)
 from .numerics import RngStream
@@ -24,8 +24,8 @@ DIVERGED_LM_FACTOR = 10.0
 @dataclass
 class Batch:
     z: np.ndarray        # [B, N_p, d_v]
-    prompts: np.ndarray  # [B, prompt_len]
-    answers: np.ndarray  # [B, K]
+    prompts: np.ndarray  # [B, PROMPT_LEN]
+    answers: np.ndarray  # [B], one answer token each
 
 
 @dataclass
@@ -42,18 +42,18 @@ class StepReport:
                 f"{self.grad_norm!r}")
 
 
-def make_batch(params: MllmParams, cfg: MllmConfig, examples) -> Batch:
+def make_batch(params: MllmParams, examples) -> Batch:
     images = np.stack([ex.image for ex in examples])
     z = encode_image(params, images)
     prompts = np.stack([ex.prompt for ex in examples])
-    answers = pad_answers([ex.answer for ex in examples], cfg.max_answer)
+    answers = np.concatenate([ex.answer for ex in examples])
     return Batch(z=z, prompts=prompts, answers=answers)
 
 
-def _check_losses(lm: ad.Node, pre, total: ad.Node, vocab: int) -> None:
+def _check_losses(lm: ad.Node, pre, total: ad.Node) -> None:
     if not np.isfinite(lm.value):
         raise NonFiniteLossError(f"language-model loss is non-finite: {float(lm.value)}")
-    lm_limit = DIVERGED_LM_FACTOR * np.log(vocab)
+    lm_limit = DIVERGED_LM_FACTOR * np.log(VOCAB_SIZE)
     if lm.value > lm_limit:
         raise NonFiniteLossError(f"language-model loss diverged: {float(lm.value)!r} > "
                                  f"{DIVERGED_LM_FACTOR:g} ln(vocab) = {lm_limit:.4g}")
@@ -79,9 +79,9 @@ def train_step(params: MllmParams, opt: AdamW, batch: Batch) -> StepReport:
     if batch.z.shape[0] == 0:
         raise ValueError("empty batch")
     t0 = time.perf_counter()
-    trace = llm_forward(params, batch.z, batch.prompts, batch.answers)
+    trace = llm_forward(params, batch.z, batch.prompts)
     total, lm, pre = total_loss(trace, batch.answers, params)
-    _check_losses(lm, pre, total, params.cfg.vocab)
+    _check_losses(lm, pre, total)
     opt.zero_grad()
     ad.backward(total)
     gnorm = grad_norm(opt.params)
@@ -95,10 +95,11 @@ def train_step(params: MllmParams, opt: AdamW, batch: Batch) -> StepReport:
 
 
 def check_dataset_matches(dataset: Dataset, cfg: MllmConfig) -> None:
-    """Raise ValueError if the dataset's grid, patch or vocab is not cfg's."""
+    """Raise ValueError if the dataset's grid or patch is not cfg's, or its
+    vocab is not the model's VOCAB_SIZE."""
     for what, have, want in (("grid", dataset.spec.grid, cfg.grid),
                              ("patch", dataset.spec.patch, cfg.patch),
-                             ("vocab", dataset.vocab_size, cfg.vocab)):
+                             ("vocab", dataset.vocab_size, VOCAB_SIZE)):
         if have != want:
             raise ValueError(f"dataset has {what} {have}, the run has {want}")
 
@@ -131,7 +132,7 @@ class Trainer:
 
     def sample_batch(self) -> Batch:
         idx = self.batch_rng.integers(0, len(self.train_examples), size=self.batch_size)
-        return make_batch(self.params, self.cfg, [self.train_examples[i] for i in idx])
+        return make_batch(self.params, [self.train_examples[i] for i in idx])
 
     def run(self, log_path, on_step) -> list:
         """Run self.steps optimization steps, streaming each StepReport to the

@@ -1,8 +1,9 @@
 """CLI tests: a golden tiny pipeline, the run config round trip, exit code
-2, with nothing written, for a dataset that does not match the run, a
-similarity patch or layer that does not exist, two reports whose similarity
-maps probe different patches, or a metrics directory missing a file, and
-exit code 1, with no checkpoint, for a run that diverges."""
+2, with nothing written, for a dataset that does not match the run, a dump
+of a dataset with an empty probe split, a similarity patch or layer that
+does not exist, two reports whose similarity maps probe different patches,
+or a metrics directory missing a file, and exit code 1, with no checkpoint,
+for a run that diverges."""
 
 import json
 import re
@@ -100,11 +101,11 @@ def test_flags_cover_every_run_field():
             "--anchor", "pre-proj", "--seed", "9", "--weight-decay", "0.1",
             "--warmup-frac", "0.5", "--no-schedule", "--grid", "5", "--patch", "3",
             "--d-v", "12", "--d-l", "24", "--layers", "3", "--heads", "3",
-            "--mlp-ratio", "4", "--max-answer", "10", "--diag-every", "2"]
+            "--mlp-ratio", "4", "--diag-every", "2"]
     cfg = _run_config_from_args(build_parser().parse_args(argv))
     unset = [f.name for f in fields(RunConfig)
              if getattr(cfg, f.name) == getattr(defaults, f.name)]
-    assert unset == ["vocab", "prompt_len"]  # the two fields without a flag
+    assert unset == []
     assert (cfg.dataset, cfg.out_dir, cfg.lam, cfg.use_schedule) == ("d2", "o2", 0.25, False)
 
 
@@ -128,6 +129,19 @@ def test_dump_on_mismatched_dataset_exits_2(golden, tmp_path, capsys):
                "--out", str(tmp_path / "h.prea")])
     assert rc == 2
     assert "grid 4, the run has 8" in capsys.readouterr().err
+    assert not (tmp_path / "h.prea").exists()
+
+
+def test_dump_with_an_empty_probe_split_exits_2_and_writes_nothing(tmp_path, capsys):
+    # n=5 splits 4 / 0 / 1: metrics would refuse any dump without probe-train
+    data, run = tmp_path / "data", tmp_path / "run"
+    run_ok(["gen-data", "--n", 5, "--grid", 4, "--out", data])
+    run_ok(["train", "--data", data, "--out", run, "--steps", 1] + TINY_MODEL)
+    capsys.readouterr()
+    rc = main(["dump", "--run", str(run), "--data", str(data),
+               "--out", str(tmp_path / "h.prea")])
+    assert rc == 2
+    assert "the probe-train split of" in capsys.readouterr().err
     assert not (tmp_path / "h.prea").exists()
 
 
@@ -190,7 +204,7 @@ def test_dump_takes_only_run_data_and_out(capsys):
 
 
 def test_diverged_training_exits_1_without_a_checkpoint(golden, tmp_path, capsys):
-    # At lr 1e6 the LM loss jumps from 4.2 to about 5e12 at step 2.
+    # At lr 1e6 the LM loss jumps from 4.2 to about 6.0e12 at step 2.
     w, _, _ = golden
     out = tmp_path / "run"
     rc = main(["train", "--data", str(w / "data"), "--out", str(out), "--steps", "6",

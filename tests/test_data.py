@@ -1,7 +1,8 @@
 """Dataset tests: byte-determinism of generation, answers that follow from the
 label map, the archive round trip of every field, and refusal of split
 archives or manifests that the loader cannot trust, including token ids and
-labels outside the manifest's vocabulary and classes."""
+labels outside the manifest's vocabulary and classes, and answers or prompts
+that are not one and PROMPT_LEN tokens long."""
 
 import json
 import re
@@ -14,8 +15,8 @@ from scipy import ndimage
 from prelab.archive import read_archive, write_archive
 from prelab.cli import main
 from prelab.data import (CLASS_BASE, DIGIT_BASE, SPLIT_NAMES, TOK_COUNT, TOK_DOMINANT,
-                         TOK_WHAT, DataSpec, DatasetError, generate_dataset, generate_image,
-                         generate_qa, load_dataset)
+                         TOK_QMARK, TOK_WHAT, DataSpec, DatasetError, generate_dataset,
+                         generate_image, generate_qa, load_dataset)
 from prelab.numerics import RngStream
 
 
@@ -114,6 +115,22 @@ def test_entry_outside_vocabulary_or_classes_is_refused(tmp_path, field, value, 
     set_first_entry(path, field, value)
     with pytest.raises(DatasetError, match=re.escape(
             f"{path}: an integer entry of {field!r} lies outside {bounds}")):
+        load_dataset(tmp_path)
+
+
+@pytest.mark.parametrize("field,tokens,shapes", [
+    ("answer", [CLASS_BASE, CLASS_BASE], "prompt shape (4,) and answer shape (2,)"),
+    ("prompt", [TOK_DOMINANT, TOK_QMARK, TOK_QMARK], "prompt shape (3,) and answer shape (1,)")])
+def test_answer_or_prompt_of_the_wrong_length_is_refused(tmp_path, field, tokens, shapes):
+    # every answer is one token, every prompt PROMPT_LEN tokens
+    generate_dataset(20, 0, tmp_path, DataSpec(grid=4))
+    path = tmp_path / "train.bin"
+    entries = read_archive(path)
+    name = next(n for n in entries if n.endswith("/" + field))
+    entries[name] = np.array(tokens, dtype=np.float32)
+    write_archive(path, entries)
+    with pytest.raises(DatasetError, match=re.escape(
+            f"{path}: example {int(name[:8])} has {shapes}, not (4,) and (1,)")):
         load_dataset(tmp_path)
 
 

@@ -175,15 +175,14 @@ class TestLogitLens:
         for p in params.ln_f.params():  # move the final norm off its identity init
             p.value[...] = rng.normal(size=p.value.shape)
         z = encode_image(params, rng.uniform(size=(3, 4, 4)))
-        answers = rng.integers(0, 32, size=(3, 2))
         with ad.no_grad():
-            trace = llm_forward(params, z, rng.integers(0, 32, size=(3, 4)), answers)
-        visual = [trace.visual_values(l).reshape(-1, cfg.d_l) for l in range(cfg.layers + 1)]
+            trace = llm_forward(params, z, rng.integers(0, 32, size=(3, 4)))
+            visual = [trace.visual_values(l).reshape(-1, cfg.d_l)
+                      for l in range(cfg.layers + 1)]
+            logits = params.head(params.ln_f(ad.constant(visual[-1]))).value
         lens = logit_lens(visual, params.ln_f.gamma.value, params.ln_f.beta.value,
                           params.head.w.value, params.head.b.value)
         assert [d.layer for d in lens] == [0, 1, 2]
-        start = trace.visual_start
-        logits = trace.logits.value[:, start:start + cfg.n_patches].reshape(-1, cfg.vocab)
         e = np.exp(logits - logits.max(axis=-1, keepdims=True))
         expected = (e / e.sum(axis=-1, keepdims=True)).mean(axis=0)
         assert np.max(np.abs(lens[-1].distribution - expected)) < 1e-12

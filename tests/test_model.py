@@ -5,7 +5,7 @@ import pytest
 
 from prelab import autodiff as ad
 from prelab import model
-from prelab.data import IGNORE_ID
+from prelab.data import PROMPT_LEN
 from gradcheck import cast_to_float64, finite_diff_check
 from prelab.model import (MllmConfig, MllmParams, encode_image, llm_forward, lm_loss,
                           total_loss)
@@ -28,9 +28,8 @@ def tiny(anchor, lam=0.5, seed=0):
     cast_to_float64(params.trainable())
     rng = np.random.default_rng(seed)
     z = encode_image(params, rng.uniform(size=(3, 4, 4)))
-    prompts = rng.integers(0, 32, size=(3, cfg.prompt_len))
-    answers = rng.integers(0, 32, size=(3, 3))
-    answers[0, 2] = IGNORE_ID
+    prompts = rng.integers(0, 32, size=(3, PROMPT_LEN))
+    answers = rng.integers(0, 32, size=3)
     return params, z, prompts, answers
 
 
@@ -39,7 +38,7 @@ def test_gradcheck_total_loss_pre_proj():
     params, z, prompts, answers = tiny(model.ANCHOR_PRE_PROJ)
 
     def loss():
-        return total_loss(llm_forward(params, z, prompts, answers), answers, params)[0]
+        return total_loss(llm_forward(params, z, prompts), answers, params)[0]
 
     assert finite_diff_check(loss, params.trainable(), h=H) < TOL
 
@@ -52,12 +51,12 @@ def test_gradcheck_total_loss_pre_llm():
     params, z, prompts, answers = tiny(model.ANCHOR_PRE_LLM)
     cfg = params.cfg
     with ad.no_grad():
-        base = llm_forward(params, z, prompts, answers)
+        base = llm_forward(params, z, prompts)
         anchor = base.hv0.value.reshape(-1, cfg.d_l)
         base_total = total_loss(base, answers, params)[0].value
 
     def pinned_loss():
-        trace = llm_forward(params, z, prompts, answers)
+        trace = llm_forward(params, z, prompts)
         rows = model._visual_rows(trace.layers[cfg.target_layer], trace.visual_start,
                                   trace.n_patches, cfg.d_l)
         pre = model._patch_pred_loss(rows, ad.constant(anchor), params.pred_head)
@@ -71,37 +70,51 @@ def test_gradcheck_total_loss_pre_llm():
 @pytest.mark.parametrize("anchor", [model.ANCHOR_PRE_LLM, model.ANCHOR_PRE_PROJ])
 def test_lambda_zero_total_is_lm(anchor):
     params, z, prompts, answers = tiny(anchor, lam=0.0)
-    total, lm, pre = total_loss(llm_forward(params, z, prompts, answers), answers, params)
+    total, lm, pre = total_loss(llm_forward(params, z, prompts), answers, params)
     assert total is lm
     assert pre is None
 
 
-def test_forward_is_causal_over_prompt_visual_answer():
-    # Causality over [prompt | visual | answer], through every recorded layer:
-    # new answer tokens leave the prompt and visual rows bitwise unchanged,
-    # and a new image leaves the prompt rows bitwise unchanged.
-    params, z, prompts, answers = tiny(model.ANCHOR_PRE_LLM)
-    rng = np.random.default_rng(1)
-    other_answers = rng.integers(0, 32, size=answers.shape)
-    other_z = encode_image(params, rng.uniform(size=(3, 4, 4)))
+def test_forward_is_causal_over_prompt_visual():
+    # Causality over [prompt | visual], through every recorded layer: a new
+    # image leaves the prompt rows bitwise unchanged and reaches the rows
+    # after them.
+    params, z, prompts, _ = tiny(model.ANCHOR_PRE_LLM)
+    other_z = encode_image(params, np.random.default_rng(1).uniform(size=(3, 4, 4)))
     with ad.no_grad():
-        base = llm_forward(params, z, prompts, answers)
-        new_answers = llm_forward(params, z, prompts, other_answers)
-        new_image = llm_forward(params, other_z, prompts, answers)
+        base = llm_forward(params, z, prompts)
+        new_image = llm_forward(params, other_z, prompts)
     cfg = params.cfg
-    answer_start = base.visual_start + base.n_patches
+    start = base.visual_start
     assert len(base.layers) == cfg.layers + 1
     for layer in range(cfg.layers + 1):
         before = base.layers[layer].value
-        assert (new_answers.layers[layer].value[:, :answer_start].tobytes()
-                == before[:, :answer_start].tobytes())
-        assert (new_image.layers[layer].value[:, :base.visual_start].tobytes()
-                == before[:, :base.visual_start].tobytes())
-        # the changes did reach the rows after them
-        assert not np.array_equal(new_answers.layers[layer].value[:, answer_start:],
-                                  before[:, answer_start:])
-        assert not np.array_equal(new_image.layers[layer].value[:, base.visual_start:],
-                                  before[:, base.visual_start:])
+        assert before.shape[1] == PROMPT_LEN + cfg.n_patches
+        assert new_image.layers[layer].value[:, :start].tobytes() == before[:, :start].tobytes()
+        assert not np.array_equal(new_image.layers[layer].value[:, start:], before[:, start:])
+
+
+def test_lm_loss_matches_numpy_reference():
+    # -mean(log_softmax(head(ln_f(h_L[:, -1])))[answer]) in float64: the
+    # answer is predicted from the last visual row, and only from it.
+    params, z, prompts, answers = tiny(model.ANCHOR_PRE_LLM)
+    rng = np.random.default_rng(2)
+    for p in params.ln_f.params():  # move the final norm off its identity init
+        p.value[...] = rng.normal(size=p.value.shape)
+    with ad.no_grad():
+        trace = llm_forward(params, z, prompts)
+        got = lm_loss(trace, answers).value
+    last = trace.layers[-1].value[:, -1]
+    mu = last.mean(axis=-1, keepdims=True)
+    var = ((last - mu) ** 2).mean(axis=-1, keepdims=True)
+    normed = (last - mu) / np.sqrt(var + ad.LAYER_NORM_EPS) * params.ln_f.gamma.value \
+        + params.ln_f.beta.value
+    logits = normed @ params.head.w.value + params.head.b.value
+    logp = logits - logits.max(axis=-1, keepdims=True)
+    logp -= np.log(np.exp(logp).sum(axis=-1, keepdims=True))
+    want = -logp[np.arange(len(answers)), answers].mean()
+    assert trace.logits.value.shape == (3, 64)
+    assert abs(got - want) <= 1e-12 * abs(want)
 
 
 def test_pre_llm_anchor_passes_exactly_zero_gradient():
@@ -117,11 +130,11 @@ def test_pre_llm_anchor_passes_exactly_zero_gradient():
         ad.backward(loss)
         return [p.grad.copy() for p in params.trainable()]
 
-    trace = llm_forward(params, z, prompts, answers)
+    trace = llm_forward(params, z, prompts)
     total = total_loss(trace, answers, params)[0]
     with_stop_gradient = grads(total)
 
-    trace = llm_forward(params, z, prompts, answers)
+    trace = llm_forward(params, z, prompts)
     rows = model._visual_rows(trace.layers[cfg.target_layer], trace.visual_start,
                               trace.n_patches, cfg.d_l)
     anchor = ad.constant(trace.hv0.value.reshape(-1, cfg.d_l).copy())

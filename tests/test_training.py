@@ -58,12 +58,18 @@ def test_same_seed_gives_identical_losses(dataset, tmp_path):
 @pytest.mark.parametrize("field, value, message", [
     ("grid", 5, "dataset has grid 4, the run has 5"),
     ("patch", 2, "dataset has patch 4, the run has 2"),
-    ("vocab", 65, "dataset has vocab 64, the run has 65"),
 ])
 def test_trainer_refuses_a_mismatched_dataset(dataset, field, value, message):
     cfg = MllmConfig(grid=4, d_l=16, layers=2, heads=2, target_layer=1)
     setattr(cfg, field, value)
     with pytest.raises(ValueError, match=f"^{message}$"):
+        Trainer(cfg, dataset, steps=3, batch_size=4)
+
+
+def test_trainer_refuses_a_dataset_of_another_vocabulary(dataset, monkeypatch):
+    cfg = MllmConfig(grid=4, d_l=16, layers=2, heads=2, target_layer=1)
+    monkeypatch.setattr(dataset, "vocab_size", 65)
+    with pytest.raises(ValueError, match="^dataset has vocab 65, the run has 64$"):
         Trainer(cfg, dataset, steps=3, batch_size=4)
 
 
@@ -185,8 +191,8 @@ def test_float64_model_stays_float64(dataset):
     cfg = MllmConfig(grid=4, d_l=16, layers=2, heads=2, target_layer=1, seed=3)
     params = MllmParams(cfg)
     cast_to_float64(params.trainable())
-    batch = make_batch(params, cfg, dataset.splits["train"][:4])
-    total = total_loss(llm_forward(params, batch.z, batch.prompts, batch.answers),
+    batch = make_batch(params, dataset.splits["train"][:4])
+    total = total_loss(llm_forward(params, batch.z, batch.prompts),
                        batch.answers, params)[0]
     assert off_dtype(backward_dtypes(total), np.float64) == []
     assert all(p.grad.dtype == np.float64 and p.grad.any() for p in params.trainable())
@@ -223,6 +229,6 @@ def test_dump_encodes_with_the_encoder_matrix_training_used(tmp_path):
                  "--out", str(tmp_path / "hidden.prea")]) == 0
     dumped = read_archive(tmp_path / "hidden.prea")
     examples = dataset.splits["probe-train"] + dataset.splits["probe-test"]
-    want = make_batch(t.params, cfg, examples).z.astype(np.float32)
+    want = make_batch(t.params, examples).z.astype(np.float32)
     for ex, z in zip(examples, want):
         assert dumped[f"ex{ex.id:08d}/z"].tobytes() == z.tobytes(), ex.id
