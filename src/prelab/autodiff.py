@@ -291,6 +291,23 @@ def narrow(a: Node, axis: int, start: int, length: int) -> Node:
     return record("narrow", v, (a,), bk)
 
 
+def _redo_pv_with_nonfinite_v(o, v, blocks, probs) -> None:
+    """Redo o = P v, in place, for a v that holds NaN or Inf. In the plain
+    product a masked weight meets a later v_j as 0 * NaN = NaN, which would
+    reach the rows before j. Here the non-finite entries are left out of
+    the product and added back to the rows i >= j alone, so every other
+    row keeps the bits of a finite v."""
+    bad = ~np.isfinite(v)
+    for (r0, r1), p in zip(blocks, probs):
+        np.matmul(p, np.where(bad[:, :, :r1], 0.0, v[:, :, :r1]), out=o[:, :, r0:r1])
+    for b, hd, j in zip(*np.nonzero(bad.any(axis=-1))):
+        vj = np.where(bad[b, hd, j], v[b, hd, j], 0.0)
+        for (r0, r1), p in zip(blocks, probs):
+            if j < r1:
+                lo = max(j, r0)
+                o[b, hd, lo:r1] += p[b, hd, lo - r0:, j, None] * vj
+
+
 def causal_attention(qkv: Node, heads: int) -> Node:
     """Multi-head causal self-attention core: softmax(q k^T / sqrt(d_h)) v,
     where position i attends to positions j <= i only.
@@ -298,10 +315,16 @@ def causal_attention(qkv: Node, heads: int) -> Node:
     qkv is the fused [B, T, 3d] projection, columns [q | k | v], d = heads *
     d_h. Returns [B, T, d] with the heads merged back in order.
 
-    Only allowed entries are exponentiated and masked weights are exactly
-    0.0, so a later position leaks neither value nor gradient, bit for bit.
-    Backward keeps only P, q, k and v and uses dS = P * (dP - rowsum(dP * P)),
-    as FlashAttention does (Dao et al. 2022).
+    The scores are formed in two row halves, h = T // 2: rows [0, h) against
+    columns [0, h) and rows [h, T) against all T columns, so the top-right
+    quarter, which the mask removes whole, is never computed or kept. In
+    each half the masked entries are set to -inf before a plain max, exp
+    and sum, so masked weights are exactly 0.0: a later position leaks
+    neither value nor gradient, bit for bit. A NaN in a later q or k is
+    overwritten by the -inf; a NaN or Inf in a later v, which 0 * NaN would
+    spread, is kept out of the earlier rows by _redo_pv_with_nonfinite_v.
+    Backward keeps only the two blocks of P, q, k and v and uses
+    dS = P * (dP - rowsum(dP * P)), as FlashAttention does (Dao et al. 2022).
     """
     x = qkv.value
     if x.ndim != 3 or heads < 1 or x.shape[2] % (3 * heads) != 0:
@@ -310,30 +333,47 @@ def causal_attention(qkv: Node, heads: int) -> Node:
     bsz, t, d3 = x.shape
     d, dh = d3 // 3, d3 // (3 * heads)
     c = 1.0 / math.sqrt(dh)
-    allowed = np.tri(t, dtype=bool)
+    h = t // 2
+    # (r0, r1): rows [r0, r1) see columns [0, r1). The full-width block comes
+    # first, so that backward writes gk and gv whole before the other adds in.
+    blocks = [(r0, r1) for r0, r1 in ((h, t), (0, h)) if r1 > r0]
     q, k, v = x.reshape(bsz, t, 3, heads, dh).transpose(2, 0, 3, 1, 4)  # views, [B, H, T, dh]
-    p = q @ k.swapaxes(-1, -2)
-    p *= c
-    p -= np.max(p, axis=-1, keepdims=True, where=allowed, initial=-np.inf)
-    np.exp(p, out=p, where=allowed)
-    np.copyto(p, 0.0, where=~allowed)
-    p /= p.sum(axis=-1, keepdims=True)
-    out = (p @ v).transpose(0, 2, 1, 3).reshape(bsz, t, d)
+    out = np.empty((bsz, t, heads, dh), dtype=x.dtype)
+    o = out.transpose(0, 2, 1, 3)
+    probs = []
+    for r0, r1 in blocks:
+        p = q[:, :, r0:r1] @ k[:, :, :r1].swapaxes(-1, -2)
+        p *= c
+        np.copyto(p[..., r0:], -np.inf, where=~np.tri(r1 - r0, dtype=bool))  # columns j > i
+        p -= p.max(axis=-1, keepdims=True)
+        np.exp(p, out=p)
+        p /= p.sum(axis=-1, keepdims=True)
+        np.matmul(p, v[:, :, :r1], out=o[:, :, r0:r1])
+        probs.append(p)
+    # the last row weighs every v_j, so a non-finite v shows there
+    if t and not np.isfinite(o[:, :, -1]).all():
+        _redo_pv_with_nonfinite_v(o, v, blocks, probs)
 
     def bk(g):
         go = g.reshape(bsz, t, heads, dh).transpose(0, 2, 1, 3)
         gqkv = np.empty((bsz, t, 3, heads, dh), dtype=x.dtype)
         gq, gk, gv = gqkv.transpose(2, 0, 3, 1, 4)
-        np.matmul(p.swapaxes(-1, -2), go, out=gv)
-        ds = go @ v.swapaxes(-1, -2)  # dP, turned into dS in place
-        ds -= np.einsum("bhij,bhij->bhi", ds, p)[..., None]
-        ds *= p
-        np.matmul(ds, k, out=gq)
-        np.matmul(ds.swapaxes(-1, -2), q, out=gk)
+        for (r0, r1), p in zip(blocks, probs):
+            gor, qr = go[:, :, r0:r1], q[:, :, r0:r1]
+            ds = gor @ v[:, :, :r1].swapaxes(-1, -2)  # dP, turned into dS in place
+            ds -= np.einsum("bhij,bhij->bhi", ds, p)[..., None]
+            ds *= p
+            np.matmul(ds, k[:, :, :r1], out=gq[:, :, r0:r1])
+            if r1 == t:  # the full-width block: every row of gk and gv
+                np.matmul(p.swapaxes(-1, -2), gor, out=gv)
+                np.matmul(ds.swapaxes(-1, -2), qr, out=gk)
+            else:
+                gv[:, :, :r1] += p.swapaxes(-1, -2) @ gor
+                gk[:, :, :r1] += ds.swapaxes(-1, -2) @ qr
         gqkv[:, :, :2] *= c  # the score scale, on [B, T, 2d] rather than [B, H, T, T]
         return (gqkv.reshape(bsz, t, d3),)
 
-    return record("causal_attention", out, (qkv,), bk)
+    return record("causal_attention", out.reshape(bsz, t, d), (qkv,), bk)
 
 
 def log_softmax(a: Node) -> Node:
@@ -375,12 +415,45 @@ def layer_norm(a: Node, gamma: Node, beta: Node) -> Node:
 
 _SQRT2 = math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
+# erf(x) = x P(x^2) / Q(x^2) on [-4, 4], highest power first: the
+# coefficients of Eigen's generic_fast_erf_float
+_ERF_P = (-2.72614225801306e-10, 2.77068142495902e-08, -2.10102402082508e-06,
+          -5.69250639462346e-05, -7.34990630326855e-04, -2.95459980854025e-03,
+          -1.60960333262415e-02)
+_ERF_Q = (-1.45660718464996e-05, -2.13374055278905e-04, -1.68282697438203e-03,
+          -7.37332916720468e-03, -1.42647390514189e-02)
+
+
+def _poly(x2: np.ndarray, coeffs) -> np.ndarray:
+    """coeffs[0] * x2^n + ... + coeffs[-1], by Horner's rule."""
+    out = x2 * coeffs[0]
+    for c in coeffs[1:-1]:
+        out += c
+        out *= x2
+    out += coeffs[-1]
+    return out
+
+
+def _erf(x: np.ndarray) -> np.ndarray:
+    """erf, elementwise. A float32 array gets a rational approximation in
+    plain numpy passes, within 4.5e-7 of the float64 erf and faster than
+    scipy's erf, which costs as much in float32 as in float64. Any other
+    dtype gets scipy.special.erf itself."""
+    if x.dtype != np.float32:
+        return erf(x)
+    x = np.clip(x, -4.0, 4.0)  # beyond +-4, erf rounds to +-1 in float32
+    x2 = x * x
+    p = _poly(x2, _ERF_P)
+    p *= x
+    p /= _poly(x2, _ERF_Q)
+    return p
 
 
 def gelu(a: Node) -> Node:
-    """Exact (erf-based) GELU: x * Phi(x)."""
+    """Erf-based GELU: x * Phi(x). Float32 input takes erf from _erf's
+    float32 approximation (within 4.5e-7), any other dtype scipy's erf."""
     x = a.value
-    phi_cdf = 0.5 * (1.0 + erf(x / _SQRT2))
+    phi_cdf = 0.5 * (1.0 + _erf(x / _SQRT2))
     v = x * phi_cdf
 
     def bk(g):

@@ -248,7 +248,16 @@ def cmd_metrics(args) -> int:
     if grid != run_cfg.grid:
         raise ConfigError(f"hidden states grid {grid} != run grid {run_cfg.grid}")
     ids = sorted(hidden)
-    n_layers = len(hidden[ids[0]]["layers"])
+    if not ids:
+        raise ConfigError(f"{args.hidden} holds no dumped examples")
+    n_layers, shape = run_cfg.layers + 1, (grid * grid, run_cfg.d_l)
+    for i in ids:
+        layers = hidden[i]["layers"]
+        if len(layers) != n_layers or any(a.shape != shape for a in layers):
+            raise ConfigError(
+                f"example {i} of {args.hidden} has {len(layers)} layers of shape "
+                f"{layers[0].shape if layers else None}; run {args.run} has {n_layers} "
+                f"(input + {run_cfg.layers} blocks) of shape {shape}")
 
     split_of = {}
     meta_of = {}

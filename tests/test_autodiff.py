@@ -3,6 +3,7 @@ differences, stop-gradient semantics, and backward bookkeeping."""
 
 import numpy as np
 import pytest
+from scipy.special import erf
 
 from prelab import autodiff as ad
 from prelab.autodiff import Node, Parameter, backward, no_grad, stop_gradient
@@ -57,6 +58,34 @@ def attention_reference(qkv, heads):
             weights = np.exp(scores - scores.max(axis=1, keepdims=True))
             out[i, :, cols] = (weights / weights.sum(axis=1, keepdims=True)) @ v
     return out
+
+
+def attention_reference_grad(qkv, heads, g):
+    """d sum(attention_reference(qkv) * g) / d qkv over the dense T x T
+    scores, one batch entry and head at a time."""
+    b, t, d3 = qkv.shape
+    d = d3 // 3
+    dh = d // heads
+    grad = np.zeros_like(qkv)
+    for i in range(b):
+        for h in range(heads):
+            cols = [slice(j * d + h * dh, j * d + (h + 1) * dh) for j in range(3)]
+            q, k, v = (qkv[i, :, c] for c in cols)
+            scores = q @ k.T / np.sqrt(dh)
+            scores[np.triu_indices(t, 1)] = -np.inf
+            weights = np.exp(scores - scores.max(axis=1, keepdims=True))
+            weights /= weights.sum(axis=1, keepdims=True)
+            go = g[i, :, h * dh:(h + 1) * dh]
+            dp = go @ v.T
+            ds = weights * (dp - np.sum(dp * weights, axis=1, keepdims=True)) / np.sqrt(dh)
+            grad[i, :, cols[0]] = ds @ k
+            grad[i, :, cols[1]] = ds.T @ q
+            grad[i, :, cols[2]] = weights.T @ go
+    return grad
+
+
+def rel_err(a, ref):
+    return np.max(np.abs(a - ref)) / np.max(np.abs(ref))
 
 
 def check_grad(make_loss, x_val, h=1e-6, tol=1e-4):
@@ -250,6 +279,78 @@ class TestPrimitiveGradients:
         with np.errstate(invalid="ignore"):  # inf / inf
             out = ad.cosine_rows(p, z).value
         assert np.all(np.isnan(out[:3])) and out[3] == 0.0
+
+
+# T = 1 leaves the first row half empty; odd T makes the halves unequal
+ATTENTION_LENGTHS = (1, 2, 3, 5, 67, 68, 104)
+
+
+class TestCausalAttentionLengths:
+    @pytest.mark.parametrize("t", ATTENTION_LENGTHS)
+    def test_forward_and_gradient_match_dense_reference(self, t):
+        heads = 2
+        qkv = RNG.normal(size=(2, t, 3 * heads * 3))
+        g = RNG.normal(size=(2, t, heads * 3))
+        p = Parameter("qkv", qkv.copy())
+        out = ad.causal_attention(p.node(), heads)
+        assert rel_err(out.value, attention_reference(qkv, heads)) <= 1e-12
+        backward(ad.sum_all(ad.mul(out, ad.constant(g))))
+        assert rel_err(p.grad, attention_reference_grad(qkv, heads, g)) <= 1e-12
+
+    @pytest.mark.parametrize("t", [t for t in ATTENTION_LENGTHS if t <= 5])
+    def test_gradcheck(self, t):
+        w = ad.constant(RNG.normal(size=(2, t, 4)))
+        check_grad(lambda x: ad.sum_all(ad.mul(ad.causal_attention(x, 2), w)),
+                   RNG.normal(size=(2, t, 12)))
+
+    @pytest.mark.parametrize("t", [t for t in ATTENTION_LENGTHS if t > 1])
+    def test_nan_in_a_later_position_leaves_earlier_rows_bitwise(self, t):
+        # a masked weight is 0.0, and 0 * NaN = NaN: a later v must stay out
+        # of the P v product, not only out of the softmax
+        heads, d = 2, 4
+        qkv = RNG.normal(size=(2, t, 3 * d))
+        base = ad.causal_attention(ad.constant(qkv), heads).value
+        for j in {1, t // 2, t - 1}:
+            for part, value in ((0, np.nan), (1, np.nan), (2, np.nan), (2, np.inf)):
+                bad = qkv.copy()
+                bad[1, j, part * d:(part + 1) * d] = value
+                with np.errstate(invalid="ignore"):
+                    out = ad.causal_attention(ad.constant(bad), heads).value
+                assert np.array_equal(out[1, :j], base[1, :j]), (j, "qkv"[part], value)
+                assert np.array_equal(out[0], base[0])
+                assert not np.any(np.isfinite(out[1, j]))
+
+
+class TestFloat32Erf:
+    def test_within_5e_7_of_float64_erf(self):
+        grid = np.linspace(-6.0, 6.0, 2_000_001, dtype=np.float32)
+        tiny = (10.0 ** -np.arange(1, 39)).astype(np.float32)  # down to 1e-38
+        x = np.concatenate([grid, tiny, -tiny])
+        got = ad._erf(x)
+        assert got.dtype == np.float32
+        assert np.max(np.abs(got.astype(np.float64) - erf(x.astype(np.float64)))) <= 5e-7
+
+    def test_signed_zero_infinities_and_nan(self):
+        got = ad._erf(np.array([0.0, -0.0, np.inf, -np.inf, np.nan], dtype=np.float32))
+        assert got[0] == 0.0 and not np.signbit(got[0])
+        assert got[1] == 0.0 and np.signbit(got[1])
+        assert got[2] == 1.0 and got[3] == -1.0
+        assert np.isnan(got[4])
+
+    def test_float64_is_scipy_erf_bitwise(self):
+        x = RNG.normal(size=(3, 50)) * 3.0
+        assert np.array_equal(ad._erf(x), erf(x))
+        assert np.array_equal(ad.gelu(ad.constant(x)).value,
+                              x * (0.5 * (1.0 + erf(x / np.sqrt(2.0)))))
+
+    def test_float32_gelu_stays_float32(self):
+        x = (RNG.normal(size=(4, 8)) * 3.0).astype(np.float32)
+        p = Parameter("x", x)
+        out = ad.gelu(p.node())
+        backward(ad.sum_all(out))
+        assert out.value.dtype == np.float32 and p.grad.dtype == np.float32
+        ref = x.astype(np.float64) * 0.5 * (1.0 + erf(x.astype(np.float64) / np.sqrt(2.0)))
+        assert np.max(np.abs(out.value - ref)) <= 1e-6 * np.max(np.abs(ref))
 
 
 class TestStopGradient:

@@ -1,9 +1,10 @@
 """CLI tests: a golden tiny pipeline, the run config round trip, exit code
 2, with nothing written, for a dataset that does not match the run, a dump
-of a dataset with an empty probe split, a similarity patch or layer that
-does not exist, two reports whose similarity maps probe different patches,
-or a metrics directory missing a file, and exit code 1, with no checkpoint,
-for a run that diverges."""
+of a dataset with an empty probe split, metrics on a dump of another model
+shape or of no examples, a similarity patch or layer that does not exist,
+two reports whose similarity maps probe different patches, or a metrics
+directory missing a file, and exit code 1, with no checkpoint, for a run
+that diverges."""
 
 import json
 import re
@@ -14,6 +15,7 @@ import pytest
 
 from prelab.cli import (RunConfig, _run_config_from_args, build_parser, load_run_config,
                         main)
+from prelab.model import dump_hidden_states
 
 TINY_MODEL = ["--grid", "4", "--layers", "2", "--d-l", "16", "--heads", "2",
               "--target-layer", "1"]
@@ -152,6 +154,38 @@ def test_metrics_with_sim_patch_outside_the_grid_exits_2(golden, tmp_path, capsy
                "--run", str(w / "run"), "--out", str(out), "--sim-patch", "16"])
     assert rc == 2
     assert "--sim-patch 16 outside [0, 16) for a 4x4 grid" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flags, found", [
+    (["--layers", "4"], "has 5 layers of shape (16, 16); run"),
+    (["--d-l", "8"], "has 3 layers of shape (16, 8); run"),
+])
+def test_metrics_on_a_dump_of_another_model_shape_exits_2(golden, tmp_path, capsys,
+                                                          flags, found):
+    # a dump of a deeper or narrower model of the same grid, read with the golden run
+    w, _, _ = golden
+    other, hidden, out = tmp_path / "other", tmp_path / "h.prea", tmp_path / "metrics"
+    run_ok(["train", "--data", w / "data", "--out", other, "--steps", 1]
+           + TINY_MODEL + flags)
+    run_ok(["dump", "--run", other, "--data", w / "data", "--out", hidden])
+    capsys.readouterr()
+    rc = main(["metrics", "--hidden", str(hidden), "--data", str(w / "data"),
+               "--run", str(w / "run"), "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert found in err and "has 3 (input + 2 blocks) of shape (16, 16)" in err
+    assert not out.exists()
+
+
+def test_metrics_on_a_dump_with_no_examples_exits_2(golden, tmp_path, capsys):
+    w, _, _ = golden
+    hidden, out = tmp_path / "h.prea", tmp_path / "metrics"
+    dump_hidden_states([], [], hidden, grid=4)
+    rc = main(["metrics", "--hidden", str(hidden), "--data", str(w / "data"),
+               "--run", str(w / "run"), "--out", str(out)])
+    assert rc == 2
+    assert f"{hidden} holds no dumped examples" in capsys.readouterr().err
     assert not out.exists()
 
 
