@@ -20,12 +20,11 @@ import numpy as np
 from . import __version__
 from . import autodiff as ad
 from .data import DataSpec, Dataset, generate_dataset, load_dataset, token_name
-from .diagnostics import (linear_probe, logit_lens, patch_metrics_over_images,
-                          pca_effective_dim, pool_global, redundancy, similarity_map)
+from .diagnostics import layer_metrics, logit_lens, similarity_map
 from .model import (ANCHOR_PRE_LLM, ANCHOR_PRE_PROJ, MllmConfig, llm_forward,
                     load_checkpoint, lm_loss, dump_hidden_states, read_hidden_states,
                     save_checkpoint)
-from .reports import MetricsReport, config_hash, read_metrics_csv, write_comparison
+from .reports import config_hash, read_metrics_csv, write_comparison, write_metrics
 from .training import Trainer, check_dataset_matches, make_batch
 
 
@@ -212,17 +211,18 @@ def cmd_dump(args) -> int:
         raise ConfigError(f"the {' and '.join(empty)} split of {args.data} has no examples; "
                           f"metrics needs both probe splits")
     examples = dataset.splits["probe-train"] + dataset.splits["probe-test"]
-    traces, ids = [], []
+    z = np.empty((len(examples), run_cfg.n_patches, run_cfg.d_v), dtype=np.float32)
+    hv = np.empty((run_cfg.layers + 1, *z.shape[:2], run_cfg.d_l), dtype=np.float32)
     with ad.no_grad():
         for i in range(0, len(examples), 50):
-            chunk = examples[i : i + 50]
-            batch = make_batch(params, chunk)
-            traces.append(llm_forward(params, batch.z, batch.prompts))
-            ids.extend(ex.id for ex in chunk)
+            batch = make_batch(params, examples[i : i + 50])
+            trace = llm_forward(params, batch.z, batch.prompts)
+            z[i : i + 50] = trace.z
+            hv[:, i : i + 50] = np.stack([trace.visual_values(l) for l in range(len(hv))])
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
-    dump_hidden_states(traces, ids, out, grid=run_cfg.grid)
-    print(f"dumped {len(ids)} examples x {run_cfg.layers + 2} visual tensors to {out}")
+    dump_hidden_states(out, run_cfg.grid, [ex.id for ex in examples], z, hv)
+    print(f"dumped {len(examples)} examples x {run_cfg.layers + 2} visual tensors to {out}")
     return 0
 
 
@@ -244,91 +244,63 @@ def _default_sim_choice(dataset, ids):
 def cmd_metrics(args) -> int:
     run_cfg, params = _load_run(args.run)
     dataset = _load_dataset_checked(args.data, run_cfg)
-    grid, hidden = read_hidden_states(args.hidden)
+    try:
+        grid, ids, hv = read_hidden_states(args.hidden)
+    except ValueError as exc:
+        raise ConfigError(f"{args.hidden} is not a hidden-state dump: {exc}") from None
     if grid != run_cfg.grid:
         raise ConfigError(f"hidden states grid {grid} != run grid {run_cfg.grid}")
-    ids = sorted(hidden)
     if not ids:
         raise ConfigError(f"{args.hidden} holds no dumped examples")
     n_layers, shape = run_cfg.layers + 1, (grid * grid, run_cfg.d_l)
-    for i in ids:
-        layers = hidden[i]["layers"]
-        if len(layers) != n_layers or any(a.shape != shape for a in layers):
-            raise ConfigError(
-                f"example {i} of {args.hidden} has {len(layers)} layers of shape "
-                f"{layers[0].shape if layers else None}; run {args.run} has {n_layers} "
-                f"(input + {run_cfg.layers} blocks) of shape {shape}")
+    if hv.shape[0] != n_layers or hv.shape[2:] != shape:
+        raise ConfigError(
+            f"{args.hidden} has {hv.shape[0]} layers of shape {hv.shape[2:]}; run {args.run} "
+            f"has {n_layers} (input + {run_cfg.layers} blocks) of shape {shape}")
 
-    split_of = {}
-    meta_of = {}
-    for name in ("probe-train", "probe-test"):
-        for ex in dataset.splits[name]:
-            split_of[ex.id] = name
-            meta_of[ex.id] = ex
-    missing = [i for i in ids if i not in meta_of]
+    split_of = {ex.id: (name, ex) for name in ("probe-train", "probe-test")
+                for ex in dataset.splits[name]}
+    missing = [i for i in ids if i not in split_of]
     if missing:
         raise ConfigError(f"{len(missing)} dumped examples not in the dataset's probe "
                           f"splits (first: {missing[0]})")
 
-    labels_per_image = [meta_of[i].labels for i in ids]
-    probe_labels = np.array([meta_of[i].probe_label for i in ids])
-    train_idx = np.array([k for k, i in enumerate(ids) if split_of[i] == "probe-train"])
-    test_idx = np.array([k for k, i in enumerate(ids) if split_of[i] == "probe-test"])
+    labels_per_image = [split_of[i][1].labels for i in ids]
+    probe_labels = np.array([split_of[i][1].probe_label for i in ids])
+    train_idx = np.array([k for k, i in enumerate(ids) if split_of[i][0] == "probe-train"])
+    test_idx = np.array([k for k, i in enumerate(ids) if split_of[i][0] == "probe-test"])
     if train_idx.size == 0 or test_idx.size == 0:
         raise ConfigError("metrics needs examples from both probe splits")
 
     # the probe patch of the similarity maps
-    sim_id = args.sim_example
-    sim_patch = args.sim_patch
-    if sim_id is None:
-        sim_id, default_patch = _default_sim_choice(dataset, ids)
-        if sim_patch is None:
-            sim_patch = default_patch
-    elif sim_patch is None:
-        sim_patch = 0
-    if sim_id not in hidden:
+    sim_id, default_patch = ((args.sim_example, 0) if args.sim_example is not None
+                             else _default_sim_choice(dataset, ids))
+    sim_patch = default_patch if args.sim_patch is None else args.sim_patch
+    if sim_id not in ids:
         raise ConfigError(f"similarity example {sim_id} not in the hidden archive")
     if not 0 <= sim_patch < grid * grid:
         raise ConfigError(f"--sim-patch {sim_patch} outside [0, {grid * grid}) "
                           f"for a {grid}x{grid} grid")
 
-    def layer_features(layer):
-        return [hidden[i]["layers"][layer] for i in ids]
-
-    pooled_by_layer = [np.stack([pool_global(f) for f in layer_features(l)])
-                       for l in range(n_layers)]
-    probe_accs = linear_probe(pooled_by_layer, probe_labels, train_idx, test_idx)
-
-    patch_metrics = [patch_metrics_over_images(layer_features(l), labels_per_image)
-                     for l in range(n_layers)]
-
-    rows = []
-    for layer, (pm, pooled) in enumerate(zip(patch_metrics, pooled_by_layer)):
-        rows.append({"layer": layer, "probe_acc": probe_accs[layer],
-                     "cohesion": pm.cohesion, "coupling": pm.coupling,
-                     "contrast": pm.contrast, "eff_dim": pca_effective_dim(pooled),
-                     "redundancy": redundancy(pooled)})
+    rows, patch_metrics = layer_metrics(hv, labels_per_image, probe_labels, train_idx, test_idx)
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    for layer in range(n_layers):
-        grid_vals = similarity_map(hidden[sim_id]["layers"][layer], sim_patch, grid=grid)
+    for layer, states in enumerate(hv[:, ids.index(sim_id)]):
+        grid_vals = similarity_map(states, sim_patch, grid=grid)
         lines = [" ".join(repr(float(v)) for v in row) for row in grid_vals]
         (out / f"simmap_layer{layer:02d}.txt").write_text("\n".join(lines) + "\n")
 
-    # logit lens through the run's output head
-    lens = logit_lens([np.concatenate(layer_features(l)) for l in range(n_layers)],
+    # logit lens through the run's output head, over every patch of every example
+    lens = logit_lens(hv.reshape(n_layers, -1, run_cfg.d_l),
                       params.ln_f.gamma.value, params.ln_f.beta.value,
                       params.head.w.value, params.head.b.value)
-    lens_rows = [{"layer": d.layer,
-                  "top": [(tok, token_name(tok), mass) for tok, mass in d.top_tokens]}
-                 for d in lens]
     with open(out / "logitlens.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["layer", "rank", "token", "token_name", "mass"])
-        for entry in lens_rows:
-            for rank, (tok, name, mass) in enumerate(entry["top"], 1):
-                writer.writerow([entry["layer"], rank, tok, name, repr(float(mass))])
+        for dist in lens:
+            for rank, (tok, mass) in enumerate(dist.top_tokens, 1):
+                writer.writerow([dist.layer, rank, tok, token_name(tok), repr(float(mass))])
 
     meta = {
         "version": __version__,
@@ -342,7 +314,7 @@ def cmd_metrics(args) -> int:
         "floored_images_per_layer": [pm.n_floored for pm in patch_metrics],
         "coupling_images_per_layer": [pm.n_coupling_images for pm in patch_metrics],
     }
-    MetricsReport(rows=rows, meta=meta).write(out)
+    write_metrics(out, rows, meta)
     print(f"metrics for {len(ids)} examples x {n_layers} layers -> {out / 'metrics.csv'}")
     return 0
 

@@ -37,14 +37,6 @@ class NoEligibleClassError(ValueError):
     """No class satisfies the metric's minimum patch/class count."""
 
 
-def pool_global(features: np.ndarray) -> np.ndarray:
-    """Arithmetic mean over patches: [N_p, d] -> [d]."""
-    features = np.asarray(features, dtype=np.float64)
-    if features.ndim != 2 or features.shape[0] < 1:
-        raise ShapeError(f"pool_global expects a non-empty N x d matrix, got {features.shape}")
-    return features.mean(axis=0)
-
-
 def _unit_rows(x: np.ndarray) -> np.ndarray:
     """Rows scaled to unit norm; rows below the cosine floor become zero
     (their cosine with anything is defined as 0)."""
@@ -277,3 +269,17 @@ def patch_metrics_over_images(features_per_image, labels_per_image) -> PatchMetr
         n_coupling_images=len(couplings),
         n_floored=n_floored,
     )
+
+
+def layer_metrics(hv, labels_per_image, probe_labels, train_idx, test_idx):
+    """Per-layer diagnosis of visual states hv [L+1, N, N_p, d]: probe accuracy,
+    effective dimension and redundancy of the patch means, and patch metrics.
+    Returns the metrics.csv rows and the PatchMetrics of each layer."""
+    pooled = hv.mean(axis=2)
+    probe_accs = linear_probe(pooled, probe_labels, train_idx, test_idx)
+    patch = [patch_metrics_over_images(h, labels_per_image) for h in hv]
+    rows = [{"layer": layer, "probe_acc": acc, "cohesion": pm.cohesion,
+             "coupling": pm.coupling, "contrast": pm.contrast,
+             "eff_dim": pca_effective_dim(p), "redundancy": redundancy(p)}
+            for layer, (acc, pm, p) in enumerate(zip(probe_accs, patch, pooled))]
+    return rows, patch

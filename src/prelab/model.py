@@ -15,6 +15,7 @@ output.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, asdict
 
 import numpy as np
@@ -55,6 +56,9 @@ class MllmConfig:
         if not 1 <= self.target_layer <= self.layers:
             raise ValueError(
                 f"target_layer {self.target_layer} outside [1, {self.layers}]")
+        for name in ("d_v", "d_l", "heads", "mlp_ratio"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.d_l % self.heads != 0:
             raise ValueError(f"d_l {self.d_l} not divisible by heads {self.heads}")
         if self.d_v % 4 != 0:
@@ -258,43 +262,51 @@ def total_loss(trace: ForwardTrace, answers: np.ndarray, params: MllmParams):
     return ad.add(lm, ad.scale(pre, lam)), lm, pre
 
 
-def dump_hidden_states(traces, example_ids, path, grid: int) -> None:
-    """Write encoder features and per-layer visual hidden states to a tensor
-    archive: entries ex<ID>/z and ex<ID>/hv<LL> (layer index in the name),
-    plus a meta/grid entry with the patch grid shape. traces is a list of
-    batched traces; ids map to their rows in order."""
+def dump_hidden_states(path, grid: int, ids, z, hv) -> None:
+    """Write encoder features z [N, N_p, d_v] and visual hidden states hv
+    [L+1, N, N_p, d_l], rows in the order of ids, to a tensor archive: a
+    meta/grid entry with the patch grid shape, then per example ex<ID>/z and
+    ex<ID>/hv<LL> (layer index in the name)."""
+    if not len(ids) == len(z) == hv.shape[1]:
+        raise ValueError(f"{len(ids)} ids for {len(z)} z and {hv.shape[1]} hv rows")
     entries = [("meta/grid", np.array([grid, grid], dtype=np.float32))]
-    flat = []
-    for trace in traces:
-        b = trace.z.shape[0]
-        flat.extend((trace, row) for row in range(b))
-    if len(flat) != len(example_ids):
-        raise ValueError(f"{len(example_ids)} ids for {len(flat)} traced examples")
-    for (trace, row), ex_id in zip(flat, example_ids):
-        key = f"ex{ex_id:08d}"
-        entries.append((f"{key}/z", trace.z[row]))
-        for layer in range(len(trace.layers)):
-            entries.append((f"{key}/hv{layer:02d}", trace.visual_values(layer)[row]))
+    for row, ex_id in enumerate(ids):
+        entries.append((f"ex{ex_id:08d}/z", z[row]))
+        entries += [(f"ex{ex_id:08d}/hv{layer:02d}", h[row]) for layer, h in enumerate(hv)]
     write_archive(path, entries)
 
 
 def read_hidden_states(path):
-    """Inverse of dump_hidden_states: returns (grid, {example_id: {"z": arr,
-    "layers": [arr per layer]}}) with float64 arrays."""
+    """Inverse of dump_hidden_states: returns (grid, ids, hv) with ids sorted
+    and hv the float64 [L+1, N, N_p, d_l] visual states in the order of ids.
+
+    Raises ValueError for an archive that is not such a dump: no meta/grid
+    entry, an entry other than ex<ID>/z or ex<ID>/hv<LL>, or examples that
+    differ in layer count or shape.
+    """
     raw = read_archive(path)
-    grid = int(raw["meta/grid"][0])
+    if "meta/grid" not in raw:
+        raise ValueError("no meta/grid entry")
+    grid = int(raw.pop("meta/grid")[0])
     by_ex: dict = {}
     for name, arr in raw.items():
-        if name == "meta/grid":
-            continue
-        key, kind = name.split("/")
-        ex_id = int(key[2:])
-        by_ex.setdefault(ex_id, {})[kind] = arr.astype(np.float64)
-    out = {}
-    for ex_id, parts in sorted(by_ex.items()):
-        layer_keys = sorted(k for k in parts if k.startswith("hv"))
-        out[ex_id] = {"z": parts["z"], "layers": [parts[k] for k in layer_keys]}
-    return grid, out
+        m = re.fullmatch(r"ex(\d+)/(z|hv\d\d)", name)
+        if m is None:
+            raise ValueError(f"entry {name!r} is not ex<ID>/z or ex<ID>/hv<LL>")
+        layers = by_ex.setdefault(int(m[1]), {})
+        if m[2] != "z":
+            layers[m[2]] = arr
+    ids = sorted(by_ex)
+    keys = sorted(by_ex[ids[0]]) if ids else []
+    shape = by_ex[ids[0]][keys[0]].shape if keys else ()
+    hv = np.empty((len(keys), len(ids)) + shape)
+    for row, ex_id in enumerate(ids):
+        layers = by_ex[ex_id]
+        if sorted(layers) != keys or any(a.shape != shape for a in layers.values()):
+            raise ValueError(f"examples {ids[0]} and {ex_id} differ in layer count or shape")
+        for layer, key in enumerate(keys):
+            hv[layer, row] = layers[key]
+    return grid, ids, hv
 
 
 def save_checkpoint(params: MllmParams, path) -> None:

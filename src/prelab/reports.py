@@ -11,7 +11,6 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -25,21 +24,16 @@ def config_hash(config: dict) -> str:
     return hashlib.sha256(canon.encode("utf-8")).hexdigest()[:16]
 
 
-@dataclass
-class MetricsReport:
-    rows: list          # dicts with METRICS_HEADER keys, one per layer
-    meta: dict          # seed, config hash, version, counts, extras
-
-    def write(self, out_dir) -> None:
-        out_dir = Path(out_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        with open(out_dir / "metrics.csv", "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(METRICS_HEADER)
-            for row in self.rows:
-                writer.writerow([_fmt(row[k]) for k in METRICS_HEADER])
-        (out_dir / "summary.json").write_text(
-            json.dumps(self.meta, indent=2, sort_keys=True) + "\n")
+def write_metrics(out_dir, rows, meta) -> None:
+    """metrics.csv from rows (dicts with METRICS_HEADER keys, one per layer)
+    and summary.json from meta (seed, config hash, version, counts, extras)."""
+    out_dir = Path(out_dir)
+    with open(out_dir / "metrics.csv", "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(METRICS_HEADER)
+        for row in rows:
+            writer.writerow([_fmt(row[k]) for k in METRICS_HEADER])
+    (out_dir / "summary.json").write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")
 
 
 def _fmt(v):

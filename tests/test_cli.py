@@ -1,8 +1,9 @@
 """CLI tests: a golden tiny pipeline, the run config round trip, exit code
-2, with nothing written, for a dataset that does not match the run, a dump
-of a dataset with an empty probe split, metrics on a dump of another model
-shape or of no examples, a similarity patch or layer that does not exist,
-two reports whose similarity maps probe different patches, or a metrics
+2, with nothing written, for a model width or head count below 1, a dataset
+that does not match the run, a dump of a dataset with an empty probe split,
+metrics on a dump of another model shape or of no examples or on an archive
+that is not a dump, a similarity patch or layer that does not exist, two
+reports whose similarity maps probe different patches, or a metrics
 directory missing a file, and exit code 1, with no checkpoint, for a run
 that diverges."""
 
@@ -11,10 +12,12 @@ import re
 import shutil
 from dataclasses import fields
 
+import numpy as np
 import pytest
 
 from prelab.cli import (RunConfig, _run_config_from_args, build_parser, load_run_config,
                         main)
+from prelab.archive import read_archive, write_archive
 from prelab.model import dump_hidden_states
 
 TINY_MODEL = ["--grid", "4", "--layers", "2", "--d-l", "16", "--heads", "2",
@@ -120,6 +123,19 @@ def test_train_on_mismatched_dataset_exits_2_and_writes_nothing(golden, tmp_path
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flag, value", [("--heads", "0"), ("--heads", "-2"), ("--d-l", "0"),
+                                         ("--mlp-ratio", "0"), ("--d-v", "0")])
+def test_train_with_a_width_below_1_exits_2_and_writes_nothing(golden, tmp_path, capsys,
+                                                               flag, value):
+    w, _, _ = golden
+    out = tmp_path / "run"
+    rc = main(["train", "--data", str(w / "data"), "--out", str(out), "--steps", "1"]
+              + TINY_MODEL + [flag, value])
+    assert rc == 2
+    assert f"{flag[2:].replace('-', '_')} must be >= 1, got {value}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_dump_on_mismatched_dataset_exits_2(golden, tmp_path, capsys):
     w, _, _ = golden
     data8, run8 = tmp_path / "data8", tmp_path / "run8"
@@ -181,11 +197,47 @@ def test_metrics_on_a_dump_of_another_model_shape_exits_2(golden, tmp_path, caps
 def test_metrics_on_a_dump_with_no_examples_exits_2(golden, tmp_path, capsys):
     w, _, _ = golden
     hidden, out = tmp_path / "h.prea", tmp_path / "metrics"
-    dump_hidden_states([], [], hidden, grid=4)
+    dump_hidden_states(hidden, 4, [], np.zeros((0, 16, 32)), np.zeros((3, 0, 16, 16)))
     rc = main(["metrics", "--hidden", str(hidden), "--data", str(w / "data"),
                "--run", str(w / "run"), "--out", str(out)])
     assert rc == 2
     assert f"{hidden} holds no dumped examples" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def _not_a_dump(w, tmp_path, case):
+    """An archive metrics must refuse: another archive of the golden pipeline,
+    or the golden dump with one entry added, removed or narrowed."""
+    if case in ("checkpoint", "dataset split"):
+        return w / ("run/checkpoint.prea" if case == "checkpoint" else "data/probe-test.bin")
+    entries = read_archive(w / "hidden.prea")
+    last = sorted(name for name in entries if "/hv" in name)[-1]
+    if case == "foreign entry":
+        entries["ex00000001/y"] = np.zeros(2)
+    elif case == "missing layer":
+        del entries[last]
+    else:
+        entries[last] = entries[last][:, :8]
+    write_archive(tmp_path / "h.prea", entries)
+    return tmp_path / "h.prea"
+
+
+@pytest.mark.parametrize("case, found", [
+    ("checkpoint", "no meta/grid entry"),
+    ("dataset split", "no meta/grid entry"),
+    ("foreign entry", "entry 'ex00000001/y' is not ex<ID>/z or ex<ID>/hv<LL>"),
+    ("missing layer", "differ in layer count or shape"),
+    ("narrower layer", "differ in layer count or shape"),
+])
+def test_metrics_on_an_archive_that_is_not_a_dump_exits_2(golden, tmp_path, capsys,
+                                                          case, found):
+    w, _, _ = golden
+    hidden, out = _not_a_dump(w, tmp_path, case), tmp_path / "metrics"
+    rc = main(["metrics", "--hidden", str(hidden), "--data", str(w / "data"),
+               "--run", str(w / "run"), "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {hidden} is not a hidden-state dump: ") and found in err
     assert not out.exists()
 
 

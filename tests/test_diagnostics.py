@@ -3,8 +3,9 @@ import pytest
 
 from prelab import autodiff as ad
 from prelab.diagnostics import (CONTRAST_FLOOR, NoEligibleClassError, cohesion, contrast,
-                                coupling, linear_probe, logit_lens,
-                                patch_metrics_over_images, pca_effective_dim, similarity_map)
+                                coupling, layer_metrics, linear_probe, logit_lens,
+                                patch_metrics_over_images, pca_effective_dim, redundancy,
+                                similarity_map)
 from prelab.model import MllmConfig, MllmParams, encode_image, llm_forward
 from prelab.numerics import ShapeError
 
@@ -165,6 +166,26 @@ class TestLinearProbe:
         labels = np.array([2, 2, 1, 2, 3, 2, 1, 2, 2, 3, 2, 1, 2, 3, 2])
         accs = linear_probe([np.ones((15, 3))], labels, np.arange(10), np.arange(10, 15))
         assert accs == [0.6]
+
+
+def test_layer_metrics_matches_a_per_image_reference():
+    # == pins the pooling: the patch mean of each image, summed in patch order
+    rng = np.random.default_rng(3)
+    hv = rng.normal(size=(3, 12, 16, 6))
+    labels = [rng.integers(0, 4, size=(4, 4)) for _ in range(12)]
+    probe_labels = np.arange(12) % 3
+    train_idx, test_idx = np.arange(8), np.arange(8, 12)
+    rows, patch = layer_metrics(hv, labels, probe_labels, train_idx, test_idx)
+    pooled = [np.stack([features.mean(axis=0) for features in layer]) for layer in hv]
+    accs = linear_probe(pooled, probe_labels, train_idx, test_idx)
+    for layer in range(3):
+        pm = patch_metrics_over_images(list(hv[layer]), labels)
+        assert patch[layer] == pm
+        assert rows[layer] == {"layer": layer, "probe_acc": accs[layer],
+                               "cohesion": pm.cohesion, "coupling": pm.coupling,
+                               "contrast": pm.contrast,
+                               "eff_dim": pca_effective_dim(pooled[layer]),
+                               "redundancy": redundancy(pooled[layer])}
 
 
 class TestLogitLens:

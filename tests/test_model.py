@@ -1,4 +1,5 @@
-"""End-to-end gradient checks of the training loss on a tiny model."""
+"""End-to-end gradient checks of the training loss on a tiny model, and the
+hidden-state dump round trip."""
 
 import numpy as np
 import pytest
@@ -7,8 +8,9 @@ from prelab import autodiff as ad
 from prelab import model
 from prelab.data import PROMPT_LEN
 from gradcheck import cast_to_float64, finite_diff_check
-from prelab.model import (MllmConfig, MllmParams, encode_image, llm_forward, lm_loss,
-                          total_loss)
+from prelab.archive import read_archive
+from prelab.model import (MllmConfig, MllmParams, dump_hidden_states, encode_image,
+                          llm_forward, lm_loss, read_hidden_states, total_loss)
 
 # tiny() casts the model to float64, as central differences need. Central
 # differences at h=1e-6 against backward, seed 0: the max relative error
@@ -144,3 +146,19 @@ def test_pre_llm_anchor_passes_exactly_zero_gradient():
     with_constant = grads(pinned)
     for p, a, b in zip(params.trainable(), with_stop_gradient, with_constant):
         assert a.tobytes() == b.tobytes(), p.name
+
+
+def test_dump_round_trip_sorts_ids_and_keeps_the_float32_states(tmp_path):
+    # dump writes probe-train before probe-test, so ids arrive out of order
+    rng = np.random.default_rng(0)
+    ids = [7, 2, 11, 3]
+    z = rng.normal(size=(4, 16, 8)).astype(np.float32)
+    hv = rng.normal(size=(3, 4, 16, 6)).astype(np.float32)
+    path = tmp_path / "hidden.prea"
+    dump_hidden_states(path, 4, ids, z, hv)
+    assert list(read_archive(path)) == ["meta/grid"] + [
+        f"ex{i:08d}/{kind}" for i in ids for kind in ("z", "hv00", "hv01", "hv02")]
+    grid, got_ids, got = read_hidden_states(path)
+    assert (grid, got_ids) == (4, [2, 3, 7, 11])
+    assert got.dtype == np.float64 and got.shape == (3, 4, 16, 6)
+    assert got.astype(np.float32).tobytes() == hv[:, [1, 3, 0, 2]].tobytes()

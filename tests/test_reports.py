@@ -5,8 +5,8 @@ import html
 import json
 import re
 
-from prelab.reports import (METRICS_HEADER, MetricsReport, config_hash, read_metrics_csv,
-                            svg_line_plot)
+from prelab.reports import (METRICS_HEADER, config_hash, read_metrics_csv, svg_line_plot,
+                            write_metrics)
 
 
 def test_config_hash_ignores_key_order():
@@ -24,7 +24,7 @@ def test_metrics_report_round_trips(tmp_path):
              "contrast": 2.0 ** -30, "eff_dim": 7 - layer, "redundancy": 0.123456789012345}
             for layer in range(3)]
     meta = {"config_hash": "0123456789abcdef", "seed": 4}
-    MetricsReport(rows=rows, meta=meta).write(tmp_path)
+    write_metrics(tmp_path, rows, meta)
     assert (tmp_path / "metrics.csv").read_text().splitlines()[0] == ",".join(METRICS_HEADER)
     # repr tells 7 from 7.0 and compares NaN, so this checks types and bits
     assert repr(read_metrics_csv(tmp_path / "metrics.csv")) == repr(rows)
