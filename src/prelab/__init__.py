@@ -11,6 +11,6 @@ from .data import DataSpec, generate_dataset, generate_image, generate_qa, load_
 from .model import (MllmConfig, MllmParams, encode_image, llm_forward, lm_loss,
                     pre_loss, total_loss, dump_hidden_states, read_hidden_states)
 from .training import Trainer, train_step
-from .diagnostics import (cohesion, contrast, coupling, layer_metrics, linear_probe,
-                          logit_lens, patch_metrics_over_images, pca_effective_dim,
-                          redundancy, similarity_map)
+from .diagnostics import (contrast, layer_metrics, linear_probe, logit_lens,
+                          patch_metrics_over_images, pca_effective_dim, redundancy,
+                          similarity_map)

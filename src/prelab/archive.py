@@ -60,10 +60,10 @@ def write_archive(path, entries) -> None:
         for dim in arr.shape:
             buf += struct.pack("<I", dim)
         buf += arr.tobytes()
-    buf += struct.pack("<I", zlib.crc32(bytes(buf)) & 0xFFFFFFFF)
+    buf += struct.pack("<I", zlib.crc32(buf) & 0xFFFFFFFF)
     tmp = Path(f"{path}.tmp")
     try:
-        tmp.write_bytes(bytes(buf))
+        tmp.write_bytes(buf)
         os.replace(tmp, path)
     finally:
         tmp.unlink(missing_ok=True)

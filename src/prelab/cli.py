@@ -56,8 +56,10 @@ class RunConfig(MllmConfig):
             raise ConfigError(f"steps must be >= 1, got {self.steps}")
         if self.batch_size < 1:
             raise ConfigError(f"batch size must be >= 1, got {self.batch_size}")
-        if self.lr < 0:
-            raise ConfigError(f"learning rate must be >= 0, got {self.lr}")
+        if not 0 <= self.lr < np.inf:  # written so that NaN fails too
+            raise ConfigError(f"learning rate must be finite and >= 0, got {self.lr}")
+        if not 0 <= self.weight_decay < np.inf:
+            raise ConfigError(f"weight decay must be finite and >= 0, got {self.weight_decay}")
         if not 0 <= self.warmup_frac < 1:
             raise ConfigError(f"warmup fraction must be in [0, 1), got {self.warmup_frac}")
         if self.diag_every < 0:
@@ -89,6 +91,8 @@ def load_run_config(path) -> RunConfig:
 def cmd_gen_data(args) -> int:
     if args.n < 1:
         raise ConfigError(f"--n must be >= 1, got {args.n}")
+    if args.seed < 0:
+        raise ConfigError(f"--seed must be >= 0, got {args.seed}")
     spec = DataSpec(grid=args.grid, patch=args.patch, num_classes=args.classes,
                     min_objects=args.min_objects, max_objects=args.max_objects)
     try:

@@ -19,6 +19,7 @@ from __future__ import annotations
 import json
 import zlib
 from dataclasses import dataclass, field, asdict
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -104,13 +105,17 @@ _PATTERN_SEED = 0x7E0C1A55
 _PATTERN_AMPLITUDE = 0.5
 
 
+@lru_cache(maxsize=None, typed=True)  # typed: RngStream keys 3 and np.int64(3) apart
 def class_pattern(class_id: int, patch: int) -> np.ndarray:
     """Fixed texture tile for a class: 1 + a*u with u zero-mean uniform, so
-    the tile's mean is exactly 1. Deterministic in (class_id, patch)."""
+    the tile's mean is exactly 1. Deterministic in (class_id, patch), so it
+    is drawn once and every caller shares one read-only array."""
     rng = RngStream(_PATTERN_SEED).split(class_id).split(patch)
     u = rng.uniform(-1.0, 1.0, (patch, patch))
     u -= u.mean()
-    return 1.0 + _PATTERN_AMPLITUDE * u
+    tile = 1.0 + _PATTERN_AMPLITUDE * u
+    tile.flags.writeable = False
+    return tile
 
 
 @dataclass

@@ -8,6 +8,11 @@ Patch-structure metrics against ground-truth patch labels:
                 across the two classes
     contrast  = cohesion / max(coupling, 1e-6)
 
+Neither needs a pairwise Gram matrix. With unit rows u_i and the class sum
+S_c = sum over i in c of u_i, the same-class pairs give
+sum_{i != j} u_i . u_j = |S_c|^2 - sum_i |u_i|^2, and the mean cosine
+across classes c and c' is S_c . S_c' / (n_c n_c').
+
 Statistical structure of pooled features:
 
     effective dimension = smallest k whose top-k eigenvalue mass of the
@@ -45,51 +50,6 @@ def _unit_rows(x: np.ndarray) -> np.ndarray:
     ok = norms >= COSINE_NORM_FLOOR
     out[ok] = x[ok] / norms[ok, None]
     return out
-
-
-def cohesion(features: np.ndarray, labels: np.ndarray) -> float:
-    """Mean over non-background classes (with >= 2 patches) of the mean
-    cosine over unique same-class patch pairs."""
-    x = np.asarray(features, dtype=np.float64)
-    lab = np.asarray(labels).ravel()
-    if x.shape[0] != lab.shape[0]:
-        raise ShapeError(f"{x.shape[0]} patch features vs {lab.shape[0]} labels")
-    xn = _unit_rows(x)
-    per_class = []
-    for c in np.unique(lab):
-        if c == 0:
-            continue
-        idx = np.nonzero(lab == c)[0]
-        n = idx.size
-        if n < 2:
-            continue
-        sub = xn[idx]
-        gram = sub @ sub.T
-        total = (gram.sum() - np.trace(gram)) / 2.0
-        per_class.append(total / (n * (n - 1) / 2.0))
-    if not per_class:
-        raise NoEligibleClassError("no class with at least two patches")
-    return float(np.mean(per_class))
-
-
-def coupling(features: np.ndarray, labels: np.ndarray) -> float:
-    """Mean over unordered pairs of distinct non-background classes of the
-    mean cosine between their patches."""
-    x = np.asarray(features, dtype=np.float64)
-    lab = np.asarray(labels).ravel()
-    if x.shape[0] != lab.shape[0]:
-        raise ShapeError(f"{x.shape[0]} patch features vs {lab.shape[0]} labels")
-    classes = [int(c) for c in np.unique(lab) if c != 0]
-    if len(classes) < 2:
-        raise NoEligibleClassError("coupling needs at least two distinct classes")
-    xn = _unit_rows(x)
-    members = {c: xn[lab == c] for c in classes}
-    per_pair = []
-    for i, c in enumerate(classes):
-        for c2 in classes[i + 1 :]:
-            cross = members[c] @ members[c2].T
-            per_pair.append(cross.mean())
-    return float(np.mean(per_pair))
 
 
 def contrast(cohesion_value: float, coupling_value: float) -> float:
@@ -240,34 +200,54 @@ def patch_metrics_over_images(features_per_image, labels_per_image) -> PatchMetr
     images whose own coupling would have floored.)
 
     Cohesion averages over images with an eligible class; coupling over
-    images with >= 2 distinct non-background classes.
+    those of them with >= 2 distinct non-background classes.
+
+    features_per_image: [N, N_p, d]; labels_per_image: [N, N_p] or [N, g, g].
+    All images are reduced at once through their class sums (module
+    docstring). A row below the cosine floor, or with a non-finite norm,
+    adds nothing to them.
     """
-    cohesions, couplings = [], []
-    n_floored = 0
-    for feats, labs in zip(features_per_image, labels_per_image):
-        labs = np.asarray(labs).ravel()
-        try:
-            coh = cohesion(feats, labs)
-        except NoEligibleClassError:
-            continue
-        cohesions.append(coh)
-        try:
-            coup = coupling(feats, labs)
-        except NoEligibleClassError:
-            continue
-        couplings.append(coup)
-        n_floored += int(coup < CONTRAST_FLOOR)
-    if not cohesions:
+    x = np.asarray(features_per_image, dtype=np.float64)
+    lab = np.asarray(labels_per_image)
+    lab = lab.reshape(len(lab), -1)
+    if x.ndim != 3 or lab.shape != x.shape[:2]:
+        raise ShapeError(f"patch features of shape {x.shape} vs labels of shape {lab.shape}")
+    norms = np.sqrt(np.einsum("npd,npd->np", x, x))
+    finite = np.isfinite(norms)
+    if not finite.all():  # a 0 weight alone would not drop the row: 0 * NaN is NaN
+        x = np.where(finite[..., None], x, 0.0)
+    unit = finite & (norms >= COSINE_NORM_FLOOR)
+    classes, inverse = np.unique(lab, return_inverse=True)
+    member = inverse.reshape(lab.shape)[..., None] == np.flatnonzero(classes != 0)
+    inv_norm = np.divide(1.0, norms, out=np.zeros_like(norms), where=unit)
+    sums = np.matmul((member * inv_norm[..., None]).transpose(0, 2, 1), x)  # [N, C, d]
+    dots = np.matmul(sums, sums.transpose(0, 2, 1))  # [N, C, C]
+    count = member.sum(axis=1)  # [N, C], floored rows included
+    # |S_c|^2 - sum_i |u_i|^2, where each unit row adds 1 and a floored row 0
+    same = np.diagonal(dots, axis1=1, axis2=2) - (member & unit[..., None]).sum(axis=1)
+    eligible = count >= 2
+    per_class = np.divide(same, count * (count - 1), out=np.zeros(same.shape), where=eligible)
+    n_eligible = eligible.sum(axis=1)
+    has_cohesion = n_eligible > 0
+    cohesions = per_class.sum(axis=1)[has_cohesion] / n_eligible[has_cohesion]
+    if not cohesions.size:
         raise NoEligibleClassError("no image with an eligible class")
+    c = np.arange(count.shape[1])
+    pairs = (count[:, :, None] > 0) & (count[:, None, :] > 0) & (c[:, None] < c)
+    cross = np.divide(dots, count[:, :, None] * count[:, None, :], out=np.zeros(dots.shape),
+                      where=pairs)
+    n_pairs = pairs.sum(axis=(1, 2))
+    has_coupling = has_cohesion & (n_pairs > 0)
+    couplings = cross.sum(axis=(1, 2))[has_coupling] / n_pairs[has_coupling]
     mean_cohesion = float(np.mean(cohesions))
-    mean_coupling = float(np.mean(couplings)) if couplings else float("nan")
+    mean_coupling = float(np.mean(couplings)) if couplings.size else float("nan")
     return PatchMetrics(
         cohesion=mean_cohesion,
         coupling=mean_coupling,
-        contrast=contrast(mean_cohesion, mean_coupling) if couplings else float("nan"),
-        n_cohesion_images=len(cohesions),
-        n_coupling_images=len(couplings),
-        n_floored=n_floored,
+        contrast=contrast(mean_cohesion, mean_coupling) if couplings.size else float("nan"),
+        n_cohesion_images=int(cohesions.size),
+        n_coupling_images=int(couplings.size),
+        n_floored=int(np.sum(couplings < CONTRAST_FLOOR)),
     )
 
 

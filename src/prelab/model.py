@@ -51,8 +51,10 @@ class MllmConfig:
     seed: int = 0
 
     def validate(self) -> None:
-        if self.lam < 0:
-            raise ValueError(f"lambda must be >= 0, got {self.lam}")
+        if not 0 <= self.lam < np.inf:  # written so that NaN fails too
+            raise ValueError(f"lambda must be finite and >= 0, got {self.lam}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if not 1 <= self.target_layer <= self.layers:
             raise ValueError(
                 f"target_layer {self.target_layer} outside [1, {self.layers}]")

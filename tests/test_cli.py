@@ -1,5 +1,7 @@
 """CLI tests: a golden tiny pipeline, the run config round trip, exit code
-2, with nothing written, for a model width or head count below 1, a dataset
+2, with nothing written, for a model width or head count below 1, a NaN or
+infinite learning rate, lambda or weight decay, a negative weight decay, a
+negative train or gen-data seed, a dataset
 that does not match the run, a dump of a dataset with an empty probe split,
 metrics on a dump of another model shape or of no examples or on an archive
 that is not a dump, a similarity patch or layer that does not exist, two
@@ -133,6 +135,35 @@ def test_train_with_a_width_below_1_exits_2_and_writes_nothing(golden, tmp_path,
               + TINY_MODEL + [flag, value])
     assert rc == 2
     assert f"{flag[2:].replace('-', '_')} must be >= 1, got {value}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag, value, found", [
+    ("--lr", "nan", "learning rate must be finite and >= 0, got nan"),
+    ("--lr", "inf", "learning rate must be finite and >= 0, got inf"),
+    ("--lambda", "nan", "lambda must be finite and >= 0, got nan"),
+    ("--lambda", "inf", "lambda must be finite and >= 0, got inf"),
+    ("--weight-decay", "nan", "weight decay must be finite and >= 0, got nan"),
+    ("--weight-decay", "inf", "weight decay must be finite and >= 0, got inf"),
+    ("--weight-decay", "-5", "weight decay must be finite and >= 0, got -5.0"),
+    ("--seed", "-1", "seed must be >= 0, got -1"),
+])
+def test_train_with_a_non_finite_or_negative_setting_exits_2_and_writes_nothing(
+        golden, tmp_path, capsys, flag, value, found):
+    w, _, _ = golden
+    out = tmp_path / "run"
+    rc = main(["train", "--data", str(w / "data"), "--out", str(out), "--steps", "1"]
+              + TINY_MODEL + [flag, value])
+    assert rc == 2
+    assert found in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_gen_data_with_a_negative_seed_exits_2_and_writes_nothing(tmp_path, capsys):
+    out = tmp_path / "data"
+    rc = main(["gen-data", "--n", "5", "--seed", "-1", "--out", str(out)])
+    assert rc == 2
+    assert "--seed must be >= 0, got -1" in capsys.readouterr().err
     assert not out.exists()
 
 

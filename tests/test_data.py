@@ -1,9 +1,11 @@
-"""Dataset tests: byte-determinism of generation, answers that follow from the
+"""Dataset tests: byte-determinism of generation and its pinned bytes, the
+shared read-only class textures, answers that follow from the
 label map, the archive round trip of every field, and refusal of split
 archives or manifests that the loader cannot trust, including token ids and
 labels outside the manifest's vocabulary and classes, and answers or prompts
 that are not one and PROMPT_LEN tokens long."""
 
+import hashlib
 import json
 import re
 
@@ -15,8 +17,8 @@ from scipy import ndimage
 from prelab.archive import read_archive, write_archive
 from prelab.cli import main
 from prelab.data import (CLASS_BASE, DIGIT_BASE, SPLIT_NAMES, TOK_COUNT, TOK_DOMINANT,
-                         TOK_QMARK, TOK_WHAT, DataSpec, DatasetError, generate_dataset,
-                         generate_image, generate_qa, load_dataset)
+                         TOK_QMARK, TOK_WHAT, DataSpec, DatasetError, class_pattern,
+                         generate_dataset, generate_image, generate_qa, load_dataset)
 from prelab.numerics import RngStream
 
 
@@ -41,6 +43,29 @@ def test_generation_is_byte_deterministic(tmp_path_factory, n, seed, spec):
     first = dataset_files(a)
     assert sorted(first) == ["manifest.json"] + sorted(f"{s}.bin" for s in SPLIT_NAMES)
     assert first == dataset_files(b)
+
+
+# sha256 of each file of generate_dataset(30, 3, spec=DataSpec(grid=5, patch=2)),
+# recorded before the class textures were cached
+PINNED_SHA256 = {
+    "manifest.json": "b35b727ca25372e386c5e8d144b2825395d15d666b9c4c583bb4eae49bb1a0cf",
+    "probe-test.bin": "4e7ca8c408003541ac29ab98fa9a4ff4afce362f90983c4e3b3f0d2ad3f79273",
+    "probe-train.bin": "a59edf680c13feccf4bfe09fc45e032d5f7a6ce5064daa52d915965e549142e9",
+    "train.bin": "b0284ae2d3607493bb7a548e444d05cd3299436974ba0577165e6ba074fd156d",
+}
+
+
+def test_generation_matches_the_pinned_bytes(tmp_path):
+    generate_dataset(30, 3, tmp_path, DataSpec(grid=5, patch=2))
+    assert {name: hashlib.sha256(raw).hexdigest()
+            for name, raw in dataset_files(tmp_path).items()} == PINNED_SHA256
+
+
+def test_class_pattern_is_drawn_once_and_read_only():
+    tile = class_pattern(3, 4)
+    assert class_pattern(3, 4) is tile and tile.shape == (4, 4)
+    with pytest.raises(ValueError, match="read-only"):
+        tile[0, 0] = 0.0
 
 
 def expected_answer(labels, prompt):

@@ -2,12 +2,12 @@ import numpy as np
 import pytest
 
 from prelab import autodiff as ad
-from prelab.diagnostics import (CONTRAST_FLOOR, NoEligibleClassError, cohesion, contrast,
-                                coupling, layer_metrics, linear_probe, logit_lens,
+from prelab.diagnostics import (CONTRAST_FLOOR, NoEligibleClassError, PatchMetrics, contrast,
+                                layer_metrics, linear_probe, logit_lens,
                                 patch_metrics_over_images, pca_effective_dim, redundancy,
                                 similarity_map)
 from prelab.model import MllmConfig, MllmParams, encode_image, llm_forward
-from prelab.numerics import ShapeError
+from prelab.numerics import COSINE_NORM_FLOOR, ShapeError
 
 THRESHOLDS = (0.5, 0.8, 0.95, 0.99)
 
@@ -92,11 +92,69 @@ def orthonormal_scene():
     return feats, labels
 
 
+def one_image(feats, labels):
+    return patch_metrics_over_images([feats], [labels])
+
+
+def reference_patch_metrics(features_per_image, labels_per_image):
+    """The pairwise loop over images and classes that the class-sum form
+    replaced: per image, cosines of unit rows (a row below the norm floor or
+    not finite is zero) over unique same-class and cross-class pairs."""
+    cohesions, couplings = [], []
+    for feats, labs in zip(features_per_image, labels_per_image):
+        labs = np.asarray(labs).ravel()
+        norms = np.sqrt(np.sum(feats * feats, axis=1))
+        ok = norms >= COSINE_NORM_FLOOR
+        xn = np.zeros_like(feats)
+        xn[ok] = feats[ok] / norms[ok, None]
+        classes = [c for c in np.unique(labs) if c != 0]
+        per_class = []
+        for c in classes:
+            sub = xn[labs == c]
+            n = len(sub)
+            if n >= 2:
+                gram = sub @ sub.T
+                per_class.append((gram.sum() - np.trace(gram)) / 2.0 / (n * (n - 1) / 2.0))
+        if not per_class:
+            continue
+        cohesions.append(np.mean(per_class))
+        if len(classes) < 2:
+            continue
+        couplings.append(np.mean([(xn[labs == c] @ xn[labs == c2].T).mean()
+                                  for i, c in enumerate(classes) for c2 in classes[i + 1:]]))
+    coh, coup = np.mean(cohesions), np.mean(couplings) if couplings else np.nan
+    return PatchMetrics(coh, coup, contrast(coh, coup) if couplings else np.nan,
+                        len(cohesions), len(couplings),
+                        sum(int(c < CONTRAST_FLOOR) for c in couplings))
+
+
+def random_scene(rng, n_images=24, n_patches=16, d=5, n_classes=4):
+    """Images of class directions plus noise, with zero (floored) rows,
+    lone-patch classes, single-class and background-only images, and a NaN
+    in a background row and in an object row."""
+    labels = rng.integers(0, n_classes + 1, size=(n_images, n_patches))
+    labels[0] = 0                                  # background only
+    labels[1] = np.where(labels[1] > 0, 2, 0)      # a single class
+    labels[2] = 0
+    labels[2, :3] = [1, 2, 3]                      # only lone-patch classes
+    labels[3, :2] = [1, 1]
+    labels[3, 2:] = np.where(labels[3, 2:] > 0, 3, 0)
+    labels[3, 2] = 4                               # a lone patch beside pairs
+    labels[4:6, 0] = [0, 1]
+    directions = rng.normal(size=(n_classes + 1, d))
+    feats = directions[labels] + rng.normal(scale=0.7, size=(n_images, n_patches, d))
+    feats *= rng.uniform(0.1, 10.0, size=(n_images, n_patches, 1))
+    feats[rng.random(size=(n_images, n_patches)) < 0.1] = 0.0
+    feats[4, 0, 1] = feats[5, 0, 0] = np.nan
+    return feats, labels
+
+
 class TestPatchStructure:
     def test_orthonormal_classes(self):
         feats, labels = orthonormal_scene()
-        assert cohesion(feats, labels) == 1.0
-        assert coupling(feats, labels) == 0.0
+        pm = one_image(feats, labels)
+        assert pm.cohesion == 1.0
+        assert pm.coupling == 0.0
         assert contrast(1.0, 0.0) == 1.0 / CONTRAST_FLOOR
         assert contrast(1.0, 0.5) == 2.0
 
@@ -106,17 +164,32 @@ class TestPatchStructure:
         rng = np.random.default_rng(0)
         for _ in range(3):
             feats[~objects] = rng.normal(size=(np.sum(~objects), 3))
-            assert cohesion(feats, labels) == cohesion(feats[objects], labels[objects])
-            assert coupling(feats, labels) == coupling(feats[objects], labels[objects])
+            assert one_image(feats, labels) == one_image(feats[objects], labels[objects])
 
     def test_no_eligible_class(self):
         feats = np.eye(4)
         with pytest.raises(NoEligibleClassError):
-            cohesion(feats, [1, 2, 0, 0])  # every class is a lone patch
-        with pytest.raises(NoEligibleClassError):
-            coupling(feats, [1, 1, 1, 0])  # a single class
+            one_image(feats, [1, 2, 0, 0])  # every class is a lone patch
+        pm = one_image(feats, [1, 1, 1, 0])  # a single class: no coupling
+        assert (pm.n_cohesion_images, pm.n_coupling_images) == (1, 0)
+        assert np.isnan(pm.coupling) and np.isnan(pm.contrast)
         with pytest.raises(NoEligibleClassError):
             patch_metrics_over_images([feats, feats], [[1, 0, 0, 0], [0, 0, 0, 0]])
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_matches_the_pairwise_reference(self, seed):
+        feats, labels = random_scene(np.random.default_rng(seed))
+        pm = patch_metrics_over_images(feats, labels)
+        ref = reference_patch_metrics(feats, labels)
+        for name in ("cohesion", "coupling", "contrast"):
+            assert np.isclose(getattr(pm, name), getattr(ref, name), rtol=1e-12, atol=0.0)
+        assert ((pm.n_cohesion_images, pm.n_coupling_images, pm.n_floored)
+                == (ref.n_cohesion_images, ref.n_coupling_images, ref.n_floored))
+        # the background-only, lone-patch-only and single-class images count
+        # for neither, neither and cohesion only
+        assert pm.n_cohesion_images == len(feats) - 2
+        assert pm.n_coupling_images == len(feats) - 3
+        assert np.isfinite(pm.contrast)
 
     def test_similarity_map(self):
         feats = np.array([[1.0, 0.0], [3.0, 0.0], [0.0, 2.0], [-1.0, 0.0]])
@@ -140,9 +213,10 @@ class TestPatchStructure:
             (np.array([u, at_angle(0.5), -u, u]), [1, 1, 0, 0], 0.5, None),
         ]
         for feats, labels, coh, coup in images:
-            assert cohesion(feats, labels) == pytest.approx(coh, abs=1e-12)
+            pm = one_image(feats, labels)
+            assert pm.cohesion == pytest.approx(coh, abs=1e-12)
             if coup is not None:
-                assert coupling(feats, labels) == pytest.approx(coup, abs=1e-12)
+                assert pm.coupling == pytest.approx(coup, abs=1e-12)
         pm = patch_metrics_over_images([i[0] for i in images], [i[1] for i in images])
         assert pm.cohesion == pytest.approx(2.5 / 3, abs=1e-12)
         assert pm.coupling == pytest.approx(0.125, abs=1e-12)
@@ -150,6 +224,13 @@ class TestPatchStructure:
         # image's coupling being floored
         assert pm.contrast == pytest.approx((2.5 / 3) / 0.125, rel=1e-12)
         assert (pm.n_cohesion_images, pm.n_coupling_images, pm.n_floored) == (3, 2, 1)
+
+    def test_mismatched_labels_raise(self):
+        feats, labels = orthonormal_scene()
+        with pytest.raises(ShapeError):
+            one_image(feats, labels[:-1])
+        with pytest.raises(ShapeError):
+            patch_metrics_over_images([feats, feats], [labels])
 
 
 class TestLinearProbe:
