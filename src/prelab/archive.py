@@ -16,6 +16,7 @@ Writes go through a sibling temp file renamed onto the target.
 
 from __future__ import annotations
 
+import math
 import os
 import struct
 import zlib
@@ -72,21 +73,27 @@ def write_archive(path, entries) -> None:
 def read_archive(path) -> dict:
     """Read an archive back as {name: float32 ndarray}.
 
-    Raises ArchiveError on bad magic or version, truncation, CRC mismatch,
-    duplicate names, or declared sizes that disagree with the payload.
+    The file is read once into one writable buffer per call, and every
+    returned array is a view into it (payloads may sit at unaligned offsets),
+    so two reads never share memory. Raises ArchiveError on bad magic or
+    version, truncation, CRC mismatch, duplicate names, or declared sizes
+    that disagree with the payload.
     """
-    raw = Path(path).read_bytes()
+    with open(path, "rb") as fh:
+        raw = bytearray(os.fstat(fh.fileno()).st_size)
+        if fh.readinto(raw) != len(raw):
+            raise ArchiveError("archive changed size while being read")
     if len(raw) < len(MAGIC) + 6 + 4:
         raise ArchiveError("archive truncated: shorter than minimal header")
     if raw[:4] != MAGIC:
-        raise ArchiveError(f"bad magic {raw[:4]!r}, expected {MAGIC!r}")
-    stored_crc = struct.unpack("<I", raw[-4:])[0]
-    actual_crc = zlib.crc32(raw[:-4]) & 0xFFFFFFFF
+        raise ArchiveError(f"bad magic {bytes(raw[:4])!r}, expected {MAGIC!r}")
+    body = memoryview(raw)[:-4]
+    stored_crc = struct.unpack_from("<I", raw, len(body))[0]
+    actual_crc = zlib.crc32(body) & 0xFFFFFFFF
     if stored_crc != actual_crc:
         raise ArchiveError(
             f"CRC mismatch: stored {stored_crc:#010x}, computed {actual_crc:#010x}"
         )
-    body = raw[:-4]
     pos = 4
     version, count = struct.unpack_from("<HI", body, pos)
     pos += 6
@@ -98,21 +105,21 @@ def read_archive(path) -> dict:
             raise ArchiveError("archive truncated inside entry header")
         (name_len,) = struct.unpack_from("<H", body, pos)
         pos += 2
-        name = body[pos : pos + name_len].decode("utf-8")
+        name = str(body[pos : pos + name_len], "utf-8")
         pos += name_len
         if pos + 1 > len(body):
             raise ArchiveError("archive truncated inside entry header")
-        (rank,) = struct.unpack_from("<B", body, pos)
+        rank = body[pos]
         pos += 1
         if pos + 4 * rank > len(body):
             raise ArchiveError("archive truncated inside dims")
-        dims = struct.unpack_from(f"<{rank}I", body, pos) if rank else ()
+        dims = struct.unpack_from(f"<{rank}I", body, pos)
         pos += 4 * rank
-        size = int(np.prod(dims, dtype=np.int64)) if rank else 1
+        size = math.prod(dims)
         nbytes = 4 * size
         if pos + nbytes > len(body):
             raise ArchiveError(f"declared size of {name!r} exceeds payload")
-        arr = np.frombuffer(body, dtype="<f4", count=size, offset=pos).reshape(dims).copy()
+        arr = np.frombuffer(body, dtype="<f4", count=size, offset=pos).reshape(dims)
         pos += nbytes
         if name in out:
             raise ArchiveError(f"duplicate entry name {name!r}")

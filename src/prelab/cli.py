@@ -19,7 +19,8 @@ import numpy as np
 
 from . import __version__
 from . import autodiff as ad
-from .data import DataSpec, Dataset, generate_dataset, load_dataset, token_name
+from .data import (PROBE_SPLITS, SPLIT_NAMES, DataSpec, Dataset, generate_dataset, load_dataset,
+                   token_name)
 from .diagnostics import layer_metrics, logit_lens, similarity_map
 from .model import (ANCHOR_PRE_LLM, ANCHOR_PRE_PROJ, MllmConfig, llm_forward,
                     load_checkpoint, lm_loss, dump_hidden_states, read_hidden_states,
@@ -135,13 +136,14 @@ def _run_config_from_args(args) -> RunConfig:
     return run_config_from_dict({k: v for k, v in vars(args).items() if k in _RUN_FIELDS})
 
 
-def _load_dataset_checked(path, run_cfg: RunConfig) -> Dataset:
-    """Load a dataset, refusing (exit 2) one whose patch grid or patch size
-    differ from the run's, or whose vocabulary is not the model's."""
+def _load_dataset_checked(path, run_cfg: RunConfig, splits=SPLIT_NAMES) -> Dataset:
+    """Load the named splits of a dataset, refusing (exit 2) one whose patch
+    grid or patch size differ from the run's, or whose vocabulary is not the
+    model's."""
     path = Path(path)
     if not (path / "manifest.json").exists():
         raise ConfigError(f"no dataset manifest in {path}")
-    dataset = load_dataset(path)
+    dataset = load_dataset(path, splits)
     try:
         check_dataset_matches(dataset, run_cfg)
     except ValueError as exc:
@@ -209,8 +211,8 @@ def _load_run(run_dir):
 def cmd_dump(args) -> int:
     """Trace both probe splits, the examples `metrics` reads."""
     run_cfg, params = _load_run(args.run)
-    dataset = _load_dataset_checked(args.data, run_cfg)
-    empty = [name for name in ("probe-train", "probe-test") if not dataset.splits[name]]
+    dataset = _load_dataset_checked(args.data, run_cfg, PROBE_SPLITS)
+    empty = [name for name in PROBE_SPLITS if not dataset.splits[name]]
     if empty:
         raise ConfigError(f"the {' and '.join(empty)} split of {args.data} has no examples; "
                           f"metrics needs both probe splits")
@@ -247,7 +249,7 @@ def _default_sim_choice(dataset, ids):
 
 def cmd_metrics(args) -> int:
     run_cfg, params = _load_run(args.run)
-    dataset = _load_dataset_checked(args.data, run_cfg)
+    dataset = _load_dataset_checked(args.data, run_cfg, PROBE_SPLITS)
     try:
         grid, ids, hv = read_hidden_states(args.hidden)
     except ValueError as exc:
@@ -262,8 +264,7 @@ def cmd_metrics(args) -> int:
             f"{args.hidden} has {hv.shape[0]} layers of shape {hv.shape[2:]}; run {args.run} "
             f"has {n_layers} (input + {run_cfg.layers} blocks) of shape {shape}")
 
-    split_of = {ex.id: (name, ex) for name in ("probe-train", "probe-test")
-                for ex in dataset.splits[name]}
+    split_of = {ex.id: (name, ex) for name in PROBE_SPLITS for ex in dataset.splits[name]}
     missing = [i for i in ids if i not in split_of]
     if missing:
         raise ConfigError(f"{len(missing)} dumped examples not in the dataset's probe "

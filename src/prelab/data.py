@@ -105,7 +105,7 @@ _PATTERN_SEED = 0x7E0C1A55
 _PATTERN_AMPLITUDE = 0.5
 
 
-@lru_cache(maxsize=None, typed=True)  # typed: RngStream keys 3 and np.int64(3) apart
+@lru_cache(maxsize=None)
 def class_pattern(class_id: int, patch: int) -> np.ndarray:
     """Fixed texture tile for a class: 1 + a*u with u zero-mean uniform, so
     the tile's mean is exactly 1. Deterministic in (class_id, patch), so it
@@ -146,13 +146,13 @@ def _adjacent_same_class(labels: np.ndarray, r0, c0, h, w, class_id) -> bool:
     # 4-adjacency only: same-class objects may touch diagonally and still
     # count as separate connected components
     g = labels.shape[0]
-    if r0 > 0 and np.any(labels[r0 - 1, c0 : c0 + w] == class_id):
+    if r0 > 0 and (labels[r0 - 1, c0 : c0 + w] == class_id).any():
         return True
-    if r0 + h < g and np.any(labels[r0 + h, c0 : c0 + w] == class_id):
+    if r0 + h < g and (labels[r0 + h, c0 : c0 + w] == class_id).any():
         return True
-    if c0 > 0 and np.any(labels[r0 : r0 + h, c0 - 1] == class_id):
+    if c0 > 0 and (labels[r0 : r0 + h, c0 - 1] == class_id).any():
         return True
-    if c0 + w < g and np.any(labels[r0 : r0 + h, c0 + w] == class_id):
+    if c0 + w < g and (labels[r0 : r0 + h, c0 + w] == class_id).any():
         return True
     return False
 
@@ -173,7 +173,6 @@ def generate_image(rng: RngStream, spec: DataSpec) -> SyntheticImage:
     objects = []
     max_side = min(spec.max_extent, g)
     for class_id in classes.tolist():
-        placed = False
         for _ in range(100):
             h = int(rng.integers(1, max_side + 1))
             w = int(rng.integers(1, max_side + 1))
@@ -181,34 +180,31 @@ def generate_image(rng: RngStream, spec: DataSpec) -> SyntheticImage:
                 continue
             r0 = int(rng.integers(0, g - h + 1))
             c0 = int(rng.integers(0, g - w + 1))
-            block = labels[r0 : r0 + h, c0 : c0 + w]
-            if np.any(block != 0):
+            if labels[r0 : r0 + h, c0 : c0 + w].any():
                 continue
             if _adjacent_same_class(labels, r0, c0, h, w, class_id):
                 continue
             labels[r0 : r0 + h, c0 : c0 + w] = class_id
             objects.append(ObjectSpec(class_id, r0, c0, h, w, spec.class_intensity(class_id)))
-            placed = True
             break
-        if not placed:
-            continue
 
     pixels = np.zeros((g * p, g * p))
     for obj in objects:
         r, c = obj.row * p, obj.col * p
         hh, ww = obj.height * p, obj.width * p
-        tile = np.tile(class_pattern(obj.class_id, p), (obj.height, obj.width))
-        noise = rng.normal((hh, ww), std=spec.noise_sigma)
-        pixels[r : r + hh, c : c + ww] = obj.intensity * tile + noise
+        pixels[r : r + hh, c : c + ww] = rng.normal((hh, ww), std=spec.noise_sigma)
+        # the region as [height, p, width, p]: axes 1 and 3 index within a patch
+        texture = pixels[r : r + hh, c : c + ww].reshape(obj.height, p, obj.width, p)
+        texture += obj.intensity * class_pattern(obj.class_id, p)[:, None, :]
     return SyntheticImage(pixels=pixels, labels=labels, objects=objects)
 
 
 def dominant_class(labels: np.ndarray) -> int:
     """Class covering the most patches; ties break to the smallest id."""
-    ids, counts = np.unique(labels[labels > 0], return_counts=True)
-    if ids.size == 0:
+    counts = np.bincount(labels.ravel())[1:]  # counts[c - 1] patches of class c
+    if not counts.any():
         return 0
-    return int(ids[np.argmax(counts)])  # np.argmax returns first max -> smallest id
+    return int(np.argmax(counts)) + 1  # np.argmax returns first max -> smallest id
 
 
 def generate_qa(image: SyntheticImage, rng: RngStream) -> QaPair:
@@ -277,7 +273,8 @@ class Dataset:
     splits: dict = field(default_factory=dict)  # split name -> list[Example]
 
 
-SPLIT_NAMES = ("train", "probe-train", "probe-test")
+PROBE_SPLITS = ("probe-train", "probe-test")  # the examples dump and metrics read
+SPLIT_NAMES = ("train", *PROBE_SPLITS)
 
 
 def split_ids(n: int) -> dict:
@@ -350,7 +347,13 @@ def _read_split(path, bounds: dict) -> dict:
     return entries
 
 
-def load_dataset(path) -> Dataset:
+def load_dataset(path, splits=SPLIT_NAMES) -> Dataset:
+    """Read the manifest and the named split archives of a dataset directory.
+
+    `Dataset.splits` holds only the splits that were loaded; the others'
+    files are never opened. Raises DatasetError on an unknown format or on
+    an entry that the manifest rules out.
+    """
     path = Path(path)
     manifest = json.loads((path / "manifest.json").read_text())
     if manifest.get("format") != DATASET_FORMAT:
@@ -360,7 +363,7 @@ def load_dataset(path) -> Dataset:
     last_token = ds.vocab_size - 1
     bounds = {"labels": (0, spec.num_classes), "prompt": (0, last_token),
               "answer": (0, last_token), "probe": (1, spec.num_classes)}
-    for split_name in SPLIT_NAMES:
+    for split_name in splits:
         split_path = path / f"{split_name}.bin"
         entries = _read_split(split_path, bounds)
         ids = sorted({int(name.split("/")[0]) for name in entries})

@@ -165,10 +165,11 @@ def logit_lens(visual_by_layer, ln_gamma, ln_beta, head_w, head_b, top_k: int = 
     gamma, beta = ad.constant(ln_gamma), ad.constant(ln_beta)
     out = []
     for layer, states in enumerate(visual_by_layer):
-        logits = ad.layer_norm(ad.constant(states), gamma, beta).value @ head_w + head_b
-        shifted = logits - logits.max(axis=-1, keepdims=True)
-        e = np.exp(shifted)
-        probs = e / e.sum(axis=-1, keepdims=True)
+        probs = ad.layer_norm(ad.constant(states), gamma, beta).value @ head_w
+        probs += head_b  # logits; the softmax below runs in place
+        probs -= probs.max(axis=-1, keepdims=True)
+        np.exp(probs, out=probs)
+        probs /= probs.sum(axis=-1, keepdims=True)
         dist = probs.mean(axis=0)
         order = np.argsort(-dist, kind="stable")[:top_k]
         out.append(LogitLensDist(layer=layer, distribution=dist,

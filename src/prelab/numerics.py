@@ -10,6 +10,7 @@ COSINE_NORM_FLOOR is the norm below which every cosine in the package
 from __future__ import annotations
 
 import zlib
+from functools import cached_property
 
 import numpy as np
 
@@ -66,8 +67,8 @@ def pearson_corr(x) -> np.ndarray:
 
 
 def _label_hash(label) -> int:
-    if isinstance(label, int):
-        return label & 0xFFFFFFFF
+    if isinstance(label, (int, np.integer)):  # np.int64(3) keys the same stream as 3
+        return int(label) & 0xFFFFFFFF
     return zlib.crc32(str(label).encode("utf-8"))
 
 
@@ -83,8 +84,12 @@ class RngStream:
     def __init__(self, seed: int, _path: tuple = ()):
         self.seed = int(seed)
         self._path = tuple(_path)
+
+    @cached_property
+    def _gen(self) -> np.random.Generator:
+        # built on the first draw, so a stream that is only split costs none
         ss = np.random.SeedSequence(entropy=self.seed, spawn_key=self._path)
-        self._gen = np.random.Generator(np.random.PCG64(ss))
+        return np.random.Generator(np.random.PCG64(ss))
 
     def split(self, label) -> "RngStream":
         return RngStream(self.seed, self._path + (_label_hash(label),))

@@ -125,3 +125,47 @@ def test_property_round_trip(tmp_path_factory, entries):
     for name, arr in entries:
         assert back[name].shape == arr.shape
         assert back[name].tobytes() == arr.tobytes()
+
+
+def test_unaligned_payloads_and_a_rank_0_entry_round_trip(tmp_path):
+    # names of odd length put payloads at offsets that are not multiples of 4
+    rng = np.random.default_rng(3)
+    entries = {"a": rng.normal(size=(3, 5)).astype(np.float32), "bcd": np.float32(-7.25),
+               "efghi": rng.normal(size=(4,)).astype(np.float32), "j": np.zeros((2, 0, 3))}
+    path = tmp_path / "t.prea"
+    write_archive(path, entries)
+    back = read_archive(path)
+    assert not all(arr.flags.aligned for arr in back.values())
+    assert back["bcd"].shape == ()
+    for name, arr in entries.items():
+        want = np.asarray(arr, dtype=np.float32)
+        assert back[name].shape == want.shape and back[name].tobytes() == want.tobytes()
+    assert np.array_equal(back["a"] @ back["a"].T, entries["a"] @ entries["a"].T)
+
+
+def test_read_arrays_are_writable_and_not_shared_between_reads(tmp_path):
+    path = tmp_path / "t.prea"
+    write_archive(path, {"x": np.arange(6.0).reshape(2, 3), "y": np.ones(4)})
+    first, second = read_archive(path), read_archive(path)
+    for name in first:
+        assert first[name].flags.writeable
+        assert not np.shares_memory(first[name], second[name])
+    first["x"][...] = -1.0
+    assert np.array_equal(second["x"], np.arange(6.0).reshape(2, 3))
+    assert np.array_equal(read_archive(path)["x"], np.arange(6.0).reshape(2, 3))
+
+
+@pytest.mark.parametrize("where", ["count", "name", "dims", "payload"])
+def test_corrupted_byte_raises_before_any_entry_is_decoded(tmp_path, monkeypatch, where):
+    path = tmp_path / "t.prea"
+    write_archive(path, {"name": np.arange(16, dtype=np.float32).reshape(4, 4)})
+    raw = bytearray(path.read_bytes())
+    # header 10 bytes, name length 2, name 4, rank 1, dims 8, payload 64
+    raw[{"count": 6, "name": 13, "dims": 18, "payload": 40}[where]] ^= 0x40
+    path.write_bytes(bytes(raw))
+    decoded = []
+    frombuffer = np.frombuffer
+    monkeypatch.setattr(np, "frombuffer", lambda *a, **k: decoded.append(a) or frombuffer(*a, **k))
+    with pytest.raises(ArchiveError, match="CRC"):
+        read_archive(path)
+    assert decoded == []

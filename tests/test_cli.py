@@ -6,8 +6,8 @@ that does not match the run, a dump of a dataset with an empty probe split,
 metrics on a dump of another model shape or of no examples or on an archive
 that is not a dump, a similarity patch or layer that does not exist, two
 reports whose similarity maps probe different patches, or a metrics
-directory missing a file, and exit code 1, with no checkpoint, for a run
-that diverges."""
+directory missing a file, exit code 1, with no checkpoint, for a run that
+diverges, and dump and metrics that never read the train split."""
 
 import json
 import re
@@ -179,6 +179,24 @@ def test_dump_on_mismatched_dataset_exits_2(golden, tmp_path, capsys):
     assert rc == 2
     assert "grid 4, the run has 8" in capsys.readouterr().err
     assert not (tmp_path / "h.prea").exists()
+
+
+def test_dump_and_metrics_never_read_the_train_split(golden, tmp_path, capsys):
+    w, _, _ = golden
+    data = tmp_path / "data"
+    shutil.copytree(w / "data", data)
+    (data / "train.bin").unlink()
+    run_ok(["dump", "--run", w / "run", "--data", data, "--out", tmp_path / "hidden.prea"])
+    run_ok(["metrics", "--hidden", tmp_path / "hidden.prea", "--data", data, "--run", w / "run",
+            "--out", tmp_path / "metrics"])
+    assert (tmp_path / "hidden.prea").read_bytes() == (w / "hidden.prea").read_bytes()
+    assert file_bytes(tmp_path / "metrics") == file_bytes(w / "metrics")
+    capsys.readouterr()
+    rc = main(["train", "--data", str(data), "--out", str(tmp_path / "run"), "--steps", "1"]
+              + TINY_MODEL)
+    assert rc == 1
+    assert "train.bin" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
 
 
 def test_dump_with_an_empty_probe_split_exits_2_and_writes_nothing(tmp_path, capsys):

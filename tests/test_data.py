@@ -1,6 +1,7 @@
 """Dataset tests: byte-determinism of generation and its pinned bytes, the
-shared read-only class textures, answers that follow from the
-label map, the archive round trip of every field, and refusal of split
+shared read-only class textures, the dominant class's tie and empty rules,
+answers that follow from the label map, the archive round trip of every
+field, loads of only some splits, and refusal of split
 archives or manifests that the loader cannot trust, including token ids and
 labels outside the manifest's vocabulary and classes, and answers or prompts
 that are not one and PROMPT_LEN tokens long."""
@@ -18,7 +19,8 @@ from prelab.archive import read_archive, write_archive
 from prelab.cli import main
 from prelab.data import (CLASS_BASE, DIGIT_BASE, SPLIT_NAMES, TOK_COUNT, TOK_DOMINANT,
                          TOK_QMARK, TOK_WHAT, DataSpec, DatasetError, class_pattern,
-                         generate_dataset, generate_image, generate_qa, load_dataset)
+                         dominant_class, generate_dataset, generate_image, generate_qa,
+                         load_dataset)
 from prelab.numerics import RngStream
 
 
@@ -45,20 +47,30 @@ def test_generation_is_byte_deterministic(tmp_path_factory, n, seed, spec):
     assert first == dataset_files(b)
 
 
-# sha256 of each file of generate_dataset(30, 3, spec=DataSpec(grid=5, patch=2)),
-# recorded before the class textures were cached
+# sha256 of each file of generate_dataset(30, 3, spec=...): the grid-5, patch-2
+# case recorded before the class textures were cached, the default spec (grid
+# 8, patch 4) before the textures were added in place of np.tile
 PINNED_SHA256 = {
-    "manifest.json": "b35b727ca25372e386c5e8d144b2825395d15d666b9c4c583bb4eae49bb1a0cf",
-    "probe-test.bin": "4e7ca8c408003541ac29ab98fa9a4ff4afce362f90983c4e3b3f0d2ad3f79273",
-    "probe-train.bin": "a59edf680c13feccf4bfe09fc45e032d5f7a6ce5064daa52d915965e549142e9",
-    "train.bin": "b0284ae2d3607493bb7a548e444d05cd3299436974ba0577165e6ba074fd156d",
+    (5, 2): {
+        "manifest.json": "b35b727ca25372e386c5e8d144b2825395d15d666b9c4c583bb4eae49bb1a0cf",
+        "probe-test.bin": "4e7ca8c408003541ac29ab98fa9a4ff4afce362f90983c4e3b3f0d2ad3f79273",
+        "probe-train.bin": "a59edf680c13feccf4bfe09fc45e032d5f7a6ce5064daa52d915965e549142e9",
+        "train.bin": "b0284ae2d3607493bb7a548e444d05cd3299436974ba0577165e6ba074fd156d",
+    },
+    (8, 4): {
+        "manifest.json": "333d5670263d81bc48e4664c304859d02f58fa7c95e875fd43c392c29e4c85ca",
+        "probe-test.bin": "e49ff825e6d280ed7f2c922ec9ce3cfb7218d9c8b34535fcf83c6cc5a4b11a17",
+        "probe-train.bin": "0cfa92a9463c18d523cdb014a65de6f70bb79b975eed6563d2f0ccd5dc4d9fd9",
+        "train.bin": "5a610b44e819128e1fc7f35d778a4ead5572e52a79a9866c1a64ae0037de9490",
+    },
 }
 
 
-def test_generation_matches_the_pinned_bytes(tmp_path):
-    generate_dataset(30, 3, tmp_path, DataSpec(grid=5, patch=2))
+@pytest.mark.parametrize("grid, patch", sorted(PINNED_SHA256))
+def test_generation_matches_the_pinned_bytes(tmp_path, grid, patch):
+    generate_dataset(30, 3, tmp_path, DataSpec(grid=grid, patch=patch))
     assert {name: hashlib.sha256(raw).hexdigest()
-            for name, raw in dataset_files(tmp_path).items()} == PINNED_SHA256
+            for name, raw in dataset_files(tmp_path).items()} == PINNED_SHA256[grid, patch]
 
 
 def test_class_pattern_is_drawn_once_and_read_only():
@@ -66,6 +78,21 @@ def test_class_pattern_is_drawn_once_and_read_only():
     assert class_pattern(3, 4) is tile and tile.shape == (4, 4)
     with pytest.raises(ValueError, match="read-only"):
         tile[0, 0] = 0.0
+
+
+def test_class_pattern_of_a_numpy_integer_is_the_same_texture():
+    assert np.array_equal(class_pattern(np.int64(7), np.int32(3)), class_pattern(7, 3))
+
+
+@pytest.mark.parametrize("labels, dominant", [
+    ([[0, 0], [0, 0]], 0),          # no objects
+    ([[3, 3], [0, 5]], 3),
+    ([[5, 5], [2, 2]], 2),          # a tie goes to the smallest class id
+    ([[9, 9, 4], [9, 4, 4]], 4),
+    ([[0, 0, 0], [0, 0, 10]], 10),
+])
+def test_dominant_class(labels, dominant):
+    assert dominant_class(np.array(labels, dtype=np.int64)) == dominant
 
 
 def expected_answer(labels, prompt):
@@ -112,6 +139,18 @@ def test_load_returns_the_generated_arrays(tmp_path):
             assert got.dtype == np.int64 and got.shape == want.shape
             assert np.array_equal(got, want)
         assert ex.probe_label == qa.probe_label
+
+
+def test_load_reads_only_the_named_splits(tmp_path):
+    generate_dataset(40, 3, tmp_path, DataSpec(grid=4))
+    full = load_dataset(tmp_path)
+    (tmp_path / "train.bin").unlink()
+    probe = load_dataset(tmp_path, ("probe-train", "probe-test"))
+    assert list(probe.splits) == ["probe-train", "probe-test"]
+    for name in probe.splits:
+        assert [ex.id for ex in probe.splits[name]] == [ex.id for ex in full.splits[name]]
+    with pytest.raises(FileNotFoundError):
+        load_dataset(tmp_path)
 
 
 def set_first_entry(path, field, value):

@@ -135,6 +135,12 @@ class TestRngStream:
         r = RngStream(7)
         assert not np.array_equal(r.split("x").normal((8,)), r.split("y").normal((8,)))
 
+    @pytest.mark.parametrize("label", [np.int64(3), np.int32(3), np.uint8(3)])
+    def test_numpy_integer_labels_key_the_stream_of_the_int(self, label):
+        want = RngStream(1).split(3).uniform(size=4)
+        assert np.array_equal(RngStream(1).split(label).uniform(size=4), want)
+        assert not np.array_equal(RngStream(1).split("3").uniform(size=4), want)
+
     def test_truncated_normal_within_bounds(self):
         vals = RngStream(1).truncated_normal((5000,), std=0.02)
         assert np.max(np.abs(vals)) <= 2 * 0.02

@@ -1,6 +1,7 @@
 """Run the golden check pipeline and print one sha256 line per artifact.
 
     python3 tools/golden_digest.py WORK_DIR > digest.txt
+    python3 tools/golden_digest.py WORK_DIR --check digest.txt
 
 The pipeline: gen-data (n=800, grid 8, seed 5); three 10-step runs (lambda
 0; lambda 0.5 with --diag-every 5; pre-proj anchor with --no-schedule); a
@@ -8,6 +9,10 @@ dump and metrics for each run; and two reports, each against the lambda-0
 run. It runs the prelab package of the checkout this script lives in.
 
 Each output line is "<sha256>  <path relative to WORK_DIR>", sorted by path.
+With --check, nothing is printed for an artifact whose sha256 matches the
+digest file's line; every other path is listed as "differs", "missing" (in
+the file, not produced) or "extra" (produced, not in the file), and the exit
+code is 1 if any path is listed.
 train_time.csv holds wall times, so it is skipped. config.json records
 --data and --out as given, so two checkouts compare only when both run at
 the same WORK_DIR; WORK_DIR must not exist or be empty.
@@ -59,15 +64,35 @@ def digest(w: Path) -> list:
             for p in sorted(w.rglob("*")) if p.is_file() and p.name not in SKIPPED]
 
 
+def compare(want_lines, have_lines) -> list:
+    """The paths whose sha256 differs between two digests, or that only one
+    of them lists, as "<status>  <path>" lines sorted by path."""
+    want, have = ({path: sha for sha, path in (line.split("  ", 1) for line in lines if line)}
+                  for lines in (want_lines, have_lines))
+    status = {path: "differs" for path in want.keys() & have.keys() if want[path] != have[path]}
+    status.update({path: "missing" for path in want.keys() - have.keys()})
+    status.update({path: "extra" for path in have.keys() - want.keys()})
+    return [f"{status[path]}  {path}" for path in sorted(status)]
+
+
 def main_digest(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("work", type=Path, help="work directory (absent or empty)")
-    work = parser.parse_args(argv).work
+    parser.add_argument("--check", type=Path, metavar="DIGEST_FILE",
+                        help="compare with a saved digest instead of printing one")
+    args = parser.parse_args(argv)
+    work = args.work
     if work.exists() and any(work.iterdir()):
         parser.error(f"{work} is not empty")
+    want = args.check.read_text().splitlines() if args.check else None
     pipeline(work)
-    print("\n".join(digest(work)))
-    return 0
+    lines = digest(work)
+    if want is None:
+        print("\n".join(lines))
+        return 0
+    diffs = compare(want, lines)
+    print("\n".join(diffs) if diffs else f"all {len(lines)} artifacts match {args.check}")
+    return 1 if diffs else 0
 
 
 if __name__ == "__main__":
