@@ -194,8 +194,8 @@ def generate_image(rng: RngStream, spec: DataSpec) -> SyntheticImage:
         hh, ww = obj.height * p, obj.width * p
         pixels[r : r + hh, c : c + ww] = rng.normal((hh, ww), std=spec.noise_sigma)
         # the region as [height, p, width, p]: axes 1 and 3 index within a patch
-        texture = pixels[r : r + hh, c : c + ww].reshape(obj.height, p, obj.width, p)
-        texture += obj.intensity * class_pattern(obj.class_id, p)[:, None, :]
+        region = pixels[r : r + hh, c : c + ww].reshape(obj.height, p, obj.width, p)
+        region += obj.intensity * class_pattern(obj.class_id, p)[:, None, :]
     return SyntheticImage(pixels=pixels, labels=labels, objects=objects)
 
 

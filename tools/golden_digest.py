@@ -64,11 +64,14 @@ def digest(w: Path) -> list:
             for p in sorted(w.rglob("*")) if p.is_file() and p.name not in SKIPPED]
 
 
+def _sha_by_path(lines) -> dict:
+    return {path: sha for sha, path in (line.split("  ", 1) for line in lines if line)}
+
+
 def compare(want_lines, have_lines) -> list:
     """The paths whose sha256 differs between two digests, or that only one
     of them lists, as "<status>  <path>" lines sorted by path."""
-    want, have = ({path: sha for sha, path in (line.split("  ", 1) for line in lines if line)}
-                  for lines in (want_lines, have_lines))
+    want, have = _sha_by_path(want_lines), _sha_by_path(have_lines)
     status = {path: "differs" for path in want.keys() & have.keys() if want[path] != have[path]}
     status.update({path: "missing" for path in want.keys() - have.keys()})
     status.update({path: "extra" for path in have.keys() - want.keys()})
