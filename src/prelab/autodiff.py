@@ -198,17 +198,6 @@ def add(a: Node, b: Node) -> Node:
     return record("add", v, (a, b), bk)
 
 
-def mul(a: Node, b: Node) -> Node:
-    a, b = as_node(a), as_node(b)
-    v = a.value * b.value
-
-    def bk(g):
-        return (_unbroadcast(g * b.value, a.value.shape),
-                _unbroadcast(g * a.value, b.value.shape))
-
-    return record("mul", v, (a, b), bk)
-
-
 def scale(a: Node, c: float) -> Node:
     c = float(c)
     v = a.value * c

@@ -36,16 +36,15 @@ class ConfigError(ValueError):
 @dataclass
 class RunConfig(MllmConfig):
     """Everything a training run needs: the model fields it inherits plus
-    the run fields below; serialized flat next to its outputs."""
+    the run fields below; serialized flat next to its outputs. The rest of
+    the recipe is fixed: warmup + cosine from lr over `steps`, no weight
+    decay (see Trainer)."""
 
     dataset: str = ""
     out_dir: str = ""
     steps: int = 500
     batch_size: int = 8
     lr: float = 3e-4
-    weight_decay: float = 0.0
-    warmup_frac: float = 0.03
-    use_schedule: bool = True
     diag_every: int = 0
 
     def validate(self) -> None:
@@ -59,10 +58,6 @@ class RunConfig(MllmConfig):
             raise ConfigError(f"batch size must be >= 1, got {self.batch_size}")
         if not 0 <= self.lr < np.inf:  # written so that NaN fails too
             raise ConfigError(f"learning rate must be finite and >= 0, got {self.lr}")
-        if not 0 <= self.weight_decay < np.inf:
-            raise ConfigError(f"weight decay must be finite and >= 0, got {self.weight_decay}")
-        if not 0 <= self.warmup_frac < 1:
-            raise ConfigError(f"warmup fraction must be in [0, 1), got {self.warmup_frac}")
         if self.diag_every < 0:
             raise ConfigError(f"diag cadence must be >= 0, got {self.diag_every}")
 
@@ -94,8 +89,7 @@ def cmd_gen_data(args) -> int:
         raise ConfigError(f"--n must be >= 1, got {args.n}")
     if args.seed < 0:
         raise ConfigError(f"--seed must be >= 0, got {args.seed}")
-    spec = DataSpec(grid=args.grid, patch=args.patch, num_classes=args.classes,
-                    min_objects=args.min_objects, max_objects=args.max_objects)
+    spec = DataSpec(grid=args.grid)
     try:
         spec.validate()
     except ValueError as exc:
@@ -119,8 +113,6 @@ _FLAG_SPECS = {
     "lam": {"flag": "--lambda", "type": float, "default": RunConfig.lam,
             "help": "auxiliary loss weight; 0 runs the pure baseline"},
     "anchor": {"choices": [ANCHOR_PRE_LLM, ANCHOR_PRE_PROJ], "default": RunConfig.anchor},
-    "use_schedule": {"flag": "--no-schedule", "action": "store_false",
-                     "help": "constant learning rate instead of warmup+cosine"},
 }
 
 
@@ -160,10 +152,7 @@ def cmd_train(args) -> int:
         json.dumps(run_cfg.to_dict(), indent=2, sort_keys=True) + "\n")
 
     trainer = Trainer(run_cfg, dataset, steps=run_cfg.steps,
-                      batch_size=run_cfg.batch_size, lr=run_cfg.lr,
-                      weight_decay=run_cfg.weight_decay,
-                      warmup_frac=run_cfg.warmup_frac,
-                      use_schedule=run_cfg.use_schedule)
+                      batch_size=run_cfg.batch_size, lr=run_cfg.lr)
 
     eval_rows = []
 
@@ -232,9 +221,9 @@ def cmd_dump(args) -> int:
     return 0
 
 
-def _default_sim_choice(dataset, ids):
-    """First probe-test example (by id) with >= 2 distinct classes; probe
-    patch is the first object patch in row-major order."""
+def _sim_probe(dataset, ids):
+    """The similarity maps' probe: the first dumped probe-test example with
+    >= 2 distinct classes, and its first object patch in row-major order."""
     by_id = {ex.id: ex for ex in dataset.splits["probe-test"]}
     for ex_id in ids:
         ex = by_id.get(ex_id)
@@ -277,16 +266,7 @@ def cmd_metrics(args) -> int:
     if train_idx.size == 0 or test_idx.size == 0:
         raise ConfigError("metrics needs examples from both probe splits")
 
-    # the probe patch of the similarity maps
-    sim_id, default_patch = ((args.sim_example, 0) if args.sim_example is not None
-                             else _default_sim_choice(dataset, ids))
-    sim_patch = default_patch if args.sim_patch is None else args.sim_patch
-    if sim_id not in ids:
-        raise ConfigError(f"similarity example {sim_id} not in the hidden archive")
-    if not 0 <= sim_patch < grid * grid:
-        raise ConfigError(f"--sim-patch {sim_patch} outside [0, {grid * grid}) "
-                          f"for a {grid}x{grid} grid")
-
+    sim_id, sim_patch = _sim_probe(dataset, ids)
     rows, patch_metrics = layer_metrics(hv, labels_per_image, probe_labels, train_idx, test_idx)
 
     out = Path(args.out)
@@ -358,16 +338,11 @@ def cmd_report(args) -> int:
             raise ConfigError(f"similarity maps probe different patches: {key} "
                               f"{b_meta[key]} (baseline) vs {p_meta[key]} (+aux)")
     common = sorted(set(b_sims) & set(p_sims))
-    sim_layers = args.sim_layers or common
-    absent = [l for l in sim_layers if l not in common]
-    if absent:
-        raise ConfigError(f"--sim-layers {absent} have no similarity map in both metrics "
-                          f"directories (layers with one: {common})")
     out = Path(args.out)
     write_comparison(
         b_rows, p_rows, out,
-        baseline_sim={l: b_sims[l] for l in sim_layers},
-        pre_sim={l: p_sims[l] for l in sim_layers},
+        baseline_sim={l: b_sims[l] for l in common},
+        pre_sim={l: p_sims[l] for l in common},
         sim_probe_index=b_meta["sim_patch"],
         baseline_lens=b_lens, pre_lens=p_lens,
     )
@@ -408,10 +383,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.add_argument("--grid", type=int, default=8)
-    p.add_argument("--patch", type=int, default=4)
-    p.add_argument("--classes", type=int, default=10)
-    p.add_argument("--min-objects", type=int, default=1)
-    p.add_argument("--max-objects", type=int, default=4)
     p.set_defaults(fn=cmd_gen_data)
 
     p = sub.add_parser("train", help="train the toy model")
@@ -429,15 +400,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     p.add_argument("--run", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--sim-example", type=int, default=None)
-    p.add_argument("--sim-patch", type=int, default=None)
     p.set_defaults(fn=cmd_metrics)
 
     p = sub.add_parser("report", help="compare two metric reports")
     p.add_argument("--baseline", required=True, help="baseline metrics directory")
     p.add_argument("--pre", required=True, help="regularized metrics directory")
     p.add_argument("--out", required=True)
-    p.add_argument("--sim-layers", type=int, nargs="*", default=None)
     p.set_defaults(fn=cmd_report)
     return parser
 

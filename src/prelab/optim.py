@@ -1,5 +1,6 @@
-"""AdamW with decoupled weight decay and a warmup + cosine learning-rate
-schedule (linear warmup over the first 3% of steps, cosine decay to zero)."""
+"""Adam with bias correction and the fixed LLaVA-1.5 recipe's schedule:
+linear warmup over the first WARMUP_FRAC of steps, then cosine decay to
+zero. There is no weight decay."""
 
 from __future__ import annotations
 
@@ -7,6 +8,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+
+WARMUP_FRAC = 0.03
 
 
 @dataclass
@@ -16,10 +19,9 @@ class WarmupCosine:
 
     base_lr: float
     total_steps: int
-    warmup_frac: float = 0.03
 
     def __post_init__(self):
-        self.warmup_steps = max(1, int(math.ceil(self.warmup_frac * self.total_steps)))
+        self.warmup_steps = max(1, int(math.ceil(WARMUP_FRAC * self.total_steps)))
 
     def lr(self, t: int) -> float:
         if t <= self.warmup_steps:
@@ -31,30 +33,22 @@ class WarmupCosine:
 
 
 class AdamW:
-    """Decoupled-weight-decay Adam with bias correction.
+    """Adam with bias correction, stepped at schedule.lr(t); no weight decay.
 
     m <- b1 m + (1-b1) g;  v <- b2 v + (1-b2) g^2
-    p <- p - lr_t * [ mhat / (sqrt(vhat) + eps) ]   then   p <- p (1 - lr_t wd)
-
-    schedule=None keeps the learning rate constant.
+    p <- p - lr_t * [ mhat / (sqrt(vhat) + eps) ]
     """
 
-    def __init__(self, params, lr: float, beta1: float = 0.9, beta2: float = 0.999,
-                 eps: float = 1e-8, weight_decay: float = 0.0, schedule: WarmupCosine = None):
+    def __init__(self, params, schedule: WarmupCosine, beta1: float = 0.9,
+                 beta2: float = 0.999, eps: float = 1e-8):
         self.params = list(params)
-        self.lr = float(lr)
+        self.schedule = schedule
         self.beta1 = beta1
         self.beta2 = beta2
         self.eps = eps
-        self.weight_decay = weight_decay
-        self.schedule = schedule
         self.step_count = 0
         self.m = {p.name: np.zeros_like(p.value) for p in self.params}
         self.v = {p.name: np.zeros_like(p.value) for p in self.params}
-
-    def current_lr(self) -> float:
-        t = self.step_count
-        return self.schedule.lr(t) if self.schedule is not None else self.lr
 
     def zero_grad(self) -> None:
         for p in self.params:
@@ -63,7 +57,7 @@ class AdamW:
     def step(self) -> float:
         """One update from the accumulated gradients; returns the lr used."""
         self.step_count += 1
-        lr_t = self.current_lr()
+        lr_t = self.schedule.lr(self.step_count)
         b1, b2 = self.beta1, self.beta2
         bc1 = 1.0 - b1 ** self.step_count
         bc2 = 1.0 - b2 ** self.step_count
@@ -80,8 +74,6 @@ class AdamW:
             mhat = m / bc1
             vhat = v / bc2
             p.value -= lr_t * (mhat / (np.sqrt(vhat) + self.eps))
-            if self.weight_decay != 0.0:
-                p.value *= 1.0 - lr_t * self.weight_decay
         return lr_t
 
 

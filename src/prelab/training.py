@@ -107,14 +107,14 @@ def check_dataset_matches(dataset: Dataset, cfg: MllmConfig) -> None:
 class Trainer:
     """Deterministic single-threaded trainer over a generated dataset.
 
-    Batch sampling draws uniformly (with replacement) from the train split
-    using a stream keyed only by the run seed, so two configs with the same
-    seed see identical batches.
+    The optimizer is AdamW with no weight decay, at a warmup + cosine
+    schedule from lr that spans `steps`. Batch sampling draws uniformly
+    (with replacement) from the train split using a stream keyed only by the
+    run seed, so two configs with the same seed see identical batches.
     """
 
     def __init__(self, cfg: MllmConfig, dataset: Dataset, steps: int,
-                 batch_size: int = 8, lr: float = 3e-4, weight_decay: float = 0.0,
-                 warmup_frac: float = 0.03, use_schedule: bool = True):
+                 batch_size: int = 8, lr: float = 3e-4):
         cfg.validate()
         check_dataset_matches(dataset, cfg)
         self.cfg = cfg
@@ -122,9 +122,7 @@ class Trainer:
         self.steps = steps
         self.batch_size = batch_size
         self.params = MllmParams(cfg)
-        schedule = WarmupCosine(lr, steps, warmup_frac) if use_schedule else None
-        self.opt = AdamW(self.params.trainable(), lr=lr, weight_decay=weight_decay,
-                         schedule=schedule)
+        self.opt = AdamW(self.params.trainable(), WarmupCosine(lr, steps))
         self.batch_rng = RngStream(cfg.seed).split("batches")
         self.train_examples = dataset.splits["train"]
         if not self.train_examples:

@@ -10,6 +10,15 @@ from prelab import autodiff as ad
 REL_FLOOR = 1e-10
 
 
+def mul(a: ad.Node, b: ad.Node) -> ad.Node:
+    """Elementwise product of two same-shape nodes, a test-only op for
+    building weighted scalar losses; the package itself never multiplies
+    two graph values elementwise."""
+    if a.value.shape != b.value.shape:
+        raise ValueError(f"mul of shapes {a.value.shape} and {b.value.shape}")
+    return ad.record("mul", a.value * b.value, (a, b), lambda g: (g * b.value, g * a.value))
+
+
 def relative_error(a: float, b: float) -> float:
     """|a-b| / max(|a|, |b|, 1e-10); 0 when both magnitudes are < 1e-10."""
     if abs(a) < REL_FLOOR and abs(b) < REL_FLOOR:

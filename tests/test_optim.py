@@ -6,34 +6,36 @@ from prelab.autodiff import Parameter
 from prelab.optim import AdamW, WarmupCosine, grad_norm
 
 
+class Constant:
+    """A schedule that holds the learning rate at a fixed value."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def lr(self, t):
+        return self.value
+
+
 def test_zero_grad_no_decay_is_fixed_point():
     p = Parameter("w", np.array([1.0, -2.0]))
-    opt = AdamW([p], lr=0.1)
+    opt = AdamW([p], Constant(0.1))
     before = p.value.copy()
     opt.step()
     assert np.array_equal(p.value, before)
-
-
-def test_zero_grad_decoupled_decay():
-    p = Parameter("w", np.array([1.0, -2.0, 0.5]))
-    before = p.value.copy()
-    opt = AdamW([p], lr=0.1, weight_decay=0.3)
-    opt.step()
-    assert np.max(np.abs(p.value - before * (1 - 0.1 * 0.3))) < 1e-15
 
 
 def test_lr_zero_leaves_parameters_bitwise():
     p = Parameter("w", np.array([0.123456789, -9.87654321]))
     p.grad[...] = [1.0, -2.0]
     before = p.value.copy()
-    AdamW([p], lr=0.0).step()
+    AdamW([p], Constant(0.0)).step()
     assert np.array_equal(p.value, before)
 
 
 def test_five_steps_match_hand_stepped_reference():
-    lr, b1, b2, eps, wd = 0.05, 0.9, 0.999, 1e-8, 0.01
+    lr, b1, b2, eps = 0.05, 0.9, 0.999, 1e-8
     p = Parameter("w", np.array([1.5]))
-    opt = AdamW([p], lr=lr, weight_decay=wd)
+    opt = AdamW([p], Constant(lr))
 
     w_ref = 1.5
     m = v = 0.0
@@ -47,7 +49,6 @@ def test_five_steps_match_hand_stepped_reference():
         mhat = m / (1 - b1 ** t)
         vhat = v / (1 - b2 ** t)
         w_ref = w_ref - lr * (mhat / (math.sqrt(vhat) + eps))
-        w_ref = w_ref * (1 - lr * wd)
         assert abs(p.value[0] - w_ref) < 1e-12, t
 
 
@@ -55,12 +56,12 @@ def test_bias_correction_first_step_size():
     # with constant gradient g, the first bias-corrected step is lr * g/(|g|+eps)
     p = Parameter("w", np.array([0.0]))
     p.grad[...] = [3.0]
-    AdamW([p], lr=0.1).step()
+    AdamW([p], Constant(0.1)).step()
     assert abs(p.value[0] + 0.1 * (3.0 / (3.0 + 1e-8))) < 1e-12
 
 
 def test_warmup_then_cosine_to_zero():
-    sched = WarmupCosine(base_lr=1.0, total_steps=100, warmup_frac=0.03)
+    sched = WarmupCosine(base_lr=1.0, total_steps=100)
     assert sched.warmup_steps == 3
     assert sched.lr(1) == 1.0 / 3
     assert sched.lr(3) == 1.0
@@ -73,10 +74,9 @@ def test_warmup_then_cosine_to_zero():
 
 def test_schedule_is_used_by_optimizer():
     p = Parameter("w", np.array([1.0]))
-    opt = AdamW([p], lr=1.0, schedule=WarmupCosine(1.0, 10, 0.3))
+    opt = AdamW([p], WarmupCosine(1.0, 100))
     p.grad[...] = [1.0]
-    opt.step()
-    assert opt.current_lr() == 1.0 / 3
+    assert [opt.step() for _ in range(4)] == [1.0 / 3, 2.0 / 3, 1.0, WarmupCosine(1.0, 100).lr(4)]
 
 
 def test_grad_norm():

@@ -4,7 +4,7 @@
     python3 tools/golden_digest.py WORK_DIR --check digest.txt
 
 The pipeline: gen-data (n=800, grid 8, seed 5); three 10-step runs (lambda
-0; lambda 0.5 with --diag-every 5; pre-proj anchor with --no-schedule); a
+0; lambda 0.5 with --diag-every 5; lambda 0.5 with the pre-proj anchor); a
 dump and metrics for each run; and two reports, each against the lambda-0
 run. It runs the prelab package of the checkout this script lives in.
 
@@ -33,7 +33,7 @@ from prelab.cli import main  # noqa: E402
 RUNS = {
     "base": ["--lambda", "0"],
     "aux": ["--lambda", "0.5", "--diag-every", "5"],
-    "proj": ["--lambda", "0.5", "--anchor", "pre-proj", "--no-schedule"],
+    "proj": ["--lambda", "0.5", "--anchor", "pre-proj"],
 }
 SKIPPED = {"train_time.csv"}
 
