@@ -1,5 +1,5 @@
 """Binary tensor archive with CRC32 integrity check, the one file format of
-checkpoints, hidden-state dumps and dataset splits.
+checkpoints and hidden-state dumps.
 
 Layout (all little-endian):
 

@@ -19,8 +19,7 @@ import numpy as np
 
 from . import __version__
 from . import autodiff as ad
-from .data import (PROBE_SPLITS, SPLIT_NAMES, DataSpec, Dataset, generate_dataset, load_dataset,
-                   token_name)
+from .data import PROBE_SPLITS, DataSpec, Dataset, generate_dataset, load_dataset, token_name
 from .diagnostics import layer_metrics, logit_lens, similarity_map
 from .model import (ANCHOR_PRE_LLM, ANCHOR_PRE_PROJ, MllmConfig, llm_forward,
                     load_checkpoint, lm_loss, dump_hidden_states, read_hidden_states,
@@ -128,10 +127,9 @@ def _run_config_from_args(args) -> RunConfig:
     return run_config_from_dict({k: v for k, v in vars(args).items() if k in _RUN_FIELDS})
 
 
-def _load_dataset_checked(path, run_cfg: RunConfig, splits=SPLIT_NAMES) -> Dataset:
+def _load_dataset_checked(path, run_cfg: RunConfig, splits) -> Dataset:
     """Load the named splits of a dataset, refusing (exit 2) one whose patch
-    grid or patch size differ from the run's, or whose vocabulary is not the
-    model's."""
+    grid or patch size differ from the run's."""
     path = Path(path)
     if not (path / "manifest.json").exists():
         raise ConfigError(f"no dataset manifest in {path}")
@@ -145,7 +143,7 @@ def _load_dataset_checked(path, run_cfg: RunConfig, splits=SPLIT_NAMES) -> Datas
 
 def cmd_train(args) -> int:
     run_cfg = _run_config_from_args(args)
-    dataset = _load_dataset_checked(run_cfg.dataset, run_cfg)
+    dataset = _load_dataset_checked(run_cfg.dataset, run_cfg, ("train", "probe-train"))
     out = Path(run_cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     (out / "config.json").write_text(
@@ -378,7 +376,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"prelab {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("gen-data", help="generate a synthetic dataset")
+    p = sub.add_parser("gen-data", help="write the manifest of a synthetic dataset, "
+                                        "whose examples every load generates")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)

@@ -12,19 +12,22 @@ no pooled feature could tell classes apart. Same-class objects are never
 placed 4-adjacent to each other, so "number of objects of class c" equals
 the number of connected components of that class in the label map and every
 answer is verifiable from the label map alone.
+
+A dataset directory holds only manifest.json (n, seed and spec). Every
+example is drawn from its own substream of the seed, so loading generates
+the examples of the splits it names, the same every time.
 """
 
 from __future__ import annotations
 
 import json
 import zlib
-from dataclasses import dataclass, field, asdict
+from dataclasses import asdict, dataclass, field
 from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
 
-from .archive import read_archive, write_archive
 from .numerics import RngStream
 
 # ---------------------------------------------------------------------------
@@ -243,12 +246,12 @@ def generate_qa(image: SyntheticImage, rng: RngStream) -> QaPair:
 
 
 # ---------------------------------------------------------------------------
-# dataset splits: one tensor archive each. Label maps and token ids are stored
-# as whole-number float32 (exact up to 2**24); loading refuses values that are
-# not whole numbers or that the manifest's vocabulary and classes rule out.
+# datasets: a directory holds only manifest.json, and loading generates the
+# examples of the named splits from its n, seed and spec. The manifest is
+# the one outside input, so it is checked before anything is generated.
 # ---------------------------------------------------------------------------
 
-DATASET_FORMAT = "prelab-dataset/2"
+DATASET_FORMAT = "prelab-dataset/3"
 
 
 class DatasetError(RuntimeError):
@@ -269,7 +272,6 @@ class Example:
 class Dataset:
     spec: DataSpec
     seed: int
-    vocab_size: int
     splits: dict = field(default_factory=dict)  # split name -> list[Example]
 
 
@@ -290,99 +292,64 @@ def split_ids(n: int) -> dict:
     }
 
 
-def generate_dataset(n: int, seed: int, out_dir, spec: DataSpec = None) -> dict:
-    """Generate n examples and write one archive per split plus a manifest.
+def generate_example(seed: int, i: int, spec: DataSpec) -> tuple:
+    """Image and QA pair of example i, from its own substream of the dataset
+    seed: the same whichever other examples are generated, in any order."""
+    ex_rng = RngStream(seed).split(i)
+    img = generate_image(ex_rng.split("image"), spec)
+    return img, generate_qa(img, ex_rng.split("qa"))
 
-    Each example draws from its own RNG substream keyed by id, so the output
-    is byte-identical for a given (n, seed, spec) regardless of generation
-    order. Returns the manifest dict.
-    """
+
+def generate_dataset(n: int, seed: int, out_dir, spec: DataSpec = None) -> dict:
+    """Write the manifest of an n-example dataset to out_dir and return it.
+    The examples are generated when the dataset is loaded."""
     if n < 1:
         raise ValueError(f"dataset size must be >= 1, got {n}")
     spec = spec or DataSpec()
     spec.validate()
+    manifest = {"format": DATASET_FORMAT, "seed": int(seed), "n": int(n), "spec": asdict(spec),
+                "counts": {name: len(ids) for name, ids in split_ids(n).items()}}
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    root = RngStream(seed)
-    examples = {}
-    for i in range(n):
-        ex_rng = root.split(i)
-        img = generate_image(ex_rng.split("image"), spec)
-        qa = generate_qa(img, ex_rng.split("qa"))
-        examples[i] = (img, qa)
-    splits = split_ids(n)
-    for split_name, ids in splits.items():
-        items = []
-        for i in ids:
-            img, qa = examples[i]
-            key = f"{i:08d}"
-            items += [(f"{key}/image", img.pixels), (f"{key}/labels", img.labels),
-                      (f"{key}/prompt", qa.prompt), (f"{key}/answer", qa.answer),
-                      (f"{key}/probe", [qa.probe_label])]
-        write_archive(out_dir / f"{split_name}.bin", items)
-    manifest = {
-        "format": DATASET_FORMAT,
-        "seed": int(seed),
-        "n": int(n),
-        "vocab_size": VOCAB_SIZE,
-        "prompt_len": PROMPT_LEN,
-        "spec": asdict(spec),
-        "counts": {name: len(ids) for name, ids in splits.items()},
-    }
     (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     return manifest
 
 
-def _read_split(path, bounds: dict) -> dict:
-    """Read one split archive; bounds maps each integer field to the
-    inclusive range (lo, hi) its values must lie in."""
-    entries = read_archive(path)
-    for kind, (lo, hi) in bounds.items():
-        vals = np.concatenate([arr.ravel() for name, arr in entries.items()
-                               if name.endswith("/" + kind)] or [np.zeros(0)])
-        if not np.all(vals == np.floor(vals)):
-            raise DatasetError(f"{path}: an integer entry is not a whole number")
-        if not np.all((vals >= lo) & (vals <= hi)):
-            raise DatasetError(f"{path}: an integer entry of {kind!r} lies outside [{lo}, {hi}]")
-    return entries
-
-
 def load_dataset(path, splits=SPLIT_NAMES) -> Dataset:
-    """Read the manifest and the named split archives of a dataset directory.
+    """Generate the examples of the named splits of a dataset directory.
 
-    `Dataset.splits` holds only the splits that were loaded; the others'
-    files are never opened. Raises DatasetError on an unknown format or on
-    an entry that the manifest rules out.
+    `Dataset.splits` holds only those splits, each an id-ordered list of
+    Examples; no example of another split is generated. Each split's images
+    and label maps are one contiguous array that its Examples are views of.
+    Pixels are rounded to float32 and held as float64, which keeps them bit for
+    bit those of format 2 and of every artifact made from it. Raises
+    DatasetError for an unknown format or a manifest field that the generator
+    cannot take.
     """
-    path = Path(path)
-    manifest = json.loads((path / "manifest.json").read_text())
+    path = Path(path) / "manifest.json"
+    manifest = json.loads(path.read_text())
     if manifest.get("format") != DATASET_FORMAT:
         raise DatasetError(f"unknown dataset format in {path}; regenerate it with prelab gen-data")
-    spec = DataSpec(**manifest["spec"])
-    ds = Dataset(spec=spec, seed=manifest["seed"], vocab_size=manifest["vocab_size"])
-    last_token = ds.vocab_size - 1
-    bounds = {"labels": (0, spec.num_classes), "prompt": (0, last_token),
-              "answer": (0, last_token), "probe": (1, spec.num_classes)}
+    n, seed = manifest.get("n"), manifest.get("seed")
+    try:
+        if type(n) is not int or n < 1 or type(seed) is not int or seed < 0:
+            raise ValueError(f"n must be an int >= 1 and seed an int >= 0, got {n!r} and {seed!r}")
+        spec = DataSpec(**manifest.get("spec"))  # TypeError on a key DataSpec lacks
+        spec.validate()
+    except (TypeError, ValueError) as exc:
+        raise DatasetError(f"{path}: {exc}") from None
+    ids = split_ids(n)
+    g, p = spec.grid, spec.patch
+    ds = Dataset(spec=spec, seed=seed)
     for split_name in splits:
-        split_path = path / f"{split_name}.bin"
-        entries = _read_split(split_path, bounds)
-        ids = sorted({int(name.split("/")[0]) for name in entries})
+        images = np.empty((len(ids[split_name]), g * p, g * p))
+        labels = np.empty((len(ids[split_name]), g, g), dtype=np.int64)
         examples = []
-        for i in ids:
-            key = f"{i:08d}"
-            ex = Example(
-                id=i,
-                image=entries[f"{key}/image"].astype(np.float64),
-                labels=entries[f"{key}/labels"].astype(np.int64),
-                prompt=entries[f"{key}/prompt"].astype(np.int64),
-                answer=entries[f"{key}/answer"].astype(np.int64),
-                probe_label=int(entries[f"{key}/probe"][0]),
-            )
-            if ex.prompt.shape != (PROMPT_LEN,) or ex.answer.shape != (1,):
-                raise DatasetError(f"{split_path}: example {i} has prompt shape {ex.prompt.shape} "
-                                   f"and answer shape {ex.answer.shape}, not ({PROMPT_LEN},) "
-                                   f"and (1,)")
-            examples.append(ex)
+        for k, i in enumerate(ids[split_name]):
+            img, qa = generate_example(seed, i, spec)
+            images[k] = img.pixels.astype(np.float32)
+            labels[k] = img.labels
+            examples.append(Example(i, images[k], labels[k], qa.prompt, qa.answer,
+                                    qa.probe_label))
         ds.splits[split_name] = examples
     return ds
-

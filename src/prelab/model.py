@@ -321,11 +321,15 @@ def load_checkpoint(cfg: MllmConfig, path) -> MllmParams:
     Trainable parameters keep their own dtype, float32 (layers.PARAM_DTYPE),
     so a trained model round-trips bit for bit. The frozen encoder matrix is
     not stored: MllmParams(cfg) draws it from the seed, the same float64
-    matrix that training used. Entries the model has no parameter for are
-    ignored.
+    matrix that training used. A missing parameter, or an entry the model has
+    no parameter for (say, a block of a deeper model), raises KeyError.
     """
     params = MllmParams(cfg)
     raw = read_archive(path)
+    extra = sorted(raw.keys() - {p.name for p in params.trainable()})
+    if extra:
+        raise KeyError(f"checkpoint has {len(extra)} entries the model has no parameter for "
+                       f"(first: {extra[0]!r})")
     for p in params.trainable():
         if p.name not in raw:
             raise KeyError(f"checkpoint missing parameter {p.name!r}")

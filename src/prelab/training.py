@@ -95,11 +95,9 @@ def train_step(params: MllmParams, opt: AdamW, batch: Batch) -> StepReport:
 
 
 def check_dataset_matches(dataset: Dataset, cfg: MllmConfig) -> None:
-    """Raise ValueError if the dataset's grid or patch is not cfg's, or its
-    vocab is not the model's VOCAB_SIZE."""
+    """Raise ValueError if the dataset's grid or patch is not cfg's."""
     for what, have, want in (("grid", dataset.spec.grid, cfg.grid),
-                             ("patch", dataset.spec.patch, cfg.patch),
-                             ("vocab", dataset.vocab_size, VOCAB_SIZE)):
+                             ("patch", dataset.spec.patch, cfg.patch)):
         if have != want:
             raise ValueError(f"dataset has {what} {have}, the run has {want}")
 

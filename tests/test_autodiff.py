@@ -1,6 +1,8 @@
 """Engine-level tests: every primitive's gradient against central finite
 differences, stop-gradient semantics, and backward bookkeeping."""
 
+import math
+
 import numpy as np
 import pytest
 from scipy.special import erf
@@ -338,11 +340,14 @@ class TestFloat32Erf:
         assert got[2] == 1.0 and got[3] == -1.0
         assert np.isnan(got[4])
 
-    def test_float64_is_scipy_erf_bitwise(self):
+    def test_float64_is_math_erf_bitwise_and_within_2_ulp_of_scipy(self):
         x = RNG.normal(size=(3, 50)) * 3.0
-        assert np.array_equal(ad._erf(x), erf(x))
+        got = ad._erf(x)
+        assert got.dtype == np.float64
+        assert got.tobytes() == np.array([[math.erf(v) for v in row] for row in x]).tobytes()
+        assert np.all(np.abs(got - erf(x)) <= 2 * np.spacing(np.abs(erf(x))))
         assert np.array_equal(ad.gelu(ad.constant(x)).value,
-                              x * (0.5 * (1.0 + erf(x / np.sqrt(2.0)))))
+                              x * (0.5 * (1.0 + ad._erf(x / np.sqrt(2.0)))))
 
     def test_float32_gelu_stays_float32(self):
         x = (RNG.normal(size=(4, 8)) * 3.0).astype(np.float32)

@@ -6,7 +6,9 @@ run, a dump of a dataset with an empty probe split, metrics on a dump of
 another model shape or of no examples or on an archive that is not a dump,
 two reports whose similarity maps probe different patches, or a metrics
 directory missing a file, exit code 1, with no checkpoint, for a run that
-diverges, and dump and metrics that never read the train split."""
+diverges, exit code 1 for a checkpoint with an entry the model has no
+parameter for, dump and metrics that never generate a train example, and
+train that never generates a probe-test example."""
 
 import json
 import re
@@ -19,7 +21,9 @@ import pytest
 from prelab.cli import (RunConfig, _run_config_from_args, build_parser, load_run_config,
                         main)
 from prelab.archive import read_archive, write_archive
+from prelab.data import split_ids
 from prelab.model import dump_hidden_states
+from test_data import record_generated_ids
 
 TINY_MODEL = ["--grid", "4", "--layers", "2", "--d-l", "16", "--heads", "2",
               "--target-layer", "1"]
@@ -205,22 +209,43 @@ def test_dump_on_mismatched_dataset_exits_2(golden, tmp_path, capsys):
     assert not (tmp_path / "h.prea").exists()
 
 
-def test_dump_and_metrics_never_read_the_train_split(golden, tmp_path, capsys):
+def test_dump_and_metrics_never_read_the_train_split(golden, tmp_path, monkeypatch):
     w, _, _ = golden
-    data = tmp_path / "data"
-    shutil.copytree(w / "data", data)
-    (data / "train.bin").unlink()
-    run_ok(["dump", "--run", w / "run", "--data", data, "--out", tmp_path / "hidden.prea"])
-    run_ok(["metrics", "--hidden", tmp_path / "hidden.prea", "--data", data, "--run", w / "run",
-            "--out", tmp_path / "metrics"])
+    ids = record_generated_ids(monkeypatch)
+    run_ok(["dump", "--run", w / "run", "--data", w / "data", "--out", tmp_path / "hidden.prea"])
+    run_ok(["metrics", "--hidden", tmp_path / "hidden.prea", "--data", w / "data",
+            "--run", w / "run", "--out", tmp_path / "metrics"])
+    assert ids and not set(ids) & set(split_ids(80)["train"])
     assert (tmp_path / "hidden.prea").read_bytes() == (w / "hidden.prea").read_bytes()
     assert file_bytes(tmp_path / "metrics") == file_bytes(w / "metrics")
+
+
+def test_train_never_reads_the_probe_test_split(golden, tmp_path, monkeypatch):
+    w, _, _ = golden
+    ids = record_generated_ids(monkeypatch)
+    run_ok(["train", "--data", w / "data", "--out", tmp_path / "run", "--steps", 3,
+            "--batch-size", 4, "--diag-every", 2, "--seed", 1] + TINY_MODEL)
+    assert sorted(ids) == sorted(split_ids(80)["train"] + split_ids(80)["probe-train"])
+    for name in ("checkpoint.prea", "train_log.csv", "eval.csv"):
+        assert (tmp_path / "run" / name).read_bytes() == (w / "run" / name).read_bytes()
+
+
+def test_a_checkpoint_of_a_deeper_model_exits_1(golden, tmp_path, capsys):
+    # a --layers 4 checkpoint in a --layers 2 run directory: blocks 2 and 3 have no parameter
+    w, _, _ = golden
+    deep, run = tmp_path / "deep", tmp_path / "run"
+    run_ok(["train", "--data", w / "data", "--out", deep, "--steps", 1]
+           + TINY_MODEL + ["--layers", "4"])
+    shutil.copytree(w / "run", run)
+    shutil.copy(deep / "checkpoint.prea", run / "checkpoint.prea")
     capsys.readouterr()
-    rc = main(["train", "--data", str(data), "--out", str(tmp_path / "run"), "--steps", "1"]
-              + TINY_MODEL)
-    assert rc == 1
-    assert "train.bin" in capsys.readouterr().err
-    assert not (tmp_path / "run").exists()
+    for argv in (["dump", "--run", run, "--data", w / "data", "--out", tmp_path / "h.prea"],
+                 ["metrics", "--hidden", w / "hidden.prea", "--data", w / "data", "--run", run,
+                  "--out", tmp_path / "metrics"]):
+        assert main([str(a) for a in argv]) == 1
+        assert ("checkpoint has 20 entries the model has no parameter for (first: "
+                "'block2.attn.o.w')") in capsys.readouterr().err
+    assert not (tmp_path / "h.prea").exists() and not (tmp_path / "metrics").exists()
 
 
 def test_dump_with_an_empty_probe_split_exits_2_and_writes_nothing(tmp_path, capsys):
@@ -271,8 +296,8 @@ def test_metrics_on_a_dump_with_no_examples_exits_2(golden, tmp_path, capsys):
 def _not_a_dump(w, tmp_path, case):
     """An archive metrics must refuse: another archive of the golden pipeline,
     or the golden dump with one entry added, removed or narrowed."""
-    if case in ("checkpoint", "dataset split"):
-        return w / ("run/checkpoint.prea" if case == "checkpoint" else "data/probe-test.bin")
+    if case == "checkpoint":
+        return w / "run/checkpoint.prea"
     entries = read_archive(w / "hidden.prea")
     last = sorted(name for name in entries if "/hv" in name)[-1]
     if case == "foreign entry":
@@ -287,7 +312,6 @@ def _not_a_dump(w, tmp_path, case):
 
 @pytest.mark.parametrize("case, found", [
     ("checkpoint", "no meta/grid entry"),
-    ("dataset split", "no meta/grid entry"),
     ("foreign entry", "entry 'ex00000001/y' is not ex<ID>/z or ex<ID>/hv<LL>"),
     ("missing layer", "differ in layer count or shape"),
     ("narrower layer", "differ in layer count or shape"),

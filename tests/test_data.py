@@ -1,10 +1,9 @@
-"""Dataset tests: byte-determinism of generation and its pinned bytes, the
-shared read-only class textures, the dominant class's tie and empty rules,
-answers that follow from the label map, the archive round trip of every
-field, loads of only some splits, and refusal of split
-archives or manifests that the loader cannot trust, including token ids and
-labels outside the manifest's vocabulary and classes, and answers or prompts
-that are not one and PROMPT_LEN tokens long."""
+"""Dataset tests: a dataset directory that is its manifest alone, examples
+that load bit for bit the same every time and match a digest pinned per
+dataset format, the shared read-only class textures, the dominant class's
+tie and empty rules, answers that follow from the label map, loads that
+generate only the named splits, and refusal of a manifest of another format
+or with a field the generator cannot take."""
 
 import hashlib
 import json
@@ -15,10 +14,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import ndimage
 
-from prelab.archive import read_archive, write_archive
+import prelab.data
 from prelab.cli import main
-from prelab.data import (CLASS_BASE, DIGIT_BASE, SPLIT_NAMES, TOK_COUNT, TOK_DOMINANT,
-                         TOK_QMARK, TOK_WHAT, DataSpec, DatasetError, class_pattern,
+from prelab.data import (CLASS_BASE, DATASET_FORMAT, DIGIT_BASE, SPLIT_NAMES, TOK_COUNT,
+                         TOK_DOMINANT, TOK_WHAT, DataSpec, DatasetError, class_pattern,
                          dominant_class, generate_dataset, generate_image, generate_qa,
                          load_dataset)
 from prelab.numerics import RngStream
@@ -26,6 +25,26 @@ from prelab.numerics import RngStream
 
 def dataset_files(path):
     return {p.name: p.read_bytes() for p in sorted(path.iterdir())}
+
+
+def example_arrays(ds):
+    """Every array of every loaded example, split by split in load order
+    (SPLIT_NAMES by default), then in id order."""
+    return [arr for split in ds.splits.values() for ex in split
+            for arr in (np.int64(ex.id), ex.image, ex.labels, ex.prompt, ex.answer,
+                        np.int64(ex.probe_label))]
+
+
+def record_generated_ids(monkeypatch):
+    """The ids of the examples generated from now on, in order."""
+    ids, generate = [], prelab.data.generate_example
+
+    def recording(seed, i, spec):
+        ids.append(i)
+        return generate(seed, i, spec)
+
+    monkeypatch.setattr(prelab.data, "generate_example", recording)
+    return ids
 
 
 @st.composite
@@ -42,35 +61,38 @@ def test_generation_is_byte_deterministic(tmp_path_factory, n, seed, spec):
     a, b = tmp_path_factory.mktemp("a"), tmp_path_factory.mktemp("b")
     generate_dataset(n, seed, a, spec)
     generate_dataset(n, seed, b, spec)
-    first = dataset_files(a)
-    assert sorted(first) == ["manifest.json"] + sorted(f"{s}.bin" for s in SPLIT_NAMES)
-    assert first == dataset_files(b)
+    assert list(dataset_files(a)) == ["manifest.json"]
+    assert dataset_files(a) == dataset_files(b)
+    first, second = example_arrays(load_dataset(a)), example_arrays(load_dataset(b))
+    assert len(first) == 6 * n
+    for x, y in zip(first, second):
+        assert x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
 
 
-# sha256 of each file of generate_dataset(30, 3, spec=...): the grid-5, patch-2
-# case recorded before the class textures were cached, the default spec (grid
-# 8, patch 4) before the textures were added in place of np.tile
+# sha256 of the manifest of generate_dataset(30, 3, DataSpec(grid, patch)), and
+# one sha256 fed every loaded example's arrays (example_arrays), by dataset
+# format. The examples are generated on load, so a generator change fails this
+# test until both the format string and its digests change; the format 3
+# content digests are those of the split archives format 2 stored.
 PINNED_SHA256 = {
-    (5, 2): {
-        "manifest.json": "b35b727ca25372e386c5e8d144b2825395d15d666b9c4c583bb4eae49bb1a0cf",
-        "probe-test.bin": "4e7ca8c408003541ac29ab98fa9a4ff4afce362f90983c4e3b3f0d2ad3f79273",
-        "probe-train.bin": "a59edf680c13feccf4bfe09fc45e032d5f7a6ce5064daa52d915965e549142e9",
-        "train.bin": "b0284ae2d3607493bb7a548e444d05cd3299436974ba0577165e6ba074fd156d",
-    },
-    (8, 4): {
-        "manifest.json": "333d5670263d81bc48e4664c304859d02f58fa7c95e875fd43c392c29e4c85ca",
-        "probe-test.bin": "e49ff825e6d280ed7f2c922ec9ce3cfb7218d9c8b34535fcf83c6cc5a4b11a17",
-        "probe-train.bin": "0cfa92a9463c18d523cdb014a65de6f70bb79b975eed6563d2f0ccd5dc4d9fd9",
-        "train.bin": "5a610b44e819128e1fc7f35d778a4ead5572e52a79a9866c1a64ae0037de9490",
+    "prelab-dataset/3": {
+        (5, 2): ("85f58329f677c39d38cb41825d8a04185dfe88a3eb501244b009065d492414b1",
+                 "9fe0d5fb3beeed791eee17cb8465de7129cadfeeda795b582aa06d2b27e67852"),
+        (8, 4): ("07cfedc516d84877c0ee9fc219f74669b5590bded2163aaf72a195d5d69f6ace",
+                 "d95ac350ca072556667386bc8e55e27cd64174e2732582381d9a553bd793d9bc"),
     },
 }
 
 
-@pytest.mark.parametrize("grid, patch", sorted(PINNED_SHA256))
+@pytest.mark.parametrize("grid, patch", [(5, 2), (8, 4)])
 def test_generation_matches_the_pinned_bytes(tmp_path, grid, patch):
     generate_dataset(30, 3, tmp_path, DataSpec(grid=grid, patch=patch))
-    assert {name: hashlib.sha256(raw).hexdigest()
-            for name, raw in dataset_files(tmp_path).items()} == PINNED_SHA256[grid, patch]
+    content = hashlib.sha256()
+    for arr in example_arrays(load_dataset(tmp_path)):
+        assert arr.dtype in (np.float64, np.int64)
+        content.update(arr.tobytes())
+    manifest = hashlib.sha256((tmp_path / "manifest.json").read_bytes())
+    assert (manifest.hexdigest(), content.hexdigest()) == PINNED_SHA256[DATASET_FORMAT][grid, patch]
 
 
 def test_class_pattern_is_drawn_once_and_read_only():
@@ -139,82 +161,50 @@ def test_load_returns_the_generated_arrays(tmp_path):
             assert got.dtype == np.int64 and got.shape == want.shape
             assert np.array_equal(got, want)
         assert ex.probe_label == qa.probe_label
+    for split in ds.splits.values():  # views of one image and one label array per split
+        assert all(ex.image.base is split[0].image.base and ex.labels.base is split[0].labels.base
+                   for ex in split)
 
 
-def test_load_reads_only_the_named_splits(tmp_path):
+def test_load_reads_only_the_named_splits(tmp_path, monkeypatch):
     generate_dataset(40, 3, tmp_path, DataSpec(grid=4))
     full = load_dataset(tmp_path)
-    (tmp_path / "train.bin").unlink()
+    ids = record_generated_ids(monkeypatch)
     probe = load_dataset(tmp_path, ("probe-train", "probe-test"))
     assert list(probe.splits) == ["probe-train", "probe-test"]
-    for name in probe.splits:
-        assert [ex.id for ex in probe.splits[name]] == [ex.id for ex in full.splits[name]]
-    with pytest.raises(FileNotFoundError):
-        load_dataset(tmp_path)
-
-
-def set_first_entry(path, field, value):
-    entries = read_archive(path)
-    name = next(n for n in entries if n.endswith("/" + field))
-    entries[name].flat[0] = value
-    write_archive(path, entries)
-
-
-@pytest.mark.parametrize("field", ["labels", "prompt", "answer", "probe"])
-@pytest.mark.parametrize("value", [2.5, -1.0, 65536.0, np.nan])
-def test_integer_entry_out_of_range_is_refused(tmp_path, field, value):
-    generate_dataset(20, 0, tmp_path, DataSpec(grid=4))
-    path = tmp_path / "train.bin"
-    set_first_entry(path, field, value)
-    with pytest.raises(DatasetError, match=re.escape(f"{path}: an integer entry")):
-        load_dataset(tmp_path)
-
-
-@pytest.mark.parametrize("field,value,bounds", [
-    ("prompt", 70, "[0, 63]"), ("answer", 64, "[0, 63]"),
-    ("labels", 99, "[0, 10]"), ("probe", 0, "[1, 10]"), ("probe", 11, "[1, 10]")])
-def test_entry_outside_vocabulary_or_classes_is_refused(tmp_path, field, value, bounds):
-    generate_dataset(20, 0, tmp_path, DataSpec(grid=4))  # vocabulary 64, 10 classes
-    path = tmp_path / "train.bin"
-    set_first_entry(path, field, value)
-    with pytest.raises(DatasetError, match=re.escape(
-            f"{path}: an integer entry of {field!r} lies outside {bounds}")):
-        load_dataset(tmp_path)
-
-
-@pytest.mark.parametrize("field,tokens,shapes", [
-    ("answer", [CLASS_BASE, CLASS_BASE], "prompt shape (4,) and answer shape (2,)"),
-    ("prompt", [TOK_DOMINANT, TOK_QMARK, TOK_QMARK], "prompt shape (3,) and answer shape (1,)")])
-def test_answer_or_prompt_of_the_wrong_length_is_refused(tmp_path, field, tokens, shapes):
-    # every answer is one token, every prompt PROMPT_LEN tokens
-    generate_dataset(20, 0, tmp_path, DataSpec(grid=4))
-    path = tmp_path / "train.bin"
-    entries = read_archive(path)
-    name = next(n for n in entries if n.endswith("/" + field))
-    entries[name] = np.array(tokens, dtype=np.float32)
-    write_archive(path, entries)
-    with pytest.raises(DatasetError, match=re.escape(
-            f"{path}: example {int(name[:8])} has {shapes}, not (4,) and (1,)")):
-        load_dataset(tmp_path)
-
-
-def test_train_on_out_of_vocabulary_token_exits_1_and_writes_nothing(tmp_path, capsys):
-    data, out = tmp_path / "data", tmp_path / "run"
-    generate_dataset(20, 0, data, DataSpec(grid=4))
-    set_first_entry(data / "train.bin", "prompt", 70)
-    rc = main(["train", "--data", str(data), "--out", str(out), "--steps", "1",
-               "--grid", "4", "--layers", "2", "--target-layer", "1"])
-    assert rc == 1
-    assert "'prompt' lies outside [0, 63]" in capsys.readouterr().err
-    assert not out.exists()
+    assert ids == [ex.id for name in probe.splits for ex in probe.splits[name]]
+    assert not set(ids) & {ex.id for ex in full.splits["train"]}
+    for a, b in zip(example_arrays(probe), example_arrays(full)[6 * len(full.splits["train"]):]):
+        assert a.tobytes() == b.tobytes()
 
 
 def test_old_manifest_format_is_refused(tmp_path):
     generate_dataset(10, 0, tmp_path, DataSpec(grid=4))
     manifest_path = tmp_path / "manifest.json"
     manifest = json.loads(manifest_path.read_text())
-    assert manifest["format"] == "prelab-dataset/2"
-    manifest["format"] = "prelab-dataset/1"
+    assert manifest["format"] == "prelab-dataset/3"
+    manifest["format"] = "prelab-dataset/2"
     manifest_path.write_text(json.dumps(manifest))
     with pytest.raises(DatasetError, match="unknown dataset format.*prelab gen-data"):
         load_dataset(tmp_path)
+
+
+@pytest.mark.parametrize("key, value, found", [
+    ("n", 0, "got 0 and 0"), ("n", "5", "got '5' and 0"), ("seed", -1, "got 20 and -1"),
+    ("seed", 1.5, "got 20 and 1.5"), ("grid", 11, "grid must be in [2, 10], got 11"),
+    ("colour", "red", "unexpected keyword argument 'colour'")])
+def test_manifest_field_the_generator_cannot_take_is_refused(tmp_path, capsys, key, value,
+                                                            found):
+    data, out = tmp_path / "data", tmp_path / "run"
+    generate_dataset(20, 0, data, DataSpec(grid=4))
+    manifest = json.loads((data / "manifest.json").read_text())
+    (manifest["spec"] if key in ("grid", "colour") else manifest)[key] = value
+    (data / "manifest.json").write_text(json.dumps(manifest))
+    with pytest.raises(DatasetError, match=re.escape(f"{data / 'manifest.json'}: ")) as exc:
+        load_dataset(data)
+    assert found in str(exc.value)
+    rc = main(["train", "--data", str(data), "--out", str(out), "--steps", "1",
+               "--grid", "4", "--layers", "2", "--target-layer", "1"])
+    assert rc == 1
+    assert found in capsys.readouterr().err
+    assert not out.exists()

@@ -66,13 +66,6 @@ def test_trainer_refuses_a_mismatched_dataset(dataset, field, value, message):
         Trainer(cfg, dataset, steps=3, batch_size=4)
 
 
-def test_trainer_refuses_a_dataset_of_another_vocabulary(dataset, monkeypatch):
-    cfg = MllmConfig(grid=4, d_l=16, layers=2, heads=2, target_layer=1)
-    monkeypatch.setattr(dataset, "vocab_size", 65)
-    with pytest.raises(ValueError, match="^dataset has vocab 65, the run has 64$"):
-        Trainer(cfg, dataset, steps=3, batch_size=4)
-
-
 def test_lambda_zero_reports_pre_as_nan(dataset, tmp_path):
     reports = trainer(dataset, lam=0.0).run(tmp_path / "log.csv", lambda report: None)
     assert all(math.isnan(r.pre) and r.total == r.lm for r in reports)
