@@ -340,6 +340,14 @@ class TestFloat32Erf:
         assert got[2] == 1.0 and got[3] == -1.0
         assert np.isnan(got[4])
 
+    def test_float64_signed_zero_infinities_and_nan(self):
+        got = ad._erf(np.array([0.0, -0.0, np.inf, -np.inf, np.nan]))
+        assert got.dtype == np.float64 and got.shape == (5,)
+        assert got[0] == 0.0 and not np.signbit(got[0])
+        assert got[1] == 0.0 and np.signbit(got[1])
+        assert got[2] == 1.0 and got[3] == -1.0
+        assert np.isnan(got[4])
+
     def test_float64_is_math_erf_bitwise_and_within_2_ulp_of_scipy(self):
         x = RNG.normal(size=(3, 50)) * 3.0
         got = ad._erf(x)

@@ -1,9 +1,10 @@
 """Dataset tests: a dataset directory that is its manifest alone, examples
 that load bit for bit the same every time and match a digest pinned per
 dataset format, the shared read-only class textures, the dominant class's
-tie and empty rules, answers that follow from the label map, loads that
-generate only the named splits, and refusal of a manifest of another format
-or with a field the generator cannot take."""
+tie and empty rules, answers that follow from the label map, generated
+entries of the shapes and inside the vocabulary and classes the model takes,
+loads that generate only the named splits, and refusal of a manifest of
+another format, missing a key, or with a field the generator cannot take."""
 
 import hashlib
 import json
@@ -16,10 +17,10 @@ from scipy import ndimage
 
 import prelab.data
 from prelab.cli import main
-from prelab.data import (CLASS_BASE, DATASET_FORMAT, DIGIT_BASE, SPLIT_NAMES, TOK_COUNT,
-                         TOK_DOMINANT, TOK_WHAT, DataSpec, DatasetError, class_pattern,
-                         dominant_class, generate_dataset, generate_image, generate_qa,
-                         load_dataset)
+from prelab.data import (CLASS_BASE, DATASET_FORMAT, DIGIT_BASE, PROMPT_LEN, SPLIT_NAMES,
+                         TOK_COUNT, TOK_DOMINANT, TOK_QMARK, TOK_WHAT, DataSpec, DatasetError,
+                         class_pattern, dominant_class, generate_dataset, generate_image,
+                         generate_qa, load_dataset)
 from prelab.numerics import RngStream
 
 
@@ -166,6 +167,24 @@ def test_load_returns_the_generated_arrays(tmp_path):
                    for ex in split)
 
 
+@pytest.mark.parametrize("spec", [DataSpec(grid=2, patch=1, num_classes=1, max_objects=1),
+                                  DataSpec(grid=4), DataSpec(grid=10, patch=2, num_classes=3)],
+                         ids=["grid2-one-class", "grid4", "grid10-three-classes"])
+@pytest.mark.parametrize("field", ["labels", "prompt", "answer", "probe"])
+def test_generated_entries_lie_inside_the_vocabulary_and_classes(tmp_path, field, spec):
+    # what the model and the probes take: class ids and non-pad tokens of the
+    # fixed vocabulary, every prompt PROMPT_LEN tokens and every answer one
+    shape, low, high = {"labels": ((spec.grid, spec.grid), 0, spec.num_classes),
+                        "prompt": ((PROMPT_LEN,), CLASS_BASE, TOK_QMARK),
+                        "answer": ((1,), CLASS_BASE, DIGIT_BASE + 9),
+                        "probe": ((), 1, spec.num_classes)}[field]
+    generate_dataset(60, 5, tmp_path, spec)
+    for ex in (ex for split in load_dataset(tmp_path).splits.values() for ex in split):
+        value = np.asarray(ex.probe_label if field == "probe" else getattr(ex, field))
+        assert value.dtype == np.int64 and value.shape == shape, ex.id
+        assert low <= value.min() and value.max() <= high, ex.id
+
+
 def test_load_reads_only_the_named_splits(tmp_path, monkeypatch):
     generate_dataset(40, 3, tmp_path, DataSpec(grid=4))
     full = load_dataset(tmp_path)
@@ -192,13 +211,16 @@ def test_old_manifest_format_is_refused(tmp_path):
 @pytest.mark.parametrize("key, value, found", [
     ("n", 0, "got 0 and 0"), ("n", "5", "got '5' and 0"), ("seed", -1, "got 20 and -1"),
     ("seed", 1.5, "got 20 and 1.5"), ("grid", 11, "grid must be in [2, 10], got 11"),
-    ("colour", "red", "unexpected keyword argument 'colour'")])
+    ("colour", "red", "unexpected keyword argument 'colour'"), ("n", True, "got True and 0"),
+    ("seed", "3", "got 20 and '3'"), ("patch", 0, "patch must be >= 1, got 0"),
+    ("num_classes", 11, "num_classes must be in [1, 10], got 11"),
+    ("max_objects", 5, "object count bounds must satisfy 1 <= min <= max <= 4")])
 def test_manifest_field_the_generator_cannot_take_is_refused(tmp_path, capsys, key, value,
                                                             found):
     data, out = tmp_path / "data", tmp_path / "run"
     generate_dataset(20, 0, data, DataSpec(grid=4))
     manifest = json.loads((data / "manifest.json").read_text())
-    (manifest["spec"] if key in ("grid", "colour") else manifest)[key] = value
+    (manifest if key in ("n", "seed") else manifest["spec"])[key] = value
     (data / "manifest.json").write_text(json.dumps(manifest))
     with pytest.raises(DatasetError, match=re.escape(f"{data / 'manifest.json'}: ")) as exc:
         load_dataset(data)
@@ -208,3 +230,15 @@ def test_manifest_field_the_generator_cannot_take_is_refused(tmp_path, capsys, k
     assert rc == 1
     assert found in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("key, found", [
+    ("format", "unknown dataset format"), ("n", "got None and 0"), ("seed", "got 20 and None"),
+    ("spec", "must be a mapping, not NoneType")])
+def test_manifest_missing_a_key_is_refused(tmp_path, key, found):
+    generate_dataset(20, 0, tmp_path, DataSpec(grid=4))
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    del manifest[key]
+    (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+    with pytest.raises(DatasetError, match=re.escape(found)):
+        load_dataset(tmp_path)

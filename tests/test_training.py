@@ -4,23 +4,27 @@ norm stopping the step, before any parameter changes, with an error that
 names the component, a dataset that does not match the model refused, a
 warm train step faulting in no fresh memory, a train step that runs in
 float32 throughout while a float64 model stays float64, a checkpoint that
-round-trips the trained parameters bit for bit, and a dump that encodes
-images with the encoder matrix training used."""
+round-trips the trained parameters bit for bit, a checkpoint missing a
+parameter, with an entry the model has no parameter for, or with an entry of
+another shape refused, and a dump that encodes images with the encoder
+matrix training used."""
 
 import json
 import math
 import platform
+import re
 
 import numpy as np
 import pytest
 
 from prelab import autodiff as ad
 from prelab import model, training
-from prelab.archive import read_archive
+from prelab.archive import read_archive, write_archive
 from prelab.cli import RunConfig, main
 from prelab.data import DataSpec, generate_dataset, load_dataset
 from prelab.model import (MllmConfig, MllmParams, NonFiniteLossError, llm_forward,
                           load_checkpoint, save_checkpoint, total_loss)
+from prelab.numerics import ShapeError
 from prelab.training import LOG_HEADER, Trainer, make_batch, train_step
 from gradcheck import cast_to_float64
 
@@ -200,6 +204,42 @@ def test_checkpoint_round_trips_trained_parameters_bitwise(dataset, tmp_path):
         assert back.name == trained.name
         assert back.value.dtype == trained.value.dtype == np.float32
         assert back.value.tobytes() == trained.value.tobytes(), trained.name
+
+
+def edited_checkpoint(tmp_path, edit):
+    """The checkpoint of an untrained tiny model, after edit(entries)."""
+    cfg = MllmConfig(grid=4, d_l=16, layers=2, heads=2, target_layer=1, seed=3)
+    path = tmp_path / "checkpoint.prea"
+    save_checkpoint(MllmParams(cfg), path)
+    entries = read_archive(path)
+    edit(entries)
+    write_archive(path, entries)
+    return cfg, path
+
+
+def test_checkpoint_missing_a_parameter_is_refused(tmp_path):
+    cfg, path = edited_checkpoint(tmp_path, lambda entries: entries.pop("head.w"))
+    with pytest.raises(KeyError, match=r"checkpoint missing parameter 'head\.w'"):
+        load_checkpoint(cfg, path)
+
+
+def test_checkpoint_entry_without_a_parameter_is_refused(tmp_path):
+    def add(entries):
+        entries["block2.attn.o.w"] = entries["block1.attn.o.w"]
+
+    cfg, path = edited_checkpoint(tmp_path, add)
+    with pytest.raises(KeyError, match=re.escape(
+            "checkpoint has 1 entries the model has no parameter for (first: 'block2.attn.o.w')")):
+        load_checkpoint(cfg, path)
+
+
+def test_checkpoint_entry_of_another_shape_is_refused(tmp_path):
+    def narrow(entries):
+        entries["head.w"] = entries["head.w"][:, :-1]
+
+    cfg, path = edited_checkpoint(tmp_path, narrow)
+    with pytest.raises(ShapeError, match="checkpoint shape .* for 'head.w'"):
+        load_checkpoint(cfg, path)
 
 
 def test_dump_encodes_with_the_encoder_matrix_training_used(tmp_path):
