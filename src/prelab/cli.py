@@ -21,7 +21,7 @@ from . import __version__
 from . import autodiff as ad
 from .data import PROBE_SPLITS, DataSpec, Dataset, generate_dataset, load_dataset, token_name
 from .diagnostics import layer_metrics, logit_lens, similarity_map
-from .model import (ANCHOR_PRE_LLM, ANCHOR_PRE_PROJ, MllmConfig, llm_forward,
+from .model import (ANCHOR_PRE_LLM, ANCHOR_PRE_PROJ, D_V, MllmConfig, llm_forward,
                     load_checkpoint, lm_loss, dump_hidden_states, read_hidden_states,
                     save_checkpoint)
 from .reports import config_hash, read_metrics_csv, write_comparison, write_metrics
@@ -129,7 +129,7 @@ def _run_config_from_args(args) -> RunConfig:
 
 def _load_dataset_checked(path, run_cfg: RunConfig, splits) -> Dataset:
     """Load the named splits of a dataset, refusing (exit 2) one whose patch
-    grid or patch size differ from the run's."""
+    grid differs from the run's."""
     path = Path(path)
     if not (path / "manifest.json").exists():
         raise ConfigError(f"no dataset manifest in {path}")
@@ -143,7 +143,9 @@ def _load_dataset_checked(path, run_cfg: RunConfig, splits) -> Dataset:
 
 def cmd_train(args) -> int:
     run_cfg = _run_config_from_args(args)
-    dataset = _load_dataset_checked(run_cfg.dataset, run_cfg, ("train", "probe-train"))
+    # only the held-out LM loss of --diag-every reads probe-train
+    splits = ("train", "probe-train") if run_cfg.diag_every else ("train",)
+    dataset = _load_dataset_checked(run_cfg.dataset, run_cfg, splits)
     out = Path(run_cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     (out / "config.json").write_text(
@@ -204,7 +206,7 @@ def cmd_dump(args) -> int:
         raise ConfigError(f"the {' and '.join(empty)} split of {args.data} has no examples; "
                           f"metrics needs both probe splits")
     examples = dataset.splits["probe-train"] + dataset.splits["probe-test"]
-    z = np.empty((len(examples), run_cfg.n_patches, run_cfg.d_v), dtype=np.float32)
+    z = np.empty((len(examples), run_cfg.n_patches, D_V), dtype=np.float32)
     hv = np.empty((run_cfg.layers + 1, *z.shape[:2], run_cfg.d_l), dtype=np.float32)
     with ad.no_grad():
         for i in range(0, len(examples), 50):

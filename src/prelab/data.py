@@ -1,21 +1,23 @@
 """Synthetic multimodal examples: patch-grid images of colored rectangles,
 exact per-patch class labels, and templated question/answer token pairs.
 
-Images are a single-channel scalar field of g*g patches, each patch p*p
-pixels. Objects are axis-aligned rectangles in patch units (so patch labels
-are exact, with zero annotation noise), filled with a class-specific base
-intensity modulated by a fixed per-class texture pattern (mean exactly 1, so
-the mean pixel value inside an object stays its base intensity) plus
-per-pixel Gaussian noise. The texture gives each class its own direction in
-patch-feature space; a flat fill would make all patch contents collinear and
-no pooled feature could tell classes apart. Same-class objects are never
-placed 4-adjacent to each other, so "number of objects of class c" equals
-the number of connected components of that class in the label map and every
-answer is verifiable from the label map alone.
+Images are a single-channel scalar field of g*g patches, each patch
+PATCH*PATCH pixels. Objects are axis-aligned rectangles in patch units (so
+patch labels are exact, with zero annotation noise), filled with a
+class-specific base intensity modulated by a fixed per-class texture pattern
+(mean exactly 1, so the mean pixel value inside an object stays its base
+intensity) plus per-pixel Gaussian noise. The texture gives each class its
+own direction in patch-feature space; a flat fill would make all patch
+contents collinear and no pooled feature could tell classes apart.
+Same-class objects are never placed 4-adjacent to each other, so "number of
+objects of class c" equals the number of connected components of that class
+in the label map and every answer is verifiable from the label map alone.
 
-A dataset directory holds only manifest.json (n, seed and spec). Every
+A dataset directory holds only manifest.json (n, seed and grid). Every
 example is drawn from its own substream of the seed, so loading generates
-the examples of the splits it names, the same every time.
+the examples of the splits it names, the same every time. Everything else
+about an image is a constant below: the patch size, the classes, the object
+count and extent, and the noise.
 """
 
 from __future__ import annotations
@@ -47,7 +49,11 @@ TOK_CLASS = 27
 TOK_QMARK = 28
 
 PROMPT_LEN = 4
-MAX_CLASSES = 10
+PATCH = 4  # patch side in pixels
+NUM_CLASSES = 10
+MIN_OBJECTS, MAX_OBJECTS = 1, 4
+MAX_EXTENT = 4  # max rectangle side, in patches
+NOISE_SIGMA = 0.05
 
 
 def class_token(class_id: int) -> int:
@@ -67,7 +73,7 @@ def token_name(tok: int) -> str:
              TOK_CLASS: "class", TOK_QMARK: "?"}
     if tok in fixed:
         return fixed[tok]
-    if CLASS_BASE <= tok < CLASS_BASE + MAX_CLASSES:
+    if CLASS_BASE <= tok < CLASS_BASE + NUM_CLASSES:
         return f"cls{tok - CLASS_BASE + 1}"
     if DIGIT_BASE <= tok < DIGIT_BASE + 10:
         return str(tok - DIGIT_BASE)
@@ -80,28 +86,11 @@ def token_name(tok: int) -> str:
 
 @dataclass
 class DataSpec:
-    grid: int = 8
-    patch: int = 4
-    num_classes: int = 10
-    min_objects: int = 1
-    max_objects: int = 4
-    max_extent: int = 4  # max rectangle side, in patches
-    noise_sigma: float = 0.05
+    grid: int = 8  # patches per side
 
     def validate(self) -> None:
         if not 2 <= self.grid <= 10:
             raise ValueError(f"grid must be in [2, 10], got {self.grid}")
-        if self.patch < 1:
-            raise ValueError(f"patch must be >= 1, got {self.patch}")
-        if not 1 <= self.num_classes <= MAX_CLASSES:
-            raise ValueError(f"num_classes must be in [1, {MAX_CLASSES}], got {self.num_classes}")
-        if not 1 <= self.min_objects <= self.max_objects <= 4:
-            raise ValueError("object count bounds must satisfy 1 <= min <= max <= 4")
-
-    def class_intensity(self, class_id: int) -> float:
-        if self.num_classes == 1:
-            return 0.6
-        return 0.2 + 0.8 * (class_id - 1) / (self.num_classes - 1)
 
 
 _PATTERN_SEED = 0x7E0C1A55
@@ -109,12 +98,12 @@ _PATTERN_AMPLITUDE = 0.5
 
 
 @lru_cache(maxsize=None)
-def class_pattern(class_id: int, patch: int) -> np.ndarray:
-    """Fixed texture tile for a class: 1 + a*u with u zero-mean uniform, so
-    the tile's mean is exactly 1. Deterministic in (class_id, patch), so it
-    is drawn once and every caller shares one read-only array."""
-    rng = RngStream(_PATTERN_SEED).split(class_id).split(patch)
-    u = rng.uniform(-1.0, 1.0, (patch, patch))
+def class_pattern(class_id: int) -> np.ndarray:
+    """Fixed PATCH x PATCH texture tile for a class: 1 + a*u with u zero-mean
+    uniform, so the tile's mean is exactly 1. Deterministic in class_id, so
+    it is drawn once and every caller shares one read-only array."""
+    rng = RngStream(_PATTERN_SEED).split(class_id).split(PATCH)
+    u = rng.uniform(-1.0, 1.0, (PATCH, PATCH))
     u -= u.mean()
     tile = 1.0 + _PATTERN_AMPLITUDE * u
     tile.flags.writeable = False
@@ -133,7 +122,7 @@ class ObjectSpec:
 
 @dataclass
 class SyntheticImage:
-    pixels: np.ndarray  # [g*p, g*p] float64
+    pixels: np.ndarray  # [g*PATCH, g*PATCH] float64
     labels: np.ndarray  # [g, g] int, 0 = background
     objects: list
 
@@ -164,17 +153,16 @@ def generate_image(rng: RngStream, spec: DataSpec) -> SyntheticImage:
     """Rejection-sample 1-4 non-overlapping rectangles (each >= 2 patches)
     onto the patch grid. A placement failing 100 attempts is dropped, never
     an error. Multi-object images always carry >= 2 distinct classes."""
-    spec.validate()
-    g, p = spec.grid, spec.patch
-    n_obj = int(rng.integers(spec.min_objects, spec.max_objects + 1))
-    classes = rng.integers(1, spec.num_classes + 1, size=n_obj)
-    if n_obj >= 2 and spec.num_classes >= 2:
+    g, p = spec.grid, PATCH
+    n_obj = int(rng.integers(MIN_OBJECTS, MAX_OBJECTS + 1))
+    classes = rng.integers(1, NUM_CLASSES + 1, size=n_obj)
+    if n_obj >= 2:
         while len(set(classes.tolist())) < 2:
-            classes = rng.integers(1, spec.num_classes + 1, size=n_obj)
+            classes = rng.integers(1, NUM_CLASSES + 1, size=n_obj)
 
     labels = np.zeros((g, g), dtype=np.int64)
     objects = []
-    max_side = min(spec.max_extent, g)
+    max_side = min(MAX_EXTENT, g)
     for class_id in classes.tolist():
         for _ in range(100):
             h = int(rng.integers(1, max_side + 1))
@@ -188,17 +176,18 @@ def generate_image(rng: RngStream, spec: DataSpec) -> SyntheticImage:
             if _adjacent_same_class(labels, r0, c0, h, w, class_id):
                 continue
             labels[r0 : r0 + h, c0 : c0 + w] = class_id
-            objects.append(ObjectSpec(class_id, r0, c0, h, w, spec.class_intensity(class_id)))
+            intensity = 0.2 + 0.8 * (class_id - 1) / (NUM_CLASSES - 1)
+            objects.append(ObjectSpec(class_id, r0, c0, h, w, intensity))
             break
 
     pixels = np.zeros((g * p, g * p))
     for obj in objects:
         r, c = obj.row * p, obj.col * p
         hh, ww = obj.height * p, obj.width * p
-        pixels[r : r + hh, c : c + ww] = rng.normal((hh, ww), std=spec.noise_sigma)
+        pixels[r : r + hh, c : c + ww] = rng.normal((hh, ww), std=NOISE_SIGMA)
         # the region as [height, p, width, p]: axes 1 and 3 index within a patch
         region = pixels[r : r + hh, c : c + ww].reshape(obj.height, p, obj.width, p)
-        region += obj.intensity * class_pattern(obj.class_id, p)[:, None, :]
+        region += obj.intensity * class_pattern(obj.class_id)[:, None, :]
     return SyntheticImage(pixels=pixels, labels=labels, objects=objects)
 
 
@@ -233,7 +222,7 @@ def generate_qa(image: SyntheticImage, rng: RngStream) -> QaPair:
         if rng.uniform() < 0.7:
             c = present[int(rng.integers(0, len(present)))]
         else:
-            c = int(rng.integers(1, MAX_CLASSES + 1))
+            c = int(rng.integers(1, NUM_CLASSES + 1))
         count = sum(1 for o in image.objects if o.class_id == c)
         prompt = [TOK_COUNT, TOK_OF, class_token(c), TOK_QMARK]
         answer = [digit_token(count)]
@@ -247,11 +236,11 @@ def generate_qa(image: SyntheticImage, rng: RngStream) -> QaPair:
 
 # ---------------------------------------------------------------------------
 # datasets: a directory holds only manifest.json, and loading generates the
-# examples of the named splits from its n, seed and spec. The manifest is
+# examples of the named splits from its n, seed and grid. The manifest is
 # the one outside input, so it is checked before anything is generated.
 # ---------------------------------------------------------------------------
 
-DATASET_FORMAT = "prelab-dataset/3"
+DATASET_FORMAT = "prelab-dataset/4"
 
 
 class DatasetError(RuntimeError):
@@ -300,12 +289,12 @@ def generate_example(seed: int, i: int, spec: DataSpec) -> tuple:
     return img, generate_qa(img, ex_rng.split("qa"))
 
 
-def generate_dataset(n: int, seed: int, out_dir, spec: DataSpec = None) -> dict:
-    """Write the manifest of an n-example dataset to out_dir and return it.
-    The examples are generated when the dataset is loaded."""
+def generate_dataset(n: int, seed: int, out_dir, spec: DataSpec) -> dict:
+    """Write the manifest of an n-example dataset to out_dir and return it:
+    its format, n, seed, spec ({"grid": g}) and split counts. The examples
+    are generated when the dataset is loaded."""
     if n < 1:
         raise ValueError(f"dataset size must be >= 1, got {n}")
-    spec = spec or DataSpec()
     spec.validate()
     manifest = {"format": DATASET_FORMAT, "seed": int(seed), "n": int(n), "spec": asdict(spec),
                 "counts": {name: len(ids) for name, ids in split_ids(n).items()}}
@@ -323,11 +312,17 @@ def load_dataset(path, splits=SPLIT_NAMES) -> Dataset:
     and label maps are one contiguous array that its Examples are views of.
     Pixels are rounded to float32 and held as float64, which keeps them bit for
     bit those of format 2 and of every artifact made from it. Raises
-    DatasetError for an unknown format or a manifest field that the generator
-    cannot take.
+    DatasetError, naming the manifest, for one that is not a UTF-8 JSON
+    object, of an unknown format, or with a field that the generator cannot
+    take, such as a spec key other than grid.
     """
     path = Path(path) / "manifest.json"
-    manifest = json.loads(path.read_text())
+    try:
+        manifest = json.loads(path.read_text(encoding="utf-8"))
+    except ValueError as exc:  # UnicodeDecodeError and JSONDecodeError alike
+        raise DatasetError(f"{path}: not a UTF-8 JSON manifest: {exc}") from None
+    if not isinstance(manifest, dict):
+        raise DatasetError(f"{path}: the manifest is not a JSON object")
     if manifest.get("format") != DATASET_FORMAT:
         raise DatasetError(f"unknown dataset format in {path}; regenerate it with prelab gen-data")
     n, seed = manifest.get("n"), manifest.get("seed")
@@ -339,10 +334,10 @@ def load_dataset(path, splits=SPLIT_NAMES) -> Dataset:
     except (TypeError, ValueError) as exc:
         raise DatasetError(f"{path}: {exc}") from None
     ids = split_ids(n)
-    g, p = spec.grid, spec.patch
+    g = spec.grid
     ds = Dataset(spec=spec, seed=seed)
     for split_name in splits:
-        images = np.empty((len(ids[split_name]), g * p, g * p))
+        images = np.empty((len(ids[split_name]), g * PATCH, g * PATCH))
         labels = np.empty((len(ids[split_name]), g, g), dtype=np.int64)
         examples = []
         for k, i in enumerate(ids[split_name]):

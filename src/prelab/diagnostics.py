@@ -36,6 +36,8 @@ from .numerics import COSINE_NORM_FLOOR, ShapeError, covariance, pearson_corr
 
 CONTRAST_FLOOR = 1e-6
 PCA_VARIANCE_THRESHOLD = 0.95
+RIDGE_ALPHA_SCALE = 1e-3
+LOGIT_LENS_TOP_K = 5
 
 
 class NoEligibleClassError(ValueError):
@@ -101,7 +103,7 @@ def redundancy(features: np.ndarray) -> float:
 # linear probing
 # ---------------------------------------------------------------------------
 
-def _ridge_probe_accuracy(x_train, y_train, x_test, y_test, alpha_scale=1e-3):
+def _ridge_probe_accuracy(x_train, y_train, x_test, y_test):
     classes = np.unique(y_train)
     if classes.size < 2:
         raise ValueError("linear probe needs at least 2 classes in the train split")
@@ -117,7 +119,7 @@ def _ridge_probe_accuracy(x_train, y_train, x_test, y_test, alpha_scale=1e-3):
     d = xt.shape[1]
     y = (y_train[:, None] == classes[None, :]).astype(np.float64)
     gram = xt.T @ xt
-    alpha = alpha_scale * np.trace(gram) / d
+    alpha = RIDGE_ALPHA_SCALE * np.trace(gram) / d
     w = np.linalg.solve(gram + alpha * np.eye(d), xt.T @ y)
     pred = classes[np.argmax(xe @ w, axis=1)]
     return float(np.mean(pred == y_test))
@@ -129,8 +131,9 @@ def linear_probe(features_by_layer, labels, train_idx, test_idx) -> list:
 
     features_by_layer: sequence of [N, d] arrays (one per recorded layer).
     Features are standardized per dimension with train-split statistics;
-    weights solve (X'X + aI) W = X'Y with a = 1e-3 tr(X'X)/d; prediction is
-    the argmax score; accuracy is measured on the held-out test split.
+    weights solve (X'X + aI) W = X'Y with a = RIDGE_ALPHA_SCALE tr(X'X)/d;
+    prediction is the argmax score; accuracy is measured on the held-out
+    test split.
     """
     labels = np.asarray(labels)
     train_idx = np.asarray(train_idx)
@@ -154,10 +157,11 @@ class LogitLensDist:
     top_tokens: list          # [(token_id, mass)] sorted by mass desc
 
 
-def logit_lens(visual_by_layer, ln_gamma, ln_beta, head_w, head_b, top_k: int = 5) -> list:
+def logit_lens(visual_by_layer, ln_gamma, ln_beta, head_w, head_b) -> list:
     """Decode visual hidden states of every layer through the final norm and
     output head; per layer, softmax each patch and average the resulting
-    distributions over all patches and examples. The norm is the model's own
+    distributions over all patches and examples, keeping the
+    LOGIT_LENS_TOP_K most probable tokens. The norm is the model's own
     layer-norm forward, so the last layer decodes exactly as the model does.
 
     visual_by_layer: sequence over layers of [M, d] stacked patch states.
@@ -171,7 +175,7 @@ def logit_lens(visual_by_layer, ln_gamma, ln_beta, head_w, head_b, top_k: int = 
         np.exp(probs, out=probs)
         probs /= probs.sum(axis=-1, keepdims=True)
         dist = probs.mean(axis=0)
-        order = np.argsort(-dist, kind="stable")[:top_k]
+        order = np.argsort(-dist, kind="stable")[:LOGIT_LENS_TOP_K]
         out.append(LogitLensDist(layer=layer, distribution=dist,
                                  top_tokens=[(int(t), float(dist[t])) for t in order]))
     return out

@@ -4,10 +4,11 @@ Dtype rule: every trainable parameter is created as PARAM_DTYPE (float32),
 so a train step runs forward, tape, backward and AdamW in float32. Random
 draws are taken in float64 and rounded once.
 
-Initialization: linear weights N(0, 0.02^2) truncated at 2 sigma (resampled,
-not clipped), biases zero, embedding tables N(0, 0.02^2) untruncated. Every
-layer draws from its own named RngStream substream, so adding or removing a
-sibling layer never shifts another layer's draws.
+Initialization: linear weights N(0, 0.02^2) truncated at numerics.TRUNC_SIGMAS
+(2) sigma, resampled and not clipped; biases zero; embedding tables
+N(0, 0.02^2) untruncated. Every layer draws from its own named RngStream
+substream, so adding or removing a sibling layer never shifts another
+layer's draws.
 """
 
 from __future__ import annotations

@@ -23,13 +23,15 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Node, stop_gradient
 from .archive import write_archive, read_archive
-from .data import PROMPT_LEN, VOCAB_SIZE
+from .data import PATCH, PROMPT_LEN, VOCAB_SIZE
 from .layers import DecoderBlock, Embedding, LayerNorm, Linear, Mlp
 from .numerics import RngStream, ShapeError
 
 ANCHOR_PRE_LLM = "pre-llm"
 ANCHOR_PRE_PROJ = "pre-proj"
 POS_CODE_SCALE = 0.5
+D_V = 32  # encoder feature width, a multiple of 4 for the 2-D position code
+MLP_RATIO = 2  # decoder MLP hidden width over d_l
 
 
 class NonFiniteLossError(RuntimeError):
@@ -39,15 +41,12 @@ class NonFiniteLossError(RuntimeError):
 @dataclass
 class MllmConfig:
     grid: int = 8
-    patch: int = 4
-    d_v: int = 32
     d_l: int = 64
     layers: int = 8
     heads: int = 4
     lam: float = 0.5
     target_layer: int = 4
     anchor: str = ANCHOR_PRE_LLM
-    mlp_ratio: int = 2
     seed: int = 0
 
     def validate(self) -> None:
@@ -58,13 +57,11 @@ class MllmConfig:
         if not 1 <= self.target_layer <= self.layers:
             raise ValueError(
                 f"target_layer {self.target_layer} outside [1, {self.layers}]")
-        for name in ("d_v", "d_l", "heads", "mlp_ratio"):
+        for name in ("d_l", "heads"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.d_l % self.heads != 0:
             raise ValueError(f"d_l {self.d_l} not divisible by heads {self.heads}")
-        if self.d_v % 4 != 0:
-            raise ValueError(f"d_v must be a multiple of 4 for the 2-D position code")
         if self.anchor not in (ANCHOR_PRE_LLM, ANCHOR_PRE_PROJ):
             raise ValueError(f"unknown anchor source {self.anchor!r}")
 
@@ -74,7 +71,7 @@ class MllmConfig:
 
     @property
     def d_anchor(self) -> int:
-        return self.d_l if self.anchor == ANCHOR_PRE_LLM else self.d_v
+        return self.d_l if self.anchor == ANCHOR_PRE_LLM else D_V
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -84,10 +81,9 @@ def sincos_position_code(grid: int, d: int) -> np.ndarray:
     """Fixed 2-D sinusoidal code for a grid x grid patch layout, row-major.
 
     Half the channels encode the row index, half the column, each as
-    interleaved sin/cos banks with geometrically spaced frequencies.
+    interleaved sin/cos banks with geometrically spaced frequencies, so d
+    is a multiple of 4.
     """
-    if d % 4 != 0:
-        raise ValueError(f"position code width must be a multiple of 4, got {d}")
     half = d // 2
     n_freq = half // 2
     omega = 1.0 / (10000.0 ** (np.arange(n_freq) / n_freq))
@@ -114,14 +110,14 @@ class MllmParams:
         cfg.validate()
         self.cfg = cfg
         rng = RngStream(cfg.seed).split("params")
-        d_patch = cfg.patch * cfg.patch
-        self.wv = rng.split("vision").normal((d_patch, cfg.d_v), std=1.0 / np.sqrt(d_patch))
-        self.pos_code = POS_CODE_SCALE * sincos_position_code(cfg.grid, cfg.d_v)
-        self.proj = Linear("proj", cfg.d_v, cfg.d_l, rng.split("proj"))
+        d_patch = PATCH * PATCH
+        self.wv = rng.split("vision").normal((d_patch, D_V), std=1.0 / np.sqrt(d_patch))
+        self.pos_code = POS_CODE_SCALE * sincos_position_code(cfg.grid, D_V)
+        self.proj = Linear("proj", D_V, cfg.d_l, rng.split("proj"))
         self.tok_emb = Embedding("tok_emb", VOCAB_SIZE, cfg.d_l, rng.split("tok_emb"))
         self.pos_emb = Embedding("pos_emb", PROMPT_LEN, cfg.d_l, rng.split("pos_emb"))
         self.blocks = [
-            DecoderBlock(f"block{i}", cfg.d_l, cfg.heads, cfg.mlp_ratio * cfg.d_l,
+            DecoderBlock(f"block{i}", cfg.d_l, cfg.heads, MLP_RATIO * cfg.d_l,
                          rng.split(f"block{i}"))
             for i in range(cfg.layers)
         ]
@@ -143,7 +139,7 @@ class ForwardTrace:
     with segment offsets, the projected visual tokens, the raw encoder
     features, and the answer logits read at the last visual position."""
 
-    z: np.ndarray            # [B, N_p, d_v] frozen encoder output
+    z: np.ndarray            # [B, N_p, D_V] frozen encoder output
     hv0: Node                # [B, N_p, d_l] projected visual tokens
     layers: list             # L+1 nodes of [B, PROMPT_LEN + N_p, d_l]; 0 = decoder input
     logits: Node             # [B, vocab], predicting the answer token
@@ -163,7 +159,7 @@ def encode_image(params: MllmParams, images: np.ndarray) -> np.ndarray:
     if imgs.ndim != 3:
         raise ShapeError(f"encode_image expects [B, H, W], got {imgs.shape}")
     b, hpix, wpix = imgs.shape
-    p = cfg.patch
+    p = PATCH
     if hpix % p or wpix % p:
         raise ShapeError(f"image size {hpix}x{wpix} not divisible by patch size {p}")
     g = hpix // p
@@ -185,8 +181,8 @@ def llm_forward(params: MllmParams, z: np.ndarray, prompts: np.ndarray) -> Forwa
     cfg = params.cfg
     z = np.asarray(z, dtype=params.proj.w.value.dtype)
     prompts = np.asarray(prompts, dtype=np.int64)
-    if z.ndim != 3 or z.shape[1:] != (cfg.n_patches, cfg.d_v):
-        raise ShapeError(f"visual features must be [B, {cfg.n_patches}, {cfg.d_v}], got {z.shape}")
+    if z.ndim != 3 or z.shape[1:] != (cfg.n_patches, D_V):
+        raise ShapeError(f"visual features must be [B, {cfg.n_patches}, {D_V}], got {z.shape}")
     if prompts.shape[1] != PROMPT_LEN:
         raise ShapeError(f"prompt length {prompts.shape[1]} != {PROMPT_LEN}")
 
@@ -246,7 +242,7 @@ def pre_loss(trace: ForwardTrace, params: MllmParams) -> Node:
     if cfg.anchor == ANCHOR_PRE_LLM:
         anchor_node = stop_gradient(ad.reshape(trace.hv0, (n_rows, cfg.d_l)))
     else:
-        anchor_node = stop_gradient(ad.constant(trace.z.reshape(n_rows, cfg.d_v)))
+        anchor_node = stop_gradient(ad.constant(trace.z.reshape(n_rows, D_V)))
     return _patch_pred_loss(hvl, anchor_node, params.pred_head)
 
 
@@ -265,7 +261,7 @@ def total_loss(trace: ForwardTrace, answers: np.ndarray, params: MllmParams):
 
 
 def dump_hidden_states(path, grid: int, ids, z, hv) -> None:
-    """Write encoder features z [N, N_p, d_v] and visual hidden states hv
+    """Write encoder features z [N, N_p, D_V] and visual hidden states hv
     [L+1, N, N_p, d_l], rows in the order of ids, to a tensor archive: a
     meta/grid entry with the patch grid shape, then per example ex<ID>/z and
     ex<ID>/hv<LL> (layer index in the name)."""
@@ -322,17 +318,18 @@ def load_checkpoint(cfg: MllmConfig, path) -> MllmParams:
     so a trained model round-trips bit for bit. The frozen encoder matrix is
     not stored: MllmParams(cfg) draws it from the seed, the same float64
     matrix that training used. A missing parameter, or an entry the model has
-    no parameter for (say, a block of a deeper model), raises KeyError.
+    no parameter for (say, a block of a deeper model), raises ValueError, and
+    an entry of another shape ShapeError.
     """
     params = MllmParams(cfg)
     raw = read_archive(path)
     extra = sorted(raw.keys() - {p.name for p in params.trainable()})
     if extra:
-        raise KeyError(f"checkpoint has {len(extra)} entries the model has no parameter for "
-                       f"(first: {extra[0]!r})")
+        raise ValueError(f"checkpoint has {len(extra)} entries the model has no parameter for "
+                         f"(first: {extra[0]!r})")
     for p in params.trainable():
         if p.name not in raw:
-            raise KeyError(f"checkpoint missing parameter {p.name!r}")
+            raise ValueError(f"checkpoint missing parameter {p.name!r}")
         stored = raw[p.name]
         if stored.shape != p.value.shape:
             raise ShapeError(f"checkpoint shape {stored.shape} != {p.value.shape} "

@@ -15,6 +15,7 @@ from functools import cached_property
 import numpy as np
 
 COSINE_NORM_FLOOR = 1e-12
+TRUNC_SIGMAS = 2.0  # truncated_normal keeps draws within this many std
 
 
 class ShapeError(ValueError):
@@ -97,10 +98,10 @@ class RngStream:
     def normal(self, shape, std: float = 1.0) -> np.ndarray:
         return self._gen.normal(scale=std, size=shape)
 
-    def truncated_normal(self, shape, std: float, trunc_sigmas: float = 2.0) -> np.ndarray:
-        """Gaussian draws resampled (not clipped) until within trunc_sigmas."""
+    def truncated_normal(self, shape, std: float) -> np.ndarray:
+        """Gaussian draws resampled (not clipped) until within TRUNC_SIGMAS."""
         out = self._gen.normal(scale=std, size=shape)
-        bound = trunc_sigmas * std
+        bound = TRUNC_SIGMAS * std
         bad = np.abs(out) > bound
         while np.any(bad):
             out[bad] = self._gen.normal(scale=std, size=int(bad.sum()))

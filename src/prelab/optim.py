@@ -10,6 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 WARMUP_FRAC = 0.03
+BETA1, BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 
 @dataclass
@@ -37,15 +38,12 @@ class AdamW:
 
     m <- b1 m + (1-b1) g;  v <- b2 v + (1-b2) g^2
     p <- p - lr_t * [ mhat / (sqrt(vhat) + eps) ]
+    with b1, b2 and eps the constants BETA1, BETA2 and ADAM_EPS.
     """
 
-    def __init__(self, params, schedule: WarmupCosine, beta1: float = 0.9,
-                 beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, params, schedule: WarmupCosine):
         self.params = list(params)
         self.schedule = schedule
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.step_count = 0
         self.m = {p.name: np.zeros_like(p.value) for p in self.params}
         self.v = {p.name: np.zeros_like(p.value) for p in self.params}
@@ -58,7 +56,7 @@ class AdamW:
         """One update from the accumulated gradients; returns the lr used."""
         self.step_count += 1
         lr_t = self.schedule.lr(self.step_count)
-        b1, b2 = self.beta1, self.beta2
+        b1, b2 = BETA1, BETA2
         bc1 = 1.0 - b1 ** self.step_count
         bc2 = 1.0 - b2 ** self.step_count
         for p in self.params:
@@ -73,7 +71,7 @@ class AdamW:
                 continue  # moments advance, parameters stay bitwise put
             mhat = m / bc1
             vhat = v / bc2
-            p.value -= lr_t * (mhat / (np.sqrt(vhat) + self.eps))
+            p.value -= lr_t * (mhat / (np.sqrt(vhat) + ADAM_EPS))
         return lr_t
 
 

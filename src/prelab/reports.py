@@ -17,6 +17,7 @@ import numpy as np
 
 METRICS_HEADER = ["layer", "probe_acc", "cohesion", "coupling", "contrast",
                   "eff_dim", "redundancy"]
+_INT_COLUMNS = {"layer", "eff_dim"}  # the METRICS_HEADER columns read as int, the rest float
 
 
 def config_hash(config: dict) -> str:
@@ -43,19 +44,9 @@ def _fmt(v):
 
 
 def read_metrics_csv(path) -> list:
-    rows = []
     with open(path, newline="") as fh:
-        for row in csv.DictReader(fh):
-            rows.append({
-                "layer": int(row["layer"]),
-                "probe_acc": float(row["probe_acc"]),
-                "cohesion": float(row["cohesion"]),
-                "coupling": float(row["coupling"]),
-                "contrast": float(row["contrast"]),
-                "eff_dim": int(row["eff_dim"]),
-                "redundancy": float(row["redundancy"]),
-            })
-    return rows
+        return [{k: (int if k in _INT_COLUMNS else float)(row[k]) for k in METRICS_HEADER}
+                for row in csv.DictReader(fh)]
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,7 @@ DIVERGED_LM_FACTOR = 10.0
 
 @dataclass
 class Batch:
-    z: np.ndarray        # [B, N_p, d_v]
+    z: np.ndarray        # [B, N_p, D_V]
     prompts: np.ndarray  # [B, PROMPT_LEN]
     answers: np.ndarray  # [B], one answer token each
 
@@ -95,11 +95,9 @@ def train_step(params: MllmParams, opt: AdamW, batch: Batch) -> StepReport:
 
 
 def check_dataset_matches(dataset: Dataset, cfg: MllmConfig) -> None:
-    """Raise ValueError if the dataset's grid or patch is not cfg's."""
-    for what, have, want in (("grid", dataset.spec.grid, cfg.grid),
-                             ("patch", dataset.spec.patch, cfg.patch)):
-        if have != want:
-            raise ValueError(f"dataset has {what} {have}, the run has {want}")
+    """Raise ValueError if the dataset's grid is not cfg's."""
+    if dataset.spec.grid != cfg.grid:
+        raise ValueError(f"dataset has grid {dataset.spec.grid}, the run has {cfg.grid}")
 
 
 class Trainer:

@@ -8,7 +8,8 @@ two reports whose similarity maps probe different patches, or a metrics
 directory missing a file, exit code 1, with no checkpoint, for a run that
 diverges, exit code 1 for a checkpoint with an entry the model has no
 parameter for, dump and metrics that never generate a train example, and
-train that never generates a probe-test example."""
+train that never generates a probe-test example, nor a probe-train one
+without --diag-every."""
 
 import json
 import re
@@ -89,8 +90,8 @@ def test_config_json_round_trips(golden):
     assert cfg.grid == 4 and cfg.steps == 3 and cfg.dataset == str(w / "data")
 
 
-# weight_decay stands for a run directory written while it was a run field
-@pytest.mark.parametrize("key", ["bogus", "weight_decay"])
+# weight_decay and patch stand for run directories written while they were run fields
+@pytest.mark.parametrize("key", ["bogus", "weight_decay", "patch"])
 def test_unknown_config_key_exits_2(golden, tmp_path, capsys, key):
     w, _, _ = golden
     run = tmp_path / "run"
@@ -111,11 +112,12 @@ REMOVED_FLAGS = [
     ("gen-data", "--classes", "5"), ("gen-data", "--min-objects", "2"),
     ("gen-data", "--max-objects", "3"), ("metrics", "--sim-example", "0"),
     ("metrics", "--sim-patch", "0"), ("report", "--sim-layers", "1"),
+    ("train", "--patch", "4"), ("train", "--d-v", "32"), ("train", "--mlp-ratio", "2"),
 ]
 
 
 @pytest.mark.parametrize("command, flag, value", REMOVED_FLAGS,
-                         ids=[flag for _, flag, _ in REMOVED_FLAGS])
+                         ids=[f"{command} {flag}" for command, flag, _ in REMOVED_FLAGS])
 def test_a_removed_flag_exits_2_and_writes_nothing(golden, tmp_path, capsys, command, flag,
                                                    value):
     w, _, _ = golden
@@ -137,9 +139,8 @@ def test_flags_cover_every_run_field():
     assert defaults == RunConfig(dataset="d", out_dir="o")
     argv = ["train", "--data", "d2", "--out", "o2", "--steps", "7", "--batch-size", "3",
             "--lr", "0.01", "--lambda", "0.25", "--target-layer", "2",
-            "--anchor", "pre-proj", "--seed", "9", "--grid", "5", "--patch", "3",
-            "--d-v", "12", "--d-l", "24", "--layers", "3", "--heads", "3",
-            "--mlp-ratio", "4", "--diag-every", "2"]
+            "--anchor", "pre-proj", "--seed", "9", "--grid", "5", "--d-l", "24",
+            "--layers", "3", "--heads", "3", "--diag-every", "2"]
     cfg = _run_config_from_args(build_parser().parse_args(argv))
     unset = [f.name for f in fields(RunConfig)
              if getattr(cfg, f.name) == getattr(defaults, f.name)]
@@ -156,8 +157,7 @@ def test_train_on_mismatched_dataset_exits_2_and_writes_nothing(golden, tmp_path
     assert not out.exists()
 
 
-@pytest.mark.parametrize("flag, value", [("--heads", "0"), ("--heads", "-2"), ("--d-l", "0"),
-                                         ("--mlp-ratio", "0"), ("--d-v", "0")])
+@pytest.mark.parametrize("flag, value", [("--heads", "0"), ("--heads", "-2"), ("--d-l", "0")])
 def test_train_with_a_width_below_1_exits_2_and_writes_nothing(golden, tmp_path, capsys,
                                                                flag, value):
     w, _, _ = golden
@@ -230,6 +230,18 @@ def test_train_never_reads_the_probe_test_split(golden, tmp_path, monkeypatch):
         assert (tmp_path / "run" / name).read_bytes() == (w / "run" / name).read_bytes()
 
 
+def test_train_without_diag_every_generates_only_the_train_split(golden, tmp_path, monkeypatch):
+    # only the held-out LM loss of --diag-every reads probe-train; it changes no training bit
+    w, _, _ = golden
+    ids = record_generated_ids(monkeypatch)
+    run_ok(["train", "--data", w / "data", "--out", tmp_path / "run", "--steps", 3,
+            "--batch-size", 4, "--seed", 1] + TINY_MODEL)
+    assert ids == split_ids(80)["train"]
+    assert not (tmp_path / "run" / "eval.csv").exists()
+    for name in ("checkpoint.prea", "train_log.csv"):
+        assert (tmp_path / "run" / name).read_bytes() == (w / "run" / name).read_bytes()
+
+
 def test_a_checkpoint_of_a_deeper_model_exits_1(golden, tmp_path, capsys):
     # a --layers 4 checkpoint in a --layers 2 run directory: blocks 2 and 3 have no parameter
     w, _, _ = golden
@@ -243,8 +255,8 @@ def test_a_checkpoint_of_a_deeper_model_exits_1(golden, tmp_path, capsys):
                  ["metrics", "--hidden", w / "hidden.prea", "--data", w / "data", "--run", run,
                   "--out", tmp_path / "metrics"]):
         assert main([str(a) for a in argv]) == 1
-        assert ("checkpoint has 20 entries the model has no parameter for (first: "
-                "'block2.attn.o.w')") in capsys.readouterr().err
+        assert capsys.readouterr().err == ("error: checkpoint has 20 entries the model has no "
+                                           "parameter for (first: 'block2.attn.o.w')\n")
     assert not (tmp_path / "h.prea").exists() and not (tmp_path / "metrics").exists()
 
 

@@ -3,8 +3,9 @@ that load bit for bit the same every time and match a digest pinned per
 dataset format, the shared read-only class textures, the dominant class's
 tie and empty rules, answers that follow from the label map, generated
 entries of the shapes and inside the vocabulary and classes the model takes,
-loads that generate only the named splits, and refusal of a manifest of
-another format, missing a key, or with a field the generator cannot take."""
+loads that generate only the named splits, and refusal of a manifest that
+is not a UTF-8 JSON object, of another format, missing a key, or with a
+field the generator cannot take."""
 
 import hashlib
 import json
@@ -17,10 +18,10 @@ from scipy import ndimage
 
 import prelab.data
 from prelab.cli import main
-from prelab.data import (CLASS_BASE, DATASET_FORMAT, DIGIT_BASE, PROMPT_LEN, SPLIT_NAMES,
-                         TOK_COUNT, TOK_DOMINANT, TOK_QMARK, TOK_WHAT, DataSpec, DatasetError,
-                         class_pattern, dominant_class, generate_dataset, generate_image,
-                         generate_qa, load_dataset)
+from prelab.data import (CLASS_BASE, DATASET_FORMAT, DIGIT_BASE, NUM_CLASSES, PROMPT_LEN,
+                         SPLIT_NAMES, TOK_COUNT, TOK_DOMINANT, TOK_QMARK, TOK_WHAT, DataSpec,
+                         DatasetError, class_pattern, dominant_class, generate_dataset,
+                         generate_image, generate_qa, load_dataset)
 from prelab.numerics import RngStream
 
 
@@ -48,15 +49,8 @@ def record_generated_ids(monkeypatch):
     return ids
 
 
-@st.composite
-def specs(draw):
-    max_objects = draw(st.integers(1, 4))
-    return DataSpec(grid=draw(st.integers(2, 10)), patch=draw(st.integers(1, 4)),
-                    num_classes=draw(st.integers(1, 10)),
-                    min_objects=draw(st.integers(1, max_objects)), max_objects=max_objects)
-
-
-@given(n=st.integers(1, 20), seed=st.integers(0, 2**32 - 1), spec=specs())
+@given(n=st.integers(1, 20), seed=st.integers(0, 2**32 - 1),
+       spec=st.builds(DataSpec, grid=st.integers(2, 10)))
 @settings(max_examples=20, deadline=None)
 def test_generation_is_byte_deterministic(tmp_path_factory, n, seed, spec):
     a, b = tmp_path_factory.mktemp("a"), tmp_path_factory.mktemp("b")
@@ -70,41 +64,42 @@ def test_generation_is_byte_deterministic(tmp_path_factory, n, seed, spec):
         assert x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
 
 
-# sha256 of the manifest of generate_dataset(30, 3, DataSpec(grid, patch)), and
-# one sha256 fed every loaded example's arrays (example_arrays), by dataset
+# sha256 of the manifest of generate_dataset(30, 3, DataSpec(grid)), and one
+# sha256 fed every loaded example's arrays (example_arrays), by dataset
 # format. The examples are generated on load, so a generator change fails this
-# test until both the format string and its digests change; the format 3
-# content digests are those of the split archives format 2 stored.
+# test until both the format string and its digests change. The format 4
+# content digests are those of format 3 at patch 4, whose grid-8 digest is
+# that of the split archives format 2 stored.
 PINNED_SHA256 = {
-    "prelab-dataset/3": {
-        (5, 2): ("85f58329f677c39d38cb41825d8a04185dfe88a3eb501244b009065d492414b1",
-                 "9fe0d5fb3beeed791eee17cb8465de7129cadfeeda795b582aa06d2b27e67852"),
-        (8, 4): ("07cfedc516d84877c0ee9fc219f74669b5590bded2163aaf72a195d5d69f6ace",
-                 "d95ac350ca072556667386bc8e55e27cd64174e2732582381d9a553bd793d9bc"),
+    "prelab-dataset/4": {
+        5: ("316a1237555b4494e0d3916a9e2d79578c64005df3962ffb521c20a3f35a63d5",
+            "0381ccb09bb7d932448863b14aa4622649a0c657241b0994116f08582d2bb758"),
+        8: ("3ce8d53b69978b99cef34f956868eeadbec5576d978f1bbb4593ab9d3704a3b9",
+            "d95ac350ca072556667386bc8e55e27cd64174e2732582381d9a553bd793d9bc"),
     },
 }
 
 
-@pytest.mark.parametrize("grid, patch", [(5, 2), (8, 4)])
-def test_generation_matches_the_pinned_bytes(tmp_path, grid, patch):
-    generate_dataset(30, 3, tmp_path, DataSpec(grid=grid, patch=patch))
+@pytest.mark.parametrize("grid", [5, 8])
+def test_generation_matches_the_pinned_bytes(tmp_path, grid):
+    generate_dataset(30, 3, tmp_path, DataSpec(grid=grid))
     content = hashlib.sha256()
     for arr in example_arrays(load_dataset(tmp_path)):
         assert arr.dtype in (np.float64, np.int64)
         content.update(arr.tobytes())
     manifest = hashlib.sha256((tmp_path / "manifest.json").read_bytes())
-    assert (manifest.hexdigest(), content.hexdigest()) == PINNED_SHA256[DATASET_FORMAT][grid, patch]
+    assert (manifest.hexdigest(), content.hexdigest()) == PINNED_SHA256[DATASET_FORMAT][grid]
 
 
 def test_class_pattern_is_drawn_once_and_read_only():
-    tile = class_pattern(3, 4)
-    assert class_pattern(3, 4) is tile and tile.shape == (4, 4)
+    tile = class_pattern(3)
+    assert class_pattern(3) is tile and tile.shape == (4, 4)
     with pytest.raises(ValueError, match="read-only"):
         tile[0, 0] = 0.0
 
 
 def test_class_pattern_of_a_numpy_integer_is_the_same_texture():
-    assert np.array_equal(class_pattern(np.int64(7), np.int32(3)), class_pattern(7, 3))
+    assert np.array_equal(class_pattern(np.int64(7)), class_pattern(7))
 
 
 @pytest.mark.parametrize("labels, dominant", [
@@ -132,7 +127,7 @@ def expected_answer(labels, prompt):
     return CLASS_BASE + np.argmax(np.bincount(labels.ravel())[1:])
 
 
-@pytest.mark.parametrize("spec", [DataSpec(), DataSpec(grid=4, num_classes=3, patch=2)])
+@pytest.mark.parametrize("spec", [DataSpec(), DataSpec(grid=4)])
 def test_every_answer_follows_from_the_label_map(tmp_path, spec):
     generate_dataset(300, 7, tmp_path, spec)
     templates = set()
@@ -146,7 +141,7 @@ def test_every_answer_follows_from_the_label_map(tmp_path, spec):
 
 
 def test_load_returns_the_generated_arrays(tmp_path):
-    spec = DataSpec(grid=5, patch=3)
+    spec = DataSpec(grid=5)
     generate_dataset(40, 3, tmp_path, spec)
     ds = load_dataset(tmp_path)
     assert sum(len(ds.splits[s]) for s in SPLIT_NAMES) == 40
@@ -167,17 +162,16 @@ def test_load_returns_the_generated_arrays(tmp_path):
                    for ex in split)
 
 
-@pytest.mark.parametrize("spec", [DataSpec(grid=2, patch=1, num_classes=1, max_objects=1),
-                                  DataSpec(grid=4), DataSpec(grid=10, patch=2, num_classes=3)],
-                         ids=["grid2-one-class", "grid4", "grid10-three-classes"])
+@pytest.mark.parametrize("spec", [DataSpec(grid=2), DataSpec(grid=4), DataSpec(grid=10)],
+                         ids=["grid2", "grid4", "grid10"])
 @pytest.mark.parametrize("field", ["labels", "prompt", "answer", "probe"])
 def test_generated_entries_lie_inside_the_vocabulary_and_classes(tmp_path, field, spec):
     # what the model and the probes take: class ids and non-pad tokens of the
     # fixed vocabulary, every prompt PROMPT_LEN tokens and every answer one
-    shape, low, high = {"labels": ((spec.grid, spec.grid), 0, spec.num_classes),
+    shape, low, high = {"labels": ((spec.grid, spec.grid), 0, NUM_CLASSES),
                         "prompt": ((PROMPT_LEN,), CLASS_BASE, TOK_QMARK),
                         "answer": ((1,), CLASS_BASE, DIGIT_BASE + 9),
-                        "probe": ((), 1, spec.num_classes)}[field]
+                        "probe": ((), 1, NUM_CLASSES)}[field]
     generate_dataset(60, 5, tmp_path, spec)
     for ex in (ex for split in load_dataset(tmp_path).splits.values() for ex in split):
         value = np.asarray(ex.probe_label if field == "probe" else getattr(ex, field))
@@ -201,8 +195,8 @@ def test_old_manifest_format_is_refused(tmp_path):
     generate_dataset(10, 0, tmp_path, DataSpec(grid=4))
     manifest_path = tmp_path / "manifest.json"
     manifest = json.loads(manifest_path.read_text())
-    assert manifest["format"] == "prelab-dataset/3"
-    manifest["format"] = "prelab-dataset/2"
+    assert manifest["format"] == "prelab-dataset/4"
+    manifest["format"] = "prelab-dataset/3"
     manifest_path.write_text(json.dumps(manifest))
     with pytest.raises(DatasetError, match="unknown dataset format.*prelab gen-data"):
         load_dataset(tmp_path)
@@ -212,9 +206,9 @@ def test_old_manifest_format_is_refused(tmp_path):
     ("n", 0, "got 0 and 0"), ("n", "5", "got '5' and 0"), ("seed", -1, "got 20 and -1"),
     ("seed", 1.5, "got 20 and 1.5"), ("grid", 11, "grid must be in [2, 10], got 11"),
     ("colour", "red", "unexpected keyword argument 'colour'"), ("n", True, "got True and 0"),
-    ("seed", "3", "got 20 and '3'"), ("patch", 0, "patch must be >= 1, got 0"),
-    ("num_classes", 11, "num_classes must be in [1, 10], got 11"),
-    ("max_objects", 5, "object count bounds must satisfy 1 <= min <= max <= 4")])
+    ("seed", "3", "got 20 and '3'"), ("patch", 4, "unexpected keyword argument 'patch'"),
+    ("num_classes", 10, "unexpected keyword argument 'num_classes'"),
+    ("max_objects", 4, "unexpected keyword argument 'max_objects'")])
 def test_manifest_field_the_generator_cannot_take_is_refused(tmp_path, capsys, key, value,
                                                             found):
     data, out = tmp_path / "data", tmp_path / "run"
@@ -225,11 +219,30 @@ def test_manifest_field_the_generator_cannot_take_is_refused(tmp_path, capsys, k
     with pytest.raises(DatasetError, match=re.escape(f"{data / 'manifest.json'}: ")) as exc:
         load_dataset(data)
     assert found in str(exc.value)
+    assert_train_exits_1_and_writes_nothing(data, out, capsys, found)
+
+
+def assert_train_exits_1_and_writes_nothing(data, out, capsys, found):
     rc = main(["train", "--data", str(data), "--out", str(out), "--steps", "1",
                "--grid", "4", "--layers", "2", "--target-layer", "1"])
     assert rc == 1
     assert found in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("raw, found", [
+    (b"{", "not a UTF-8 JSON manifest: Expecting property name"),
+    (b"\xff", "not a UTF-8 JSON manifest: 'utf-8' codec can't decode byte 0xff"),
+    (b"[]", "the manifest is not a JSON object"), (b"3", "the manifest is not a JSON object")],
+    ids=["{", "xff", "[]", "3"])
+def test_manifest_that_is_not_a_utf8_json_object_is_refused(tmp_path, capsys, raw, found):
+    data, out = tmp_path / "data", tmp_path / "run"
+    generate_dataset(20, 0, data, DataSpec(grid=4))
+    (data / "manifest.json").write_bytes(raw)
+    found = f"{data / 'manifest.json'}: {found}"
+    with pytest.raises(DatasetError, match=re.escape(found)):
+        load_dataset(data)
+    assert_train_exits_1_and_writes_nothing(data, out, capsys, found)
 
 
 @pytest.mark.parametrize("key, found", [

@@ -271,12 +271,12 @@ def test_layer_metrics_matches_a_per_image_reference():
 
 class TestLogitLens:
     def test_last_layer_decodes_as_the_model(self):
-        cfg = MllmConfig(grid=2, patch=2, d_v=8, d_l=8, layers=2, heads=2, target_layer=1)
+        cfg = MllmConfig(grid=2, d_l=8, layers=2, heads=2, target_layer=1)
         params = MllmParams(cfg)
         rng = np.random.default_rng(1)
         for p in params.ln_f.params():  # move the final norm off its identity init
             p.value[...] = rng.normal(size=p.value.shape)
-        z = encode_image(params, rng.uniform(size=(3, 4, 4)))
+        z = encode_image(params, rng.uniform(size=(3, 8, 8)))
         with ad.no_grad():
             trace = llm_forward(params, z, rng.integers(0, 32, size=(3, 4)))
             visual = [trace.visual_values(l).reshape(-1, cfg.d_l)

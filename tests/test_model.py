@@ -14,22 +14,21 @@ from prelab.model import (MllmConfig, MllmParams, dump_hidden_states, encode_ima
 
 # tiny() casts the model to float64, as central differences need. Central
 # differences at h=1e-6 against backward, seed 0: the max relative error
-# measured 6.4e-5 (pre-proj) and 2.1e-4 (pre-llm), and at most 1.8e-3
-# over seeds 0-4. The error falls 100x for each 10x cut in h, so it is
-# truncation error: a fresh prediction head's outputs are tiny, and the
-# cosine is strongly curved there. Scaling causal_attention's backward by
-# 1.01 reads 2.7e-2 (pre-proj) and 4.0e-2 (pre-llm).
+# measured 3.6e-4 for both anchors, and at most 6.6e-4 over seeds 0-4. At
+# seed 0 (pre-proj) it reads 4.3e-4 at h=1e-5 and 2.7e-3 at h=1e-7.
+# Scaling causal_attention's backward by 1.01 reads 1.4e-2 (pre-proj) and
+# 1.5e-2 (pre-llm).
 H = 1e-6
 TOL = 2e-3
 
 
 def tiny(anchor, lam=0.5, seed=0):
-    cfg = MllmConfig(grid=2, patch=2, d_v=8, d_l=8, layers=2, heads=2,
-                     target_layer=1, anchor=anchor, lam=lam, seed=seed)
+    cfg = MllmConfig(grid=2, d_l=8, layers=2, heads=2, target_layer=1, anchor=anchor,
+                     lam=lam, seed=seed)
     params = MllmParams(cfg)
     cast_to_float64(params.trainable())
     rng = np.random.default_rng(seed)
-    z = encode_image(params, rng.uniform(size=(3, 4, 4)))
+    z = encode_image(params, rng.uniform(size=(3, 8, 8)))
     prompts = rng.integers(0, 32, size=(3, PROMPT_LEN))
     answers = rng.integers(0, 32, size=3)
     return params, z, prompts, answers
@@ -82,7 +81,7 @@ def test_forward_is_causal_over_prompt_visual():
     # image leaves the prompt rows bitwise unchanged and reaches the rows
     # after them.
     params, z, prompts, _ = tiny(model.ANCHOR_PRE_LLM)
-    other_z = encode_image(params, np.random.default_rng(1).uniform(size=(3, 4, 4)))
+    other_z = encode_image(params, np.random.default_rng(1).uniform(size=(3, 8, 8)))
     with ad.no_grad():
         base = llm_forward(params, z, prompts)
         new_image = llm_forward(params, other_z, prompts)

@@ -59,14 +59,9 @@ def test_same_seed_gives_identical_losses(dataset, tmp_path):
     assert log == (tmp_path / "b.csv").read_text()
 
 
-@pytest.mark.parametrize("field, value, message", [
-    ("grid", 5, "dataset has grid 4, the run has 5"),
-    ("patch", 2, "dataset has patch 4, the run has 2"),
-])
-def test_trainer_refuses_a_mismatched_dataset(dataset, field, value, message):
-    cfg = MllmConfig(grid=4, d_l=16, layers=2, heads=2, target_layer=1)
-    setattr(cfg, field, value)
-    with pytest.raises(ValueError, match=f"^{message}$"):
+def test_trainer_refuses_a_mismatched_dataset(dataset):
+    cfg = MllmConfig(grid=5, d_l=16, layers=2, heads=2, target_layer=1)
+    with pytest.raises(ValueError, match="^dataset has grid 4, the run has 5$"):
         Trainer(cfg, dataset, steps=3, batch_size=4)
 
 
@@ -219,7 +214,7 @@ def edited_checkpoint(tmp_path, edit):
 
 def test_checkpoint_missing_a_parameter_is_refused(tmp_path):
     cfg, path = edited_checkpoint(tmp_path, lambda entries: entries.pop("head.w"))
-    with pytest.raises(KeyError, match=r"checkpoint missing parameter 'head\.w'"):
+    with pytest.raises(ValueError, match=r"^checkpoint missing parameter 'head\.w'$"):
         load_checkpoint(cfg, path)
 
 
@@ -228,7 +223,7 @@ def test_checkpoint_entry_without_a_parameter_is_refused(tmp_path):
         entries["block2.attn.o.w"] = entries["block1.attn.o.w"]
 
     cfg, path = edited_checkpoint(tmp_path, add)
-    with pytest.raises(KeyError, match=re.escape(
+    with pytest.raises(ValueError, match=re.escape(
             "checkpoint has 1 entries the model has no parameter for (first: 'block2.attn.o.w')")):
         load_checkpoint(cfg, path)
 
