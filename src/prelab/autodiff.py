@@ -207,10 +207,6 @@ def scale(a: Node, c: float) -> Node:
     return record("scale", v, (a,), bk)
 
 
-def neg(a: Node) -> Node:
-    return scale(a, -1.0)
-
-
 def linear(x: Node, w: Node, b: Node = None) -> Node:
     """x @ w (+ b) over the last axis of x. Leading axes are flattened into
     the rows of one 2-D GEMM, so the weight gradient x2.T @ g2 is one GEMM
@@ -485,10 +481,6 @@ def sum_all(a: Node) -> Node:
         return (np.broadcast_to(g, shape),)
 
     return record("sum", v, (a,), bk)
-
-
-def mean_all(a: Node) -> Node:
-    return scale(sum_all(a), 1.0 / a.value.size)
 
 
 def cosine_rows(p: Node, z: Node) -> Node:

@@ -197,15 +197,22 @@ def _load_run(run_dir):
     return run_cfg, params
 
 
+def _probe_splits(path, run_cfg: RunConfig) -> tuple:
+    """The probe-train and probe-test examples, each in id order, that dump
+    writes and metrics reads; exit 2 if either split is empty."""
+    dataset = _load_dataset_checked(path, run_cfg, PROBE_SPLITS)
+    empty = [name for name in PROBE_SPLITS if not dataset.splits[name]]
+    if empty:
+        raise ConfigError(f"the {' and '.join(empty)} split of {path} has no examples; "
+                          f"metrics needs both probe splits")
+    return dataset.splits["probe-train"], dataset.splits["probe-test"]
+
+
 def cmd_dump(args) -> int:
     """Trace both probe splits, the examples `metrics` reads."""
     run_cfg, params = _load_run(args.run)
-    dataset = _load_dataset_checked(args.data, run_cfg, PROBE_SPLITS)
-    empty = [name for name in PROBE_SPLITS if not dataset.splits[name]]
-    if empty:
-        raise ConfigError(f"the {' and '.join(empty)} split of {args.data} has no examples; "
-                          f"metrics needs both probe splits")
-    examples = dataset.splits["probe-train"] + dataset.splits["probe-test"]
+    probe_train, probe_test = _probe_splits(args.data, run_cfg)
+    examples = probe_train + probe_test
     z = np.empty((len(examples), run_cfg.n_patches, D_V), dtype=np.float32)
     hv = np.empty((run_cfg.layers + 1, *z.shape[:2], run_cfg.d_l), dtype=np.float32)
     with ad.no_grad():
@@ -221,58 +228,41 @@ def cmd_dump(args) -> int:
     return 0
 
 
-def _sim_probe(dataset, ids):
-    """The similarity maps' probe: the first dumped probe-test example with
-    >= 2 distinct classes, and its first object patch in row-major order."""
-    by_id = {ex.id: ex for ex in dataset.splits["probe-test"]}
-    for ex_id in ids:
-        ex = by_id.get(ex_id)
-        if ex is None:
-            continue
-        classes = np.unique(ex.labels[ex.labels > 0])
-        if classes.size >= 2:
-            flat = ex.labels.ravel()
-            return ex_id, int(np.nonzero(flat > 0)[0][0])
+def _sim_probe(probe_test, ids):
+    """The similarity maps' probe: the probe-test example of smallest id with
+    >= 2 distinct classes, and its first object patch in row-major order;
+    without one, the smallest probe id and patch 0."""
+    for ex in probe_test:
+        if np.unique(ex.labels[ex.labels > 0]).size >= 2:
+            return ex.id, int(np.flatnonzero(ex.labels.ravel() > 0)[0])
     return ids[0], 0
 
 
 def cmd_metrics(args) -> int:
     run_cfg, params = _load_run(args.run)
-    dataset = _load_dataset_checked(args.data, run_cfg, PROBE_SPLITS)
+    probe_train, probe_test = _probe_splits(args.data, run_cfg)
+    examples = sorted(probe_train + probe_test, key=lambda ex: ex.id)
+    ids = [ex.id for ex in examples]
+    n_layers = run_cfg.layers + 1
     try:
-        grid, ids, hv = read_hidden_states(args.hidden)
+        hv = read_hidden_states(args.hidden, ids, run_cfg.layers,
+                                (run_cfg.n_patches, run_cfg.d_l))
     except ValueError as exc:
-        raise ConfigError(f"{args.hidden} is not a hidden-state dump: {exc}") from None
-    if grid != run_cfg.grid:
-        raise ConfigError(f"hidden states grid {grid} != run grid {run_cfg.grid}")
-    if not ids:
-        raise ConfigError(f"{args.hidden} holds no dumped examples")
-    n_layers, shape = run_cfg.layers + 1, (grid * grid, run_cfg.d_l)
-    if hv.shape[0] != n_layers or hv.shape[2:] != shape:
-        raise ConfigError(
-            f"{args.hidden} has {hv.shape[0]} layers of shape {hv.shape[2:]}; run {args.run} "
-            f"has {n_layers} (input + {run_cfg.layers} blocks) of shape {shape}")
+        raise ConfigError(f"{args.hidden} is not the dump of run {args.run} on the probe "
+                          f"splits of {args.data}: {exc}") from None
 
-    split_of = {ex.id: (name, ex) for name in PROBE_SPLITS for ex in dataset.splits[name]}
-    missing = [i for i in ids if i not in split_of]
-    if missing:
-        raise ConfigError(f"{len(missing)} dumped examples not in the dataset's probe "
-                          f"splits (first: {missing[0]})")
+    labels_per_image = [ex.labels for ex in examples]
+    probe_labels = np.array([ex.probe_label for ex in examples])
+    in_probe_train = np.isin(ids, [ex.id for ex in probe_train])
+    train_idx, test_idx = np.flatnonzero(in_probe_train), np.flatnonzero(~in_probe_train)
 
-    labels_per_image = [split_of[i][1].labels for i in ids]
-    probe_labels = np.array([split_of[i][1].probe_label for i in ids])
-    train_idx = np.array([k for k, i in enumerate(ids) if split_of[i][0] == "probe-train"])
-    test_idx = np.array([k for k, i in enumerate(ids) if split_of[i][0] == "probe-test"])
-    if train_idx.size == 0 or test_idx.size == 0:
-        raise ConfigError("metrics needs examples from both probe splits")
-
-    sim_id, sim_patch = _sim_probe(dataset, ids)
+    sim_id, sim_patch = _sim_probe(probe_test, ids)
     rows, patch_metrics = layer_metrics(hv, labels_per_image, probe_labels, train_idx, test_idx)
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     for layer, states in enumerate(hv[:, ids.index(sim_id)]):
-        grid_vals = similarity_map(states, sim_patch, grid=grid)
+        grid_vals = similarity_map(states, sim_patch, grid=run_cfg.grid)
         lines = [" ".join(repr(float(v)) for v in row) for row in grid_vals]
         (out / f"simmap_layer{layer:02d}.txt").write_text("\n".join(lines) + "\n")
 

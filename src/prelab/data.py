@@ -89,8 +89,8 @@ class DataSpec:
     grid: int = 8  # patches per side
 
     def validate(self) -> None:
-        if not 2 <= self.grid <= 10:
-            raise ValueError(f"grid must be in [2, 10], got {self.grid}")
+        if type(self.grid) is not int or not 2 <= self.grid <= 10:
+            raise ValueError(f"grid must be an int in [2, 10], got {self.grid!r}")
 
 
 _PATTERN_SEED = 0x7E0C1A55

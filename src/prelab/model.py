@@ -15,7 +15,6 @@ output.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass, asdict
 
 import numpy as np
@@ -215,7 +214,7 @@ def lm_loss(trace: ForwardTrace, answers: np.ndarray) -> Node:
 def _patch_pred_loss(visual_rows: Node, anchor: Node, pred_head) -> Node:
     preds = pred_head(visual_rows)
     sims = ad.cosine_rows(preds, anchor)
-    return ad.neg(ad.mean_all(sims))
+    return ad.scale(ad.sum_all(sims), -1.0 / sims.value.size)
 
 
 def _visual_rows(trace_layer: Node, visual_start: int, n_patches: int, d: int) -> Node:
@@ -260,51 +259,49 @@ def total_loss(trace: ForwardTrace, answers: np.ndarray, params: MllmParams):
     return ad.add(lm, ad.scale(pre, lam)), lm, pre
 
 
+def _example_entries(ex_id: int, layers: int) -> list:
+    """The dump entry names of one example, in write order: ex<ID>/z, then
+    ex<ID>/hv00..hv<layers> (layer index in the name)."""
+    return [f"ex{ex_id:08d}/z"] + [f"ex{ex_id:08d}/hv{l:02d}" for l in range(layers + 1)]
+
+
 def dump_hidden_states(path, grid: int, ids, z, hv) -> None:
     """Write encoder features z [N, N_p, D_V] and visual hidden states hv
     [L+1, N, N_p, d_l], rows in the order of ids, to a tensor archive: a
-    meta/grid entry with the patch grid shape, then per example ex<ID>/z and
-    ex<ID>/hv<LL> (layer index in the name)."""
+    meta/grid entry with the patch grid shape, then each _example_entries."""
     if not len(ids) == len(z) == hv.shape[1]:
         raise ValueError(f"{len(ids)} ids for {len(z)} z and {hv.shape[1]} hv rows")
     entries = [("meta/grid", np.array([grid, grid], dtype=np.float32))]
     for row, ex_id in enumerate(ids):
-        entries.append((f"ex{ex_id:08d}/z", z[row]))
-        entries += [(f"ex{ex_id:08d}/hv{layer:02d}", h[row]) for layer, h in enumerate(hv)]
+        entries += zip(_example_entries(ex_id, len(hv) - 1), [z[row], *hv[:, row]])
     write_archive(path, entries)
 
 
-def read_hidden_states(path):
-    """Inverse of dump_hidden_states: returns (grid, ids, hv) with ids sorted
-    and hv the float64 [L+1, N, N_p, d_l] visual states in the order of ids.
+def read_hidden_states(path, ids, layers: int, shape: tuple) -> np.ndarray:
+    """Read the dump of the examples `ids` through `layers` blocks: returns
+    the float64 [layers+1, N, *shape] visual states, rows in the order of ids.
 
-    Raises ValueError for an archive that is not such a dump: no meta/grid
-    entry, an entry other than ex<ID>/z or ex<ID>/hv<LL>, or examples that
-    differ in layer count or shape.
+    Raises ValueError unless the archive's entries are exactly meta/grid and
+    each id's z and hv00..hv<layers>, the grid covers shape[0] patches, and
+    every hv has shape `shape`.
     """
     raw = read_archive(path)
-    if "meta/grid" not in raw:
-        raise ValueError("no meta/grid entry")
-    grid = int(raw.pop("meta/grid")[0])
-    by_ex: dict = {}
-    for name, arr in raw.items():
-        m = re.fullmatch(r"ex(\d+)/(z|hv\d\d)", name)
-        if m is None:
-            raise ValueError(f"entry {name!r} is not ex<ID>/z or ex<ID>/hv<LL>")
-        layers = by_ex.setdefault(int(m[1]), {})
-        if m[2] != "z":
-            layers[m[2]] = arr
-    ids = sorted(by_ex)
-    keys = sorted(by_ex[ids[0]]) if ids else []
-    shape = by_ex[ids[0]][keys[0]].shape if keys else ()
-    hv = np.empty((len(keys), len(ids)) + shape)
-    for row, ex_id in enumerate(ids):
-        layers = by_ex[ex_id]
-        if sorted(layers) != keys or any(a.shape != shape for a in layers.values()):
-            raise ValueError(f"examples {ids[0]} and {ex_id} differ in layer count or shape")
-        for layer, key in enumerate(keys):
-            hv[layer, row] = layers[key]
-    return grid, ids, hv
+    names = [_example_entries(ex_id, layers) for ex_id in ids]
+    expected = ["meta/grid"] + [name for ex_names in names for name in ex_names]
+    missing = [name for name in expected if name not in raw]
+    unexpected = sorted(raw.keys() - set(expected))
+    for what, wrong in (("missing", missing), ("unexpected", unexpected)):
+        if wrong:
+            raise ValueError(f"{what} entry {wrong[0]!r} ({len(wrong)} {what} in all)")
+    if raw["meta/grid"].prod() != shape[0]:
+        raise ValueError(f"meta/grid {raw['meta/grid'].tolist()} is not {shape[0]} patches")
+    hv = np.empty((layers + 1, len(ids), *shape))
+    for row, ex_names in enumerate(names):
+        for layer, name in enumerate(ex_names[1:]):
+            if raw[name].shape != shape:
+                raise ValueError(f"entry {name!r} has shape {raw[name].shape}, not {shape}")
+            hv[layer, row] = raw[name]
+    return hv
 
 
 def save_checkpoint(params: MllmParams, path) -> None:

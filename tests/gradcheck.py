@@ -19,6 +19,12 @@ def mul(a: ad.Node, b: ad.Node) -> ad.Node:
     return ad.record("mul", a.value * b.value, (a, b), lambda g: (g * b.value, g * a.value))
 
 
+def mean(a: ad.Node) -> ad.Node:
+    """Mean of every entry of a node, the scalar loss of several gradient
+    tests; the package itself takes means with ad.scale of ad.sum_all."""
+    return ad.scale(ad.sum_all(a), 1.0 / a.value.size)
+
+
 def relative_error(a: float, b: float) -> float:
     """|a-b| / max(|a|, |b|, 1e-10); 0 when both magnitudes are < 1e-10."""
     if abs(a) < REL_FLOOR and abs(b) < REL_FLOOR:

@@ -2,14 +2,16 @@
 2, with nothing written, for a config key or flag that does not exist, a
 model width or head count below 1, a NaN or infinite learning rate or
 lambda, a negative train or gen-data seed, a dataset that does not match the
-run, a dump of a dataset with an empty probe split, metrics on a dump of
-another model shape or of no examples or on an archive that is not a dump,
-two reports whose similarity maps probe different patches, or a metrics
-directory missing a file, exit code 1, with no checkpoint, for a run that
-diverges, exit code 1 for a checkpoint with an entry the model has no
-parameter for, dump and metrics that never generate a train example, and
-train that never generates a probe-test example, nor a probe-train one
-without --diag-every."""
+run, a dump of a dataset with an empty probe split, metrics on an archive
+that is not the run's dump of the dataset's probe examples (a dump of
+another model shape, of no examples or without one example, a dump with an
+entry added, dropped or narrowed, or a checkpoint), two reports whose
+similarity maps probe different patches, or a metrics directory missing a
+file, exit code 1, with no checkpoint, for a run that diverges, exit code
+1 for a checkpoint with an entry the model has no parameter for, dump and
+metrics that never generate a train example, and train that never
+generates a probe-test example, nor a probe-train one without
+--diag-every."""
 
 import json
 import re
@@ -273,49 +275,61 @@ def test_dump_with_an_empty_probe_split_exits_2_and_writes_nothing(tmp_path, cap
     assert not (tmp_path / "h.prea").exists()
 
 
+# the golden dataset's 16 probe ids, the examples its dump holds, in id order
+PROBE_IDS = sorted(split_ids(80)["probe-train"] + split_ids(80)["probe-test"])
+
+
+def assert_metrics_refuses_the_dump(w, hidden, out, capsys, found):
+    rc = main(["metrics", "--hidden", str(hidden), "--data", str(w / "data"),
+               "--run", str(w / "run"), "--out", str(out)])
+    assert rc == 2
+    assert capsys.readouterr().err == (f"error: {hidden} is not the dump of run {w / 'run'} "
+                                       f"on the probe splits of {w / 'data'}: {found}\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("flags, found", [
-    (["--layers", "4"], "has 5 layers of shape (16, 16); run"),
-    (["--d-l", "8"], "has 3 layers of shape (16, 8); run"),
+    (["--layers", "4"], f"unexpected entry 'ex{PROBE_IDS[0]:08d}/hv03' (32 unexpected in all)"),
+    (["--d-l", "8"], f"entry 'ex{PROBE_IDS[0]:08d}/hv00' has shape (16, 8), not (16, 16)"),
 ])
 def test_metrics_on_a_dump_of_another_model_shape_exits_2(golden, tmp_path, capsys,
                                                           flags, found):
     # a dump of a deeper or narrower model of the same grid, read with the golden run
     w, _, _ = golden
-    other, hidden, out = tmp_path / "other", tmp_path / "h.prea", tmp_path / "metrics"
+    other, hidden = tmp_path / "other", tmp_path / "h.prea"
     run_ok(["train", "--data", w / "data", "--out", other, "--steps", 1]
            + TINY_MODEL + flags)
     run_ok(["dump", "--run", other, "--data", w / "data", "--out", hidden])
     capsys.readouterr()
-    rc = main(["metrics", "--hidden", str(hidden), "--data", str(w / "data"),
-               "--run", str(w / "run"), "--out", str(out)])
-    assert rc == 2
-    err = capsys.readouterr().err
-    assert found in err and "has 3 (input + 2 blocks) of shape (16, 16)" in err
-    assert not out.exists()
+    assert_metrics_refuses_the_dump(w, hidden, tmp_path / "metrics", capsys, found)
 
 
 def test_metrics_on_a_dump_with_no_examples_exits_2(golden, tmp_path, capsys):
     w, _, _ = golden
-    hidden, out = tmp_path / "h.prea", tmp_path / "metrics"
+    hidden = tmp_path / "h.prea"
     dump_hidden_states(hidden, 4, [], np.zeros((0, 16, 32)), np.zeros((3, 0, 16, 16)))
-    rc = main(["metrics", "--hidden", str(hidden), "--data", str(w / "data"),
-               "--run", str(w / "run"), "--out", str(out)])
-    assert rc == 2
-    assert f"{hidden} holds no dumped examples" in capsys.readouterr().err
-    assert not out.exists()
+    assert_metrics_refuses_the_dump(w, hidden, tmp_path / "metrics", capsys,
+                                    f"missing entry 'ex{PROBE_IDS[0]:08d}/z' (64 missing in all)")
 
 
 def _not_a_dump(w, tmp_path, case):
     """An archive metrics must refuse: another archive of the golden pipeline,
-    or the golden dump with one entry added, removed or narrowed."""
+    or the golden dump with entries added, removed, narrowed or changed."""
     if case == "checkpoint":
         return w / "run/checkpoint.prea"
     entries = read_archive(w / "hidden.prea")
-    last = sorted(name for name in entries if "/hv" in name)[-1]
+    first, last = f"ex{PROBE_IDS[0]:08d}/", f"ex{PROBE_IDS[-1]:08d}/hv02"
     if case == "foreign entry":
         entries["ex00000001/y"] = np.zeros(2)
     elif case == "missing layer":
         del entries[last]
+    elif case == "missing example":
+        entries = {name: a for name, a in entries.items() if not name.startswith(first)}
+    elif case == "train example":  # id 0 is in the train split
+        entries.update({name.replace(first, "ex00000000/"): a
+                        for name, a in entries.items() if name.startswith(first)})
+    elif case == "other grid":
+        entries["meta/grid"] = np.array([5.0, 5.0])
     else:
         entries[last] = entries[last][:, :8]
     write_archive(tmp_path / "h.prea", entries)
@@ -323,21 +337,19 @@ def _not_a_dump(w, tmp_path, case):
 
 
 @pytest.mark.parametrize("case, found", [
-    ("checkpoint", "no meta/grid entry"),
-    ("foreign entry", "entry 'ex00000001/y' is not ex<ID>/z or ex<ID>/hv<LL>"),
-    ("missing layer", "differ in layer count or shape"),
-    ("narrower layer", "differ in layer count or shape"),
+    ("checkpoint", "missing entry 'meta/grid' (65 missing in all)"),
+    ("foreign entry", "unexpected entry 'ex00000001/y' (1 unexpected in all)"),
+    ("missing layer", f"missing entry 'ex{PROBE_IDS[-1]:08d}/hv02' (1 missing in all)"),
+    ("narrower layer", f"entry 'ex{PROBE_IDS[-1]:08d}/hv02' has shape (16, 8), not (16, 16)"),
+    ("missing example", f"missing entry 'ex{PROBE_IDS[0]:08d}/z' (4 missing in all)"),
+    ("train example", "unexpected entry 'ex00000000/hv00' (4 unexpected in all)"),
+    ("other grid", "meta/grid [5.0, 5.0] is not 16 patches"),
 ])
 def test_metrics_on_an_archive_that_is_not_a_dump_exits_2(golden, tmp_path, capsys,
                                                           case, found):
     w, _, _ = golden
-    hidden, out = _not_a_dump(w, tmp_path, case), tmp_path / "metrics"
-    rc = main(["metrics", "--hidden", str(hidden), "--data", str(w / "data"),
-               "--run", str(w / "run"), "--out", str(out)])
-    assert rc == 2
-    err = capsys.readouterr().err
-    assert err.startswith(f"error: {hidden} is not a hidden-state dump: ") and found in err
-    assert not out.exists()
+    assert_metrics_refuses_the_dump(w, _not_a_dump(w, tmp_path, case), tmp_path / "metrics",
+                                    capsys, found)
 
 
 def test_report_on_different_similarity_probes_exits_2(golden, tmp_path, capsys):

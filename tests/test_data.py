@@ -204,7 +204,8 @@ def test_old_manifest_format_is_refused(tmp_path):
 
 @pytest.mark.parametrize("key, value, found", [
     ("n", 0, "got 0 and 0"), ("n", "5", "got '5' and 0"), ("seed", -1, "got 20 and -1"),
-    ("seed", 1.5, "got 20 and 1.5"), ("grid", 11, "grid must be in [2, 10], got 11"),
+    ("seed", 1.5, "got 20 and 1.5"), ("grid", 11, "grid must be an int in [2, 10], got 11"),
+    ("grid", 4.0, "grid must be an int in [2, 10], got 4.0"),
     ("colour", "red", "unexpected keyword argument 'colour'"), ("n", True, "got True and 0"),
     ("seed", "3", "got 20 and '3'"), ("patch", 4, "unexpected keyword argument 'patch'"),
     ("num_classes", 10, "unexpected keyword argument 'num_classes'"),

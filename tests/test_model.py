@@ -147,7 +147,7 @@ def test_pre_llm_anchor_passes_exactly_zero_gradient():
         assert a.tobytes() == b.tobytes(), p.name
 
 
-def test_dump_round_trip_sorts_ids_and_keeps_the_float32_states(tmp_path):
+def test_dump_round_trip_reads_the_given_id_order_and_the_float32_states(tmp_path):
     # dump writes probe-train before probe-test, so ids arrive out of order
     rng = np.random.default_rng(0)
     ids = [7, 2, 11, 3]
@@ -157,7 +157,6 @@ def test_dump_round_trip_sorts_ids_and_keeps_the_float32_states(tmp_path):
     dump_hidden_states(path, 4, ids, z, hv)
     assert list(read_archive(path)) == ["meta/grid"] + [
         f"ex{i:08d}/{kind}" for i in ids for kind in ("z", "hv00", "hv01", "hv02")]
-    grid, got_ids, got = read_hidden_states(path)
-    assert (grid, got_ids) == (4, [2, 3, 7, 11])
+    got = read_hidden_states(path, [2, 3, 7, 11], 2, (16, 6))
     assert got.dtype == np.float64 and got.shape == (3, 4, 16, 6)
     assert got.astype(np.float32).tobytes() == hv[:, [1, 3, 0, 2]].tobytes()
