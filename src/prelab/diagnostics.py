@@ -162,7 +162,9 @@ def logit_lens(visual_by_layer, ln_gamma, ln_beta, head_w, head_b) -> list:
     output head; per layer, softmax each patch and average the resulting
     distributions over all patches and examples, keeping the
     LOGIT_LENS_TOP_K most probable tokens. The norm is the model's own
-    layer-norm forward, so the last layer decodes exactly as the model does.
+    layer-norm forward, and the decode runs in the dtype of the states given
+    (float32 for a dump, as in the model), so the last layer decodes exactly
+    as the model does. The average over patches accumulates in float64.
 
     visual_by_layer: sequence over layers of [M, d] stacked patch states.
     """
@@ -174,7 +176,7 @@ def logit_lens(visual_by_layer, ln_gamma, ln_beta, head_w, head_b) -> list:
         probs -= probs.max(axis=-1, keepdims=True)
         np.exp(probs, out=probs)
         probs /= probs.sum(axis=-1, keepdims=True)
-        dist = probs.mean(axis=0)
+        dist = probs.mean(axis=0, dtype=np.float64)
         order = np.argsort(-dist, kind="stable")[:LOGIT_LENS_TOP_K]
         out.append(LogitLensDist(layer=layer, distribution=dist,
                                  top_tokens=[(int(t), float(dist[t])) for t in order]))
@@ -259,8 +261,9 @@ def patch_metrics_over_images(features_per_image, labels_per_image) -> PatchMetr
 def layer_metrics(hv, labels_per_image, probe_labels, train_idx, test_idx):
     """Per-layer diagnosis of visual states hv [L+1, N, N_p, d]: probe accuracy,
     effective dimension and redundancy of the patch means, and patch metrics.
+    hv may be of any float dtype; the math of every layer runs in float64.
     Returns the metrics.csv rows and the PatchMetrics of each layer."""
-    pooled = hv.mean(axis=2)
+    pooled = hv.mean(axis=2, dtype=np.float64)
     probe_accs = linear_probe(pooled, probe_labels, train_idx, test_idx)
     patch = [patch_metrics_over_images(h, labels_per_image) for h in hv]
     rows = [{"layer": layer, "probe_acc": acc, "cohesion": pm.cohesion,

@@ -279,7 +279,8 @@ def dump_hidden_states(path, grid: int, ids, z, hv) -> None:
 
 def read_hidden_states(path, ids, layers: int, shape: tuple) -> np.ndarray:
     """Read the dump of the examples `ids` through `layers` blocks: returns
-    the float64 [layers+1, N, *shape] visual states, rows in the order of ids.
+    the [layers+1, N, *shape] visual states, rows in the order of ids, in the
+    dump's float32, bit for bit the values written.
 
     Raises ValueError unless the archive's entries are exactly meta/grid and
     each id's z and hv00..hv<layers>, the grid covers shape[0] patches, and
@@ -295,7 +296,7 @@ def read_hidden_states(path, ids, layers: int, shape: tuple) -> np.ndarray:
             raise ValueError(f"{what} entry {wrong[0]!r} ({len(wrong)} {what} in all)")
     if raw["meta/grid"].prod() != shape[0]:
         raise ValueError(f"meta/grid {raw['meta/grid'].tolist()} is not {shape[0]} patches")
-    hv = np.empty((layers + 1, len(ids), *shape))
+    hv = np.empty((layers + 1, len(ids), *shape), dtype=np.float32)
     for row, ex_names in enumerate(names):
         for layer, name in enumerate(ex_names[1:]):
             if raw[name].shape != shape:

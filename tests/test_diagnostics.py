@@ -269,25 +269,57 @@ def test_layer_metrics_matches_a_per_image_reference():
                                "redundancy": redundancy(pooled[layer])}
 
 
+def test_layer_metrics_rows_do_not_depend_on_the_states_dtype():
+    # metrics reads the dump's float32 states; every layer's math is float64
+    rng = np.random.default_rng(4)
+    hv = rng.normal(size=(3, 12, 16, 6)).astype(np.float32)
+    labels = [rng.integers(0, 4, size=(4, 4)) for _ in range(12)]
+    probe_labels = np.arange(12) % 3
+    split = (np.arange(8), np.arange(8, 12))
+    rows32, patch32 = layer_metrics(hv, labels, probe_labels, *split)
+    rows64, patch64 = layer_metrics(hv.astype(np.float64), labels, probe_labels, *split)
+    assert rows32 == rows64 and patch32 == patch64
+
+
+def _lens_states():
+    """A tiny random model with its final norm off the identity init, and
+    its float32 visual states of every layer, [M, d] each."""
+    cfg = MllmConfig(grid=2, d_l=8, layers=2, heads=2, target_layer=1)
+    params = MllmParams(cfg)
+    rng = np.random.default_rng(1)
+    for p in params.ln_f.params():
+        p.value[...] = rng.normal(size=p.value.shape)
+    z = encode_image(params, rng.uniform(size=(3, 8, 8)))
+    with ad.no_grad():
+        trace = llm_forward(params, z, rng.integers(0, 32, size=(3, 4)))
+        visual = [trace.visual_values(l).reshape(-1, cfg.d_l) for l in range(cfg.layers + 1)]
+    return params, visual
+
+
 class TestLogitLens:
     def test_last_layer_decodes_as_the_model(self):
-        cfg = MllmConfig(grid=2, d_l=8, layers=2, heads=2, target_layer=1)
-        params = MllmParams(cfg)
-        rng = np.random.default_rng(1)
-        for p in params.ln_f.params():  # move the final norm off its identity init
-            p.value[...] = rng.normal(size=p.value.shape)
-        z = encode_image(params, rng.uniform(size=(3, 8, 8)))
+        params, visual = _lens_states()
         with ad.no_grad():
-            trace = llm_forward(params, z, rng.integers(0, 32, size=(3, 4)))
-            visual = [trace.visual_values(l).reshape(-1, cfg.d_l)
-                      for l in range(cfg.layers + 1)]
             logits = params.head(params.ln_f(ad.constant(visual[-1]))).value
         lens = logit_lens(visual, params.ln_f.gamma.value, params.ln_f.beta.value,
                           params.head.w.value, params.head.b.value)
         assert [d.layer for d in lens] == [0, 1, 2]
         e = np.exp(logits - logits.max(axis=-1, keepdims=True))
-        expected = (e / e.sum(axis=-1, keepdims=True)).mean(axis=0)
+        expected = (e / e.sum(axis=-1, keepdims=True)).mean(axis=0, dtype=np.float64)
         assert np.max(np.abs(lens[-1].distribution - expected)) < 1e-12
         tops = lens[-1].top_tokens
         assert [t for t, _ in tops] == list(np.argsort(-expected, kind="stable")[:5])
         assert all(a[1] >= b[1] for a, b in zip(tops, tops[1:]))
+
+    def test_float32_decode_matches_a_float64_decode(self):
+        params, visual = _lens_states()
+        assert all(v.dtype == np.float32 for v in visual)
+        head = (params.ln_f.gamma.value, params.ln_f.beta.value,
+                params.head.w.value, params.head.b.value)
+        lens32 = logit_lens(visual, *head)
+        lens64 = logit_lens([v.astype(np.float64) for v in visual], *head)
+        for d32, d64 in zip(lens32, lens64, strict=True):
+            assert d32.distribution.dtype == np.float64
+            assert np.all(np.abs(d32.distribution - d64.distribution)
+                          <= 1e-6 * d64.distribution)
+            assert [t for t, _ in d32.top_tokens] == [t for t, _ in d64.top_tokens]

@@ -158,5 +158,5 @@ def test_dump_round_trip_reads_the_given_id_order_and_the_float32_states(tmp_pat
     assert list(read_archive(path)) == ["meta/grid"] + [
         f"ex{i:08d}/{kind}" for i in ids for kind in ("z", "hv00", "hv01", "hv02")]
     got = read_hidden_states(path, [2, 3, 7, 11], 2, (16, 6))
-    assert got.dtype == np.float64 and got.shape == (3, 4, 16, 6)
-    assert got.astype(np.float32).tobytes() == hv[:, [1, 3, 0, 2]].tobytes()
+    assert got.dtype == np.float32 and got.shape == (3, 4, 16, 6)
+    assert got.tobytes() == hv[:, [1, 3, 0, 2]].tobytes()
