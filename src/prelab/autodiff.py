@@ -275,21 +275,23 @@ def narrow(a: Node, axis: int, start: int, length: int) -> Node:
     return record("narrow", v, (a,), bk)
 
 
-def _redo_pv_with_nonfinite_v(o, v, blocks, probs) -> None:
+def _redo_pv_with_nonfinite_v(o, v, blocks, probs) -> tuple:
     """Redo o = P v, in place, for a v that holds NaN or Inf. In the plain
     product a masked weight meets a later v_j as 0 * NaN = NaN, which would
-    reach the rows before j. Here the non-finite entries are left out of
-    the product and added back to the rows i >= j alone, so every other
-    row keeps the bits of a finite v."""
+    reach the rows before j. Here the non-finite entries are left out and
+    added back to the rows i >= j alone, so every other row keeps the bits
+    of a finite v. Returns v with them zeroed, its o, and the rows i >= j."""
     bad = ~np.isfinite(v)
+    clean = np.where(bad, 0.0, v)
     for (r0, r1), p in zip(blocks, probs):
-        np.matmul(p, np.where(bad[:, :, :r1], 0.0, v[:, :, :r1]), out=o[:, :, r0:r1])
+        np.matmul(p, clean[:, :, :r1], out=o[:, :, r0:r1])
+    o_clean = o.copy()
     for b, hd, j in zip(*np.nonzero(bad.any(axis=-1))):
         vj = np.where(bad[b, hd, j], v[b, hd, j], 0.0)
         for (r0, r1), p in zip(blocks, probs):
             if j < r1:
-                lo = max(j, r0)
-                o[b, hd, lo:r1] += p[b, hd, lo - r0:, j, None] * vj
+                o[b, hd, max(j, r0):r1] += p[b, hd, max(j - r0, 0):, j, None] * vj
+    return clean, o_clean, np.logical_or.accumulate(bad.any(axis=-1), axis=-1)
 
 
 def causal_attention(qkv: Node, heads: int) -> Node:
@@ -301,14 +303,17 @@ def causal_attention(qkv: Node, heads: int) -> Node:
 
     The scores are formed in two row halves, h = T // 2: rows [0, h) against
     columns [0, h) and rows [h, T) against all T columns, so the top-right
-    quarter, which the mask removes whole, is never computed or kept. In
-    each half the masked entries are set to -inf before a plain max, exp
-    and sum, so masked weights are exactly 0.0: a later position leaks
-    neither value nor gradient, bit for bit. A NaN in a later q or k is
-    overwritten by the -inf; a NaN or Inf in a later v, which 0 * NaN would
-    spread, is kept out of the earlier rows by _redo_pv_with_nonfinite_v.
+    quarter, which the mask removes whole, is never computed or kept. With
+    no backward to serve, a half is laid out keys first, [j, B, H, i], so the
+    softmax's max and sum over j are elementwise passes, not reductions along
+    short rows; its sum then rounds apart from the row layout's. Masked
+    entries are -inf before the max, so masked weights are exactly 0.0: a
+    later position leaks neither value nor gradient, bit for bit. A NaN in a
+    later q or k is overwritten by the -inf; a NaN or Inf in a later v, which
+    0 * NaN would spread, stays out of the earlier rows and out of the
+    gradient of rows whose output gradient is 0 (_redo_pv_with_nonfinite_v).
     Backward keeps only the two blocks of P, q, k and v and uses
-    dS = P * (dP - rowsum(dP * P)), as FlashAttention does (Dao et al. 2022).
+    dS = P * (dP - rowsum(gO * O)), as FlashAttention does (Dao et al. 2022).
     """
     x = qkv.value
     if x.ndim != 3 or heads < 1 or x.shape[2] % (3 * heads) != 0:
@@ -326,7 +331,11 @@ def causal_attention(qkv: Node, heads: int) -> Node:
     o = out.transpose(0, 2, 1, 3)
     probs = []
     for r0, r1 in blocks:
-        p = q[:, :, r0:r1] @ k[:, :, :r1].swapaxes(-1, -2)
+        if _grad_enabled and qkv.requires_grad:  # backward reads P by rows
+            p = q[:, :, r0:r1] @ k[:, :, :r1].swapaxes(-1, -2)
+        else:  # keys first, [j, B, H, i], viewed as [B, H, i, j]
+            p = np.empty((r1, bsz, heads, r1 - r0), dtype=x.dtype).transpose(1, 2, 3, 0)
+            np.matmul(k[:, :, :r1], q[:, :, r0:r1].swapaxes(-1, -2), out=p.swapaxes(-1, -2))
         p *= c
         np.copyto(p[..., r0:], -np.inf, where=~np.tri(r1 - r0, dtype=bool))  # columns j > i
         p -= p.max(axis=-1, keepdims=True)
@@ -335,18 +344,22 @@ def causal_attention(qkv: Node, heads: int) -> Node:
         np.matmul(p, v[:, :, :r1], out=o[:, :, r0:r1])
         probs.append(p)
     # the last row weighs every v_j, so a non-finite v shows there
-    if t and not np.isfinite(o[:, :, -1]).all():
-        _redo_pv_with_nonfinite_v(o, v, blocks, probs)
+    redone = (_redo_pv_with_nonfinite_v(o, v, blocks, probs)
+              if t and not np.isfinite(o[:, :, -1]).all() else None)
 
     def bk(g):
         go = g.reshape(bsz, t, heads, dh).transpose(0, 2, 1, 3)
         gqkv = np.empty((bsz, t, 3, heads, dh), dtype=x.dtype)
         gq, gk, gv = gqkv.transpose(2, 0, 3, 1, 4)
+        vv, oo, reads_bad = (v, o, None) if redone is None else redone
+        rowsum = np.einsum("bhie,bhie->bhi", go, oo)[..., None]  # rowsum(dP * P) = gO . O
         for (r0, r1), p in zip(blocks, probs):
             gor, qr = go[:, :, r0:r1], q[:, :, r0:r1]
-            ds = gor @ v[:, :, :r1].swapaxes(-1, -2)  # dP, turned into dS in place
-            ds -= np.einsum("bhij,bhij->bhi", ds, p)[..., None]
+            ds = gor @ vv[:, :, :r1].swapaxes(-1, -2)  # dP, turned into dS in place
+            ds -= rowsum[:, :, r0:r1]
             ds *= p
+            if reads_bad is not None:  # rows i >= j of a non-finite v_j, if they pass gradient
+                ds[reads_bad[:, :, r0:r1] & go.any(axis=-1)[:, :, r0:r1]] = np.nan
             np.matmul(ds, k[:, :, :r1], out=gq[:, :, r0:r1])
             if r1 == t:  # the full-width block: every row of gk and gv
                 np.matmul(p.swapaxes(-1, -2), gor, out=gv)
@@ -375,24 +388,25 @@ def log_softmax(a: Node) -> Node:
 
 
 def layer_norm(a: Node, gamma: Node, beta: Node) -> Node:
-    """Normalize the last axis to zero mean / unit variance, then affine."""
+    """Normalize the last axis to zero mean / unit variance, then affine.
+    Every row moment, forward and backward, is one GEMV of the rows with a
+    1/d vector, not numpy's reduction along each short row."""
     x = a.value
     d = x.shape[-1]
-    mu = x.mean(axis=-1, keepdims=True)
-    xhat = x - mu
-    var = np.mean(xhat * xhat, axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + LAYER_NORM_EPS)
+    avg = np.full(d, 1.0 / d, dtype=x.dtype)
+    xhat = x.reshape(-1, d) - (x.reshape(-1, d) @ avg)[:, None]
+    inv = (1.0 / np.sqrt((xhat * xhat) @ avg + LAYER_NORM_EPS))[:, None]
     xhat *= inv  # in place: one [.., d] buffer fewer at the peak
-    v = xhat * gamma.value + beta.value
+    v = (xhat * gamma.value + beta.value).reshape(x.shape)
 
     def bk(g):
+        g = g.reshape(xhat.shape)
         gh = g * gamma.value
-        gx = inv / d * (d * gh
-                        - np.sum(gh, axis=-1, keepdims=True)
-                        - xhat * np.sum(gh * xhat, axis=-1, keepdims=True))
-        ggamma = _unbroadcast(g * xhat, gamma.value.shape)
-        gbeta = _unbroadcast(g, beta.value.shape)
-        return gx, ggamma, gbeta
+        dot = (gh * xhat) @ avg
+        gh -= (gh @ avg)[:, None]
+        gh -= xhat * dot[:, None]
+        gh *= inv
+        return gh.reshape(x.shape), (g * xhat).sum(axis=0), g.sum(axis=0)
 
     return record("layer_norm", v, (a, gamma, beta), bk)
 

@@ -27,6 +27,8 @@ from .model import (ANCHOR_PRE_LLM, ANCHOR_PRE_PROJ, D_V, MllmConfig, llm_forwar
 from .reports import config_hash, read_metrics_csv, write_comparison, write_metrics
 from .training import Trainer, check_dataset_matches, make_batch
 
+DUMP_BATCH = 16  # examples per forward: [16, 68, 128] float32 temporaries (0.6 MB) fit a 2 MB L2
+
 
 class ConfigError(ValueError):
     """Invalid run configuration or command arguments."""
@@ -209,18 +211,19 @@ def _probe_splits(path, run_cfg: RunConfig) -> tuple:
 
 
 def cmd_dump(args) -> int:
-    """Trace both probe splits, the examples `metrics` reads."""
+    """Trace both probe splits, the examples `metrics` reads, DUMP_BATCH at a
+    time. The states do not depend on the batch size, only the speed does."""
     run_cfg, params = _load_run(args.run)
     probe_train, probe_test = _probe_splits(args.data, run_cfg)
     examples = probe_train + probe_test
     z = np.empty((len(examples), run_cfg.n_patches, D_V), dtype=np.float32)
     hv = np.empty((run_cfg.layers + 1, *z.shape[:2], run_cfg.d_l), dtype=np.float32)
     with ad.no_grad():
-        for i in range(0, len(examples), 50):
-            batch = make_batch(params, examples[i : i + 50])
+        for i in range(0, len(examples), DUMP_BATCH):
+            batch = make_batch(params, examples[i : i + DUMP_BATCH])
             trace = llm_forward(params, batch.z, batch.prompts)
-            z[i : i + 50] = trace.z
-            hv[:, i : i + 50] = np.stack([trace.visual_values(l) for l in range(len(hv))])
+            z[i : i + DUMP_BATCH] = trace.z
+            hv[:, i : i + DUMP_BATCH] = np.stack([trace.visual_values(l) for l in range(len(hv))])
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     dump_hidden_states(out, run_cfg.grid, [ex.id for ex in examples], z, hv)

@@ -94,6 +94,18 @@ def sincos_position_code(grid: int, d: int) -> np.ndarray:
     return np.concatenate([rows, cols], axis=1)
 
 
+class _NoDraws:
+    """The init stream of MllmParams(cfg, draw=False): every draw is zeros."""
+
+    def split(self, label) -> "_NoDraws":
+        return self
+
+    def normal(self, shape, std: float = 1.0) -> np.ndarray:
+        return np.zeros(shape)
+
+    truncated_normal = normal
+
+
 class MllmParams:
     """All weights of the toy model.
 
@@ -105,12 +117,13 @@ class MllmParams:
     simply skipped in the forward pass.
     """
 
-    def __init__(self, cfg: MllmConfig):
+    def __init__(self, cfg: MllmConfig, draw: bool = True):
         cfg.validate()
         self.cfg = cfg
         rng = RngStream(cfg.seed).split("params")
         d_patch = PATCH * PATCH
         self.wv = rng.split("vision").normal((d_patch, D_V), std=1.0 / np.sqrt(d_patch))
+        rng = rng if draw else _NoDraws()
         self.pos_code = POS_CODE_SCALE * sincos_position_code(cfg.grid, D_V)
         self.proj = Linear("proj", D_V, cfg.d_l, rng.split("proj"))
         self.tok_emb = Embedding("tok_emb", VOCAB_SIZE, cfg.d_l, rng.split("tok_emb"))
@@ -314,12 +327,12 @@ def load_checkpoint(cfg: MllmConfig, path) -> MllmParams:
 
     Trainable parameters keep their own dtype, float32 (layers.PARAM_DTYPE),
     so a trained model round-trips bit for bit. The frozen encoder matrix is
-    not stored: MllmParams(cfg) draws it from the seed, the same float64
-    matrix that training used. A missing parameter, or an entry the model has
-    no parameter for (say, a block of a deeper model), raises ValueError, and
-    an entry of another shape ShapeError.
+    not stored: it is the only draw, from the seed's substream, the same
+    float64 matrix that training used. A missing parameter, or an entry the
+    model has no parameter for (say, a block of a deeper model), raises
+    ValueError, and an entry of another shape ShapeError.
     """
-    params = MllmParams(cfg)
+    params = MllmParams(cfg, draw=False)
     raw = read_archive(path)
     extra = sorted(raw.keys() - {p.name for p in params.trainable()})
     if extra:

@@ -207,6 +207,52 @@ class TestPrimitiveGradients:
         assert np.all(p.grad[:, s:, d:] == 0.0)
         assert np.all(p.grad[:, :s, d:] != 0.0)
 
+    def test_float32_causal_attention_matches_numpy_reference(self):
+        qkv = RNG.normal(size=(2, 6, 18)).astype(np.float32)
+        out = ad.causal_attention(ad.constant(qkv), 3).value
+        assert out.dtype == np.float32
+        ref = attention_reference(qkv.astype(np.float64), 3)
+        assert np.max(np.abs(out - ref)) <= 1e-6 * np.max(np.abs(ref))
+
+    def test_float32_causal_attention_masked_entries_exact_zero(self):
+        # the float64 test above, in float32: row 0 is v_0 bit for bit, and a
+        # loss on the first s rows sends exactly zero gradient to later k, v
+        heads, d, s = 2, 4, 2
+        p = Parameter("qkv", RNG.normal(size=(2, 5, 3 * d)).astype(np.float32))
+        out = ad.causal_attention(p.node(), heads)
+        assert out.value.dtype == np.float32
+        assert np.array_equal(out.value[:, 0], p.value[:, 0, 2 * d:])
+        w = np.zeros((2, 5, d), dtype=np.float32)
+        w[:, :s] = RNG.normal(size=(2, s, d))
+        backward(ad.sum_all(mul(out, ad.constant(w))))
+        assert p.grad.dtype == np.float32
+        assert np.all(p.grad[:, s:, d:] == 0.0)
+        assert np.all(p.grad[:, :s, d:] != 0.0)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_nan_v_reaches_only_the_gradient_of_rows_that_read_it(self, dtype):
+        # T = 6, one head, v_4 NaN. dP = gO v^T has a NaN column 4, and
+        # 0 * NaN would carry it into dS of rows that pass no gradient.
+        qkv = RNG.normal(size=(1, 6, 6)).astype(dtype)
+        w = RNG.normal(size=(1, 6, 2)).astype(dtype)
+
+        def grad(v4, rows):
+            x = qkv.copy()
+            x[0, 4, 4:] = v4
+            p = Parameter("qkv", x)
+            loss_w = np.zeros_like(w)
+            loss_w[:, rows] = w[:, rows]
+            with np.errstate(invalid="ignore"):
+                backward(ad.sum_all(mul(ad.causal_attention(p.node(), 1),
+                                        ad.constant(loss_w))))
+            return p.grad
+
+        early = grad(np.nan, slice(0, 2))
+        assert early.dtype == dtype
+        assert np.array_equal(early, grad(0.0, slice(0, 2)))
+        late = grad(np.nan, slice(5, 6))
+        assert np.all(np.isnan(late[0, 5, :2]))  # row 5 reads v_4: its q gradient
+
     def test_causal_attention_shape_errors(self):
         with pytest.raises(ShapeError):
             # 3d = 12 is not a multiple of 3 * heads = 9
@@ -232,6 +278,22 @@ class TestPrimitiveGradients:
         check_grad(lambda g: ad.sum_all(mul(
             ad.layer_norm(x, g, ad.constant(np.zeros(4))), w)),
             RNG.normal(size=(4,)) + 1.0)
+
+    def test_float32_layer_norm_within_1e_6_of_float64(self):
+        x = (RNG.normal(size=(3, 5, 64)) * 2.0 + 0.5).astype(np.float32)
+        gamma = (RNG.normal(size=(64,)) + 1.0).astype(np.float32)
+        beta = RNG.normal(size=(64,)).astype(np.float32)
+        w = RNG.normal(size=(3, 5, 64)).astype(np.float32)
+        runs = {}
+        for dtype in (np.float32, np.float64):
+            params = [Parameter(name, v.astype(dtype))
+                      for name, v in (("x", x), ("gamma", gamma), ("beta", beta))]
+            out = ad.layer_norm(*(p.node() for p in params))
+            backward(ad.sum_all(mul(out, ad.constant(w.astype(dtype)))))
+            runs[dtype] = [out.value] + [p.grad for p in params]
+        for got, ref in zip(runs[np.float32], runs[np.float64], strict=True):
+            assert got.dtype == np.float32
+            assert rel_err(got, ref) <= 1e-6
 
     def test_layer_norm_statistics(self):
         x = ad.constant(RNG.normal(size=(10, 32)))
@@ -296,6 +358,21 @@ class TestCausalAttentionLengths:
         assert rel_err(out.value, attention_reference(qkv, heads)) <= 1e-12
         backward(ad.sum_all(mul(out, ad.constant(g))))
         assert rel_err(p.grad, attention_reference_grad(qkv, heads, g)) <= 1e-12
+
+    @pytest.mark.parametrize("t", ATTENTION_LENGTHS)
+    @pytest.mark.parametrize("dtype, tol", [(np.float64, 1e-12), (np.float32, 1e-6)])
+    def test_forward_without_backward_matches_dense_reference(self, t, dtype, tol):
+        # without a backward to serve, the scores are laid out keys first
+        qkv = RNG.normal(size=(3, t, 24)).astype(dtype)
+        p = Parameter("qkv", qkv)
+        with no_grad():
+            bare = ad.causal_attention(p.node(), 2)
+        recorded = ad.causal_attention(p.node(), 2)
+        assert recorded.parents and not bare.parents
+        ref = attention_reference(qkv.astype(np.float64), 2)
+        for out in (bare.value, recorded.value):
+            assert out.dtype == dtype
+            assert rel_err(out, ref) <= tol
 
     @pytest.mark.parametrize("t", [t for t in ATTENTION_LENGTHS if t <= 5])
     def test_gradcheck(self, t):

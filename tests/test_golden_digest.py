@@ -1,9 +1,15 @@
 """tools/golden_digest.py --check: every path whose sha256 differs, that the
 saved digest lists but the run did not produce, or that the run produced but
-the saved digest does not list."""
+the saved digest does not list. --diff-values: the largest relative change
+of each artifact's numbers, and whether the logit lens kept its tokens and
+ranks."""
 
 import importlib.util
 from pathlib import Path
+
+import numpy as np
+
+from prelab.archive import write_archive
 
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "golden_digest.py"
 spec = importlib.util.spec_from_file_location("golden_digest", TOOL)
@@ -21,3 +27,44 @@ def test_compare_lists_every_path_that_differs_or_is_missing():
 def test_compare_of_equal_digests_is_empty():
     lines = ["aa  a/x.csv", "bb  b.prea"]
     assert golden_digest.compare(lines, list(reversed(lines))) == []
+
+
+LENS = "layer,rank,token,token_name,mass\n0,1,57,<unused57>,{}\n0,2,{},x,0.25\n"
+
+
+def work_dir(root, files, archive):
+    root.mkdir()
+    for name, text in files.items():
+        (root / name).parent.mkdir(parents=True, exist_ok=True)
+        (root / name).write_text(text)
+    write_archive(root / "hidden.prea", {"ex/hv": np.array(archive, dtype=np.float32)})
+    return root
+
+
+def test_diff_values_reports_the_largest_relative_change_of_each_artifact(tmp_path):
+    a = work_dir(tmp_path / "a", {
+        "same.csv": "x,1.5\n", "m/metrics.csv": "layer,v\n0,2.0\n1,-4.0\n",
+        "note.txt": "mid 1\n", "m/logitlens.csv": LENS.format(0.5, 16),
+        "r/logitlens.csv": LENS.format(0.5, 16), "only.txt": "1\n",
+        "train_time.csv": "1.0\n"}, [1.0, -8.0])
+    b = work_dir(tmp_path / "b", {
+        "same.csv": "x,1.5\n", "m/metrics.csv": "layer,v\n0,2.0\n1,-4.00004\n",
+        "note.txt": "end 1\n", "m/logitlens.csv": LENS.format(0.5000005, 16),
+        "r/logitlens.csv": LENS.format(0.5, 12), "train_time.csv": "2.0\n"},
+        [1.0, -6.0])
+    assert golden_digest.diff_values(a, b) == [
+        "2.50e-01  hidden.prea",  # |-8 - -6| / 8, over the whole tensor
+        "1.00e-06  tokens and ranks match  m/logitlens.csv",
+        "1.00e-05  m/metrics.csv",
+        "text differs  note.txt",
+        "only in A  only.txt",
+        "2.50e-01  tokens and ranks differ  r/logitlens.csv",
+        "identical  same.csv"]
+
+
+def test_diff_values_counts_nan_equal_and_one_sided_inf_as_infinite(tmp_path):
+    assert golden_digest.rel_change(float("nan"), float("nan")) == 0.0
+    assert golden_digest.rel_change(1.0, float("inf")) == float("inf")
+    a = work_dir(tmp_path / "a", {"v.csv": "nan,1e-05\n"}, [0.0])
+    b = work_dir(tmp_path / "b", {"v.csv": "nan,-1e-05\n"}, [0.0])
+    assert golden_digest.diff_values(a, b) == ["identical  hidden.prea", "2.00e+00  v.csv"]

@@ -6,8 +6,9 @@ warm train step faulting in no fresh memory, a train step that runs in
 float32 throughout while a float64 model stays float64, a checkpoint that
 round-trips the trained parameters bit for bit, a checkpoint missing a
 parameter, with an entry the model has no parameter for, or with an entry of
-another shape refused, and a dump that encodes images with the encoder
-matrix training used."""
+another shape refused, a checkpoint load that draws only the encoder matrix,
+and a dump that encodes images with the encoder matrix training used and
+whose states are, bit for bit, one trace of all its examples."""
 
 import json
 import math
@@ -18,13 +19,13 @@ import numpy as np
 import pytest
 
 from prelab import autodiff as ad
-from prelab import model, training
+from prelab import cli, model, training
 from prelab.archive import read_archive, write_archive
 from prelab.cli import RunConfig, main
-from prelab.data import DataSpec, generate_dataset, load_dataset
+from prelab.data import PATCH, DataSpec, generate_dataset, load_dataset
 from prelab.model import (MllmConfig, MllmParams, NonFiniteLossError, llm_forward,
                           load_checkpoint, save_checkpoint, total_loss)
-from prelab.numerics import ShapeError
+from prelab.numerics import RngStream, ShapeError
 from prelab.training import LOG_HEADER, Trainer, make_batch, train_step
 from gradcheck import cast_to_float64
 
@@ -237,11 +238,30 @@ def test_checkpoint_entry_of_another_shape_is_refused(tmp_path):
         load_checkpoint(cfg, path)
 
 
-def test_dump_encodes_with_the_encoder_matrix_training_used(tmp_path):
-    # The checkpoint holds no encoder matrix: loading draws the frozen float64
-    # matrix from the run seed, bit for bit the one training used.
+def test_checkpoint_load_draws_only_the_encoder_matrix(tmp_path, monkeypatch):
+    cfg, path = edited_checkpoint(tmp_path, lambda entries: None)
+    drawn, normal = [], RngStream.normal
+
+    def record_normal(self, shape, std=1.0):
+        drawn.append(shape)
+        return normal(self, shape, std)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("load_checkpoint drew an initial weight")
+
+    monkeypatch.setattr(RngStream, "truncated_normal", refuse)
+    monkeypatch.setattr(RngStream, "normal", record_normal)
+    loaded = load_checkpoint(cfg, path)
+    monkeypatch.undo()
+    assert drawn == [(PATCH * PATCH, model.D_V)]
+    assert loaded.wv.tobytes() == MllmParams(cfg).wv.tobytes()
+
+
+def trained_run(tmp_path, n=40):
+    """A 3-step tiny run on an n-example grid-4 dataset, with its config.json
+    and checkpoint written as `train` writes them."""
     data, run = tmp_path / "data", tmp_path / "run"
-    generate_dataset(40, 2, data, DataSpec(grid=4))
+    generate_dataset(n, 2, data, DataSpec(grid=4))
     dataset = load_dataset(data)
     cfg = RunConfig(grid=4, d_l=16, layers=2, heads=2, target_layer=1, seed=3,
                     dataset=str(data), out_dir=str(run), steps=3, batch_size=4)
@@ -249,6 +269,14 @@ def test_dump_encodes_with_the_encoder_matrix_training_used(tmp_path):
     t.run(run / "train_log.csv", lambda report: None)
     (run / "config.json").write_text(json.dumps(cfg.to_dict()))
     save_checkpoint(t.params, run / "checkpoint.prea")
+    return data, run, dataset, t
+
+
+def test_dump_encodes_with_the_encoder_matrix_training_used(tmp_path):
+    # The checkpoint holds no encoder matrix: loading draws the frozen float64
+    # matrix from the run seed, bit for bit the one training used.
+    data, run, dataset, t = trained_run(tmp_path)
+    cfg = t.cfg
     loaded = load_checkpoint(cfg, run / "checkpoint.prea")
     assert loaded.wv.dtype == t.params.wv.dtype == np.float64
     assert loaded.wv.tobytes() == t.params.wv.tobytes()
@@ -260,3 +288,24 @@ def test_dump_encodes_with_the_encoder_matrix_training_used(tmp_path):
     want = make_batch(t.params, examples).z.astype(np.float32)
     for ex, z in zip(examples, want):
         assert dumped[f"ex{ex.id:08d}/z"].tobytes() == z.tobytes(), ex.id
+
+
+@pytest.mark.parametrize("batch", [3, cli.DUMP_BATCH])
+def test_dump_states_are_one_trace_of_all_examples(tmp_path, monkeypatch, batch):
+    # 100 examples give more probe examples than DUMP_BATCH, and 3 an uneven
+    # last batch: the batch size must not move a bit of any state
+    data, run, dataset, t = trained_run(tmp_path, n=100)
+    examples = dataset.splits["probe-train"] + dataset.splits["probe-test"]
+    assert len(examples) > cli.DUMP_BATCH
+    monkeypatch.setattr(cli, "DUMP_BATCH", batch)
+    assert main(["dump", "--run", str(run), "--data", str(data),
+                 "--out", str(tmp_path / "hidden.prea")]) == 0
+    dumped = read_archive(tmp_path / "hidden.prea")
+    params = load_checkpoint(t.cfg, run / "checkpoint.prea")
+    with ad.no_grad():
+        b = make_batch(params, examples)
+        trace = llm_forward(params, b.z, b.prompts)
+    for layer in range(t.cfg.layers + 1):
+        states = trace.visual_values(layer).astype(np.float32)
+        for ex, want in zip(examples, states):
+            assert dumped[f"ex{ex.id:08d}/hv{layer:02d}"].tobytes() == want.tobytes()

@@ -2,6 +2,7 @@
 
     python3 tools/golden_digest.py WORK_DIR > digest.txt
     python3 tools/golden_digest.py WORK_DIR --check digest.txt
+    python3 tools/golden_digest.py --diff-values WORK_A WORK_B
 
 The pipeline: gen-data (n=800, grid 8, seed 5); three 10-step runs (lambda
 0; lambda 0.5 with --diag-every 5; lambda 0.5 with the pre-proj anchor); a
@@ -16,18 +17,35 @@ code is 1 if any path is listed.
 train_time.csv holds wall times, so it is skipped. config.json records
 --data and --out as given, so two checkouts compare only when both run at
 the same WORK_DIR; WORK_DIR must not exist or be empty.
+
+--diff-values compares two finished work directories, say two checkouts'
+runs at the same WORK_DIR, each moved aside after its run. It runs nothing.
+For each artifact it prints the largest relative change among its numeric
+fields: |a - b| / max(|a|, |b|) for each number in the text of a file, and
+max |a - b| / max(|a|, |b|) over each whole tensor of a .prea archive,
+whose entries near 0 would otherwise read as large changes. "identical"
+means the same bytes, "text differs" that the text around the numbers
+differs, and "only in A" or "only in B" a file that the other directory
+lacks. A logitlens.csv line also says whether its layer, rank and token
+columns match.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import csv
 import hashlib
+import math
+import re
 import sys
 from pathlib import Path
 
+import numpy as np
+
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
+from prelab.archive import read_archive  # noqa: E402
 from prelab.cli import main  # noqa: E402
 
 RUNS = {
@@ -36,6 +54,7 @@ RUNS = {
     "proj": ["--lambda", "0.5", "--anchor", "pre-proj"],
 }
 SKIPPED = {"train_time.csv"}
+NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|[-+]?(?:nan|inf)")
 
 
 def run(argv) -> None:
@@ -78,13 +97,90 @@ def compare(want_lines, have_lines) -> list:
     return [f"{status[path]}  {path}" for path in sorted(status)]
 
 
+def rel_change(a: float, b: float) -> float:
+    """|a - b| / max(|a|, |b|): 0 for equal values (NaN equal to NaN), inf
+    when only one side is finite."""
+    if a == b or (math.isnan(a) and math.isnan(b)):
+        return 0.0
+    if not (math.isfinite(a) and math.isfinite(b)):
+        return math.inf
+    return abs(a - b) / max(abs(a), abs(b))
+
+
+def _max_rel(xs, ys) -> float:
+    return max((rel_change(float(x), float(y)) for x, y in zip(xs, ys)), default=0.0)
+
+
+def _tensor_change(a: np.ndarray, b: np.ndarray) -> float:
+    if np.array_equal(a, b, equal_nan=True):
+        return 0.0
+    a, b = a.astype(np.float64), b.astype(np.float64)
+    return float(np.max(np.abs(a - b)) / max(np.max(np.abs(a)), np.max(np.abs(b))))
+
+
+def value_change(a: Path, b: Path):
+    """The largest relative change between the numeric fields of two files,
+    or None when their entry names or the text around the numbers differ."""
+    if a.suffix == ".prea":
+        ra, rb = read_archive(a), read_archive(b)
+        if list(ra) != list(rb) or any(ra[k].shape != rb[k].shape for k in ra):
+            return None
+        return max((_tensor_change(ra[k], rb[k]) for k in ra), default=0.0)
+    ta, tb = a.read_text(), b.read_text()
+    if NUMBER.split(ta) != NUMBER.split(tb):
+        return None
+    return _max_rel(NUMBER.findall(ta), NUMBER.findall(tb))
+
+
+def _lens_ranks(path: Path) -> list:
+    with open(path, newline="") as fh:
+        return [(row["layer"], row["rank"], row["token"]) for row in csv.DictReader(fh)]
+
+
+def diff_values(work_a: Path, work_b: Path) -> list:
+    """One "<change>  <path>" line per artifact of either directory, sorted
+    by path; see the module docstring."""
+    def files(w):
+        return {str(p.relative_to(w)) for p in w.rglob("*")
+                if p.is_file() and p.name not in SKIPPED}
+    in_a, in_b = files(work_a), files(work_b)
+    lines = []
+    for rel in sorted(in_a | in_b):
+        a, b = work_a / rel, work_b / rel
+        if rel not in in_b or rel not in in_a:
+            lines.append(f"only in {'A' if rel in in_a else 'B'}  {rel}")
+            continue
+        if a.read_bytes() == b.read_bytes():
+            change = "identical"
+        else:
+            change = value_change(a, b)
+            change = "text differs" if change is None else f"{change:.2e}"
+        if a.name == "logitlens.csv":
+            same = _lens_ranks(a) == _lens_ranks(b)
+            change += "  tokens and ranks " + ("match" if same else "differ")
+        lines.append(f"{change}  {rel}")
+    return lines
+
+
 def main_digest(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("work", type=Path, help="work directory (absent or empty)")
+    parser.add_argument("work", type=Path, nargs="?", help="work directory (absent or empty)")
     parser.add_argument("--check", type=Path, metavar="DIGEST_FILE",
                         help="compare with a saved digest instead of printing one")
+    parser.add_argument("--diff-values", type=Path, nargs=2, metavar=("WORK_A", "WORK_B"),
+                        help="compare the values of two finished work directories")
     args = parser.parse_args(argv)
+    if args.diff_values:
+        if args.work or args.check:
+            parser.error("--diff-values takes no WORK_DIR or --check")
+        for w in args.diff_values:
+            if not w.is_dir():
+                parser.error(f"{w} is not a directory")
+        print("\n".join(diff_values(*args.diff_values)))
+        return 0
     work = args.work
+    if work is None:
+        parser.error("a WORK_DIR is required")
     if work.exists() and any(work.iterdir()):
         parser.error(f"{work} is not empty")
     want = args.check.read_text().splitlines() if args.check else None
