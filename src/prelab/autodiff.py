@@ -81,9 +81,6 @@ class Parameter:
         """Fresh leaf node for the current tape, bound to this parameter."""
         return Node(self.value, requires_grad=True, param=self, op="param")
 
-    def zero_grad(self) -> None:
-        self.grad[...] = 0.0
-
     def __repr__(self):
         return f"Parameter({self.name}, shape={self.value.shape})"
 
@@ -275,59 +272,64 @@ def narrow(a: Node, axis: int, start: int, length: int) -> Node:
     return record("narrow", v, (a,), bk)
 
 
-def _redo_pv_with_nonfinite_v(o, v, blocks, probs) -> tuple:
-    """Redo o = P v, in place, for a v that holds NaN or Inf. In the plain
-    product a masked weight meets a later v_j as 0 * NaN = NaN, which would
-    reach the rows before j. Here the non-finite entries are left out and
-    added back to the rows i >= j alone, so every other row keeps the bits
-    of a finite v. Returns v with them zeroed, its o, and the rows i >= j."""
+def _redo_pv_with_nonfinite_v(o, v, blocks, probs, q0) -> tuple:
+    """Redo o = P v, in place, for a v that holds NaN or Inf; o holds the
+    rows from q0 on. In the plain product a masked weight meets a later v_j
+    as 0 * NaN = NaN, which would reach the rows before j. Here the
+    non-finite entries are left out and added back to the rows i >= j alone,
+    so every other row keeps the bits of a finite v. Returns v with them
+    zeroed, its o, and which of o's rows read a non-finite v_j."""
     bad = ~np.isfinite(v)
     clean = np.where(bad, 0.0, v)
     for (r0, r1), p in zip(blocks, probs):
-        np.matmul(p, clean[:, :, :r1], out=o[:, :, r0:r1])
+        np.matmul(p, clean[:, :, :r1], out=o[:, :, r0 - q0:r1 - q0])
     o_clean = o.copy()
     for b, hd, j in zip(*np.nonzero(bad.any(axis=-1))):
         vj = np.where(bad[b, hd, j], v[b, hd, j], 0.0)
         for (r0, r1), p in zip(blocks, probs):
             if j < r1:
-                o[b, hd, max(j, r0):r1] += p[b, hd, max(j - r0, 0):, j, None] * vj
-    return clean, o_clean, np.logical_or.accumulate(bad.any(axis=-1), axis=-1)
+                o[b, hd, max(j, r0) - q0:r1 - q0] += p[b, hd, max(j - r0, 0):, j, None] * vj
+    return clean, o_clean, np.logical_or.accumulate(bad.any(axis=-1), axis=-1)[:, :, q0:]
 
 
-def causal_attention(qkv: Node, heads: int) -> Node:
+def causal_attention(qkv: Node, heads: int, first_row: int = 0) -> Node:
     """Multi-head causal self-attention core: softmax(q k^T / sqrt(d_h)) v,
     where position i attends to positions j <= i only.
 
     qkv is the fused [B, T, 3d] projection, columns [q | k | v], d = heads *
-    d_h. Returns [B, T, d] with the heads merged back in order.
+    d_h. Returns the query rows [first_row, T), [B, T - first_row, d], with
+    the heads merged back in order; backward gives q's other rows exactly 0.
 
-    The scores are formed in two row halves, h = T // 2: rows [0, h) against
-    columns [0, h) and rows [h, T) against all T columns, so the top-right
-    quarter, which the mask removes whole, is never computed or kept. With
-    no backward to serve, a half is laid out keys first, [j, B, H, i], so the
-    softmax's max and sum over j are elementwise passes, not reductions along
-    short rows; its sum then rounds apart from the row layout's. Masked
-    entries are -inf before the max, so masked weights are exactly 0.0: a
-    later position leaks neither value nor gradient, bit for bit. A NaN in a
-    later q or k is overwritten by the -inf; a NaN or Inf in a later v, which
-    0 * NaN would spread, stays out of the earlier rows and out of the
-    gradient of rows whose output gradient is 0 (_redo_pv_with_nonfinite_v).
+    The scores are formed in two row halves split at h = max(T // 2,
+    first_row): rows [first_row, h) against columns [0, h) and rows [h, T)
+    against all T columns, so the top-right quarter, which the mask removes
+    whole, is never computed or kept. With no backward to serve, a half is
+    laid out keys first, [j, B, H, i], so the softmax's max and sum over j
+    are elementwise passes, not reductions along short rows; its sum then
+    rounds apart from the row layout's. Masked entries are -inf before the
+    max, so masked weights are exactly 0.0: a later position leaks neither
+    value nor gradient, bit for bit. A NaN in a later q or k is overwritten
+    by the -inf; a NaN or Inf in a later v, which 0 * NaN would spread,
+    stays out of the earlier rows and out of the gradient of rows whose
+    output gradient is 0 (_redo_pv_with_nonfinite_v).
     Backward keeps only the two blocks of P, q, k and v and uses
     dS = P * (dP - rowsum(gO * O)), as FlashAttention does (Dao et al. 2022).
     """
     x = qkv.value
-    if x.ndim != 3 or heads < 1 or x.shape[2] % (3 * heads) != 0:
+    if (x.ndim != 3 or heads < 1 or x.shape[2] % (3 * heads) != 0
+            or not 0 <= first_row < max(x.shape[1], 1)):
         raise ShapeError(f"causal_attention expects [B, T, 3 * heads * d_h] with {heads} "
-                         f"heads, got {qkv.shape}")
+                         f"heads and first row {first_row} < T, got {qkv.shape}")
     bsz, t, d3 = x.shape
     d, dh = d3 // 3, d3 // (3 * heads)
     c = 1.0 / math.sqrt(dh)
-    h = t // 2
-    # (r0, r1): rows [r0, r1) see columns [0, r1). The full-width block comes
-    # first, so that backward writes gk and gv whole before the other adds in.
-    blocks = [(r0, r1) for r0, r1 in ((h, t), (0, h)) if r1 > r0]
+    q0, h = first_row, max(t // 2, first_row)
+    # (r0, r1): rows [r0, r1) see columns [0, r1); o's row i - q0 is row i.
+    # The full-width block comes first, so that backward writes gk and gv
+    # whole before the other adds in.
+    blocks = [(r0, r1) for r0, r1 in ((h, t), (q0, h)) if r1 > r0]
     q, k, v = x.reshape(bsz, t, 3, heads, dh).transpose(2, 0, 3, 1, 4)  # views, [B, H, T, dh]
-    out = np.empty((bsz, t, heads, dh), dtype=x.dtype)
+    out = np.empty((bsz, t - q0, heads, dh), dtype=x.dtype)
     o = out.transpose(0, 2, 1, 3)
     probs = []
     for r0, r1 in blocks:
@@ -341,25 +343,27 @@ def causal_attention(qkv: Node, heads: int) -> Node:
         p -= p.max(axis=-1, keepdims=True)
         np.exp(p, out=p)
         p /= p.sum(axis=-1, keepdims=True)
-        np.matmul(p, v[:, :, :r1], out=o[:, :, r0:r1])
+        np.matmul(p, v[:, :, :r1], out=o[:, :, r0 - q0:r1 - q0])
         probs.append(p)
     # the last row weighs every v_j, so a non-finite v shows there
-    redone = (_redo_pv_with_nonfinite_v(o, v, blocks, probs)
+    redone = (_redo_pv_with_nonfinite_v(o, v, blocks, probs, q0)
               if t and not np.isfinite(o[:, :, -1]).all() else None)
 
     def bk(g):
-        go = g.reshape(bsz, t, heads, dh).transpose(0, 2, 1, 3)
+        go = g.reshape(bsz, t - q0, heads, dh).transpose(0, 2, 1, 3)
         gqkv = np.empty((bsz, t, 3, heads, dh), dtype=x.dtype)
         gq, gk, gv = gqkv.transpose(2, 0, 3, 1, 4)
+        gq[:, :, :q0] = 0.0
         vv, oo, reads_bad = (v, o, None) if redone is None else redone
         rowsum = np.einsum("bhie,bhie->bhi", go, oo)[..., None]  # rowsum(dP * P) = gO . O
         for (r0, r1), p in zip(blocks, probs):
-            gor, qr = go[:, :, r0:r1], q[:, :, r0:r1]
+            rows = slice(r0 - q0, r1 - q0)
+            gor, qr = go[:, :, rows], q[:, :, r0:r1]
             ds = gor @ vv[:, :, :r1].swapaxes(-1, -2)  # dP, turned into dS in place
-            ds -= rowsum[:, :, r0:r1]
+            ds -= rowsum[:, :, rows]
             ds *= p
             if reads_bad is not None:  # rows i >= j of a non-finite v_j, if they pass gradient
-                ds[reads_bad[:, :, r0:r1] & go.any(axis=-1)[:, :, r0:r1]] = np.nan
+                ds[reads_bad[:, :, rows] & go.any(axis=-1)[:, :, rows]] = np.nan
             np.matmul(ds, k[:, :, :r1], out=gq[:, :, r0:r1])
             if r1 == t:  # the full-width block: every row of gk and gv
                 np.matmul(p.swapaxes(-1, -2), gor, out=gv)
@@ -370,7 +374,7 @@ def causal_attention(qkv: Node, heads: int) -> Node:
         gqkv[:, :, :2] *= c  # the score scale, on [B, T, 2d] rather than [B, H, T, T]
         return (gqkv.reshape(bsz, t, d3),)
 
-    return record("causal_attention", out.reshape(bsz, t, d), (qkv,), bk)
+    return record("causal_attention", out.reshape(bsz, t - q0, d), (qkv,), bk)
 
 
 def log_softmax(a: Node) -> Node:

@@ -182,7 +182,7 @@ def _held_out_lm(trainer, dataset, limit: int = 64) -> float:
         return float("nan")
     batch = make_batch(trainer.params, examples)
     with ad.no_grad():
-        trace = llm_forward(trainer.params, batch.z, batch.prompts)
+        trace = llm_forward(trainer.params, batch.z, batch.prompts, answer_row_only=True)
         return float(lm_loss(trace, batch.answers).value)
 
 

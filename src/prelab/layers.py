@@ -92,15 +92,18 @@ class CausalSelfAttention:
         self.wqkv = Linear(f"{name}.qkv", d, 3 * d, rng.split("qkv"), bias=False)
         self.wo = Linear(f"{name}.o", d, d, rng.split("o"), bias=False)
 
-    def __call__(self, x: Node) -> Node:
-        return self.wo(ad.causal_attention(self.wqkv(x), self.heads))
+    def __call__(self, x: Node, first_row: int = 0) -> Node:
+        return self.wo(ad.causal_attention(self.wqkv(x), self.heads, first_row))
 
     def params(self):
         return self.wqkv.params() + self.wo.params()
 
 
 class DecoderBlock:
-    """Pre-norm transformer decoder block: x + attn(ln(x)), x + mlp(ln(x))."""
+    """Pre-norm transformer decoder block: x + attn(ln(x)), x + mlp(ln(x)).
+    With first_row, it returns only the rows [first_row, T): LN1 and the
+    q/k/v projection run on all rows, whose keys and values attention
+    reads, and the rest of the block on the returned rows alone."""
 
     def __init__(self, name: str, d: int, heads: int, mlp_hidden: int, rng: RngStream):
         self.ln1 = LayerNorm(f"{name}.ln1", d)
@@ -108,8 +111,11 @@ class DecoderBlock:
         self.ln2 = LayerNorm(f"{name}.ln2", d)
         self.mlp = Mlp(f"{name}.mlp", d, mlp_hidden, d, rng.split("mlp"))
 
-    def __call__(self, x: Node) -> Node:
-        x = ad.add(x, self.attn(self.ln1(x)))
+    def __call__(self, x: Node, first_row: int = 0) -> Node:
+        attended = self.attn(self.ln1(x), first_row)
+        if first_row:
+            x = ad.narrow(x, 1, first_row, x.value.shape[1] - first_row)
+        x = ad.add(x, attended)
         x = ad.add(x, self.mlp(self.ln2(x)))
         return x
 

@@ -149,7 +149,8 @@ class MllmParams:
 class ForwardTrace:
     """Recorded forward pass over [prompt | visual]: layer-0..L hidden states
     with segment offsets, the projected visual tokens, the raw encoder
-    features, and the answer logits read at the last visual position."""
+    features, and the answer logits read at the last visual position. With
+    answer_row_only, layers[L] is [B, 1, d_l], the answer row alone."""
 
     z: np.ndarray            # [B, N_p, D_V] frozen encoder output
     hv0: Node                # [B, N_p, d_l] projected visual tokens
@@ -158,8 +159,17 @@ class ForwardTrace:
     n_patches: int
     visual_start = PROMPT_LEN
 
+    def full_layer(self, layer: int) -> Node:
+        """layers[layer]; ValueError if it holds only the answer row."""
+        node = self.layers[layer]
+        if node.value.shape[1] != self.visual_start + self.n_patches:
+            raise ValueError(f"layer {layer} holds only the answer row: "
+                             f"the forward ran with answer_row_only")
+        return node
+
     def visual_values(self, layer: int) -> np.ndarray:
-        return self.layers[layer].value[:, self.visual_start : self.visual_start + self.n_patches, :]
+        rows = slice(self.visual_start, self.visual_start + self.n_patches)
+        return self.full_layer(layer).value[:, rows, :]
 
 
 def encode_image(params: MllmParams, images: np.ndarray) -> np.ndarray:
@@ -182,13 +192,15 @@ def encode_image(params: MllmParams, images: np.ndarray) -> np.ndarray:
     return patches @ params.wv + params.pos_code
 
 
-def llm_forward(params: MllmParams, z: np.ndarray, prompts: np.ndarray) -> ForwardTrace:
+def llm_forward(params: MllmParams, z: np.ndarray, prompts: np.ndarray,
+                answer_row_only: bool = False) -> ForwardTrace:
     """Run the decoder over [prompt, visual] and record every layer.
 
     prompts: [B, PROMPT_LEN] token ids. Attention is causal over the whole
     sequence. The answer logits come from the last row only, through ln_f
     and head. z is cast to the parameters' dtype, so the whole forward runs
-    in that dtype.
+    in that dtype. With answer_row_only, for callers that read no row of
+    layer L but the answer row, the last block computes that row alone.
     """
     cfg = params.cfg
     z = np.asarray(z, dtype=params.proj.w.value.dtype)
@@ -204,7 +216,7 @@ def llm_forward(params: MllmParams, z: np.ndarray, prompts: np.ndarray) -> Forwa
 
     recorded = [h]
     for block in params.blocks:
-        h = block(h)
+        h = block(h, h.value.shape[1] - 1 if answer_row_only and block is params.blocks[-1] else 0)
         recorded.append(h)
     b, t, d = h.value.shape
     last = ad.reshape(ad.narrow(h, 1, t - 1, 1), (b, d))
@@ -249,7 +261,7 @@ def pre_loss(trace: ForwardTrace, params: MllmParams) -> Node:
         raise ValueError(f"target layer {cfg.target_layer} outside [1, {len(trace.layers) - 1}]")
     b = trace.z.shape[0]
     n_rows = b * trace.n_patches
-    hvl = _visual_rows(trace.layers[cfg.target_layer], trace.visual_start,
+    hvl = _visual_rows(trace.full_layer(cfg.target_layer), trace.visual_start,
                        trace.n_patches, cfg.d_l)
     if cfg.anchor == ANCHOR_PRE_LLM:
         anchor_node = stop_gradient(ad.reshape(trace.hv0, (n_rows, cfg.d_l)))

@@ -39,18 +39,34 @@ class AdamW:
     m <- b1 m + (1-b1) g;  v <- b2 v + (1-b2) g^2
     p <- p - lr_t * [ mhat / (sqrt(vhat) + eps) ]
     with b1, b2 and eps the constants BETA1, BETA2 and ADAM_EPS.
+
+    It adopts its parameters' storage: their values and gradients are
+    copied into flat_value and flat_grad, and p.value, p.grad, m[name] and
+    v[name] are views of those and of flat_m and flat_v. step() passes over
+    the flat buffers CHUNK values at a time; zero_grad() is one fill.
     """
+
+    CHUNK = 1 << 15  # values per pass, so that no temporary is full size
 
     def __init__(self, params, schedule: WarmupCosine):
         self.params = list(params)
         self.schedule = schedule
         self.step_count = 0
-        self.m = {p.name: np.zeros_like(p.value) for p in self.params}
-        self.v = {p.name: np.zeros_like(p.value) for p in self.params}
+        self.flat_value = np.concatenate([p.value.ravel() for p in self.params])
+        self.flat_grad = np.concatenate([p.grad.ravel() for p in self.params])
+        self.flat_m, self.flat_v = np.zeros_like(self.flat_value), np.zeros_like(self.flat_value)
+        self.m, self.v = {}, {}
+        offset = 0
+        for p in self.params:
+            span, shape = slice(offset, offset + p.value.size), p.value.shape
+            p.value = self.flat_value[span].reshape(shape)
+            p.grad = self.flat_grad[span].reshape(shape)
+            self.m[p.name] = self.flat_m[span].reshape(shape)
+            self.v[p.name] = self.flat_v[span].reshape(shape)
+            offset = span.stop
 
     def zero_grad(self) -> None:
-        for p in self.params:
-            p.zero_grad()
+        self.flat_grad.fill(0.0)
 
     def step(self) -> float:
         """One update from the accumulated gradients; returns the lr used."""
@@ -59,10 +75,9 @@ class AdamW:
         b1, b2 = BETA1, BETA2
         bc1 = 1.0 - b1 ** self.step_count
         bc2 = 1.0 - b2 ** self.step_count
-        for p in self.params:
-            g = p.grad
-            m = self.m[p.name]
-            v = self.v[p.name]
+        for lo in range(0, self.flat_value.size, self.CHUNK):
+            w, g, m, v = (a[lo:lo + self.CHUNK] for a in
+                          (self.flat_value, self.flat_grad, self.flat_m, self.flat_v))
             m *= b1
             m += (1.0 - b1) * g
             v *= b2
@@ -71,13 +86,11 @@ class AdamW:
                 continue  # moments advance, parameters stay bitwise put
             mhat = m / bc1
             vhat = v / bc2
-            p.value -= lr_t * (mhat / (np.sqrt(vhat) + ADAM_EPS))
+            w -= lr_t * (mhat / (np.sqrt(vhat) + ADAM_EPS))
         return lr_t
 
 
-def grad_norm(params) -> float:
-    """Global L2 norm over all parameter gradients."""
-    total = 0.0
-    for p in params:
-        total += float(np.sum(p.grad * p.grad))
-    return math.sqrt(total)
+def grad_norm(grad: np.ndarray) -> float:
+    """Global L2 norm of a flat gradient (AdamW.flat_grad): one reduction,
+    its squares summed in float64."""
+    return math.sqrt(np.einsum("i,i->", grad, grad, dtype=np.float64))

@@ -79,12 +79,13 @@ def train_step(params: MllmParams, opt: AdamW, batch: Batch) -> StepReport:
     if batch.z.shape[0] == 0:
         raise ValueError("empty batch")
     t0 = time.perf_counter()
-    trace = llm_forward(params, batch.z, batch.prompts)
+    reads_last_layer = params.cfg.lam > 0 and params.cfg.target_layer == params.cfg.layers
+    trace = llm_forward(params, batch.z, batch.prompts, answer_row_only=not reads_last_layer)
     total, lm, pre = total_loss(trace, batch.answers, params)
     _check_losses(lm, pre, total)
     opt.zero_grad()
     ad.backward(total)
-    gnorm = grad_norm(opt.params)
+    gnorm = grad_norm(opt.flat_grad)
     if not np.isfinite(gnorm):
         raise NonFiniteLossError(f"gradient norm is non-finite: {gnorm!r}")
     opt.step()

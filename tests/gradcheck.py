@@ -62,7 +62,7 @@ def finite_diff_check(loss_fn, params, h: float = 1e-5, coords_per_param: int = 
     check concentrates where it has signal.
     """
     for p in params:
-        p.zero_grad()
+        p.grad[...] = 0.0
     loss = loss_fn()
     ad.backward(loss)
     grads = {p.name: p.grad.copy() for p in params}

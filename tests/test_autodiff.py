@@ -229,10 +229,12 @@ class TestPrimitiveGradients:
         assert np.all(p.grad[:, s:, d:] == 0.0)
         assert np.all(p.grad[:, :s, d:] != 0.0)
 
+    @pytest.mark.parametrize("first_row", [0, 5])
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
-    def test_nan_v_reaches_only_the_gradient_of_rows_that_read_it(self, dtype):
+    def test_nan_v_reaches_only_the_gradient_of_rows_that_read_it(self, dtype, first_row):
         # T = 6, one head, v_4 NaN. dP = gO v^T has a NaN column 4, and
         # 0 * NaN would carry it into dS of rows that pass no gradient.
+        # first_row 5 is the answer-row block: row 5 alone, which reads v_4.
         qkv = RNG.normal(size=(1, 6, 6)).astype(dtype)
         w = RNG.normal(size=(1, 6, 2)).astype(dtype)
 
@@ -243,8 +245,8 @@ class TestPrimitiveGradients:
             loss_w = np.zeros_like(w)
             loss_w[:, rows] = w[:, rows]
             with np.errstate(invalid="ignore"):
-                backward(ad.sum_all(mul(ad.causal_attention(p.node(), 1),
-                                        ad.constant(loss_w))))
+                backward(ad.sum_all(mul(ad.causal_attention(p.node(), 1, first_row),
+                                        ad.constant(loss_w[:, first_row:]))))
             return p.grad
 
         early = grad(np.nan, slice(0, 2))
@@ -252,6 +254,7 @@ class TestPrimitiveGradients:
         assert np.array_equal(early, grad(0.0, slice(0, 2)))
         late = grad(np.nan, slice(5, 6))
         assert np.all(np.isnan(late[0, 5, :2]))  # row 5 reads v_4: its q gradient
+        assert np.all(late[0, :first_row, :2] == 0.0)  # rows before first_row: no q gradient
 
     def test_causal_attention_shape_errors(self):
         with pytest.raises(ShapeError):
@@ -259,6 +262,8 @@ class TestPrimitiveGradients:
             ad.causal_attention(ad.constant(np.ones((1, 4, 12))), 3)
         with pytest.raises(ShapeError):
             ad.causal_attention(ad.constant(np.ones((4, 12))), 2)
+        with pytest.raises(ShapeError):  # the first query row must be a row
+            ad.causal_attention(ad.constant(np.ones((1, 4, 12))), 2, 4)
 
     def test_log_softmax(self):
         w = ad.constant(RNG.normal(size=(3, 6)))
@@ -373,6 +378,29 @@ class TestCausalAttentionLengths:
         for out in (bare.value, recorded.value):
             assert out.dtype == dtype
             assert rel_err(out, ref) <= tol
+
+    @pytest.mark.parametrize("t", ATTENTION_LENGTHS)
+    @pytest.mark.parametrize("dtype, tol", [(np.float64, 1e-12), (np.float32, 1e-6)])
+    def test_last_row_alone_is_the_full_ops_last_row(self, t, dtype, tol):
+        # first_row T - 1, in both layouts; backward against the full op's
+        # with a gradient on the last row only
+        heads = 2
+        qkv = RNG.normal(size=(2, t, 3 * heads * 3)).astype(dtype)
+        g = np.zeros((2, t, heads * 3), dtype=dtype)
+        g[:, -1] = RNG.normal(size=(2, heads * 3))
+        full, last = Parameter("full", qkv.copy()), Parameter("last", qkv.copy())
+        want = ad.causal_attention(full.node(), heads)
+        with no_grad():
+            bare = ad.causal_attention(last.node(), heads, t - 1)
+        got = ad.causal_attention(last.node(), heads, t - 1)
+        for out in (bare.value, got.value):
+            assert out.shape == (2, 1, heads * 3) and out.dtype == dtype
+            assert rel_err(out, want.value[:, -1:]) <= tol
+        backward(ad.sum_all(mul(want, ad.constant(g))))
+        backward(ad.sum_all(mul(got, ad.constant(g[:, -1:]))))
+        assert last.grad.dtype == dtype
+        assert rel_err(last.grad, full.grad) <= tol
+        assert not last.grad[:, :t - 1, :heads * 3].any()  # q rows before T - 1
 
     @pytest.mark.parametrize("t", [t for t in ATTENTION_LENGTHS if t <= 5])
     def test_gradcheck(self, t):
@@ -490,16 +518,16 @@ class TestBackward:
         c = ad.constant(RNG.normal(size=(5,)))
 
         def grads_of(a, b):
-            p.zero_grad()
+            p.grad[...] = 0.0
             l1 = ad.sum_all(mul(p.node(), p.node()))
             l2 = ad.sum_all(mul(p.node(), c))
             backward(ad.add(ad.scale(l1, a), ad.scale(l2, b)))
             return p.grad.copy()
 
-        p.zero_grad()
+        p.grad[...] = 0.0
         backward(ad.sum_all(mul(p.node(), p.node())))
         g1 = p.grad.copy()
-        p.zero_grad()
+        p.grad[...] = 0.0
         backward(ad.sum_all(mul(p.node(), c)))
         g2 = p.grad.copy()
         combo = grads_of(2.0, -3.0)

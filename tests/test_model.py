@@ -22,11 +22,12 @@ H = 1e-6
 TOL = 2e-3
 
 
-def tiny(anchor, lam=0.5, seed=0):
+def tiny(anchor, lam=0.5, seed=0, float64=True):
     cfg = MllmConfig(grid=2, d_l=8, layers=2, heads=2, target_layer=1, anchor=anchor,
                      lam=lam, seed=seed)
     params = MllmParams(cfg)
-    cast_to_float64(params.trainable())
+    if float64:
+        cast_to_float64(params.trainable())
     rng = np.random.default_rng(seed)
     z = encode_image(params, rng.uniform(size=(3, 8, 8)))
     prompts = rng.integers(0, 32, size=(3, PROMPT_LEN))
@@ -66,6 +67,53 @@ def test_gradcheck_total_loss_pre_llm():
     with ad.no_grad():
         assert pinned_loss().value == base_total
     assert finite_diff_check(pinned_loss, params.trainable(), h=H) < TOL
+
+
+@pytest.mark.parametrize("lam", [0.0, 0.5])
+def test_gradcheck_answer_row_forward(lam):
+    # the forward train_step runs when no loss reads layer L's other rows
+    # (target_layer 1 < layers 2); the pre-proj anchor is a constant already
+    params, z, prompts, answers = tiny(model.ANCHOR_PRE_PROJ, lam=lam)
+
+    def loss():
+        trace = llm_forward(params, z, prompts, answer_row_only=True)
+        assert trace.layers[-1].value.shape == (3, 1, params.cfg.d_l)
+        return total_loss(trace, answers, params)[0]
+
+    assert finite_diff_check(loss, params.trainable(), h=H) < TOL
+
+
+@pytest.mark.parametrize("float64, tol", [(True, 1e-12), (False, 1e-5)])
+@pytest.mark.parametrize("anchor, lam", [(model.ANCHOR_PRE_LLM, 0.0), (model.ANCHOR_PRE_LLM, 0.5),
+                                         (model.ANCHOR_PRE_PROJ, 0.5)])
+def test_answer_row_forward_gives_the_full_logits_and_gradients(anchor, lam, float64, tol):
+    # a single query row takes other GEMM shapes, so it may round apart
+    params, z, prompts, answers = tiny(anchor, lam=lam, float64=float64)
+
+    def run(answer_row_only):
+        for p in params.trainable():
+            p.grad[...] = 0.0
+        trace = llm_forward(params, z, prompts, answer_row_only=answer_row_only)
+        ad.backward(total_loss(trace, answers, params)[0])
+        return trace.logits.value, [p.grad.copy() for p in params.trainable()]
+
+    full_logits, full_grads = run(False)
+    logits, grads = run(True)
+    assert logits.dtype == (np.float64 if float64 else np.float32)
+    assert np.max(np.abs(logits - full_logits)) <= tol * np.max(np.abs(full_logits))
+    for p, got, want in zip(params.trainable(), grads, full_grads):
+        assert np.max(np.abs(got - want)) <= tol * np.max(np.abs(want)), p.name
+    assert any(g.any() for g in grads)
+
+
+def test_reading_other_rows_of_an_answer_row_layer_fails():
+    params, z, prompts, answers = tiny(model.ANCHOR_PRE_LLM)
+    params.cfg.target_layer = params.cfg.layers
+    trace = llm_forward(params, z, prompts, answer_row_only=True)
+    assert trace.visual_values(1).shape == (3, params.cfg.n_patches, params.cfg.d_l)
+    for read in (lambda: trace.visual_values(2), lambda: model.pre_loss(trace, params)):
+        with pytest.raises(ValueError, match="^layer 2 holds only the answer row"):
+            read()
 
 
 @pytest.mark.parametrize("anchor", [model.ANCHOR_PRE_LLM, model.ANCHOR_PRE_PROJ])
@@ -127,7 +175,7 @@ def test_pre_llm_anchor_passes_exactly_zero_gradient():
 
     def grads(loss):
         for p in params.trainable():
-            p.zero_grad()
+            p.grad[...] = 0.0
         ad.backward(loss)
         return [p.grad.copy() for p in params.trainable()]
 

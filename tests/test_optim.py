@@ -84,4 +84,50 @@ def test_grad_norm():
     b = Parameter("b", np.zeros(2))
     a.grad[...] = [3.0, 0.0]
     b.grad[...] = [0.0, 4.0]
-    assert abs(grad_norm([a, b]) - 5.0) < 1e-12
+    assert abs(grad_norm(AdamW([a, b], Constant(0.1)).flat_grad) - 5.0) < 1e-12
+
+
+def float32_params(seed):
+    rng = np.random.default_rng(seed)
+    return [Parameter(name, rng.normal(size=shape).astype(np.float32))
+            for name, shape in (("w", (3, 5)), ("b", (5,)), ("big", (AdamW.CHUNK + 7,)))]
+
+
+def test_parameters_are_views_of_the_flat_buffers():
+    params = float32_params(0)
+    params[1].grad[...] = 2.0  # accumulated before the optimizer adopts it
+    values = [p.value.copy() for p in params]
+    opt = AdamW(params, Constant(0.1))
+    for p, value in zip(params, values):
+        assert np.array_equal(p.value, value) and p.value.dtype == np.float32
+        for array, flat in ((p.value, opt.flat_value), (p.grad, opt.flat_grad),
+                            (opt.m[p.name], opt.flat_m), (opt.v[p.name], opt.flat_v)):
+            assert np.shares_memory(array, flat), p.name
+    assert np.all(params[1].grad == 2.0) and opt.flat_grad.sum() == 10.0
+    opt.zero_grad()
+    assert not any(p.grad.any() for p in params)
+
+
+def test_flat_step_is_bitwise_the_per_tensor_update():
+    # the per-tensor loop the flat step replaced, as the reference
+    params, ref = float32_params(1), float32_params(1)
+    opt = AdamW(params, WarmupCosine(0.01, 10))
+    m = {p.name: np.zeros_like(p.value) for p in ref}
+    v = {p.name: np.zeros_like(p.value) for p in ref}
+    rng = np.random.default_rng(2)
+    for t in range(1, 6):
+        for p, r in zip(params, ref):
+            p.grad[...] = r.grad[...] = rng.normal(size=p.value.shape).astype(np.float32)
+        lr_t = opt.step()
+        bc1, bc2 = 1.0 - 0.9 ** t, 1.0 - 0.999 ** t
+        for r in ref:
+            g, mr, vr = r.grad, m[r.name], v[r.name]
+            mr *= 0.9
+            mr += (1.0 - 0.9) * g
+            vr *= 0.999
+            vr += (1.0 - 0.999) * (g * g)
+            r.value -= lr_t * ((mr / bc1) / (np.sqrt(vr / bc2) + 1e-8))
+        for p, r in zip(params, ref):
+            assert p.value.tobytes() == r.value.tobytes(), (t, p.name)
+            assert opt.m[p.name].tobytes() == m[r.name].tobytes()
+            assert opt.v[p.name].tobytes() == v[r.name].tobytes()

@@ -107,6 +107,27 @@ def test_non_finite_gradient_norm_stops_the_step_before_the_update(dataset, monk
     assert parameter_bytes(t) == before
 
 
+@pytest.mark.parametrize("lam, target_layer, last_rows", [(0.5, 2, 20), (0.5, 1, 1), (0.0, 2, 1)])
+def test_train_step_builds_the_last_layer_rows_a_loss_reads(dataset, monkeypatch, lam,
+                                                              target_layer, last_rows):
+    # T = 4 + 16: only a prediction loss at layer L reads its other rows
+    t = trainer(dataset, lam=lam)
+    t.cfg.target_layer = target_layer
+    batch = t.sample_batch()
+    want = total_loss(llm_forward(t.params, batch.z, batch.prompts), batch.answers, t.params)
+    traces = []
+
+    def spy(*args, **kwargs):
+        traces.append(llm_forward(*args, **kwargs))
+        return traces[-1]
+
+    monkeypatch.setattr(training, "llm_forward", spy)
+    report = train_step(t.params, t.opt, batch)
+    assert traces[0].layers[-1].value.shape == (4, last_rows, 16)
+    if last_rows > 1:  # the full forward's losses, bit for bit
+        assert (report.lm, report.pre) == (float(want[1].value), float(want[2].value))
+
+
 def test_lm_loss_above_ten_times_chance_is_divergence(dataset):
     t = trainer(dataset)
     t.params.head.w.value *= 1e4  # finite, but far from chance

@@ -1,13 +1,16 @@
-"""Record the training losses of the first 100 steps at the benchmark's two
-train shapes, or compare two such records.
+"""Record the training losses of the first 100 steps at three train shapes,
+or compare two such records.
 
     python3 tools/loss_drift.py OUT.json
     python3 tools/loss_drift.py --compare A.json B.json
 
 The record mode generates an n=400 dataset (seed 0) at grid 8 and grid 10
 and trains the default model (8 blocks, d_l 64, 4 heads, batch 8, run seed
-0, the 500-step lr schedule) for 100 steps on each: the `train-paper` shape
-(lambda 0.5, pre-llm anchor) and the `train-long-lm` shape (lambda 0). It
+0, the 500-step lr schedule) for 100 steps on each: the benchmark's
+`train-paper` shape (lambda 0.5, pre-llm anchor, target layer 4) and
+`train-long-lm` shape (lambda 0), where the last block computes only the
+answer row, and `train-paper-last-layer`, `train-paper` with the target
+layer at 8, where the prediction loss reads the whole last layer. It
 writes the per-step lm_loss, pre_loss, total_loss and grad_norm columns as
 JSON. It runs the prelab package of the checkout this script lives in, so
 record a parent by copying the script into the parent's tools/.
@@ -33,15 +36,18 @@ from prelab.data import DataSpec, generate_dataset, load_dataset  # noqa: E402
 from prelab.model import MllmConfig  # noqa: E402
 from prelab.training import Trainer, train_step  # noqa: E402
 
-SHAPES = {"train-paper": {"grid": 8, "lam": 0.5}, "train-long-lm": {"grid": 10, "lam": 0.0}}
+SHAPES = {"train-paper": {"grid": 8, "lam": 0.5, "target_layer": 4},
+          "train-long-lm": {"grid": 10, "lam": 0.0, "target_layer": 4},
+          "train-paper-last-layer": {"grid": 8, "lam": 0.5, "target_layer": 8}}
 N_EXAMPLES, SEED, STEPS, SCHEDULE_STEPS, BATCH = 400, 0, 100, 500, 8
 COLUMNS = ("lm_loss", "pre_loss", "total_loss", "grad_norm")
 
 
-def record(grid: int, lam: float, work: Path) -> dict:
+def record(grid: int, lam: float, target_layer: int, work: Path) -> dict:
     data = work / f"data-grid{grid}"
-    generate_dataset(N_EXAMPLES, SEED, data, DataSpec(grid=grid))
-    cfg = MllmConfig(grid=grid, lam=lam, seed=SEED)
+    if not data.exists():
+        generate_dataset(N_EXAMPLES, SEED, data, DataSpec(grid=grid))
+    cfg = MllmConfig(grid=grid, lam=lam, target_layer=target_layer, seed=SEED)
     trainer = Trainer(cfg, load_dataset(data), steps=SCHEDULE_STEPS, batch_size=BATCH)
     reports = [train_step(trainer.params, trainer.opt, trainer.sample_batch())
                for _ in range(STEPS)]
@@ -64,7 +70,7 @@ def compare(a: dict, b: dict, bound: float) -> int:
             diffs = [rel_diff(x, y) for x, y in zip(a[shape][col], b[shape][col], strict=True)]
             step = max(range(len(diffs)), key=diffs.__getitem__)
             worst_overall = max(worst_overall, diffs[step])
-            print(f"{shape:14s} {col:10s} max rel diff {diffs[step]:.3g} at step {step + 1} "
+            print(f"{shape:22s} {col:10s} max rel diff {diffs[step]:.3g} at step {step + 1} "
                   f"({a[shape][col][step]!r} vs {b[shape][col][step]!r})")
     verdict = "within" if worst_overall <= bound else "OVER"
     print(f"largest {worst_overall:.3g}: {verdict} the bound {bound:g}")
@@ -84,7 +90,7 @@ def main(argv=None) -> int:
     if not args.out:
         ap.error("give OUT.json, or --compare A B")
     with tempfile.TemporaryDirectory() as work:
-        result = {name: record(s["grid"], s["lam"], Path(work)) for name, s in SHAPES.items()}
+        result = {name: record(**shape, work=Path(work)) for name, shape in SHAPES.items()}
     Path(args.out).write_text(json.dumps(result, indent=1) + "\n")
     return 0
 
