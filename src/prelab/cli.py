@@ -1,7 +1,8 @@
 """Command-line surface: gen-data, train, dump, metrics, report.
 
-Exit codes: 0 success, 2 validation error (bad flags or config, or a
-dataset that does not match the run), 1 runtime error. Every output is
+Exit codes: 0 success, 2 validation error (bad flags or config, a dataset
+that does not match the run, or a metrics directory that lacks a file, a
+layer's similarity map included), 1 runtime error. Every output is
 byte-deterministic for fixed inputs and seeds, except train_time.csv,
 which holds the per-step wall times of a training run.
 """
@@ -9,7 +10,6 @@ which holds the per-step wall times of a training run.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
 from dataclasses import dataclass, fields
@@ -19,12 +19,12 @@ import numpy as np
 
 from . import __version__
 from . import autodiff as ad
-from .data import PROBE_SPLITS, DataSpec, Dataset, generate_dataset, load_dataset, token_name
+from .data import PROBE_SPLITS, DataSpec, Dataset, generate_dataset, load_dataset
 from .diagnostics import layer_metrics, logit_lens, similarity_map
 from .model import (ANCHOR_PRE_LLM, ANCHOR_PRE_PROJ, D_V, MllmConfig, llm_forward,
                     load_checkpoint, lm_loss, dump_hidden_states, read_hidden_states,
                     save_checkpoint)
-from .reports import config_hash, read_metrics_csv, write_comparison, write_metrics
+from .reports import config_hash, read_metrics, write_comparison, write_metrics
 from .training import Trainer, check_dataset_matches, make_batch
 
 DUMP_BATCH = 16  # examples per forward: [16, 68, 128] float32 temporaries (0.6 MB) fit a 2 MB L2
@@ -262,24 +262,12 @@ def cmd_metrics(args) -> int:
     sim_id, sim_patch = _sim_probe(probe_test, ids)
     rows, patch_metrics = layer_metrics(hv, labels_per_image, probe_labels, train_idx, test_idx)
 
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    for layer, states in enumerate(hv[:, ids.index(sim_id)]):
-        grid_vals = similarity_map(states, sim_patch, grid=run_cfg.grid)
-        lines = [" ".join(repr(float(v)) for v in row) for row in grid_vals]
-        (out / f"simmap_layer{layer:02d}.txt").write_text("\n".join(lines) + "\n")
-
+    sims = [similarity_map(states, sim_patch, grid=run_cfg.grid)
+            for states in hv[:, ids.index(sim_id)]]
     # logit lens through the run's output head, over every patch of every example
     lens = logit_lens(hv.reshape(n_layers, -1, run_cfg.d_l),
                       params.ln_f.gamma.value, params.ln_f.beta.value,
                       params.head.w.value, params.head.b.value)
-    with open(out / "logitlens.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["layer", "rank", "token", "token_name", "mass"])
-        for dist in lens:
-            for rank, (tok, mass) in enumerate(dist.top_tokens, 1):
-                writer.writerow([dist.layer, rank, tok, token_name(tok), repr(float(mass))])
-
     meta = {
         "version": __version__,
         "config": run_cfg.to_dict(),
@@ -292,68 +280,32 @@ def cmd_metrics(args) -> int:
         "floored_images_per_layer": [pm.n_floored for pm in patch_metrics],
         "coupling_images_per_layer": [pm.n_coupling_images for pm in patch_metrics],
     }
-    write_metrics(out, rows, meta)
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    write_metrics(out, rows, meta, lens, sims)
     print(f"metrics for {len(ids)} examples x {n_layers} layers -> {out / 'metrics.csv'}")
     return 0
 
 
-def _read_metrics_dir(path):
-    path = Path(path)
-    for name in ("metrics.csv", "summary.json", "logitlens.csv"):
-        if not (path / name).exists():
-            raise ConfigError(f"no {name} in {path}")
-    rows = read_metrics_csv(path / "metrics.csv")
-    meta = json.loads((path / "summary.json").read_text())
-    if config_hash(meta["config"]) != meta["config_hash"]:
-        raise ConfigError(f"config hash mismatch in {path / 'summary.json'}")
-    by_layer = {}
-    with open(path / "logitlens.csv", newline="") as fh:
-        for row in csv.DictReader(fh):
-            by_layer.setdefault(int(row["layer"]), []).append(
-                (int(row["token"]), row["token_name"], float(row["mass"])))
-    lens_rows = [{"layer": layer, "top": tops}
-                 for layer, tops in sorted(by_layer.items())]
-    sims = {}
-    for f in sorted(path.glob("simmap_layer*.txt")):
-        layer = int(f.stem.replace("simmap_layer", ""))
-        sims[layer] = np.array([[float(v) for v in line.split()]
-                                for line in f.read_text().splitlines() if line])
-    return rows, meta, lens_rows, sims
-
-
 def cmd_report(args) -> int:
-    b_rows, b_meta, b_lens, b_sims = _read_metrics_dir(args.baseline)
-    p_rows, p_meta, p_lens, p_sims = _read_metrics_dir(args.pre)
+    runs = []
+    for path in (args.baseline, args.pre):
+        try:
+            runs.append(read_metrics(path))
+        except FileNotFoundError as exc:
+            raise ConfigError(str(exc)) from None
+        meta = runs[-1][1]
+        if config_hash(meta["config"]) != meta["config_hash"]:
+            raise ConfigError(f"config hash mismatch in {Path(path) / 'summary.json'}")
+    (b_rows, b_meta, *_), (p_rows, p_meta, *_) = runs
     if len(b_rows) != len(p_rows):
         raise ConfigError("metric tables have different layer counts")
     for key in ("sim_example", "sim_patch"):
         if b_meta[key] != p_meta[key]:
             raise ConfigError(f"similarity maps probe different patches: {key} "
                               f"{b_meta[key]} (baseline) vs {p_meta[key]} (+aux)")
-    common = sorted(set(b_sims) & set(p_sims))
     out = Path(args.out)
-    write_comparison(
-        b_rows, p_rows, out,
-        baseline_sim={l: b_sims[l] for l in common},
-        pre_sim={l: p_sims[l] for l in common},
-        sim_probe_index=b_meta["sim_patch"],
-        baseline_lens=b_lens, pre_lens=p_lens,
-    )
-    mid = len(b_rows) // 2
-    lines = [
-        f"comparison of {b_meta['config_hash']} (baseline) vs {p_meta['config_hash']} (+aux)",
-        f"layers: {len(b_rows) - 1} + input; mid layer = {mid}",
-        "",
-        f"probe accuracy  L0 {b_rows[0]['probe_acc']:.3f} -> mid "
-        f"{b_rows[mid]['probe_acc']:.3f} (baseline), {p_rows[mid]['probe_acc']:.3f} (+aux)",
-        f"contrast        L0 {b_rows[0]['contrast']:.3f} -> mid "
-        f"{b_rows[mid]['contrast']:.3f} (baseline), {p_rows[mid]['contrast']:.3f} (+aux)",
-        f"mid-layer degradation (baseline contrast, L0 - mid): "
-        f"{b_rows[0]['contrast'] - b_rows[mid]['contrast']:+.3f}",
-        f"mid-layer aux effect (contrast, +aux - baseline): "
-        f"{p_rows[mid]['contrast'] - b_rows[mid]['contrast']:+.3f}",
-    ]
-    (out / "summary.txt").write_text("\n".join(lines) + "\n")
+    write_comparison(*runs, out)
     print(f"report written to {out}")
     return 0
 

@@ -150,27 +150,21 @@ def linear_probe(features_by_layer, labels, train_idx, test_idx) -> list:
 # logit lens
 # ---------------------------------------------------------------------------
 
-@dataclass
-class LogitLensDist:
-    layer: int
-    distribution: np.ndarray  # [vocab], sums to 1
-    top_tokens: list          # [(token_id, mass)] sorted by mass desc
-
-
 def logit_lens(visual_by_layer, ln_gamma, ln_beta, head_w, head_b) -> list:
     """Decode visual hidden states of every layer through the final norm and
     output head; per layer, softmax each patch and average the resulting
-    distributions over all patches and examples, keeping the
-    LOGIT_LENS_TOP_K most probable tokens. The norm is the model's own
-    layer-norm forward, and the decode runs in the dtype of the states given
-    (float32 for a dump, as in the model), so the last layer decodes exactly
-    as the model does. The average over patches accumulates in float64.
+    distributions over all patches and examples. Returns, per layer, the
+    LOGIT_LENS_TOP_K most probable tokens as [(token_id, mass)], by falling
+    mass (ties by token id). The norm is the model's own layer-norm forward,
+    and the decode runs in the dtype of the states given (float32 for a dump,
+    as in the model), so the last layer decodes exactly as the model does.
+    The average over patches accumulates in float64.
 
     visual_by_layer: sequence over layers of [M, d] stacked patch states.
     """
     gamma, beta = ad.constant(ln_gamma), ad.constant(ln_beta)
     out = []
-    for layer, states in enumerate(visual_by_layer):
+    for states in visual_by_layer:
         probs = ad.layer_norm(ad.constant(states), gamma, beta).value @ head_w
         probs += head_b  # logits; the softmax below runs in place
         probs -= probs.max(axis=-1, keepdims=True)
@@ -178,8 +172,7 @@ def logit_lens(visual_by_layer, ln_gamma, ln_beta, head_w, head_b) -> list:
         probs /= probs.sum(axis=-1, keepdims=True)
         dist = probs.mean(axis=0, dtype=np.float64)
         order = np.argsort(-dist, kind="stable")[:LOGIT_LENS_TOP_K]
-        out.append(LogitLensDist(layer=layer, distribution=dist,
-                                 top_tokens=[(int(t), float(dist[t])) for t in order]))
+        out.append([(int(t), float(dist[t])) for t in order])
     return out
 
 

@@ -41,28 +41,26 @@ class AdamW:
     with b1, b2 and eps the constants BETA1, BETA2 and ADAM_EPS.
 
     It adopts its parameters' storage: their values and gradients are
-    copied into flat_value and flat_grad, and p.value, p.grad, m[name] and
-    v[name] are views of those and of flat_m and flat_v. step() passes over
-    the flat buffers CHUNK values at a time; zero_grad() is one fill.
+    copied into flat_value and flat_grad, in the order given, and p.value
+    and p.grad become views of those. The moments flat_m and flat_v follow
+    the same order. step() passes over the flat buffers CHUNK values at a
+    time; zero_grad() is one fill.
     """
 
     CHUNK = 1 << 15  # values per pass, so that no temporary is full size
 
     def __init__(self, params, schedule: WarmupCosine):
-        self.params = list(params)
+        params = list(params)
         self.schedule = schedule
         self.step_count = 0
-        self.flat_value = np.concatenate([p.value.ravel() for p in self.params])
-        self.flat_grad = np.concatenate([p.grad.ravel() for p in self.params])
+        self.flat_value = np.concatenate([p.value.ravel() for p in params])
+        self.flat_grad = np.concatenate([p.grad.ravel() for p in params])
         self.flat_m, self.flat_v = np.zeros_like(self.flat_value), np.zeros_like(self.flat_value)
-        self.m, self.v = {}, {}
         offset = 0
-        for p in self.params:
+        for p in params:
             span, shape = slice(offset, offset + p.value.size), p.value.shape
             p.value = self.flat_value[span].reshape(shape)
             p.grad = self.flat_grad[span].reshape(shape)
-            self.m[p.name] = self.flat_m[span].reshape(shape)
-            self.v[p.name] = self.flat_v[span].reshape(shape)
             offset = span.stop
 
     def zero_grad(self) -> None:

@@ -1,9 +1,11 @@
 """Metric tables, run summaries, comparison reports, and SVG plots.
 
-SVG is emitted directly (no plotting library). Every plot embeds its raw
-numeric series as JSON inside a <desc> element and derives the drawn
-coordinates from that same data, so reported values can be cross-checked
-against the CSVs mechanically.
+The formats of a run's metrics directory (write_metrics, read_metrics) and
+of a report directory (write_comparison) are defined here alone. Floats are
+written as their repr, so every value reads back bit for bit. SVG is emitted
+directly (no plotting library). Every plot embeds its raw numeric series as
+JSON inside a <desc> element and derives the drawn coordinates from that
+same data, so reported values can be cross-checked against the CSVs.
 """
 
 from __future__ import annotations
@@ -15,9 +17,12 @@ from pathlib import Path
 
 import numpy as np
 
+from .data import token_name
+
 METRICS_HEADER = ["layer", "probe_acc", "cohesion", "coupling", "contrast",
                   "eff_dim", "redundancy"]
 _INT_COLUMNS = {"layer", "eff_dim"}  # the METRICS_HEADER columns read as int, the rest float
+LENS_HEADER = ["layer", "rank", "token", "token_name", "mass"]
 
 
 def config_hash(config: dict) -> str:
@@ -25,16 +30,28 @@ def config_hash(config: dict) -> str:
     return hashlib.sha256(canon.encode("utf-8")).hexdigest()[:16]
 
 
-def write_metrics(out_dir, rows, meta) -> None:
-    """metrics.csv from rows (dicts with METRICS_HEADER keys, one per layer)
-    and summary.json from meta (seed, config hash, version, counts, extras)."""
+def write_metrics(out_dir, rows, meta, lens, sims) -> None:
+    """Write a metrics directory: metrics.csv from rows (dicts with
+    METRICS_HEADER keys), summary.json from meta, logitlens.csv from lens
+    (logit_lens's top tokens) and simmap_layerNN.txt from sims (a similarity
+    grid), each of rows, lens and sims one entry per layer."""
     out_dir = Path(out_dir)
-    with open(out_dir / "metrics.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(METRICS_HEADER)
-        for row in rows:
-            writer.writerow([_fmt(row[k]) for k in METRICS_HEADER])
+    _write_csv(out_dir / "metrics.csv", METRICS_HEADER,
+               ([_fmt(row[k]) for k in METRICS_HEADER] for row in rows))
     (out_dir / "summary.json").write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")
+    _write_csv(out_dir / "logitlens.csv", LENS_HEADER,
+               ([layer, rank, tok, token_name(tok), _fmt(mass)]
+                for layer, tops in enumerate(lens) for rank, (tok, mass) in enumerate(tops, 1)))
+    for layer, grid in enumerate(sims):
+        lines = [" ".join(repr(float(v)) for v in row) for row in grid]
+        (out_dir / f"simmap_layer{layer:02d}.txt").write_text("\n".join(lines) + "\n")
+
+
+def _write_csv(path, header, rows) -> None:
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def _fmt(v):
@@ -43,10 +60,29 @@ def _fmt(v):
     return repr(float(v))
 
 
-def read_metrics_csv(path) -> list:
-    with open(path, newline="") as fh:
-        return [{k: (int if k in _INT_COLUMNS else float)(row[k]) for k in METRICS_HEADER}
-                for row in csv.DictReader(fh)]
+def read_metrics(path) -> tuple:
+    """Read a metrics directory: (rows, meta, lens, sims), the metrics.csv
+    rows (layer and eff_dim int, the rest float), summary.json, the
+    logitlens.csv rows as (layer, rank, token, token_name, mass), and the
+    similarity grid of every layer in metrics.csv. Raises
+    FileNotFoundError("no <name> in <path>") for the first file missing."""
+    path = Path(path)
+
+    def read(name):
+        try:
+            return (path / name).read_text()
+        except FileNotFoundError:
+            raise FileNotFoundError(f"no {name} in {path}") from None
+
+    rows = [{k: (int if k in _INT_COLUMNS else float)(row[k]) for k in METRICS_HEADER}
+            for row in csv.DictReader(read("metrics.csv").splitlines())]
+    meta = json.loads(read("summary.json"))
+    lens = [(int(r["layer"]), int(r["rank"]), int(r["token"]), r["token_name"],
+             float(r["mass"])) for r in csv.DictReader(read("logitlens.csv").splitlines())]
+    sims = [np.array([[float(v) for v in line.split()]
+                      for line in read(f"simmap_layer{row['layer']:02d}.txt").splitlines()])
+            for row in rows]
+    return rows, meta, lens, sims
 
 
 # ---------------------------------------------------------------------------
@@ -179,27 +215,24 @@ def svg_heatmap(title: str, grid: np.ndarray, probe_index: int) -> str:
 COMPARE_METRICS = ("probe_acc", "contrast", "eff_dim", "redundancy")
 
 
-def write_comparison(baseline_rows, pre_rows, out_dir, baseline_sim: dict, pre_sim: dict,
-                     sim_probe_index: int, baseline_lens, pre_lens) -> None:
-    """Emit comparison.csv, one overlay SVG per metric, the similarity
-    heatmaps (grids keyed by layer), and a logit-lens comparison table."""
+def write_comparison(baseline, pre, out_dir) -> None:
+    """Write a report directory from the read_metrics results of a baseline
+    and a +aux run of one layer count and similarity probe: comparison.csv,
+    one SVG per COMPARE_METRICS entry and per run's similarity grid,
+    logitlens.csv (both runs' lens rows, each behind its run tag) and
+    summary.txt."""
+    b_rows, b_meta, b_lens, b_sims = baseline
+    p_rows, p_meta, p_lens, p_sims = pre
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    if len(baseline_rows) != len(pre_rows):
-        raise ValueError(f"layer count mismatch: {len(baseline_rows)} vs {len(pre_rows)}")
-    layers = [row["layer"] for row in baseline_rows]
+    layers = [row["layer"] for row in b_rows]
 
-    with open(out_dir / "comparison.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        header = ["layer"]
-        for m in COMPARE_METRICS:
-            header += [f"{m}_baseline", f"{m}_pre", f"{m}_delta"]
-        writer.writerow(header)
-        for rb, rp in zip(baseline_rows, pre_rows):
-            row = [rb["layer"]]
-            for m in COMPARE_METRICS:
-                row += [_fmt(rb[m]), _fmt(rp[m]), _fmt(rp[m] - rb[m])]
-            writer.writerow(row)
+    header = ["layer"] + [f"{m}_{col}" for m in COMPARE_METRICS
+                          for col in ("baseline", "pre", "delta")]
+    rows = ([rb["layer"]] + [_fmt(v) for m in COMPARE_METRICS
+                             for v in (rb[m], rp[m], rp[m] - rb[m])]
+            for rb, rp in zip(b_rows, p_rows))
+    _write_csv(out_dir / "comparison.csv", header, rows)
 
     titles = {"probe_acc": "Linear probe accuracy of pooled visual features",
               "contrast": "Patch semantic contrast (cohesion / coupling)",
@@ -207,21 +240,33 @@ def write_comparison(baseline_rows, pre_rows, out_dir, baseline_sim: dict, pre_s
               "redundancy": "Mean |off-diagonal| feature correlation"}
     for m in COMPARE_METRICS:
         svg = svg_line_plot(titles[m], m, {
-            "baseline": (layers, [rb[m] for rb in baseline_rows]),
-            "+aux": (layers, [rp[m] for rp in pre_rows]),
+            "baseline": (layers, [rb[m] for rb in b_rows]),
+            "+aux": (layers, [rp[m] for rp in p_rows]),
         })
         (out_dir / f"{m}.svg").write_text(svg)
 
-    for tag, sims in (("baseline", baseline_sim), ("pre", pre_sim)):
-        for layer, grid in sorted(sims.items()):
+    for tag, sims in (("baseline", b_sims), ("pre", p_sims)):
+        for layer, grid in zip(layers, sims):
             svg = svg_heatmap(f"patch cosine similarity, layer {layer} ({tag})",
-                              grid, probe_index=sim_probe_index)
+                              grid, probe_index=b_meta["sim_patch"])
             (out_dir / f"simmap_{tag}_layer{layer:02d}.svg").write_text(svg)
 
-    with open(out_dir / "logitlens.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["run", "layer", "rank", "token", "token_name", "mass"])
-        for tag, lens_rows in (("baseline", baseline_lens), ("pre", pre_lens)):
-            for entry in lens_rows:
-                for rank, (tok, name, mass) in enumerate(entry["top"], 1):
-                    writer.writerow([tag, entry["layer"], rank, tok, name, _fmt(mass)])
+    _write_csv(out_dir / "logitlens.csv", ["run"] + LENS_HEADER,
+               ((tag, *row[:4], _fmt(row[4]))
+                for tag, lens in (("baseline", b_lens), ("pre", p_lens)) for row in lens))
+
+    mid = len(b_rows) // 2
+    lines = [
+        f"comparison of {b_meta['config_hash']} (baseline) vs {p_meta['config_hash']} (+aux)",
+        f"layers: {len(b_rows) - 1} + input; mid layer = {mid}",
+        "",
+        f"probe accuracy  L0 {b_rows[0]['probe_acc']:.3f} -> mid "
+        f"{b_rows[mid]['probe_acc']:.3f} (baseline), {p_rows[mid]['probe_acc']:.3f} (+aux)",
+        f"contrast        L0 {b_rows[0]['contrast']:.3f} -> mid "
+        f"{b_rows[mid]['contrast']:.3f} (baseline), {p_rows[mid]['contrast']:.3f} (+aux)",
+        f"mid-layer degradation (baseline contrast, L0 - mid): "
+        f"{b_rows[0]['contrast'] - b_rows[mid]['contrast']:+.3f}",
+        f"mid-layer aux effect (contrast, +aux - baseline): "
+        f"{p_rows[mid]['contrast'] - b_rows[mid]['contrast']:+.3f}",
+    ]
+    (out_dir / "summary.txt").write_text("\n".join(lines) + "\n")

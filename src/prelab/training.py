@@ -114,8 +114,6 @@ class Trainer:
                  batch_size: int = 8, lr: float = 3e-4):
         cfg.validate()
         check_dataset_matches(dataset, cfg)
-        self.cfg = cfg
-        self.dataset = dataset
         self.steps = steps
         self.batch_size = batch_size
         self.params = MllmParams(cfg)

@@ -7,11 +7,11 @@ that is not the run's dump of the dataset's probe examples (a dump of
 another model shape, of no examples or without one example, a dump with an
 entry added, dropped or narrowed, or a checkpoint), two reports whose
 similarity maps probe different patches, or a metrics directory missing a
-file, exit code 1, with no checkpoint, for a run that diverges, exit code
-1 for a checkpoint with an entry the model has no parameter for, dump and
-metrics that never generate a train example, and train that never
-generates a probe-test example, nor a probe-train one without
---diag-every."""
+file, a similarity map included, exit code 1, with no checkpoint, for a
+run that diverges, exit code 1 for a checkpoint with an entry the model has
+no parameter for, dump and metrics that never generate a train example, and
+train that never generates a probe-test example, nor a probe-train one
+without --diag-every."""
 
 import json
 import re
@@ -369,7 +369,8 @@ def test_report_on_different_similarity_probes_exits_2(golden, tmp_path, capsys)
     assert not out.exists()
 
 
-@pytest.mark.parametrize("name", ["metrics.csv", "summary.json", "logitlens.csv"])
+@pytest.mark.parametrize("name", ["metrics.csv", "summary.json", "logitlens.csv",
+                                  "simmap_layer01.txt"])
 def test_report_on_metrics_dir_missing_a_file_exits_2(golden, tmp_path, capsys, name):
     w, _, _ = golden
     pre = tmp_path / "metrics"

@@ -100,9 +100,11 @@ def test_parameters_are_views_of_the_flat_buffers():
     opt = AdamW(params, Constant(0.1))
     for p, value in zip(params, values):
         assert np.array_equal(p.value, value) and p.value.dtype == np.float32
-        for array, flat in ((p.value, opt.flat_value), (p.grad, opt.flat_grad),
-                            (opt.m[p.name], opt.flat_m), (opt.v[p.name], opt.flat_v)):
+        for array, flat in ((p.value, opt.flat_value), (p.grad, opt.flat_grad)):
             assert np.shares_memory(array, flat), p.name
+    for moment in (opt.flat_m, opt.flat_v):
+        assert moment.shape == opt.flat_value.shape and moment.dtype == np.float32
+        assert not moment.any()
     assert np.all(params[1].grad == 2.0) and opt.flat_grad.sum() == 10.0
     opt.zero_grad()
     assert not any(p.grad.any() for p in params)
@@ -129,5 +131,6 @@ def test_flat_step_is_bitwise_the_per_tensor_update():
             r.value -= lr_t * ((mr / bc1) / (np.sqrt(vr / bc2) + 1e-8))
         for p, r in zip(params, ref):
             assert p.value.tobytes() == r.value.tobytes(), (t, p.name)
-            assert opt.m[p.name].tobytes() == m[r.name].tobytes()
-            assert opt.v[p.name].tobytes() == v[r.name].tobytes()
+        # the moments are the reference's, concatenated in parameter order
+        assert opt.flat_m.tobytes() == np.concatenate([m[r.name].ravel() for r in ref]).tobytes()
+        assert opt.flat_v.tobytes() == np.concatenate([v[r.name].ravel() for r in ref]).tobytes()

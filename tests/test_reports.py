@@ -1,12 +1,16 @@
-"""Report tests: the config hash ignores key order, the metrics table
-round-trips through its CSV, and a line plot embeds its series exactly."""
+"""Report tests: the config hash ignores key order, a metrics directory
+round-trips through its files, a report lists each run's lens rows once
+behind its run tag, and a line plot embeds its series exactly."""
 
 import html
 import json
 import re
 
-from prelab.reports import (METRICS_HEADER, config_hash, read_metrics_csv, svg_line_plot,
-                            write_metrics)
+import numpy as np
+
+from prelab.data import token_name
+from prelab.reports import (METRICS_HEADER, config_hash, read_metrics, svg_line_plot,
+                            write_comparison, write_metrics)
 
 
 def test_config_hash_ignores_key_order():
@@ -23,12 +27,29 @@ def test_metrics_report_round_trips(tmp_path):
              "coupling": float("nan") if layer == 2 else -1e-17 * layer,
              "contrast": 2.0 ** -30, "eff_dim": 7 - layer, "redundancy": 0.123456789012345}
             for layer in range(3)]
-    meta = {"config_hash": "0123456789abcdef", "seed": 4}
-    write_metrics(tmp_path, rows, meta)
-    assert (tmp_path / "metrics.csv").read_text().splitlines()[0] == ",".join(METRICS_HEADER)
-    # repr tells 7 from 7.0 and compares NaN, so this checks types and bits
-    assert repr(read_metrics_csv(tmp_path / "metrics.csv")) == repr(rows)
-    assert json.loads((tmp_path / "summary.json").read_text()) == meta
+    meta = {"config_hash": "0123456789abcdef", "seed": 4, "sim_patch": 5}
+    lens = [[(9, 0.5 + 1e-16 * layer), (3, 1 / 3), (40, 2.0 ** -40)] for layer in range(3)]
+    sims = [np.random.default_rng(layer).uniform(-1, 1, size=(4, 4)) for layer in range(3)]
+    sims[1][0, 0] = -0.0
+    metrics = tmp_path / "metrics"
+    metrics.mkdir()
+    write_metrics(metrics, rows, meta, lens, sims)
+    assert (metrics / "metrics.csv").read_text().splitlines()[0] == ",".join(METRICS_HEADER)
+    back_rows, back_meta, back_lens, back_sims = read_metrics(metrics)
+    # repr tells 7 from 7.0, 0.0 from -0.0 and compares NaN, so this checks types and bits
+    assert repr(back_rows) == repr(rows)
+    assert back_meta == meta
+    want_lens = [(layer, rank, tok, token_name(tok), mass)
+                 for layer, tops in enumerate(lens) for rank, (tok, mass) in enumerate(tops, 1)]
+    assert repr(back_lens) == repr(want_lens)
+    assert repr([grid.tolist() for grid in back_sims]) == repr([grid.tolist() for grid in sims])
+
+    write_comparison((back_rows, back_meta, back_lens, back_sims),
+                     (back_rows, back_meta, back_lens[:2], back_sims), tmp_path / "report")
+    report_lens = (tmp_path / "report" / "logitlens.csv").read_text().splitlines()
+    assert report_lens == (["run,layer,rank,token,token_name,mass"]
+                           + [",".join(map(str, ("baseline",) + row)) for row in want_lens]
+                           + [",".join(map(str, ("pre",) + row)) for row in want_lens[:2]])
 
 
 def test_line_plot_desc_holds_the_series_exactly():

@@ -84,7 +84,7 @@ def test_non_finite_loss_names_the_component(dataset, monkeypatch, component):
 
 
 def parameter_bytes(t):
-    return [p.value.tobytes() for p in t.opt.params]
+    return [p.value.tobytes() for p in t.params.trainable()]
 
 
 def test_nan_prediction_head_stops_the_step_before_the_update(dataset):
@@ -112,7 +112,7 @@ def test_train_step_builds_the_last_layer_rows_a_loss_reads(dataset, monkeypatch
                                                               target_layer, last_rows):
     # T = 4 + 16: only a prediction loss at layer L reads its other rows
     t = trainer(dataset, lam=lam)
-    t.cfg.target_layer = target_layer
+    t.params.cfg.target_layer = target_layer
     batch = t.sample_batch()
     want = total_loss(llm_forward(t.params, batch.z, batch.prompts), batch.answers, t.params)
     traces = []
@@ -196,9 +196,9 @@ def test_train_step_runs_in_float32_throughout(tmp_path, monkeypatch):
     report = train_step(t.params, t.opt, t.sample_batch())
     assert math.isfinite(report.pre) and len(seen) > 10
     assert off_dtype(seen, np.float32) == []
-    for p in t.opt.params:
-        arrays = (p.value, p.grad, t.opt.m[p.name], t.opt.v[p.name])
-        assert [a.dtype for a in arrays] == [np.float32] * 4, p.name
+    for p in t.params.trainable():
+        assert (p.value.dtype, p.grad.dtype) == (np.float32, np.float32), p.name
+    assert t.opt.flat_m.dtype == t.opt.flat_v.dtype == np.float32
 
 
 def test_float64_model_stays_float64(dataset):
@@ -216,7 +216,7 @@ def test_checkpoint_round_trips_trained_parameters_bitwise(dataset, tmp_path):
     t = trainer(dataset)
     t.run(tmp_path / "log.csv", lambda report: None)
     save_checkpoint(t.params, tmp_path / "checkpoint.prea")
-    loaded = load_checkpoint(t.cfg, tmp_path / "checkpoint.prea")
+    loaded = load_checkpoint(t.params.cfg, tmp_path / "checkpoint.prea")
     for trained, back in zip(t.params.trainable(), loaded.trainable()):
         assert back.name == trained.name
         assert back.value.dtype == trained.value.dtype == np.float32
@@ -297,7 +297,7 @@ def test_dump_encodes_with_the_encoder_matrix_training_used(tmp_path):
     # The checkpoint holds no encoder matrix: loading draws the frozen float64
     # matrix from the run seed, bit for bit the one training used.
     data, run, dataset, t = trained_run(tmp_path)
-    cfg = t.cfg
+    cfg = t.params.cfg
     loaded = load_checkpoint(cfg, run / "checkpoint.prea")
     assert loaded.wv.dtype == t.params.wv.dtype == np.float64
     assert loaded.wv.tobytes() == t.params.wv.tobytes()
@@ -322,11 +322,11 @@ def test_dump_states_are_one_trace_of_all_examples(tmp_path, monkeypatch, batch)
     assert main(["dump", "--run", str(run), "--data", str(data),
                  "--out", str(tmp_path / "hidden.prea")]) == 0
     dumped = read_archive(tmp_path / "hidden.prea")
-    params = load_checkpoint(t.cfg, run / "checkpoint.prea")
+    params = load_checkpoint(t.params.cfg, run / "checkpoint.prea")
     with ad.no_grad():
         b = make_batch(params, examples)
         trace = llm_forward(params, b.z, b.prompts)
-    for layer in range(t.cfg.layers + 1):
+    for layer in range(t.params.cfg.layers + 1):
         states = trace.visual_values(layer).astype(np.float32)
         for ex, want in zip(examples, states):
             assert dumped[f"ex{ex.id:08d}/hv{layer:02d}"].tobytes() == want.tobytes()
