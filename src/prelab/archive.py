@@ -8,10 +8,14 @@ Layout (all little-endian):
                payload float32 row-major
     trailing CRC32 (u32) of all preceding bytes
 
-The CRC is verified before any tensor is decoded, so a corrupted file never
-surfaces partial data. Payloads are float32 on disk, integers as whole numbers
-(exact up to 2**24); readers return float32 and callers widen or cast back.
-Writes go through a sibling temp file renamed onto the target.
+Payloads are float32 on disk, integers as whole numbers (exact up to 2**24);
+readers return float32 and callers widen or cast back. Both directions
+stream, so no buffer of the whole file is ever built. A write sends each
+header and payload straight from its array to a sibling temp file, renamed
+onto the target. A read is two passes over the file: a CRC pass, which
+raises on a mismatch before any tensor is decoded, so a corrupted file
+never surfaces partial data; then a parse that reads each payload into a
+fresh array, or into one the caller gives.
 """
 
 from __future__ import annotations
@@ -26,6 +30,8 @@ import numpy as np
 
 MAGIC = b"PREA"
 VERSION = 1
+WRITE_BUFFER = 1 << 20  # bytes
+CRC_CHUNK = 1 << 16  # bytes per read of the CRC pass, small enough to stay in cache for the CRC
 
 
 class ArchiveError(RuntimeError):
@@ -36,7 +42,9 @@ def write_archive(path, entries) -> None:
     """Write named tensors to `path`.
 
     entries: dict or iterable of (name, array). Names must be unique;
-    arrays are converted to float32.
+    arrays are converted to float32. Each payload is written from the
+    array's own buffer (a copy only for an array that is not C-contiguous
+    float32), and the CRC is updated piece by piece.
     """
     if isinstance(entries, dict):
         items = list(entries.items())
@@ -45,85 +53,109 @@ def write_archive(path, entries) -> None:
     names = [name for name, _ in items]
     if len(set(names)) != len(names):
         raise ArchiveError("duplicate entry names in archive")
-    buf = bytearray()
-    buf += MAGIC
-    buf += struct.pack("<HI", VERSION, len(items))
-    for name, arr in items:
-        arr = np.asarray(arr, dtype="<f4")  # tobytes() always emits C order
-        raw_name = name.encode("utf-8")
-        if len(raw_name) > 0xFFFF:
-            raise ArchiveError(f"entry name too long: {name!r}")
-        if arr.ndim > 0xFF:
-            raise ArchiveError(f"rank {arr.ndim} exceeds format limit")
-        buf += struct.pack("<H", len(raw_name))
-        buf += raw_name
-        buf += struct.pack("<B", arr.ndim)
-        for dim in arr.shape:
-            buf += struct.pack("<I", dim)
-        buf += arr.tobytes()
-    buf += struct.pack("<I", zlib.crc32(buf) & 0xFFFFFFFF)
     tmp = Path(f"{path}.tmp")
     try:
-        tmp.write_bytes(buf)
+        with open(tmp, "wb", buffering=WRITE_BUFFER) as fh:
+            crc = _write(fh, MAGIC + struct.pack("<HI", VERSION, len(items)), 0)
+            for name, arr in items:
+                arr = np.asarray(arr, dtype="<f4", order="C")
+                raw_name = name.encode("utf-8")
+                if len(raw_name) > 0xFFFF:
+                    raise ArchiveError(f"entry name too long: {name!r}")
+                if arr.ndim > 0xFF:
+                    raise ArchiveError(f"rank {arr.ndim} exceeds format limit")
+                header = (struct.pack("<H", len(raw_name)) + raw_name
+                          + struct.pack(f"<B{arr.ndim}I", arr.ndim, *arr.shape))
+                crc = _write(fh, arr, _write(fh, header, crc))
+            fh.write(struct.pack("<I", crc & 0xFFFFFFFF))
         os.replace(tmp, path)
     finally:
         tmp.unlink(missing_ok=True)
 
 
-def read_archive(path) -> dict:
+def _write(fh, piece, crc: int) -> int:
+    fh.write(piece)
+    return zlib.crc32(piece, crc)
+
+
+def read_archive(path, into=None) -> dict:
     """Read an archive back as {name: float32 ndarray}.
 
-    The file is read once into one writable buffer per call, and every
-    returned array is a view into it (payloads may sit at unaligned offsets),
-    so two reads never share memory. Raises ArchiveError on bad magic or
-    version, truncation, CRC mismatch, duplicate names, or declared sizes
-    that disagree with the payload.
+    The first pass checks the size, the magic and the CRC; the second parses
+    the entries. An entry's payload goes into `into[name]` when `into` has a
+    writable C-contiguous float32 array of the entry's shape under that
+    name, and that array itself is returned; every other entry is read into
+    a fresh array, never shared between reads. Raises ArchiveError on bad
+    magic or version, truncation, CRC mismatch, duplicate names, or declared
+    sizes that disagree with the payload; a file that fails its size, magic
+    or CRC check writes into no array.
     """
     with open(path, "rb") as fh:
-        raw = bytearray(os.fstat(fh.fileno()).st_size)
-        if fh.readinto(raw) != len(raw):
+        size = os.fstat(fh.fileno()).st_size
+        if size < len(MAGIC) + 6 + 4:
+            raise ArchiveError("archive truncated: shorter than minimal header")
+        magic = fh.read(len(MAGIC))
+        if magic != MAGIC:
+            raise ArchiveError(f"bad magic {magic!r}, expected {MAGIC!r}")
+        body_len = size - 4
+        _check_crc(fh, body_len)
+        fh.seek(len(MAGIC))
+        version, count = struct.unpack("<HI", _take(fh, 6, body_len, "header"))
+        if version != VERSION:
+            raise ArchiveError(f"unsupported archive version {version}")
+        out: dict = {}
+        for _ in range(count):
+            (name_len,) = struct.unpack("<H", _take(fh, 2, body_len, "entry header"))
+            name = str(_take(fh, name_len, body_len, "entry header"), "utf-8")
+            rank = _take(fh, 1, body_len, "entry header")[0]
+            dims = struct.unpack(f"<{rank}I", _take(fh, 4 * rank, body_len, "dims"))
+            nbytes = 4 * math.prod(dims)
+            if fh.tell() + nbytes > body_len:
+                raise ArchiveError(f"declared size of {name!r} exceeds payload")
+            if name in out:
+                raise ArchiveError(f"duplicate entry name {name!r}")
+            arr = _destination(into, name, dims)
+            if fh.readinto(arr) != nbytes:
+                raise ArchiveError("archive changed size while being read")
+            out[name] = arr
+        if fh.tell() != body_len:
+            raise ArchiveError(f"{body_len - fh.tell()} trailing bytes after last entry")
+    return out
+
+
+def _take(fh, n: int, end: int, where: str) -> bytes:
+    """The next n bytes of fh, which must not pass offset `end`."""
+    if fh.tell() + n > end:
+        raise ArchiveError(f"archive truncated inside {where}")
+    data = fh.read(n)
+    if len(data) != n:
+        raise ArchiveError("archive changed size while being read")
+    return data
+
+
+def _check_crc(fh, body_len: int) -> None:
+    """Compare the CRC32 of the first body_len bytes with the stored one that
+    follows them, reading CRC_CHUNK bytes at a time."""
+    fh.seek(0)
+    chunk = memoryview(bytearray(min(CRC_CHUNK, body_len)))
+    crc, left = 0, body_len
+    while left:
+        n = min(left, len(chunk))
+        if fh.readinto(chunk[:n]) != n:
             raise ArchiveError("archive changed size while being read")
-    if len(raw) < len(MAGIC) + 6 + 4:
-        raise ArchiveError("archive truncated: shorter than minimal header")
-    if raw[:4] != MAGIC:
-        raise ArchiveError(f"bad magic {bytes(raw[:4])!r}, expected {MAGIC!r}")
-    body = memoryview(raw)[:-4]
-    stored_crc = struct.unpack_from("<I", raw, len(body))[0]
-    actual_crc = zlib.crc32(body) & 0xFFFFFFFF
+        crc = zlib.crc32(chunk[:n], crc)
+        left -= n
+    (stored_crc,) = struct.unpack("<I", _take(fh, 4, body_len + 4, "CRC"))
+    actual_crc = crc & 0xFFFFFFFF
     if stored_crc != actual_crc:
         raise ArchiveError(
             f"CRC mismatch: stored {stored_crc:#010x}, computed {actual_crc:#010x}"
         )
-    pos = 4
-    version, count = struct.unpack_from("<HI", body, pos)
-    pos += 6
-    if version != VERSION:
-        raise ArchiveError(f"unsupported archive version {version}")
-    out: dict = {}
-    for _ in range(count):
-        if pos + 2 > len(body):
-            raise ArchiveError("archive truncated inside entry header")
-        (name_len,) = struct.unpack_from("<H", body, pos)
-        pos += 2
-        name = str(body[pos : pos + name_len], "utf-8")
-        pos += name_len
-        if pos + 1 > len(body):
-            raise ArchiveError("archive truncated inside entry header")
-        rank = body[pos]
-        pos += 1
-        if pos + 4 * rank > len(body):
-            raise ArchiveError("archive truncated inside dims")
-        dims = struct.unpack_from(f"<{rank}I", body, pos)
-        pos += 4 * rank
-        size = math.prod(dims)
-        nbytes = 4 * size
-        if pos + nbytes > len(body):
-            raise ArchiveError(f"declared size of {name!r} exceeds payload")
-        arr = np.frombuffer(body, dtype="<f4", count=size, offset=pos).reshape(dims)
-        pos += nbytes
-        if name in out:
-            raise ArchiveError(f"duplicate entry name {name!r}")
-        out[name] = arr
-    if pos != len(body):
-        raise ArchiveError(f"{len(body) - pos} trailing bytes after last entry")
-    return out
+
+
+def _destination(into, name: str, dims: tuple) -> np.ndarray:
+    arr = None if into is None else into.get(name)
+    if (isinstance(arr, np.ndarray) and arr.dtype == np.dtype("<f4") and arr.shape == dims
+            and arr.flags.c_contiguous and arr.flags.writeable):
+        return arr
+    return np.empty(dims, dtype="<f4")

@@ -1,8 +1,9 @@
 """Command-line surface: gen-data, train, dump, metrics, report.
 
 Exit codes: 0 success, 2 validation error (bad flags or config, a dataset
-that does not match the run, or a metrics directory that lacks a file, a
-layer's similarity map included), 1 runtime error. Every output is
+that does not match the run, a dump that is not the run's, or a metrics
+directory that lacks a file, a layer's similarity map included, or whose
+similarity map is not the run's grid), 1 runtime error. Every output is
 byte-deterministic for fixed inputs and seeds, except train_time.csv,
 which holds the per-step wall times of a training run.
 """
@@ -24,7 +25,8 @@ from .diagnostics import layer_metrics, logit_lens, similarity_map
 from .model import (ANCHOR_PRE_LLM, ANCHOR_PRE_PROJ, D_V, MllmConfig, llm_forward,
                     load_checkpoint, lm_loss, dump_hidden_states, read_hidden_states,
                     save_checkpoint)
-from .reports import config_hash, read_metrics, write_comparison, write_metrics
+from .reports import (MetricsDirError, config_hash, read_metrics, write_comparison,
+                      write_metrics)
 from .training import Trainer, check_dataset_matches, make_batch
 
 DUMP_BATCH = 16  # examples per forward: [16, 68, 128] float32 temporaries (0.6 MB) fit a 2 MB L2
@@ -241,6 +243,19 @@ def _sim_probe(probe_test, ids):
     return ids[0], 0
 
 
+def _check_dump_traces_the_run(params, example, dumped) -> None:
+    """Trace `example` alone and raise ValueError unless every layer's visual
+    states are bit for bit its dumped ones, [L+1, N_p, d_l]. A dump of
+    another run or dataset of the same shape passes every other check."""
+    with ad.no_grad():
+        batch = make_batch(params, [example])
+        trace = llm_forward(params, batch.z, batch.prompts)
+    for layer, states in enumerate(dumped):
+        if trace.visual_values(layer)[0].tobytes() != states.tobytes():
+            raise ValueError(f"entry 'ex{example.id:08d}/hv{layer:02d}' differs from the "
+                             f"run's trace of that example")
+
+
 def cmd_metrics(args) -> int:
     run_cfg, params = _load_run(args.run)
     probe_train, probe_test = _probe_splits(args.data, run_cfg)
@@ -250,6 +265,7 @@ def cmd_metrics(args) -> int:
     try:
         hv = read_hidden_states(args.hidden, ids, run_cfg.layers,
                                 (run_cfg.n_patches, run_cfg.d_l))
+        _check_dump_traces_the_run(params, examples[0], hv[:, 0])
     except ValueError as exc:
         raise ConfigError(f"{args.hidden} is not the dump of run {args.run} on the probe "
                           f"splits of {args.data}: {exc}") from None
@@ -292,7 +308,7 @@ def cmd_report(args) -> int:
     for path in (args.baseline, args.pre):
         try:
             runs.append(read_metrics(path))
-        except FileNotFoundError as exc:
+        except MetricsDirError as exc:
             raise ConfigError(str(exc)) from None
         meta = runs[-1][1]
         if config_hash(meta["config"]) != meta["config_hash"]:

@@ -305,14 +305,18 @@ def dump_hidden_states(path, grid: int, ids, z, hv) -> None:
 def read_hidden_states(path, ids, layers: int, shape: tuple) -> np.ndarray:
     """Read the dump of the examples `ids` through `layers` blocks: returns
     the [layers+1, N, *shape] visual states, rows in the order of ids, in the
-    dump's float32, bit for bit the values written.
+    dump's float32, bit for bit the values written. The archive reads each
+    hv entry straight into its row of the returned array, so the states are
+    held once.
 
     Raises ValueError unless the archive's entries are exactly meta/grid and
     each id's z and hv00..hv<layers>, the grid covers shape[0] patches, and
     every hv has shape `shape`.
     """
-    raw = read_archive(path)
+    hv = np.empty((layers + 1, len(ids), *shape), dtype=np.float32)
     names = [_example_entries(ex_id, layers) for ex_id in ids]
+    raw = read_archive(path, into={name: hv[layer, row] for row, ex_names in enumerate(names)
+                                   for layer, name in enumerate(ex_names[1:])})
     expected = ["meta/grid"] + [name for ex_names in names for name in ex_names]
     missing = [name for name in expected if name not in raw]
     unexpected = sorted(raw.keys() - set(expected))
@@ -321,12 +325,10 @@ def read_hidden_states(path, ids, layers: int, shape: tuple) -> np.ndarray:
             raise ValueError(f"{what} entry {wrong[0]!r} ({len(wrong)} {what} in all)")
     if raw["meta/grid"].prod() != shape[0]:
         raise ValueError(f"meta/grid {raw['meta/grid'].tolist()} is not {shape[0]} patches")
-    hv = np.empty((layers + 1, len(ids), *shape), dtype=np.float32)
-    for row, ex_names in enumerate(names):
-        for layer, name in enumerate(ex_names[1:]):
+    for ex_names in names:
+        for name in ex_names[1:]:
             if raw[name].shape != shape:
                 raise ValueError(f"entry {name!r} has shape {raw[name].shape}, not {shape}")
-            hv[layer, row] = raw[name]
     return hv
 
 
@@ -340,12 +342,13 @@ def load_checkpoint(cfg: MllmConfig, path) -> MllmParams:
     Trainable parameters keep their own dtype, float32 (layers.PARAM_DTYPE),
     so a trained model round-trips bit for bit. The frozen encoder matrix is
     not stored: it is the only draw, from the seed's substream, the same
-    float64 matrix that training used. A missing parameter, or an entry the
-    model has no parameter for (say, a block of a deeper model), raises
+    float64 matrix that training used. Each stored tensor is read straight
+    into its parameter's array. A missing parameter, or an entry the model
+    has no parameter for (say, a block of a deeper model), raises
     ValueError, and an entry of another shape ShapeError.
     """
     params = MllmParams(cfg, draw=False)
-    raw = read_archive(path)
+    raw = read_archive(path, into={p.name: p.value for p in params.trainable()})
     extra = sorted(raw.keys() - {p.name for p in params.trainable()})
     if extra:
         raise ValueError(f"checkpoint has {len(extra)} entries the model has no parameter for "
@@ -353,9 +356,7 @@ def load_checkpoint(cfg: MllmConfig, path) -> MllmParams:
     for p in params.trainable():
         if p.name not in raw:
             raise ValueError(f"checkpoint missing parameter {p.name!r}")
-        stored = raw[p.name]
-        if stored.shape != p.value.shape:
-            raise ShapeError(f"checkpoint shape {stored.shape} != {p.value.shape} "
+        if raw[p.name].shape != p.value.shape:
+            raise ShapeError(f"checkpoint shape {raw[p.name].shape} != {p.value.shape} "
                              f"for {p.name!r}")
-        p.value[...] = stored
     return params

@@ -60,28 +60,41 @@ def _fmt(v):
     return repr(float(v))
 
 
+class MetricsDirError(ValueError):
+    """A metrics directory that lacks a file, or holds a similarity map that
+    is not its run's grid x grid."""
+
+
 def read_metrics(path) -> tuple:
     """Read a metrics directory: (rows, meta, lens, sims), the metrics.csv
     rows (layer and eff_dim int, the rest float), summary.json, the
     logitlens.csv rows as (layer, rank, token, token_name, mass), and the
-    similarity grid of every layer in metrics.csv. Raises
-    FileNotFoundError("no <name> in <path>") for the first file missing."""
+    similarity grid of every layer in metrics.csv. Raises MetricsDirError
+    ("no <name> in <path>") for the first file missing, and for the first
+    similarity grid whose shape is not (grid, grid) with summary.json's
+    config.grid."""
     path = Path(path)
 
     def read(name):
         try:
             return (path / name).read_text()
         except FileNotFoundError:
-            raise FileNotFoundError(f"no {name} in {path}") from None
+            raise MetricsDirError(f"no {name} in {path}") from None
 
     rows = [{k: (int if k in _INT_COLUMNS else float)(row[k]) for k in METRICS_HEADER}
             for row in csv.DictReader(read("metrics.csv").splitlines())]
     meta = json.loads(read("summary.json"))
     lens = [(int(r["layer"]), int(r["rank"]), int(r["token"]), r["token_name"],
              float(r["mass"])) for r in csv.DictReader(read("logitlens.csv").splitlines())]
-    sims = [np.array([[float(v) for v in line.split()]
-                      for line in read(f"simmap_layer{row['layer']:02d}.txt").splitlines()])
-            for row in rows]
+    grid = meta["config"]["grid"]
+    sims = []
+    for row in rows:
+        name = f"simmap_layer{row['layer']:02d}.txt"
+        sims.append(np.array([[float(v) for v in line.split()]
+                              for line in read(name).splitlines()]))
+        if sims[-1].shape != (grid, grid):
+            raise MetricsDirError(f"{name} in {path} has shape {sims[-1].shape}, "
+                                  f"not {(grid, grid)}")
     return rows, meta, lens, sims
 
 

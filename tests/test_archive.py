@@ -134,13 +134,41 @@ def test_unaligned_payloads_and_a_rank_0_entry_round_trip(tmp_path):
                "efghi": rng.normal(size=(4,)).astype(np.float32), "j": np.zeros((2, 0, 3))}
     path = tmp_path / "t.prea"
     write_archive(path, entries)
+    offsets, pos = [], 10  # header: magic, version, count
+    for name, arr in entries.items():
+        pos += 2 + len(name) + 1 + 4 * np.ndim(arr)
+        offsets.append(pos)
+        pos += 4 * np.size(arr)
+    assert [off % 4 for off in offsets] == [2, 0, 0, 0]  # "a" sits at offset 22
     back = read_archive(path)
-    assert not all(arr.flags.aligned for arr in back.values())
+    assert all(arr.flags.aligned and arr.flags.writeable for arr in back.values())
     assert back["bcd"].shape == ()
     for name, arr in entries.items():
         want = np.asarray(arr, dtype=np.float32)
         assert back[name].shape == want.shape and back[name].tobytes() == want.tobytes()
     assert np.array_equal(back["a"] @ back["a"].T, entries["a"] @ entries["a"].T)
+
+
+def test_read_into_fills_and_returns_the_given_arrays(tmp_path):
+    rng = np.random.default_rng(4)
+    entries = {"m": rng.normal(size=(3, 4)).astype(np.float32), "s": np.float32(1.5),
+               "v": rng.normal(size=(5,)).astype(np.float32)}
+    path = tmp_path / "t.prea"
+    write_archive(path, entries)
+    block = np.full((2, 3, 4), np.nan, dtype=np.float32)
+    into = {"m": block[1], "s": np.zeros((), dtype=np.float32),
+            "v": np.zeros(4, dtype=np.float32)}  # v: another shape, so not used
+    back = read_archive(path, into=into)
+    assert back["m"] is into["m"] and back["s"] is into["s"] and back["v"] is not into["v"]
+    for name, arr in entries.items():
+        assert back[name].tobytes() == arr.tobytes()
+    assert np.isnan(block[0]).all() and not np.shares_memory(back["v"], into["v"])
+    # float64, not C-contiguous or read-only: the entry goes into a fresh array
+    read_only = np.zeros((3, 4), dtype=np.float32)
+    read_only.flags.writeable = False
+    for wrong in (np.zeros((3, 4)), np.zeros((4, 3), dtype=np.float32).T, read_only):
+        assert read_archive(path, into={"m": wrong})["m"] is not wrong
+    assert not read_only.any()
 
 
 def test_read_arrays_are_writable_and_not_shared_between_reads(tmp_path):
@@ -166,6 +194,8 @@ def test_corrupted_byte_raises_before_any_entry_is_decoded(tmp_path, monkeypatch
     decoded = []
     frombuffer = np.frombuffer
     monkeypatch.setattr(np, "frombuffer", lambda *a, **k: decoded.append(a) or frombuffer(*a, **k))
+    sentinel = np.full((4, 4), -3.5, dtype=np.float32)
     with pytest.raises(ArchiveError, match="CRC"):
-        read_archive(path)
+        read_archive(path, into={"name": sentinel})
     assert decoded == []
+    assert (sentinel == -3.5).all()

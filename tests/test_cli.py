@@ -4,10 +4,11 @@ model width or head count below 1, a NaN or infinite learning rate or
 lambda, a negative train or gen-data seed, a dataset that does not match the
 run, a dump of a dataset with an empty probe split, metrics on an archive
 that is not the run's dump of the dataset's probe examples (a dump of
-another model shape, of no examples or without one example, a dump with an
-entry added, dropped or narrowed, or a checkpoint), two reports whose
-similarity maps probe different patches, or a metrics directory missing a
-file, a similarity map included, exit code 1, with no checkpoint, for a
+another model shape or seed, of no examples or without one example, a dump
+with an entry added, dropped or narrowed, or a checkpoint), two reports
+whose similarity maps probe different patches, or a metrics directory
+missing a file, a similarity map included, or with a map cut to 2 of its 4
+rows, exit code 1, with no checkpoint, for a
 run that diverges, exit code 1 for a checkpoint with an entry the model has
 no parameter for, dump and metrics that never generate a train example, and
 train that never generates a probe-test example, nor a probe-train one
@@ -291,10 +292,13 @@ def assert_metrics_refuses_the_dump(w, hidden, out, capsys, found):
 @pytest.mark.parametrize("flags, found", [
     (["--layers", "4"], f"unexpected entry 'ex{PROBE_IDS[0]:08d}/hv03' (32 unexpected in all)"),
     (["--d-l", "8"], f"entry 'ex{PROBE_IDS[0]:08d}/hv00' has shape (16, 8), not (16, 16)"),
+    (["--seed", "2"], f"entry 'ex{PROBE_IDS[0]:08d}/hv00' differs from the run's trace of "
+                      f"that example"),
 ])
 def test_metrics_on_a_dump_of_another_model_shape_exits_2(golden, tmp_path, capsys,
                                                           flags, found):
-    # a dump of a deeper or narrower model of the same grid, read with the golden run
+    # a dump of a deeper or narrower model of the same grid, or of a model of
+    # the same shape and another seed, read with the golden run
     w, _, _ = golden
     other, hidden = tmp_path / "other", tmp_path / "h.prea"
     run_ok(["train", "--data", w / "data", "--out", other, "--steps", 1]
@@ -369,18 +373,30 @@ def test_report_on_different_similarity_probes_exits_2(golden, tmp_path, capsys)
     assert not out.exists()
 
 
-@pytest.mark.parametrize("name", ["metrics.csv", "summary.json", "logitlens.csv",
-                                  "simmap_layer01.txt"])
-def test_report_on_metrics_dir_missing_a_file_exits_2(golden, tmp_path, capsys, name):
+def _delete(path):
+    path.unlink()
+    return f"no {path.name} in {path.parent}"
+
+
+def _keep_two_rows(path):
+    path.write_text("".join(path.read_text().splitlines(keepends=True)[:2]))
+    return f"{path.name} in {path.parent} has shape (2, 4), not (4, 4)"
+
+
+@pytest.mark.parametrize("name, mutate", [
+    pytest.param(name, _delete, id=name)
+    for name in ("metrics.csv", "summary.json", "logitlens.csv", "simmap_layer01.txt")
+] + [pytest.param("simmap_layer01.txt", _keep_two_rows, id="simmap_layer01.txt-2-rows")])
+def test_report_on_metrics_dir_missing_a_file_exits_2(golden, tmp_path, capsys, name, mutate):
     w, _, _ = golden
     pre = tmp_path / "metrics"
     shutil.copytree(w / "metrics", pre)
-    (pre / name).unlink()
+    found = mutate(pre / name)
     out = tmp_path / "report"
     rc = main(["report", "--baseline", str(w / "metrics"), "--pre", str(pre),
                "--out", str(out)])
     assert rc == 2
-    assert f"no {name} in {pre}" in capsys.readouterr().err
+    assert found in capsys.readouterr().err
     assert not out.exists()
 
 
