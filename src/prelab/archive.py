@@ -15,7 +15,8 @@ header and payload straight from its array to a sibling temp file, renamed
 onto the target. A read is two passes over the file: a CRC pass, which
 raises on a mismatch before any tensor is decoded, so a corrupted file
 never surfaces partial data; then a parse that reads each payload into a
-fresh array, or into one the caller gives.
+fresh array or, given the {name: array} layout of an archive kind (a
+checkpoint, a dump), into the array of its name.
 """
 
 from __future__ import annotations
@@ -38,26 +39,18 @@ class ArchiveError(RuntimeError):
     """Malformed, truncated, or corrupted tensor archive."""
 
 
-def write_archive(path, entries) -> None:
-    """Write named tensors to `path`.
+def write_archive(path, entries: dict) -> None:
+    """Write the named tensors of `entries`, in its order, to `path`.
 
-    entries: dict or iterable of (name, array). Names must be unique;
-    arrays are converted to float32. Each payload is written from the
+    Arrays are converted to float32. Each payload is written from the
     array's own buffer (a copy only for an array that is not C-contiguous
     float32), and the CRC is updated piece by piece.
     """
-    if isinstance(entries, dict):
-        items = list(entries.items())
-    else:
-        items = list(entries)
-    names = [name for name, _ in items]
-    if len(set(names)) != len(names):
-        raise ArchiveError("duplicate entry names in archive")
     tmp = Path(f"{path}.tmp")
     try:
         with open(tmp, "wb", buffering=WRITE_BUFFER) as fh:
-            crc = _write(fh, MAGIC + struct.pack("<HI", VERSION, len(items)), 0)
-            for name, arr in items:
+            crc = _write(fh, MAGIC + struct.pack("<HI", VERSION, len(entries)), 0)
+            for name, arr in entries.items():
                 arr = np.asarray(arr, dtype="<f4", order="C")
                 raw_name = name.encode("utf-8")
                 if len(raw_name) > 0xFFFF:
@@ -82,14 +75,21 @@ def read_archive(path, into=None) -> dict:
     """Read an archive back as {name: float32 ndarray}.
 
     The first pass checks the size, the magic and the CRC; the second parses
-    the entries. An entry's payload goes into `into[name]` when `into` has a
-    writable C-contiguous float32 array of the entry's shape under that
-    name, and that array itself is returned; every other entry is read into
-    a fresh array, never shared between reads. Raises ArchiveError on bad
-    magic or version, truncation, CRC mismatch, duplicate names, or declared
-    sizes that disagree with the payload; a file that fails its size, magic
-    or CRC check writes into no array.
+    the entries, each into a fresh array never shared between reads. Given
+    `into`, a {name: writable C-contiguous float32 array} layout, each
+    payload is read into its array and `into` is returned; the file must
+    hold exactly its names, each of its array's shape, or ValueError names
+    the first missing entry (in layout order), else the first unexpected
+    one (by name), else the first of another shape (in layout order), whose
+    payloads are skipped. Raises ArchiveError on bad magic or version,
+    truncation, CRC mismatch, duplicate names, or declared sizes that
+    disagree with the payload; a file that fails its size, magic or CRC
+    check writes into no array.
     """
+    if into and not all(a.dtype == "<f4" and a.flags.c_contiguous and a.flags.writeable
+                        for a in into.values()):
+        raise TypeError("read_archive reads into writable C-contiguous float32 arrays only")
+    out, shapes = {}, {}
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
         if size < len(MAGIC) + 6 + 4:
@@ -103,7 +103,6 @@ def read_archive(path, into=None) -> dict:
         version, count = struct.unpack("<HI", _take(fh, 6, body_len, "header"))
         if version != VERSION:
             raise ArchiveError(f"unsupported archive version {version}")
-        out: dict = {}
         for _ in range(count):
             (name_len,) = struct.unpack("<H", _take(fh, 2, body_len, "entry header"))
             name = str(_take(fh, name_len, body_len, "entry header"), "utf-8")
@@ -112,15 +111,29 @@ def read_archive(path, into=None) -> dict:
             nbytes = 4 * math.prod(dims)
             if fh.tell() + nbytes > body_len:
                 raise ArchiveError(f"declared size of {name!r} exceeds payload")
-            if name in out:
+            if name in shapes:
                 raise ArchiveError(f"duplicate entry name {name!r}")
-            arr = _destination(into, name, dims)
+            shapes[name] = dims
+            arr = np.empty(dims, dtype="<f4") if into is None else into.get(name)
+            if arr is None or arr.shape != dims:
+                fh.seek(nbytes, os.SEEK_CUR)  # not in the layout: refused below
+                continue
             if fh.readinto(arr) != nbytes:
                 raise ArchiveError("archive changed size while being read")
             out[name] = arr
         if fh.tell() != body_len:
             raise ArchiveError(f"{body_len - fh.tell()} trailing bytes after last entry")
-    return out
+    if into is None:
+        return out
+    missing = [name for name in into if name not in shapes]
+    unexpected = sorted(shapes.keys() - into.keys())
+    for what, wrong in (("missing", missing), ("unexpected", unexpected)):
+        if wrong:
+            raise ValueError(f"{what} entry {wrong[0]!r} ({len(wrong)} {what} in all)")
+    for name, arr in into.items():
+        if arr.shape != shapes[name]:
+            raise ValueError(f"entry {name!r} has shape {shapes[name]}, not {arr.shape}")
+    return into
 
 
 def _take(fh, n: int, end: int, where: str) -> bytes:
@@ -152,10 +165,3 @@ def _check_crc(fh, body_len: int) -> None:
             f"CRC mismatch: stored {stored_crc:#010x}, computed {actual_crc:#010x}"
         )
 
-
-def _destination(into, name: str, dims: tuple) -> np.ndarray:
-    arr = None if into is None else into.get(name)
-    if (isinstance(arr, np.ndarray) and arr.dtype == np.dtype("<f4") and arr.shape == dims
-            and arr.flags.c_contiguous and arr.flags.writeable):
-        return arr
-    return np.empty(dims, dtype="<f4")

@@ -2,8 +2,8 @@
 
 Exit codes: 0 success, 2 validation error (bad flags or config, a dataset
 that does not match the run, a dump that is not the run's, or a metrics
-directory that lacks a file, a layer's similarity map included, or whose
-similarity map is not the run's grid), 1 runtime error. Every output is
+directory that lacks a file, a layer's map or metrics row included, or
+whose similarity map is not the run's grid), 1 runtime error. Every output is
 byte-deterministic for fixed inputs and seeds, except train_time.csv,
 which holds the per-step wall times of a training run.
 """
@@ -197,8 +197,10 @@ def _load_run(run_dir):
     if not ckpt_path.exists():
         raise ConfigError(f"no checkpoint.prea in {run_dir}")
     run_cfg = load_run_config(cfg_path)
-    params = load_checkpoint(run_cfg, ckpt_path)
-    return run_cfg, params
+    try:
+        return run_cfg, load_checkpoint(run_cfg, ckpt_path)
+    except ValueError as exc:
+        raise ValueError(f"{ckpt_path}: {exc}") from None
 
 
 def _probe_splits(path, run_cfg: RunConfig) -> tuple:

@@ -284,22 +284,24 @@ def total_loss(trace: ForwardTrace, answers: np.ndarray, params: MllmParams):
     return ad.add(lm, ad.scale(pre, lam)), lm, pre
 
 
-def _example_entries(ex_id: int, layers: int) -> list:
-    """The dump entry names of one example, in write order: ex<ID>/z, then
-    ex<ID>/hv00..hv<layers> (layer index in the name)."""
-    return [f"ex{ex_id:08d}/z"] + [f"ex{ex_id:08d}/hv{l:02d}" for l in range(layers + 1)]
+def _dump_entries(grid, ids, z, hv) -> dict:
+    """The dump's layout: meta/grid (the 2-vector grid), then for each id in
+    order ex<ID>/z and ex<ID>/hv00..hv<L> (layer index in the name), each
+    name mapped to its row of z [N, N_p, D_V] or hv [L+1, N, N_p, d_l]."""
+    entries = {"meta/grid": grid}
+    for row, ex_id in enumerate(ids):
+        entries[f"ex{ex_id:08d}/z"] = z[row]
+        entries.update((f"ex{ex_id:08d}/hv{l:02d}", states[row]) for l, states in enumerate(hv))
+    return entries
 
 
 def dump_hidden_states(path, grid: int, ids, z, hv) -> None:
     """Write encoder features z [N, N_p, D_V] and visual hidden states hv
-    [L+1, N, N_p, d_l], rows in the order of ids, to a tensor archive: a
-    meta/grid entry with the patch grid shape, then each _example_entries."""
+    [L+1, N, N_p, d_l], rows in the order of ids, to a tensor archive laid
+    out by _dump_entries."""
     if not len(ids) == len(z) == hv.shape[1]:
         raise ValueError(f"{len(ids)} ids for {len(z)} z and {hv.shape[1]} hv rows")
-    entries = [("meta/grid", np.array([grid, grid], dtype=np.float32))]
-    for row, ex_id in enumerate(ids):
-        entries += zip(_example_entries(ex_id, len(hv) - 1), [z[row], *hv[:, row]])
-    write_archive(path, entries)
+    write_archive(path, _dump_entries(np.array([grid, grid], dtype=np.float32), ids, z, hv))
 
 
 def read_hidden_states(path, ids, layers: int, shape: tuple) -> np.ndarray:
@@ -309,31 +311,21 @@ def read_hidden_states(path, ids, layers: int, shape: tuple) -> np.ndarray:
     hv entry straight into its row of the returned array, so the states are
     held once.
 
-    Raises ValueError unless the archive's entries are exactly meta/grid and
-    each id's z and hv00..hv<layers>, the grid covers shape[0] patches, and
-    every hv has shape `shape`.
+    Raises ValueError unless the archive holds exactly the _dump_entries of
+    ids, each hv of shape `shape` and each z of shape (shape[0], D_V), and
+    the grid covers shape[0] patches.
     """
     hv = np.empty((layers + 1, len(ids), *shape), dtype=np.float32)
-    names = [_example_entries(ex_id, layers) for ex_id in ids]
-    raw = read_archive(path, into={name: hv[layer, row] for row, ex_names in enumerate(names)
-                                   for layer, name in enumerate(ex_names[1:])})
-    expected = ["meta/grid"] + [name for ex_names in names for name in ex_names]
-    missing = [name for name in expected if name not in raw]
-    unexpected = sorted(raw.keys() - set(expected))
-    for what, wrong in (("missing", missing), ("unexpected", unexpected)):
-        if wrong:
-            raise ValueError(f"{what} entry {wrong[0]!r} ({len(wrong)} {what} in all)")
-    if raw["meta/grid"].prod() != shape[0]:
-        raise ValueError(f"meta/grid {raw['meta/grid'].tolist()} is not {shape[0]} patches")
-    for ex_names in names:
-        for name in ex_names[1:]:
-            if raw[name].shape != shape:
-                raise ValueError(f"entry {name!r} has shape {raw[name].shape}, not {shape}")
+    z = np.empty((len(ids), shape[0], D_V), dtype=np.float32)
+    grid = np.empty(2, dtype=np.float32)
+    read_archive(path, into=_dump_entries(grid, ids, z, hv))
+    if grid.prod() != shape[0]:
+        raise ValueError(f"meta/grid {grid.tolist()} is not {shape[0]} patches")
     return hv
 
 
 def save_checkpoint(params: MllmParams, path) -> None:
-    write_archive(path, [(p.name, p.value) for p in params.trainable()])
+    write_archive(path, {p.name: p.value for p in params.trainable()})
 
 
 def load_checkpoint(cfg: MllmConfig, path) -> MllmParams:
@@ -343,20 +335,10 @@ def load_checkpoint(cfg: MllmConfig, path) -> MllmParams:
     so a trained model round-trips bit for bit. The frozen encoder matrix is
     not stored: it is the only draw, from the seed's substream, the same
     float64 matrix that training used. Each stored tensor is read straight
-    into its parameter's array. A missing parameter, or an entry the model
-    has no parameter for (say, a block of a deeper model), raises
-    ValueError, and an entry of another shape ShapeError.
+    into its parameter's array. A missing parameter, an entry the model has
+    no parameter for (say, a block of a deeper model), or an entry of
+    another shape raises ValueError.
     """
     params = MllmParams(cfg, draw=False)
-    raw = read_archive(path, into={p.name: p.value for p in params.trainable()})
-    extra = sorted(raw.keys() - {p.name for p in params.trainable()})
-    if extra:
-        raise ValueError(f"checkpoint has {len(extra)} entries the model has no parameter for "
-                         f"(first: {extra[0]!r})")
-    for p in params.trainable():
-        if p.name not in raw:
-            raise ValueError(f"checkpoint missing parameter {p.name!r}")
-        if raw[p.name].shape != p.value.shape:
-            raise ShapeError(f"checkpoint shape {raw[p.name].shape} != {p.value.shape} "
-                             f"for {p.name!r}")
+    read_archive(path, into={p.name: p.value for p in params.trainable()})
     return params

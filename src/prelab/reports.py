@@ -61,8 +61,8 @@ def _fmt(v):
 
 
 class MetricsDirError(ValueError):
-    """A metrics directory that lacks a file, or holds a similarity map that
-    is not its run's grid x grid."""
+    """A metrics directory that lacks a file or a layer's metrics row, or
+    holds a similarity map that is not its run's grid x grid."""
 
 
 def read_metrics(path) -> tuple:
@@ -70,9 +70,9 @@ def read_metrics(path) -> tuple:
     rows (layer and eff_dim int, the rest float), summary.json, the
     logitlens.csv rows as (layer, rank, token, token_name, mass), and the
     similarity grid of every layer in metrics.csv. Raises MetricsDirError
-    ("no <name> in <path>") for the first file missing, and for the first
-    similarity grid whose shape is not (grid, grid) with summary.json's
-    config.grid."""
+    ("no <name> in <path>") for the first file missing, for metrics.csv rows
+    not of layers 0..layers, and for the first similarity grid whose shape
+    is not (grid, grid), with layers and grid from summary.json's config."""
     path = Path(path)
 
     def read(name):
@@ -84,6 +84,9 @@ def read_metrics(path) -> tuple:
     rows = [{k: (int if k in _INT_COLUMNS else float)(row[k]) for k in METRICS_HEADER}
             for row in csv.DictReader(read("metrics.csv").splitlines())]
     meta = json.loads(read("summary.json"))
+    layers, top = [row["layer"] for row in rows], meta["config"]["layers"]
+    if layers != list(range(top + 1)):
+        raise MetricsDirError(f"metrics.csv in {path} has layers {layers}, not 0..{top}")
     lens = [(int(r["layer"]), int(r["rank"]), int(r["token"]), r["token_name"],
              float(r["mass"])) for r in csv.DictReader(read("logitlens.csv").splitlines())]
     grid = meta["config"]["grid"]

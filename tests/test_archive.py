@@ -1,4 +1,5 @@
 import os
+import re
 import struct
 import zlib
 
@@ -44,9 +45,15 @@ def test_magic_and_layout(tmp_path):
     assert stored_crc == zlib.crc32(raw[:-4]) & 0xFFFFFFFF
 
 
-def test_duplicate_names_rejected(tmp_path):
-    with pytest.raises(ArchiveError, match="duplicate"):
-        write_archive(tmp_path / "t.prea", [("x", np.zeros(1)), ("x", np.zeros(1))])
+def test_a_file_with_a_duplicate_name_is_refused(tmp_path):
+    path = tmp_path / "t.prea"
+    write_archive(path, {"x": np.zeros(1), "y": np.zeros(1)})
+    raw = bytearray(path.read_bytes())
+    raw[raw.rindex(b"y")] = ord("x")
+    raw[-4:] = struct.pack("<I", zlib.crc32(raw[:-4]) & 0xFFFFFFFF)
+    path.write_bytes(bytes(raw))
+    with pytest.raises(ArchiveError, match="duplicate entry name 'x'"):
+        read_archive(path)
 
 
 def test_single_byte_corruption_detected(tmp_path):
@@ -119,7 +126,7 @@ def tensor_entries(draw):
 @settings(max_examples=200, deadline=None)
 def test_property_round_trip(tmp_path_factory, entries):
     path = tmp_path_factory.mktemp("arch") / "t.prea"
-    write_archive(path, entries)
+    write_archive(path, dict(entries))
     back = read_archive(path)
     assert [n for n, _ in entries] == list(back)
     for name, arr in entries:
@@ -156,18 +163,41 @@ def test_read_into_fills_and_returns_the_given_arrays(tmp_path):
     path = tmp_path / "t.prea"
     write_archive(path, entries)
     block = np.full((2, 3, 4), np.nan, dtype=np.float32)
-    into = {"m": block[1], "s": np.zeros((), dtype=np.float32),
-            "v": np.zeros(4, dtype=np.float32)}  # v: another shape, so not used
+    into = {"v": np.zeros(5, dtype=np.float32), "m": block[1], "s": np.zeros((), dtype=np.float32)}
+    given = dict(into)
     back = read_archive(path, into=into)
-    assert back["m"] is into["m"] and back["s"] is into["s"] and back["v"] is not into["v"]
+    assert list(back) == ["v", "m", "s"] and all(back[name] is given[name] for name in given)
     for name, arr in entries.items():
         assert back[name].tobytes() == arr.tobytes()
-    assert np.isnan(block[0]).all() and not np.shares_memory(back["v"], into["v"])
-    # float64, not C-contiguous or read-only: the entry goes into a fresh array
+    assert np.isnan(block[0]).all()  # the neighbouring row of m's block is untouched
+
+
+@pytest.mark.parametrize("layout, found", [
+    ({"m": (4, 3), "s": (), "v": (5,), "w": ()}, "missing entry 'w' (1 missing in all)"),
+    ({"m": (4, 3)}, "unexpected entry 's' (2 unexpected in all)"),
+    ({"m": (3, 4), "s": (), "v": (4,)}, "entry 'v' has shape (5,), not (4,)"),
+    ({"m": (4, 3), "s": (), "v": (4,)}, "entry 'm' has shape (3, 4), not (4, 3)"),
+])
+def test_read_into_refuses_a_file_of_another_layout(tmp_path, layout, found):
+    # missing (in layout order) before unexpected (by name) before another shape
+    path = tmp_path / "t.prea"
+    shapes = {"m": (3, 4), "s": (), "v": (5,)}
+    write_archive(path, {name: np.ones(shape) for name, shape in shapes.items()})
+    into = {name: np.full(shape, -3.5, dtype=np.float32) for name, shape in layout.items()}
+    with pytest.raises(ValueError, match=f"^{re.escape(found)}$"):
+        read_archive(path, into=into)
+    for name, arr in into.items():  # a skipped payload leaves its sentinel untouched
+        assert (arr == (1.0 if shapes.get(name) == arr.shape else -3.5)).all(), name
+
+
+def test_read_into_takes_only_writable_c_contiguous_float32_arrays(tmp_path):
+    path = tmp_path / "t.prea"
+    write_archive(path, {"m": np.ones((3, 4))})
     read_only = np.zeros((3, 4), dtype=np.float32)
     read_only.flags.writeable = False
     for wrong in (np.zeros((3, 4)), np.zeros((4, 3), dtype=np.float32).T, read_only):
-        assert read_archive(path, into={"m": wrong})["m"] is not wrong
+        with pytest.raises(TypeError, match="float32"):
+            read_archive(path, into={"m": wrong})
     assert not read_only.any()
 
 

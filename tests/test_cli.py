@@ -7,8 +7,8 @@ that is not the run's dump of the dataset's probe examples (a dump of
 another model shape or seed, of no examples or without one example, a dump
 with an entry added, dropped or narrowed, or a checkpoint), two reports
 whose similarity maps probe different patches, or a metrics directory
-missing a file, a similarity map included, or with a map cut to 2 of its 4
-rows, exit code 1, with no checkpoint, for a
+missing a file, a similarity map included, or a layer's metrics.csv row,
+or with a map cut to 2 of its 4 rows, exit code 1, with no checkpoint, for a
 run that diverges, exit code 1 for a checkpoint with an entry the model has
 no parameter for, dump and metrics that never generate a train example, and
 train that never generates a probe-test example, nor a probe-train one
@@ -258,8 +258,8 @@ def test_a_checkpoint_of_a_deeper_model_exits_1(golden, tmp_path, capsys):
                  ["metrics", "--hidden", w / "hidden.prea", "--data", w / "data", "--run", run,
                   "--out", tmp_path / "metrics"]):
         assert main([str(a) for a in argv]) == 1
-        assert capsys.readouterr().err == ("error: checkpoint has 20 entries the model has no "
-                                           "parameter for (first: 'block2.attn.o.w')\n")
+        assert capsys.readouterr().err == (f"error: {run / 'checkpoint.prea'}: unexpected entry "
+                                           f"'block2.attn.o.w' (20 unexpected in all)\n")
     assert not (tmp_path / "h.prea").exists() and not (tmp_path / "metrics").exists()
 
 
@@ -334,6 +334,8 @@ def _not_a_dump(w, tmp_path, case):
                         for name, a in entries.items() if name.startswith(first)})
     elif case == "other grid":
         entries["meta/grid"] = np.array([5.0, 5.0])
+    elif case == "narrower z":
+        entries[first + "z"] = entries[first + "z"][:, :8]
     else:
         entries[last] = entries[last][:, :8]
     write_archive(tmp_path / "h.prea", entries)
@@ -345,6 +347,7 @@ def _not_a_dump(w, tmp_path, case):
     ("foreign entry", "unexpected entry 'ex00000001/y' (1 unexpected in all)"),
     ("missing layer", f"missing entry 'ex{PROBE_IDS[-1]:08d}/hv02' (1 missing in all)"),
     ("narrower layer", f"entry 'ex{PROBE_IDS[-1]:08d}/hv02' has shape (16, 8), not (16, 16)"),
+    ("narrower z", f"entry 'ex{PROBE_IDS[0]:08d}/z' has shape (16, 8), not (16, 32)"),
     ("missing example", f"missing entry 'ex{PROBE_IDS[0]:08d}/z' (4 missing in all)"),
     ("train example", "unexpected entry 'ex00000000/hv00' (4 unexpected in all)"),
     ("other grid", "meta/grid [5.0, 5.0] is not 16 patches"),
@@ -383,10 +386,23 @@ def _keep_two_rows(path):
     return f"{path.name} in {path.parent} has shape (2, 4), not (4, 4)"
 
 
+def _drop_layer_1(path):
+    path.write_text("".join(line for line in path.read_text().splitlines(keepends=True)
+                            if not line.startswith("1,")))
+    return f"metrics.csv in {path.parent} has layers [0, 2], not 0..2"
+
+
+def _keep_header(path):
+    path.write_text(path.read_text().splitlines(keepends=True)[0])
+    return f"metrics.csv in {path.parent} has layers [], not 0..2"
+
+
 @pytest.mark.parametrize("name, mutate", [
     pytest.param(name, _delete, id=name)
     for name in ("metrics.csv", "summary.json", "logitlens.csv", "simmap_layer01.txt")
-] + [pytest.param("simmap_layer01.txt", _keep_two_rows, id="simmap_layer01.txt-2-rows")])
+] + [pytest.param("simmap_layer01.txt", _keep_two_rows, id="simmap_layer01.txt-2-rows"),
+     pytest.param("metrics.csv", _drop_layer_1, id="metrics.csv-no-layer-1"),
+     pytest.param("metrics.csv", _keep_header, id="metrics.csv-header-only")])
 def test_report_on_metrics_dir_missing_a_file_exits_2(golden, tmp_path, capsys, name, mutate):
     w, _, _ = golden
     pre = tmp_path / "metrics"

@@ -201,7 +201,7 @@ def test_dump_round_trip_reads_the_given_id_order_and_the_float32_states(tmp_pat
     # dump writes probe-train before probe-test, so ids arrive out of order
     rng = np.random.default_rng(0)
     ids = [7, 2, 11, 3]
-    z = rng.normal(size=(4, 16, 8)).astype(np.float32)
+    z = rng.normal(size=(4, 16, model.D_V)).astype(np.float32)
     hv = rng.normal(size=(3, 4, 16, 6)).astype(np.float32)
     path = tmp_path / "hidden.prea"
     dump_hidden_states(path, 4, ids, z, hv)

@@ -27,7 +27,8 @@ def test_metrics_report_round_trips(tmp_path):
              "coupling": float("nan") if layer == 2 else -1e-17 * layer,
              "contrast": 2.0 ** -30, "eff_dim": 7 - layer, "redundancy": 0.123456789012345}
             for layer in range(3)]
-    meta = {"config": {"grid": 4}, "config_hash": "0123456789abcdef", "seed": 4, "sim_patch": 5}
+    meta = {"config": {"grid": 4, "layers": 2}, "config_hash": "0123456789abcdef", "seed": 4,
+            "sim_patch": 5}
     lens = [[(9, 0.5 + 1e-16 * layer), (3, 1 / 3), (40, 2.0 ** -40)] for layer in range(3)]
     sims = [np.random.default_rng(layer).uniform(-1, 1, size=(4, 4)) for layer in range(3)]
     sims[1][0, 0] = -0.0
