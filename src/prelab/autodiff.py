@@ -377,20 +377,6 @@ def causal_attention(qkv: Node, heads: int, first_row: int = 0) -> Node:
     return record("causal_attention", out.reshape(bsz, t - q0, d), (qkv,), bk)
 
 
-def log_softmax(a: Node) -> Node:
-    x = a.value
-    m = x.max(axis=-1, keepdims=True)
-    e = np.exp(x - m)
-    z = e.sum(axis=-1, keepdims=True)
-    v = (x - m) - np.log(z)
-    s = e / z
-
-    def bk(g):
-        return (g - s * np.sum(g, axis=-1, keepdims=True),)
-
-    return record("log_softmax", v, (a,), bk)
-
-
 def layer_norm(a: Node, gamma: Node, beta: Node) -> Node:
     """Normalize the last axis to zero mean / unit variance, then affine.
     Every row moment, forward and backward, is one GEMV of the rows with a
@@ -477,18 +463,34 @@ def embedding(table: Node, ids: np.ndarray) -> Node:
     return record("embedding", v, (table,), bk)
 
 
-def take_along_last(a: Node, idx: np.ndarray) -> Node:
-    """out[..., j] = a[..., j, idx[..., j]] -- select one entry per row of
-    the last axis (used to pick the logit of the realized token)."""
-    idx = np.asarray(idx)
-    v = np.take_along_axis(a.value, idx[..., None], axis=-1)[..., 0]
+def cross_entropy(logits: Node, targets) -> Node:
+    """Mean negative log-likelihood of one target class per row of [B, V]
+    logits, -mean_r log softmax(x_r)[t_r], as one tape node. Forward is
+    (x[r, t_r] - m_r) - log z_r (m the row max, z the row sum of e = exp(x -
+    m)) summed over rows, times c = -1/B; backward is onehot(g c) - (e / z)
+    (g c). Those are the expressions, in that order, of log_softmax, a pick
+    of each target and a mean taken as separate ops, so they round alike."""
+    x = logits.value
+    targets = np.asarray(targets, dtype=np.int64)
+    if x.ndim != 2 or targets.shape != x.shape[:1]:
+        raise ShapeError(f"cross_entropy expects [B, V] logits and [B] targets, "
+                         f"got {logits.shape} and {targets.shape}")
+    rows = np.arange(x.shape[0])
+    m = x.max(axis=-1, keepdims=True)
+    e = np.exp(x - m)
+    z = e.sum(axis=-1, keepdims=True)
+    c = -1.0 / x.shape[0]
+    picked = (x[rows, targets] - m[:, 0]) - np.log(z)[:, 0]
+    v = np.asarray(picked.sum()) * c
 
     def bk(g):
-        z = np.zeros_like(a.value)
-        np.put_along_axis(z, idx[..., None], g[..., None], axis=-1)
-        return (z,)
+        gc = g * c
+        gx = np.zeros_like(x)
+        gx[rows, targets] = gc
+        gx -= (e / z) * gc
+        return (gx,)
 
-    return record("take_along_last", v, (a,), bk)
+    return record("cross_entropy", v, (logits,), bk)
 
 
 def sum_all(a: Node) -> Node:

@@ -30,6 +30,7 @@ from .reports import (MetricsDirError, config_hash, read_metrics, write_comparis
 from .training import Trainer, check_dataset_matches, make_batch
 
 DUMP_BATCH = 16  # examples per forward: [16, 68, 128] float32 temporaries (0.6 MB) fit a 2 MB L2
+HELD_OUT_LM_EXAMPLES = 64  # probe-train examples behind --diag-every's eval_lm
 
 
 class ConfigError(ValueError):
@@ -162,7 +163,7 @@ def cmd_train(args) -> int:
 
     def on_step(report):
         if run_cfg.diag_every and report.step % run_cfg.diag_every == 0:
-            eval_rows.append((report.step, _held_out_lm(trainer, dataset)))
+            eval_rows.append((report.step, _held_out_lm(trainer.params, dataset)))
 
     reports = trainer.run(log_path=out / "train_log.csv", on_step=on_step)
     save_checkpoint(trainer.params, out / "checkpoint.prea")
@@ -178,13 +179,13 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _held_out_lm(trainer, dataset, limit: int = 64) -> float:
-    examples = dataset.splits["probe-train"][:limit]
+def _held_out_lm(params, dataset) -> float:
+    examples = dataset.splits["probe-train"][:HELD_OUT_LM_EXAMPLES]
     if not examples:
         return float("nan")
-    batch = make_batch(trainer.params, examples)
+    batch = make_batch(params, examples)
     with ad.no_grad():
-        trace = llm_forward(trainer.params, batch.z, batch.prompts, answer_row_only=True)
+        trace = llm_forward(params, batch.z, batch.prompts, answer_row_only=True)
         return float(lm_loss(trace, batch.answers).value)
 
 
@@ -227,7 +228,8 @@ def cmd_dump(args) -> int:
             batch = make_batch(params, examples[i : i + DUMP_BATCH])
             trace = llm_forward(params, batch.z, batch.prompts)
             z[i : i + DUMP_BATCH] = trace.z
-            hv[:, i : i + DUMP_BATCH] = np.stack([trace.visual_values(l) for l in range(len(hv))])
+            for layer, states in enumerate(hv):
+                states[i : i + DUMP_BATCH] = trace.visual(layer).value
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     dump_hidden_states(out, run_cfg.grid, [ex.id for ex in examples], z, hv)
@@ -253,7 +255,7 @@ def _check_dump_traces_the_run(params, example, dumped) -> None:
         batch = make_batch(params, [example])
         trace = llm_forward(params, batch.z, batch.prompts)
     for layer, states in enumerate(dumped):
-        if trace.visual_values(layer)[0].tobytes() != states.tobytes():
+        if trace.visual(layer).value[0].tobytes() != states.tobytes():
             raise ValueError(f"entry 'ex{example.id:08d}/hv{layer:02d}' differs from the "
                              f"run's trace of that example")
 

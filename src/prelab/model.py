@@ -147,13 +147,13 @@ class MllmParams:
 
 @dataclass
 class ForwardTrace:
-    """Recorded forward pass over [prompt | visual]: layer-0..L hidden states
-    with segment offsets, the projected visual tokens, the raw encoder
-    features, and the answer logits read at the last visual position. With
-    answer_row_only, layers[L] is [B, 1, d_l], the answer row alone."""
+    """Recorded forward pass over [prompt | visual]: the raw encoder
+    features, layer-0..L hidden states, and the answer logits read at the
+    last visual position. visual(l) reads layer l's visual rows; layer 0's
+    are bitwise the projector output. With answer_row_only, layers[L] is
+    [B, 1, d_l], the answer row alone."""
 
     z: np.ndarray            # [B, N_p, D_V] frozen encoder output
-    hv0: Node                # [B, N_p, d_l] projected visual tokens
     layers: list             # L+1 nodes of [B, PROMPT_LEN + N_p, d_l]; 0 = decoder input
     logits: Node             # [B, vocab], predicting the answer token
     n_patches: int
@@ -162,14 +162,14 @@ class ForwardTrace:
     def full_layer(self, layer: int) -> Node:
         """layers[layer]; ValueError if it holds only the answer row."""
         node = self.layers[layer]
-        if node.value.shape[1] != self.visual_start + self.n_patches:
+        if node.value.shape[1] != self.layers[0].value.shape[1]:
             raise ValueError(f"layer {layer} holds only the answer row: "
                              f"the forward ran with answer_row_only")
         return node
 
-    def visual_values(self, layer: int) -> np.ndarray:
-        rows = slice(self.visual_start, self.visual_start + self.n_patches)
-        return self.full_layer(layer).value[:, rows, :]
+    def visual(self, layer: int) -> Node:
+        """Layer `layer`'s visual rows, [B, N_p, d_l]."""
+        return ad.narrow(self.full_layer(layer), 1, self.visual_start, self.n_patches)
 
 
 def encode_image(params: MllmParams, images: np.ndarray) -> np.ndarray:
@@ -210,9 +210,8 @@ def llm_forward(params: MllmParams, z: np.ndarray, prompts: np.ndarray,
     if prompts.shape[1] != PROMPT_LEN:
         raise ShapeError(f"prompt length {prompts.shape[1]} != {PROMPT_LEN}")
 
-    hv0 = params.proj(ad.constant(z))
     prompt_emb = ad.add(params.tok_emb(prompts), params.pos_emb(np.arange(PROMPT_LEN)))
-    h = ad.concat([prompt_emb, hv0], axis=1)
+    h = ad.concat([prompt_emb, params.proj(ad.constant(z))], axis=1)
 
     recorded = [h]
     for block in params.blocks:
@@ -221,19 +220,13 @@ def llm_forward(params: MllmParams, z: np.ndarray, prompts: np.ndarray,
     b, t, d = h.value.shape
     last = ad.reshape(ad.narrow(h, 1, t - 1, 1), (b, d))
     logits = params.head(params.ln_f(last))
-    return ForwardTrace(z=z, hv0=hv0, layers=recorded, logits=logits,
-                        n_patches=cfg.n_patches)
+    return ForwardTrace(z=z, layers=recorded, logits=logits, n_patches=cfg.n_patches)
 
 
 def lm_loss(trace: ForwardTrace, answers: np.ndarray) -> Node:
     """Mean negative log-likelihood of the answer tokens, answers: [B]
     token ids, one per example, predicted from the last visual position."""
-    answers = np.asarray(answers, dtype=np.int64)
-    b = trace.logits.value.shape[0]
-    if answers.shape != (b,):
-        raise ShapeError(f"answers shape {answers.shape} != ({b},)")
-    picked = ad.take_along_last(ad.log_softmax(trace.logits), answers)
-    return ad.scale(ad.sum_all(picked), -1.0 / b)
+    return ad.cross_entropy(trace.logits, answers)
 
 
 def _patch_pred_loss(visual_rows: Node, anchor: Node, pred_head) -> Node:
@@ -242,29 +235,20 @@ def _patch_pred_loss(visual_rows: Node, anchor: Node, pred_head) -> Node:
     return ad.scale(ad.sum_all(sims), -1.0 / sims.value.size)
 
 
-def _visual_rows(trace_layer: Node, visual_start: int, n_patches: int, d: int) -> Node:
-    b = trace_layer.value.shape[0]
-    seg = ad.narrow(trace_layer, 1, visual_start, n_patches)
-    return ad.reshape(seg, (b * n_patches, d))
-
-
 def pre_loss(trace: ForwardTrace, params: MllmParams) -> Node:
     """Negative mean per-patch cosine between the predicted features of the
     target layer's visual hidden states and the detached anchor features.
 
-    The anchor (projected visual tokens, or raw encoder features for the
-    pre-projection source) enters through a stop-gradient, so it is a fixed
-    target: no gradient ever reaches the projector or encoder through it.
+    The anchor (layer 0's visual rows, which are the projector output, or
+    raw encoder features for the pre-projection source) enters through a
+    stop-gradient, so it is a fixed target: no gradient ever reaches the
+    projector or encoder through it.
     """
     cfg = params.cfg
-    if not 1 <= cfg.target_layer <= len(trace.layers) - 1:
-        raise ValueError(f"target layer {cfg.target_layer} outside [1, {len(trace.layers) - 1}]")
-    b = trace.z.shape[0]
-    n_rows = b * trace.n_patches
-    hvl = _visual_rows(trace.full_layer(cfg.target_layer), trace.visual_start,
-                       trace.n_patches, cfg.d_l)
+    n_rows = trace.z.shape[0] * trace.n_patches
+    hvl = ad.reshape(trace.visual(cfg.target_layer), (n_rows, cfg.d_l))
     if cfg.anchor == ANCHOR_PRE_LLM:
-        anchor_node = stop_gradient(ad.reshape(trace.hv0, (n_rows, cfg.d_l)))
+        anchor_node = ad.reshape(stop_gradient(trace.visual(0)), (n_rows, cfg.d_l))
     else:
         anchor_node = stop_gradient(ad.constant(trace.z.reshape(n_rows, D_V)))
     return _patch_pred_loss(hvl, anchor_node, params.pred_head)

@@ -21,7 +21,8 @@ def mul(a: ad.Node, b: ad.Node) -> ad.Node:
 
 def mean(a: ad.Node) -> ad.Node:
     """Mean of every entry of a node, the scalar loss of several gradient
-    tests; the package itself takes means with ad.scale of ad.sum_all."""
+    tests, as the package's PRe loss takes its mean (its LM loss is the
+    fused ad.cross_entropy)."""
     return ad.scale(ad.sum_all(a), 1.0 / a.value.size)
 
 

@@ -265,10 +265,44 @@ class TestPrimitiveGradients:
         with pytest.raises(ShapeError):  # the first query row must be a row
             ad.causal_attention(ad.constant(np.ones((1, 4, 12))), 2, 4)
 
-    def test_log_softmax(self):
-        w = ad.constant(RNG.normal(size=(3, 6)))
-        check_grad(lambda x: ad.sum_all(mul(ad.log_softmax(x), w)),
-                   RNG.normal(size=(3, 6)))
+    def test_cross_entropy(self):
+        targets = np.array([0, 5, 2, 5])
+        check_grad(lambda x: ad.cross_entropy(x, targets), RNG.normal(size=(4, 6)) * 3)
+
+    def test_float32_cross_entropy_is_bitwise_the_unfused_chain(self):
+        # -mean(log_softmax(x)[r, t_r]) as log_softmax, a pick of each target,
+        # a sum and a scale would compute it, each op's forward and backward
+        # written out in numpy. The sum over rows can hide a change of
+        # rounding in one row, so each row is also checked alone.
+        def unfused(x, targets):
+            m = x.max(axis=-1, keepdims=True)
+            e = np.exp(x - m)
+            z = e.sum(axis=-1, keepdims=True)
+            logp = (x - m) - np.log(z)
+            c = -1.0 / len(x)
+            picked = np.take_along_axis(logp, targets[:, None], axis=-1)[:, 0]
+            g = np.ones((), dtype=x.dtype) * c  # scale's backward of the seed 1
+            onehot = np.zeros_like(x)
+            np.put_along_axis(onehot, targets[:, None], np.broadcast_to(g, (len(x), 1)), axis=-1)
+            return (np.asarray(picked.sum()) * c,
+                    onehot - (e / z) * np.sum(onehot, axis=-1, keepdims=True))
+
+        x = (RNG.normal(size=(8, 64)) * 4).astype(np.float32)
+        targets = RNG.integers(0, 64, size=8)
+        for rows in [slice(None)] + [slice(r, r + 1) for r in range(8)]:
+            p = Parameter("x", x[rows])
+            loss = ad.cross_entropy(p.node(), targets[rows])
+            backward(loss)
+            want, want_grad = unfused(x[rows], targets[rows])
+            assert loss.value.dtype == p.grad.dtype == np.float32
+            assert loss.value.tobytes() == want.tobytes()
+            assert p.grad.tobytes() == want_grad.tobytes()
+
+    def test_cross_entropy_shape_errors(self):
+        with pytest.raises(ShapeError):
+            ad.cross_entropy(ad.constant(np.ones((2, 3))), np.zeros(3, dtype=int))
+        with pytest.raises(ShapeError):
+            ad.cross_entropy(ad.constant(np.ones((2, 2, 3))), np.zeros(2, dtype=int))
 
     def test_layer_norm(self):
         gamma = ad.constant(RNG.normal(size=(6,)) + 1.0)
@@ -314,11 +348,6 @@ class TestPrimitiveGradients:
         w = ad.constant(RNG.normal(size=(2, 2, 4)))
         check_grad(lambda t: ad.sum_all(mul(ad.embedding(t, ids), w)),
                    RNG.normal(size=(3, 4)))
-
-    def test_take_along_last(self):
-        idx = np.array([[0, 2], [1, 1]])
-        check_grad(lambda x: ad.sum_all(ad.take_along_last(x, idx)),
-                   RNG.normal(size=(2, 2, 3)))
 
     def test_cosine_rows(self):
         z = ad.constant(RNG.normal(size=(5, 4)))

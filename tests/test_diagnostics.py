@@ -292,7 +292,7 @@ def _lens_states():
     z = encode_image(params, rng.uniform(size=(3, 8, 8)))
     with ad.no_grad():
         trace = llm_forward(params, z, rng.integers(0, 32, size=(3, 4)))
-        visual = [trace.visual_values(l).reshape(-1, cfg.d_l) for l in range(cfg.layers + 1)]
+        visual = [trace.visual(l).value.reshape(-1, cfg.d_l) for l in range(cfg.layers + 1)]
     return params, visual
 
 

@@ -1,8 +1,9 @@
-"""tools/golden_digest.py --check: every path whose sha256 differs, that the
-saved digest lists but the run did not produce, or that the run produced but
-the saved digest does not list. --diff-values: the largest relative change
-of each artifact's numbers, and whether the logit lens kept its tokens and
-ranks."""
+"""tools/golden_digest.py: the pipeline's artifacts against the committed
+digest, tests/golden.sha256. --check: every path whose sha256 differs, that
+the saved digest lists but the run did not produce, or that the run produced
+but the saved digest does not list. --diff-values: the largest relative
+change of each artifact's numbers, and whether the logit lens kept its
+tokens and ranks."""
 
 import importlib.util
 from pathlib import Path
@@ -15,6 +16,18 @@ TOOL = Path(__file__).resolve().parents[1] / "tools" / "golden_digest.py"
 spec = importlib.util.spec_from_file_location("golden_digest", TOOL)
 golden_digest = importlib.util.module_from_spec(spec)
 spec.loader.exec_module(golden_digest)
+GOLDEN = Path(__file__).with_name("golden.sha256")
+
+
+def test_pipeline_artifacts_match_the_committed_digest(tmp_path):
+    """Every artifact of the pipeline, byte for byte. The bytes depend on
+    numpy's and the BLAS's rounding, so the digest holds for the numpy/BLAS
+    build it was made on. A change that alters artifacts on purpose
+    regenerates it (python3 tools/golden_digest.py WORK > tests/golden.sha256)
+    and names the changed files in CHANGES.md."""
+    golden_digest.pipeline(tmp_path / "work")
+    have = golden_digest.digest(tmp_path / "work")
+    assert golden_digest.compare(GOLDEN.read_text().splitlines(), have) == []
 
 
 def test_compare_lists_every_path_that_differs_or_is_missing():

@@ -56,13 +56,12 @@ def test_gradcheck_total_loss_pre_llm():
     cfg = params.cfg
     with ad.no_grad():
         base = llm_forward(params, z, prompts)
-        anchor = base.hv0.value.reshape(-1, cfg.d_l)
+        anchor = base.visual(0).value.reshape(-1, cfg.d_l)
         base_total = total_loss(base, answers, params)[0].value
 
     def pinned_loss():
         trace = llm_forward(params, z, prompts)
-        rows = model._visual_rows(trace.layers[cfg.target_layer], trace.visual_start,
-                                  trace.n_patches, cfg.d_l)
+        rows = ad.reshape(trace.visual(cfg.target_layer), anchor.shape)
         pre = model._patch_pred_loss(rows, ad.constant(anchor), params.pred_head)
         return ad.add(lm_loss(trace, answers), ad.scale(pre, cfg.lam))
 
@@ -112,10 +111,21 @@ def test_reading_other_rows_of_an_answer_row_layer_fails():
     params, z, prompts, answers = tiny(model.ANCHOR_PRE_LLM)
     params.cfg.target_layer = params.cfg.layers
     trace = llm_forward(params, z, prompts, answer_row_only=True)
-    assert trace.visual_values(1).shape == (3, params.cfg.n_patches, params.cfg.d_l)
-    for read in (lambda: trace.visual_values(2), lambda: model.pre_loss(trace, params)):
+    assert trace.visual(1).value.shape == (3, params.cfg.n_patches, params.cfg.d_l)
+    for read in (lambda: trace.visual(2), lambda: model.pre_loss(trace, params)):
         with pytest.raises(ValueError, match="^layer 2 holds only the answer row"):
             read()
+
+
+@pytest.mark.parametrize("float64", [True, False])
+def test_layer_0_visual_rows_are_bitwise_the_projector_output(float64):
+    # the pre-llm anchor reads layer 0's visual rows as the projected tokens
+    params, z, prompts, _ = tiny(model.ANCHOR_PRE_LLM, float64=float64)
+    with ad.no_grad():
+        trace = llm_forward(params, z, prompts)
+        projected = params.proj(ad.constant(trace.z)).value
+    assert projected.dtype == (np.float64 if float64 else np.float32)
+    assert trace.visual(0).value.tobytes() == projected.tobytes()
 
 
 @pytest.mark.parametrize("anchor", [model.ANCHOR_PRE_LLM, model.ANCHOR_PRE_PROJ])
@@ -171,7 +181,7 @@ def test_lm_loss_matches_numpy_reference():
 def test_pre_llm_anchor_passes_exactly_zero_gradient():
     # The stop-gradient anchor must act as a constant: backward(total) gives
     # every parameter, bitwise, the gradient of the same loss with the anchor
-    # replaced by a constant copy of the projected visual tokens.
+    # replaced by a constant copy of layer 0's visual rows.
     params, z, prompts, answers = tiny(model.ANCHOR_PRE_LLM)
     cfg = params.cfg
 
@@ -186,9 +196,8 @@ def test_pre_llm_anchor_passes_exactly_zero_gradient():
     with_stop_gradient = grads(total)
 
     trace = llm_forward(params, z, prompts)
-    rows = model._visual_rows(trace.layers[cfg.target_layer], trace.visual_start,
-                              trace.n_patches, cfg.d_l)
-    anchor = ad.constant(trace.hv0.value.reshape(-1, cfg.d_l).copy())
+    anchor = ad.constant(trace.visual(0).value.reshape(-1, cfg.d_l).copy())
+    rows = ad.reshape(trace.visual(cfg.target_layer), anchor.shape)
     pinned = ad.add(lm_loss(trace, answers),
                     ad.scale(model._patch_pred_loss(rows, anchor, params.pred_head), cfg.lam))
     assert pinned.value == total.value

@@ -328,6 +328,6 @@ def test_dump_states_are_one_trace_of_all_examples(tmp_path, monkeypatch, batch)
         b = make_batch(params, examples)
         trace = llm_forward(params, b.z, b.prompts)
     for layer in range(t.params.cfg.layers + 1):
-        states = trace.visual_values(layer).astype(np.float32)
+        states = trace.visual(layer).value.astype(np.float32)
         for ex, want in zip(examples, states):
             assert dumped[f"ex{ex.id:08d}/hv{layer:02d}"].tobytes() == want.tobytes()

@@ -14,12 +14,14 @@ With --check, nothing is printed for an artifact whose sha256 matches the
 digest file's line; every other path is listed as "differs", "missing" (in
 the file, not produced) or "extra" (produced, not in the file), and the exit
 code is 1 if any path is listed.
-train_time.csv holds wall times, so it is skipped. config.json records
---data and --out as given, so two checkouts compare only when both run at
-the same WORK_DIR; WORK_DIR must not exist or be empty.
+train_time.csv holds wall times, so it is skipped. The pipeline runs inside
+WORK_DIR with paths relative to it, so the paths that config.json and the
+summaries record, and so the digest, do not depend on where WORK_DIR is.
+WORK_DIR must not exist or be empty. tests/golden.sha256 is the digest that
+tests/test_golden_digest.py checks.
 
 --diff-values compares two finished work directories, say two checkouts'
-runs at the same WORK_DIR, each moved aside after its run. It runs nothing.
+runs. It runs nothing.
 For each artifact it prints the largest relative change among its numeric
 fields: |a - b| / max(|a|, |b|) for each number in the text of a file, and
 max |a - b| / max(|a|, |b|) over each whole tensor of a .prea archive,
@@ -37,6 +39,7 @@ import contextlib
 import csv
 import hashlib
 import math
+import os
 import re
 import sys
 from pathlib import Path
@@ -66,16 +69,23 @@ def run(argv) -> None:
 
 
 def pipeline(w: Path) -> None:
-    data = w / "data"
-    run(["gen-data", "--n", 800, "--grid", 8, "--seed", 5, "--out", data])
-    for name, flags in RUNS.items():
-        run(["train", "--data", data, "--out", w / name, "--steps", 10, *flags])
-        run(["dump", "--run", w / name, "--data", data, "--out", w / f"{name}.prea"])
-        run(["metrics", "--hidden", w / f"{name}.prea", "--data", data, "--run", w / name,
-             "--out", w / f"{name}-metrics"])
-    for name in ("aux", "proj"):
-        run(["report", "--baseline", w / "base-metrics", "--pre", w / f"{name}-metrics",
-             "--out", w / f"report-{name}"])
+    """Run the pipeline inside w, every path relative to it, so that the
+    paths its artifacts record are the same wherever w is."""
+    w.mkdir(parents=True, exist_ok=True)
+    cwd = os.getcwd()
+    os.chdir(w)
+    try:
+        run(["gen-data", "--n", 800, "--grid", 8, "--seed", 5, "--out", "data"])
+        for name, flags in RUNS.items():
+            run(["train", "--data", "data", "--out", name, "--steps", 10, *flags])
+            run(["dump", "--run", name, "--data", "data", "--out", f"{name}.prea"])
+            run(["metrics", "--hidden", f"{name}.prea", "--data", "data", "--run", name,
+                 "--out", f"{name}-metrics"])
+        for name in ("aux", "proj"):
+            run(["report", "--baseline", "base-metrics", "--pre", f"{name}-metrics",
+                 "--out", f"report-{name}"])
+    finally:
+        os.chdir(cwd)
 
 
 def digest(w: Path) -> list:
