@@ -10,6 +10,11 @@ discarded after backward(). Node ids increase monotonically and parents are
 always created before children, so iterating reachable nodes by descending
 id is a deterministic reverse-topological order.
 
+No op writes into an array it was given or has returned, so every node
+value stays as it was made until backward has run. Backward closures rely
+on it: they keep views of their inputs, layer_norm's rebuilds x-hat from
+its input and gelu_linear's the GELU output from its.
+
 stop_gradient() is a first-class primitive: it re-wraps a value as a
 parentless constant node, so nothing upstream of it can ever receive
 gradient -- the exact zeros are structural, not numerical.
@@ -204,10 +209,21 @@ def scale(a: Node, c: float) -> Node:
     return record("scale", v, (a,), bk)
 
 
-def linear(x: Node, w: Node, b: Node = None) -> Node:
-    """x @ w (+ b) over the last axis of x. Leading axes are flattened into
-    the rows of one 2-D GEMM, so the weight gradient x2.T @ g2 is one GEMM
-    too, not one per batch entry plus a sum over the batch."""
+def _check_residual(op: str, residual, out: np.ndarray) -> None:
+    """A residual added in place must match the output: += would broadcast a
+    smaller one, or round a float64 one down to float32."""
+    if residual is not None and (residual.shape, residual.value.dtype) != (out.shape, out.dtype):
+        raise ShapeError(f"{op} residual {residual.value.dtype} {residual.shape} != "
+                         f"output {out.dtype} {out.shape}")
+
+
+def linear(x: Node, w: Node, b: Node = None, residual: Node = None) -> Node:
+    """x @ w (+ b) (+ residual) over the last axis of x. Leading axes are
+    flattened into the rows of one 2-D GEMM, so the weight gradient x2.T @ g2
+    is one GEMM too, not one per batch entry plus a sum over the batch.
+    The residual is added into the output in place, bitwise add(residual,
+    x @ w + b), and takes g unchanged in backward. Backward keeps x and w,
+    which the graph holds anyway, and nothing of the output."""
     xv, wv = x.value, w.value
     if wv.ndim != 2 or xv.ndim < 1 or xv.shape[-1] != wv.shape[0]:
         raise ShapeError(f"linear expects [..., d_in] and [d_in, d_out], "
@@ -218,15 +234,21 @@ def linear(x: Node, w: Node, b: Node = None) -> Node:
     v = x2 @ wv
     if b is not None:
         v += b.value
+    out = v.reshape(xv.shape[:-1] + wv.shape[1:])
+    _check_residual("linear", residual, out)
+    if residual is not None:
+        out += residual.value
 
     def bk(g):
-        g2 = g.reshape(v.shape)
-        gx = (g2 @ wv.T).reshape(xv.shape)
-        gw = x2.T @ g2
-        return (gx, gw) if b is None else (gx, gw, g2.sum(axis=0))
+        g2 = g.reshape(-1, wv.shape[1])
+        grads = [(g2 @ wv.T).reshape(xv.shape), x2.T @ g2]
+        if b is not None:
+            grads.append(g2.sum(axis=0))
+        if residual is not None:
+            grads.append(g)
+        return grads
 
-    parents = (x, w) if b is None else (x, w, b)
-    return record("linear", v.reshape(xv.shape[:-1] + wv.shape[1:]), parents, bk)
+    return record("linear", out, (x, w, *(n for n in (b, residual) if n is not None)), bk)
 
 
 def reshape(a: Node, shape) -> Node:
@@ -380,16 +402,22 @@ def causal_attention(qkv: Node, heads: int, first_row: int = 0) -> Node:
 def layer_norm(a: Node, gamma: Node, beta: Node) -> Node:
     """Normalize the last axis to zero mean / unit variance, then affine.
     Every row moment, forward and backward, is one GEMV of the rows with a
-    1/d vector, not numpy's reduction along each short row."""
+    1/d vector, not numpy's reduction along each short row. Backward keeps
+    the row means and 1/sigma, not x-hat: it rebuilds x-hat from the input,
+    which the graph holds anyway, with the forward's two expressions."""
     x = a.value
     d = x.shape[-1]
     avg = np.full(d, 1.0 / d, dtype=x.dtype)
-    xhat = x.reshape(-1, d) - (x.reshape(-1, d) @ avg)[:, None]
+    x2 = x.reshape(-1, d)
+    mean = (x2 @ avg)[:, None]
+    xhat = x2 - mean
     inv = (1.0 / np.sqrt((xhat * xhat) @ avg + LAYER_NORM_EPS))[:, None]
     xhat *= inv  # in place: one [.., d] buffer fewer at the peak
     v = (xhat * gamma.value + beta.value).reshape(x.shape)
 
     def bk(g):
+        xhat = x2 - mean
+        xhat *= inv
         g = g.reshape(xhat.shape)
         gh = g * gamma.value
         dot = (gh * xhat) @ avg
@@ -436,18 +464,39 @@ def _erf(x: np.ndarray) -> np.ndarray:
     return p
 
 
-def gelu(a: Node) -> Node:
-    """Erf-based GELU: x * Phi(x). Float32 input takes erf from _erf's
-    float32 approximation (within 4.5e-7), any other dtype math.erf."""
-    x = a.value
-    phi_cdf = 0.5 * (1.0 + _erf(x / _SQRT2))
-    v = x * phi_cdf
+def gelu_linear(h: Node, w: Node, b: Node, residual: Node = None) -> Node:
+    """The erf GELU, h * Phi(h), then @ w + b (+ residual) over the last
+    axis: one tape op, bitwise the chain gelu -> linear (-> add). Float32
+    takes erf from _erf's float32 approximation (within 4.5e-7), any other
+    dtype math.erf. Backward keeps h, which the graph holds anyway, and
+    Phi(h), not the GELU output: it rebuilds that as h * Phi(h) for the
+    weight gradient. The residual takes g unchanged."""
+    hv, wv = h.value, w.value
+    if wv.ndim != 2 or hv.ndim < 1 or hv.shape[-1] != wv.shape[0] or b.shape != wv.shape[1:]:
+        raise ShapeError(f"gelu_linear expects [..., d_in], [d_in, d_out] and [d_out], "
+                         f"got {h.shape}, {w.shape} and {b.shape}")
+    h2 = hv.reshape(-1, hv.shape[-1])
+    phi = 0.5 * (1.0 + _erf(h2 / _SQRT2))
+    v = (h2 * phi) @ wv
+    v += b.value
+    out = v.reshape(hv.shape[:-1] + wv.shape[1:])
+    _check_residual("gelu_linear", residual, out)
+    if residual is not None:
+        out += residual.value
 
     def bk(g):
-        pdf = _INV_SQRT_2PI * np.exp(-0.5 * x * x)
-        return (g * (phi_cdf + x * pdf),)
+        g2 = g.reshape(-1, wv.shape[1])
+        gact = g2 @ wv.T
+        act = h2 * phi
+        gw = act.T @ g2
+        del act
+        pdf = _INV_SQRT_2PI * np.exp(-0.5 * h2 * h2)
+        grads = [(gact * (phi + h2 * pdf)).reshape(hv.shape), gw, g2.sum(axis=0)]
+        if residual is not None:
+            grads.append(g)
+        return grads
 
-    return record("gelu", v, (a,), bk)
+    return record("gelu_linear", out, (h, w, b, *(() if residual is None else (residual,))), bk)
 
 
 def embedding(table: Node, ids: np.ndarray) -> Node:

@@ -87,6 +87,29 @@ def attention_reference_grad(qkv, heads, g):
     return grad
 
 
+def gelu_op(a):
+    """The erf GELU as a tape op of its own, with the expressions
+    ad.gelu_linear fuses: x * Phi(x) forward, g * (Phi(x) + x * pdf(x))
+    backward."""
+    x = a.value
+    phi = 0.5 * (1.0 + ad._erf(x / math.sqrt(2.0)))
+
+    def bk(g):
+        pdf = (1.0 / math.sqrt(2.0 * math.pi)) * np.exp(-0.5 * x * x)
+        return (g * (phi + x * pdf),)
+
+    return ad.record("gelu", x * phi, (a,), bk)
+
+
+def values_and_grads(build, arrays, g, dtype):
+    """The value of build({name: node}) over fresh parameters cast to dtype,
+    then each parameter's gradient of sum(value * g)."""
+    params = {name: Parameter(name, a.astype(dtype)) for name, a in arrays.items()}
+    out = build({name: p.node() for name, p in params.items()})
+    backward(ad.sum_all(mul(out, ad.constant(g.astype(dtype)))))
+    return [out.value] + [p.grad for p in params.values()]
+
+
 def rel_err(a, ref):
     return np.max(np.abs(a - ref)) / np.max(np.abs(ref))
 
@@ -148,6 +171,26 @@ class TestPrimitiveGradients:
         out = ad.linear(ad.constant(x), ad.constant(w), ad.constant(b)).value
         assert out.shape == (2, 5, 4)
         assert np.allclose(out, np.matmul(x, w) + b, rtol=1e-14, atol=0)
+
+    @pytest.mark.parametrize("arg", range(4))
+    def test_linear_with_residual(self, arg):
+        # each of x, w, b and the residual in turn, the others fixed
+        args = [RNG.normal(size=s) for s in ((2, 3, 4), (4, 5), (5,), (2, 3, 5))]
+        w = ad.constant(RNG.normal(size=(2, 3, 5)))
+        check_grad(lambda node: ad.sum_all(mul(ad.linear(
+            *(node if i == arg else ad.constant(a) for i, a in enumerate(args))), w)), args[arg])
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_linear_with_residual_is_bitwise_linear_then_add(self, dtype):
+        arrays = {"x": RNG.normal(size=(2, 5, 8)), "w": RNG.normal(size=(8, 6)),
+                  "b": RNG.normal(size=(6,)), "r": RNG.normal(size=(2, 5, 6))}
+        g = RNG.normal(size=(2, 5, 6))
+        fused = values_and_grads(lambda n: ad.linear(n["x"], n["w"], n["b"], n["r"]),
+                                 arrays, g, dtype)
+        chain = values_and_grads(lambda n: ad.add(n["r"], ad.linear(n["x"], n["w"], n["b"])),
+                                 arrays, g, dtype)
+        assert [a.tobytes() for a in fused] == [a.tobytes() for a in chain]
+        assert all(a.dtype == dtype for a in fused)
 
     def test_linear_shape_errors(self):
         x = ad.constant(np.ones((2, 3)))
@@ -340,8 +383,59 @@ class TestPrimitiveGradients:
         assert np.max(np.abs(out.mean(axis=-1))) < 1e-12
         assert np.max(np.abs(out.var(axis=-1) - 1.0)) < 1e-9
 
-    def test_gelu(self):
-        check_grad(lambda x: ad.sum_all(ad.gelu(x)), RNG.normal(size=(30,)) * 2)
+    @pytest.mark.parametrize("arg, residual", [(i, True) for i in range(4)]
+                             + [(i, False) for i in range(3)])
+    def test_gelu_linear(self, arg, residual):
+        # each of h, w, b and the residual in turn, the others fixed
+        shapes = ((2, 3, 4), (4, 5), (5,)) + (((2, 3, 5),) if residual else ())
+        args = [RNG.normal(size=s) for s in shapes]
+        args[0] *= 2.0  # well into the GELU's curve
+        w = ad.constant(RNG.normal(size=(2, 3, 5)))
+        check_grad(lambda node: ad.sum_all(mul(ad.gelu_linear(
+            *(node if i == arg else ad.constant(a) for i, a in enumerate(args))), w)), args[arg])
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("rows, d_out, residual", [((2, 5), 8, True), ((10,), 6, False)])
+    def test_mlp_is_bitwise_the_unfused_chain(self, dtype, rows, d_out, residual):
+        # the decoder block's [B, T, d] with its residual, and the prediction
+        # head's 2-D rows without one: value and every gradient, byte for byte
+        arrays = {"x": RNG.normal(size=rows + (8,)) * 2.0, "w1": RNG.normal(size=(8, 16)),
+                  "b1": RNG.normal(size=(16,)), "w2": RNG.normal(size=(16, d_out)),
+                  "b2": RNG.normal(size=(d_out,))}
+        if residual:
+            arrays["r"] = RNG.normal(size=rows + (d_out,))
+        g = RNG.normal(size=rows + (d_out,))
+
+        def chain(n):
+            out = ad.linear(gelu_op(ad.linear(n["x"], n["w1"], n["b1"])), n["w2"], n["b2"])
+            return ad.add(n["r"], out) if residual else out
+
+        fused = values_and_grads(lambda n: ad.gelu_linear(
+            ad.linear(n["x"], n["w1"], n["b1"]), n["w2"], n["b2"], n.get("r")), arrays, g, dtype)
+        unfused = values_and_grads(chain, arrays, g, dtype)
+        assert [a.tobytes() for a in fused] == [a.tobytes() for a in unfused]
+        assert all(a.dtype == dtype for a in fused)
+
+    def test_gelu_linear_shape_errors(self):
+        h = ad.constant(np.ones((2, 3)))
+        w, b = ad.constant(np.ones((3, 4))), ad.constant(np.ones(4))
+        ad.gelu_linear(h, w, b)
+        for bad in ((h, ad.constant(np.ones((4, 4))), b), (h, w, ad.constant(np.ones(3))),
+                    (h, ad.constant(np.ones((3, 4, 1))), b), (ad.constant(1.0), w, b)):
+            with pytest.raises(ShapeError):
+                ad.gelu_linear(*bad)
+
+    def test_residual_of_another_shape_or_dtype_is_refused(self):
+        # += would broadcast the first two, and round the float64 one down
+        x = ad.constant(np.ones((2, 3, 4), dtype=np.float32))
+        w, b = ad.constant(np.ones((4, 4), np.float32)), ad.constant(np.zeros(4, np.float32))
+        for shape, dtype in (((4,), np.float32), ((1, 3, 4), np.float32),
+                             ((2, 3, 4), np.float64)):
+            residual = ad.constant(np.ones(shape, dtype=dtype))
+            with pytest.raises(ShapeError, match="residual"):
+                ad.linear(x, w, None, residual)
+            with pytest.raises(ShapeError, match="residual"):
+                ad.gelu_linear(x, w, b, residual)
 
     def test_embedding(self):
         ids = np.array([[0, 2], [2, 1]])
@@ -485,15 +579,16 @@ class TestFloat32Erf:
         assert got.dtype == np.float64
         assert got.tobytes() == np.array([[math.erf(v) for v in row] for row in x]).tobytes()
         assert np.all(np.abs(got - erf(x)) <= 2 * np.spacing(np.abs(erf(x))))
-        assert np.array_equal(ad.gelu(ad.constant(x)).value,
-                              x * (0.5 * (1.0 + ad._erf(x / np.sqrt(2.0)))))
 
-    def test_float32_gelu_stays_float32(self):
+    def test_float32_gelu_linear_stays_float32(self):
+        # an identity weight and a zero bias make it the GELU, exactly
         x = (RNG.normal(size=(4, 8)) * 3.0).astype(np.float32)
-        p = Parameter("x", x)
-        out = ad.gelu(p.node())
+        params = [Parameter(name, v) for name, v in
+                  (("x", x), ("w", np.eye(8, dtype=np.float32)), ("b", np.zeros(8, np.float32)))]
+        out = ad.gelu_linear(*(p.node() for p in params))
         backward(ad.sum_all(out))
-        assert out.value.dtype == np.float32 and p.grad.dtype == np.float32
+        assert out.value.dtype == np.float32
+        assert all(p.grad.dtype == np.float32 for p in params)
         ref = x.astype(np.float64) * 0.5 * (1.0 + erf(x.astype(np.float64) / np.sqrt(2.0)))
         assert np.max(np.abs(out.value - ref)) <= 1e-6 * np.max(np.abs(ref))
 

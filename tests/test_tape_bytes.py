@@ -1,0 +1,48 @@
+"""tools/tape_bytes.py: the bytes a train step's tape holds after the
+forward pass, per op, split into node values and backward-closure arrays,
+with each buffer counted once and parameter storage left out."""
+
+import importlib.util
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from prelab import autodiff as ad
+from prelab.autodiff import Parameter
+from prelab.model import MllmConfig
+
+TOOL = Path(__file__).resolve().parents[1] / "tools" / "tape_bytes.py"
+spec = importlib.util.spec_from_file_location("tape_bytes", TOOL)
+tape_bytes = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(tape_bytes)
+
+
+def test_a_buffer_counts_once_and_parameters_not_at_all():
+    f32 = np.float32
+    w, gamma, beta = (Parameter(n, np.ones(s, f32)) for n, s in (("w", (4, 3)), ("g", 3), ("b", 3)))
+    x = ad.constant(np.ones((5, 4), f32))  # 80 bytes
+    y = ad.layer_norm(ad.linear(x, w.node()), gamma.node(), beta.node())
+    per_op = tape_bytes.tape_bytes(ad.sum_all(ad.reshape(y, (15,))))
+    # linear's closure holds views of x and w alone; layer_norm's holds a
+    # view of its input, the 1/d vector (12 bytes), the row means and the
+    # 1/sigma column (20 bytes each); reshape's value is a view of y
+    assert per_op == {"const": [1, 80, 0], "param": [3, 0, 0], "linear": [1, 60, 0],
+                      "layer_norm": [1, 60, 52], "reshape": [1, 0, 0], "sum": [1, 4, 0]}
+
+
+@pytest.mark.parametrize("target_layer, want", [(1, (68, 17380, 5368)), (2, (67, 21412, 7840))])
+def test_train_step_tape_totals_at_a_tiny_shape(target_layer, want):
+    # (nodes, value bytes, backward bytes), with the answer-row last block
+    # (target layer 1) and with the prediction loss reading the whole last
+    # layer (target layer 2). A change to what the tape keeps moves these,
+    # and names the new totals in CHANGES.md.
+    cfg = MllmConfig(grid=2, d_l=8, layers=2, heads=2, lam=0.5, target_layer=target_layer)
+    per_op = tape_bytes.step_tape_bytes(cfg, batch_size=3)
+    assert tuple(sum(column) for column in zip(*per_op.values())) == want
+
+
+def test_table_lists_the_largest_op_first_and_the_totals_last():
+    lines = tape_bytes.format_table({"small": [2, 1000, 0], "big": [1, 2_000_000, 500_000]})
+    assert [line.split()[0] for line in lines] == ["op", "big", "small", "total"]
+    assert lines[-1].split() == ["total", "3", "2.001", "0.500", "2.501"]

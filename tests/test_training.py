@@ -7,8 +7,9 @@ float32 throughout while a float64 model stays float64, a checkpoint that
 round-trips the trained parameters bit for bit, a checkpoint missing a
 parameter, with an entry the model has no parameter for, or with an entry of
 another shape refused, a checkpoint load that draws only the encoder matrix,
-and a dump that encodes images with the encoder matrix training used and
-whose states are, bit for bit, one trace of all its examples."""
+a dump that encodes images with the encoder matrix training used and
+whose states are, bit for bit, one trace of all its examples, and a
+backward that leaves every node value of the train step's tape as it was."""
 
 import json
 import math
@@ -157,16 +158,49 @@ def test_train_step_does_not_refault_freed_memory(tmp_path):
     assert faults / 3 < 500
 
 
-def backward_dtypes(loss) -> set:
-    """Run ad.backward(loss) and return the dtypes met on its tape, as
-    {(what, dtype)}: every node value, and every gradient a backward
-    closure returns."""
-    seen, nodes, stack = set(), {}, [loss]
+def tape(loss) -> list:
+    """Every node reachable from loss along parents."""
+    nodes, stack = {}, [loss]
     while stack:
         node = stack.pop()
         if node.id not in nodes:
             nodes[node.id] = node
             stack.extend(node.parents)
+    return list(nodes.values())
+
+
+@pytest.mark.parametrize("lam, target_layer", [(0.5, 1), (0.5, 2), (0.0, 2)])
+def test_backward_leaves_every_node_value_on_the_tape_bitwise(dataset, monkeypatch, lam,
+                                                              target_layer):
+    # Backward closures keep views of their inputs, and layer_norm's and
+    # gelu_linear's rebuild arrays from theirs, so no op may write into a
+    # node value, in the forward or in backward: each value, copied when its
+    # node is made, must be the same once backward has run.
+    t = trainer(dataset, lam=lam)
+    t.params.cfg.target_layer = target_layer
+    made, after = {}, {}
+    init = ad.Node.__init__
+
+    def copying_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        made[self.id] = self.value.tobytes()
+
+    def checking_backward(loss):
+        nodes = tape(loss)
+        _backward(loss)
+        after.update((n.id, n.value.tobytes()) for n in nodes)
+
+    monkeypatch.setattr(ad.Node, "__init__", copying_init)
+    monkeypatch.setattr(ad, "backward", checking_backward)
+    train_step(t.params, t.opt, t.sample_batch())
+    assert len(after) > 40 and after == {i: made[i] for i in after}
+
+
+def backward_dtypes(loss) -> set:
+    """Run ad.backward(loss) and return the dtypes met on its tape, as
+    {(what, dtype)}: every node value, and every gradient a backward
+    closure returns."""
+    seen, nodes = set(), tape(loss)
 
     def watched(op, fn):
         def bk(g):
@@ -175,7 +209,7 @@ def backward_dtypes(loss) -> set:
             return grads
         return bk
 
-    for node in nodes.values():
+    for node in nodes:
         seen.add((f"{node.op} value", node.value.dtype))
         if node.backward_fn is not None:
             node.backward_fn = watched(node.op, node.backward_fn)
