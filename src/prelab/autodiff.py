@@ -553,7 +553,8 @@ def sum_all(a: Node) -> Node:
 
 
 def cosine_rows(p: Node, z: Node) -> Node:
-    """Row-wise cosine similarity of two N x D matrices -> N vector.
+    """Cosine similarity of each row of two same-shape [..., D] arrays, over
+    the last axis -> [...].
 
     Rows with finite norms, either of them below COSINE_NORM_FLOOR, yield
     similarity 0 with zero gradient: a zero-length feature carries no
@@ -563,21 +564,20 @@ def cosine_rows(p: Node, z: Node) -> Node:
     so a broken operand shows in the loss instead of reading as 0.
     """
     pv, zv = p.value, z.value
-    if pv.shape != zv.shape or pv.ndim != 2:
-        raise ShapeError(f"cosine_rows expects matching N x D, got {pv.shape} vs {zv.shape}")
-    pn = np.sqrt(np.sum(pv * pv, axis=1))
-    zn = np.sqrt(np.sum(zv * zv, axis=1))
+    if pv.shape != zv.shape or pv.ndim < 1:
+        raise ShapeError(f"cosine_rows expects matching [..., D], got {pv.shape} vs {zv.shape}")
+    pn = np.sqrt(np.sum(pv * pv, axis=-1))
+    zn = np.sqrt(np.sum(zv * zv, axis=-1))
     ok = ((pn >= COSINE_NORM_FLOOR) & (zn >= COSINE_NORM_FLOOR)) | ~np.isfinite(pn + zn)
     denom = np.where(ok, pn * zn, 1.0)
-    dots = np.sum(pv * zv, axis=1)
+    dots = np.sum(pv * zv, axis=-1)
     c = np.where(ok, dots / denom, 0.0)
 
     def bk(g):
-        gm = np.where(ok, g, 0.0)
-        pn_safe = np.where(ok, pn, 1.0)
-        zn_safe = np.where(ok, zn, 1.0)
-        gp = gm[:, None] * (zv / denom[:, None] - c[:, None] * pv / (pn_safe * pn_safe)[:, None])
-        gz = gm[:, None] * (pv / denom[:, None] - c[:, None] * zv / (zn_safe * zn_safe)[:, None])
-        return gp, gz
+        gm = np.where(ok, g, 0.0)[..., None]
+        d, cc = denom[..., None], c[..., None]
+        pn2 = np.where(ok, pn * pn, 1.0)[..., None]
+        zn2 = np.where(ok, zn * zn, 1.0)[..., None]
+        return gm * (zv / d - cc * pv / pn2), gm * (pv / d - cc * zv / zn2)
 
     return record("cosine_rows", c, (p, z), bk)

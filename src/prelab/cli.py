@@ -22,9 +22,8 @@ from . import __version__
 from . import autodiff as ad
 from .data import PROBE_SPLITS, DataSpec, Dataset, generate_dataset, load_dataset
 from .diagnostics import layer_metrics, logit_lens, similarity_map
-from .model import (ANCHOR_PRE_LLM, ANCHOR_PRE_PROJ, D_V, MllmConfig, llm_forward,
-                    load_checkpoint, lm_loss, dump_hidden_states, read_hidden_states,
-                    save_checkpoint)
+from .model import (ANCHORS, D_V, MllmConfig, llm_forward, load_checkpoint,
+                    dump_hidden_states, read_hidden_states, save_checkpoint)
 from .reports import (MetricsDirError, config_hash, read_metrics, write_comparison,
                       write_metrics)
 from .training import Trainer, check_dataset_matches, make_batch
@@ -116,7 +115,7 @@ _FLAG_SPECS = {
                 "help": "run output directory"},
     "lam": {"flag": "--lambda", "type": float, "default": RunConfig.lam,
             "help": "auxiliary loss weight; 0 runs the pure baseline"},
-    "anchor": {"choices": [ANCHOR_PRE_LLM, ANCHOR_PRE_PROJ], "default": RunConfig.anchor},
+    "anchor": {"choices": ANCHORS, "default": RunConfig.anchor},
 }
 
 
@@ -186,7 +185,7 @@ def _held_out_lm(params, dataset) -> float:
     batch = make_batch(params, examples)
     with ad.no_grad():
         trace = llm_forward(params, batch.z, batch.prompts, answer_row_only=True)
-        return float(lm_loss(trace, batch.answers).value)
+        return float(ad.cross_entropy(trace.logits, batch.answers).value)
 
 
 def _load_run(run_dir):
@@ -215,14 +214,15 @@ def _probe_splits(path, run_cfg: RunConfig) -> tuple:
     return dataset.splits["probe-train"], dataset.splits["probe-test"]
 
 
-def cmd_dump(args) -> int:
-    """Trace both probe splits, the examples `metrics` reads, DUMP_BATCH at a
-    time. The states do not depend on the batch size, only the speed does."""
-    run_cfg, params = _load_run(args.run)
-    probe_train, probe_test = _probe_splits(args.data, run_cfg)
-    examples = probe_train + probe_test
-    z = np.empty((len(examples), run_cfg.n_patches, D_V), dtype=np.float32)
-    hv = np.empty((run_cfg.layers + 1, *z.shape[:2], run_cfg.d_l), dtype=np.float32)
+def _trace_examples(params, examples) -> tuple:
+    """Trace `examples` DUMP_BATCH at a time: their encoder features z
+    [N, N_p, D_V] and visual states hv [L+1, N, N_p, d_l], in float32.
+    The BLAS may round a row apart in a batch of another size, so the
+    states are bit for bit those of another trace only over the same
+    batches."""
+    cfg = params.cfg
+    z = np.empty((len(examples), cfg.n_patches, D_V), dtype=np.float32)
+    hv = np.empty((cfg.layers + 1, *z.shape[:2], cfg.d_l), dtype=np.float32)
     with ad.no_grad():
         for i in range(0, len(examples), DUMP_BATCH):
             batch = make_batch(params, examples[i : i + DUMP_BATCH])
@@ -230,6 +230,16 @@ def cmd_dump(args) -> int:
             z[i : i + DUMP_BATCH] = trace.z
             for layer, states in enumerate(hv):
                 states[i : i + DUMP_BATCH] = trace.visual(layer).value
+    return z, hv
+
+
+def cmd_dump(args) -> int:
+    """Trace both probe splits, probe-train first, the examples `metrics`
+    reads, through _trace_examples."""
+    run_cfg, params = _load_run(args.run)
+    probe_train, probe_test = _probe_splits(args.data, run_cfg)
+    examples = probe_train + probe_test
+    z, hv = _trace_examples(params, examples)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     dump_hidden_states(out, run_cfg.grid, [ex.id for ex in examples], z, hv)
@@ -247,17 +257,17 @@ def _sim_probe(probe_test, ids):
     return ids[0], 0
 
 
-def _check_dump_traces_the_run(params, example, dumped) -> None:
-    """Trace `example` alone and raise ValueError unless every layer's visual
-    states are bit for bit its dumped ones, [L+1, N_p, d_l]. A dump of
-    another run or dataset of the same shape passes every other check."""
-    with ad.no_grad():
-        batch = make_batch(params, [example])
-        trace = llm_forward(params, batch.z, batch.prompts)
-    for layer, states in enumerate(dumped):
-        if trace.visual(layer).value[0].tobytes() != states.tobytes():
-            raise ValueError(f"entry 'ex{example.id:08d}/hv{layer:02d}' differs from the "
-                             f"run's trace of that example")
+def _check_dump_traces_the_run(params, first_batch, ids, hv) -> None:
+    """Trace dump's first batch as dump did and raise ValueError unless each
+    example's visual states are bit for bit its rows of hv [L+1, N, N_p,
+    d_l], whose examples are in the order of ids. A dump of another run or
+    dataset of the same shape passes every other check."""
+    _, traced = _trace_examples(params, first_batch)
+    for row, example in enumerate(first_batch):
+        for layer, states in enumerate(hv[:, ids.index(example.id)]):
+            if traced[layer, row].tobytes() != states.tobytes():
+                raise ValueError(f"entry 'ex{example.id:08d}/hv{layer:02d}' differs from "
+                                 f"the run's trace of that example")
 
 
 def cmd_metrics(args) -> int:
@@ -269,7 +279,7 @@ def cmd_metrics(args) -> int:
     try:
         hv = read_hidden_states(args.hidden, ids, run_cfg.layers,
                                 (run_cfg.n_patches, run_cfg.d_l))
-        _check_dump_traces_the_run(params, examples[0], hv[:, 0])
+        _check_dump_traces_the_run(params, (probe_train + probe_test)[:DUMP_BATCH], ids, hv)
     except ValueError as exc:
         raise ConfigError(f"{args.hidden} is not the dump of run {args.run} on the probe "
                           f"splits of {args.data}: {exc}") from None

@@ -28,6 +28,7 @@ from .numerics import RngStream, ShapeError
 
 ANCHOR_PRE_LLM = "pre-llm"
 ANCHOR_PRE_PROJ = "pre-proj"
+ANCHORS = (ANCHOR_PRE_LLM, ANCHOR_PRE_PROJ)
 POS_CODE_SCALE = 0.5
 D_V = 32  # encoder feature width, a multiple of 4 for the 2-D position code
 MLP_RATIO = 2  # decoder MLP hidden width over d_l
@@ -56,12 +57,13 @@ class MllmConfig:
         if not 1 <= self.target_layer <= self.layers:
             raise ValueError(
                 f"target_layer {self.target_layer} outside [1, {self.layers}]")
-        for name in ("d_l", "heads"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        # a layer norm over one feature outputs beta whatever its input
+        for name, least in (("d_l", 2), ("heads", 1)):
+            if getattr(self, name) < least:
+                raise ValueError(f"{name} must be >= {least}, got {getattr(self, name)}")
         if self.d_l % self.heads != 0:
             raise ValueError(f"d_l {self.d_l} not divisible by heads {self.heads}")
-        if self.anchor not in (ANCHOR_PRE_LLM, ANCHOR_PRE_PROJ):
+        if self.anchor not in ANCHORS:
             raise ValueError(f"unknown anchor source {self.anchor!r}")
 
     @property
@@ -148,28 +150,25 @@ class MllmParams:
 @dataclass
 class ForwardTrace:
     """Recorded forward pass over [prompt | visual]: the raw encoder
-    features, layer-0..L hidden states, and the answer logits read at the
-    last visual position. visual(l) reads layer l's visual rows; layer 0's
-    are bitwise the projector output. With answer_row_only, layers[L] is
-    [B, 1, d_l], the answer row alone."""
+    features z, whose N_p = z.shape[1] visual rows follow the prompt, the
+    layer-0..L hidden states, and the answer logits read at the last visual
+    position. visual(l) reads layer l's visual rows as a [B, N_p, d_l]
+    view; layer 0's are bitwise the projector output. With answer_row_only,
+    layers[L] is [B, 1, d_l], the answer row alone."""
 
     z: np.ndarray            # [B, N_p, D_V] frozen encoder output
     layers: list             # L+1 nodes of [B, PROMPT_LEN + N_p, d_l]; 0 = decoder input
     logits: Node             # [B, vocab], predicting the answer token
-    n_patches: int
     visual_start = PROMPT_LEN
 
-    def full_layer(self, layer: int) -> Node:
-        """layers[layer]; ValueError if it holds only the answer row."""
+    def visual(self, layer: int) -> Node:
+        """Layer `layer`'s visual rows, [B, N_p, d_l]; ValueError if the
+        layer holds only the answer row."""
         node = self.layers[layer]
         if node.value.shape[1] != self.layers[0].value.shape[1]:
             raise ValueError(f"layer {layer} holds only the answer row: "
                              f"the forward ran with answer_row_only")
-        return node
-
-    def visual(self, layer: int) -> Node:
-        """Layer `layer`'s visual rows, [B, N_p, d_l]."""
-        return ad.narrow(self.full_layer(layer), 1, self.visual_start, self.n_patches)
+        return ad.narrow(node, 1, self.visual_start, self.z.shape[1])
 
 
 def encode_image(params: MllmParams, images: np.ndarray) -> np.ndarray:
@@ -220,38 +219,25 @@ def llm_forward(params: MllmParams, z: np.ndarray, prompts: np.ndarray,
     b, t, d = h.value.shape
     last = ad.reshape(ad.narrow(h, 1, t - 1, 1), (b, d))
     logits = params.head(params.ln_f(last))
-    return ForwardTrace(z=z, layers=recorded, logits=logits, n_patches=cfg.n_patches)
-
-
-def lm_loss(trace: ForwardTrace, answers: np.ndarray) -> Node:
-    """Mean negative log-likelihood of the answer tokens, answers: [B]
-    token ids, one per example, predicted from the last visual position."""
-    return ad.cross_entropy(trace.logits, answers)
-
-
-def _patch_pred_loss(visual_rows: Node, anchor: Node, pred_head) -> Node:
-    preds = pred_head(visual_rows)
-    sims = ad.cosine_rows(preds, anchor)
-    return ad.scale(ad.sum_all(sims), -1.0 / sims.value.size)
+    return ForwardTrace(z=z, layers=recorded, logits=logits)
 
 
 def pre_loss(trace: ForwardTrace, params: MllmParams) -> Node:
-    """Negative mean per-patch cosine between the predicted features of the
-    target layer's visual hidden states and the detached anchor features.
+    """Negative mean per-patch cosine between the prediction head's output
+    on the target layer's visual rows and the anchor features, both
+    [B, N_p, ·] as the trace holds them.
 
-    The anchor (layer 0's visual rows, which are the projector output, or
-    raw encoder features for the pre-projection source) enters through a
-    stop-gradient, so it is a fixed target: no gradient ever reaches the
-    projector or encoder through it.
+    The anchor is a fixed target that no gradient leaves: layer 0's visual
+    rows, which are the projector output, through a stop-gradient, or the
+    raw encoder features for the pre-projection source, a constant already.
     """
     cfg = params.cfg
-    n_rows = trace.z.shape[0] * trace.n_patches
-    hvl = ad.reshape(trace.visual(cfg.target_layer), (n_rows, cfg.d_l))
     if cfg.anchor == ANCHOR_PRE_LLM:
-        anchor_node = ad.reshape(stop_gradient(trace.visual(0)), (n_rows, cfg.d_l))
+        anchor = stop_gradient(trace.visual(0))
     else:
-        anchor_node = stop_gradient(ad.constant(trace.z.reshape(n_rows, D_V)))
-    return _patch_pred_loss(hvl, anchor_node, params.pred_head)
+        anchor = ad.constant(trace.z)
+    sims = ad.cosine_rows(params.pred_head(trace.visual(cfg.target_layer)), anchor)
+    return ad.scale(ad.sum_all(sims), -1.0 / sims.value.size)
 
 
 def total_loss(trace: ForwardTrace, answers: np.ndarray, params: MllmParams):
@@ -260,7 +246,7 @@ def total_loss(trace: ForwardTrace, answers: np.ndarray, params: MllmParams):
 
     Returns (total, lm, pre) with pre None when skipped.
     """
-    lm = lm_loss(trace, answers)
+    lm = ad.cross_entropy(trace.logits, answers)
     lam = params.cfg.lam
     if lam == 0.0:
         return lm, lm, None

@@ -453,6 +453,31 @@ class TestPrimitiveGradients:
         check_grad(lambda x: ad.sum_all(ad.cosine_rows(ad.constant(p_val), x)),
                    RNG.normal(size=(4, 3)) + 0.2)
 
+    def test_cosine_rows_of_batched_rows(self):
+        # [B, N, D] rows against finite differences in float64, with a row
+        # floored by a zero anchor (value and gradient 0) and a NaN anchor
+        # row, whose value and gradient are NaN and stay in that row
+        z = RNG.normal(size=(2, 3, 4))
+        z[0, 1] = 0.0
+        z[1, 2, 0] = np.nan
+        w = RNG.normal(size=(2, 3))
+        w[1, 2] = 0.0
+        finite = np.isfinite(z).all(axis=-1)
+        p = Parameter("p", RNG.normal(size=(2, 3, 4)))
+        out = ad.cosine_rows(p.node(), ad.constant(z))
+        backward(ad.sum_all(mul(out, ad.constant(w))))
+
+        def f():  # the same loss over the finite rows
+            with no_grad():
+                c = ad.cosine_rows(p.node(), ad.constant(z)).value
+            return float(np.sum(np.where(finite, w * c, 0.0)))
+
+        assert out.shape == (2, 3) and out.value[0, 1] == 0.0
+        assert np.isnan(out.value[1, 2]) and np.isfinite(out.value[finite]).all()
+        assert not p.grad[0, 1].any() and np.isnan(p.grad[1, 2]).all()
+        numeric = numeric_grad(f, p.value)
+        np.testing.assert_allclose(p.grad[finite], numeric[finite], rtol=1e-6, atol=1e-9)
+
     def test_cosine_rows_zero_row_floored(self):
         p = Parameter("p", np.array([[0.0, 0.0], [1.0, 0.0]]))
         z = ad.constant(np.array([[1.0, 1.0], [1.0, 0.0]]))

@@ -12,7 +12,8 @@ or with a map cut to 2 of its 4 rows, exit code 1, with no checkpoint, for a
 run that diverges, exit code 1 for a checkpoint with an entry the model has
 no parameter for, dump and metrics that never generate a train example, and
 train that never generates a probe-test example, nor a probe-train one
-without --diag-every."""
+without --diag-every, and metrics that accepts its own run's dump at shapes
+where a batch of 1 and dump's batch of 16 round apart."""
 
 import json
 import re
@@ -160,15 +161,19 @@ def test_train_on_mismatched_dataset_exits_2_and_writes_nothing(golden, tmp_path
     assert not out.exists()
 
 
-@pytest.mark.parametrize("flag, value", [("--heads", "0"), ("--heads", "-2"), ("--d-l", "0")])
+@pytest.mark.parametrize("flag, value", [("--heads", "0"), ("--heads", "-2"), ("--d-l", "0"),
+                                         ("--d-l", "1")])
 def test_train_with_a_width_below_1_exits_2_and_writes_nothing(golden, tmp_path, capsys,
                                                                flag, value):
+    # a layer norm over one feature outputs beta whatever its input, so d_l
+    # needs 2
     w, _, _ = golden
     out = tmp_path / "run"
     rc = main(["train", "--data", str(w / "data"), "--out", str(out), "--steps", "1"]
               + TINY_MODEL + [flag, value])
+    name, least = flag[2:].replace("-", "_"), 2 if flag == "--d-l" else 1
     assert rc == 2
-    assert f"{flag[2:].replace('-', '_')} must be >= 1, got {value}" in capsys.readouterr().err
+    assert f"{name} must be >= {least}, got {value}" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -306,6 +311,19 @@ def test_metrics_on_a_dump_of_another_model_shape_exits_2(golden, tmp_path, caps
     run_ok(["dump", "--run", other, "--data", w / "data", "--out", hidden])
     capsys.readouterr()
     assert_metrics_refuses_the_dump(w, hidden, tmp_path / "metrics", capsys, found)
+
+
+@pytest.mark.parametrize("grid, d_l", [(8, 24), (3, 8)])
+def test_metrics_accepts_its_own_runs_dump_where_batch_sizes_round_apart(tmp_path, grid, d_l):
+    # at these shapes the BLAS rounds an example's states apart when it is
+    # traced alone and in dump's batch of 16
+    data, run, hidden = tmp_path / "data", tmp_path / "run", tmp_path / "h.prea"
+    run_ok(["gen-data", "--n", 80, "--seed", 1, "--grid", grid, "--out", data])
+    run_ok(["train", "--data", data, "--out", run, "--steps", 2, "--grid", grid,
+            "--layers", 2, "--d-l", d_l, "--heads", 2, "--target-layer", 1])
+    run_ok(["dump", "--run", run, "--data", data, "--out", hidden])
+    run_ok(["metrics", "--hidden", hidden, "--data", data, "--run", run,
+            "--out", tmp_path / "metrics"])
 
 
 def test_metrics_on_a_dump_with_no_examples_exits_2(golden, tmp_path, capsys):

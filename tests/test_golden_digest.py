@@ -76,8 +76,8 @@ def test_diff_values_reports_the_largest_relative_change_of_each_artifact(tmp_pa
 
 
 def test_diff_values_counts_nan_equal_and_one_sided_inf_as_infinite(tmp_path):
-    assert golden_digest.rel_change(float("nan"), float("nan")) == 0.0
-    assert golden_digest.rel_change(1.0, float("inf")) == float("inf")
+    assert golden_digest.rel_diff(float("nan"), float("nan")) == 0.0
+    assert golden_digest.rel_diff(1.0, float("inf")) == float("inf")
     a = work_dir(tmp_path / "a", {"v.csv": "nan,1e-05\n"}, [0.0])
     b = work_dir(tmp_path / "b", {"v.csv": "nan,-1e-05\n"}, [0.0])
     assert golden_digest.diff_values(a, b) == ["identical  hidden.prea", "2.00e+00  v.csv"]

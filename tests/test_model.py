@@ -12,7 +12,7 @@ from prelab.data import PROMPT_LEN
 from gradcheck import cast_to_float64, finite_diff_check
 from prelab.archive import read_archive
 from prelab.model import (MllmConfig, MllmParams, dump_hidden_states, encode_image,
-                          llm_forward, lm_loss, read_hidden_states, total_loss)
+                          llm_forward, read_hidden_states, total_loss)
 
 # tiny() casts the model to float64, as central differences need. Central
 # differences at h=1e-6 against backward, seed 0: the max relative error
@@ -37,6 +37,14 @@ def tiny(anchor, lam=0.5, seed=0, float64=True):
     return params, z, prompts, answers
 
 
+def anchored_at(trace, layer0):
+    """trace, with layers[0] replaced by a constant of the value layer0:
+    the decoder has already read the real one, so only the pre-llm anchor,
+    layer 0's visual rows, changes, and no gradient leaves it."""
+    trace.layers[0] = ad.constant(layer0)
+    return trace
+
+
 def test_gradcheck_total_loss_pre_proj():
     # the anchor is the frozen encoder output, a constant already
     params, z, prompts, answers = tiny(model.ANCHOR_PRE_PROJ)
@@ -53,17 +61,13 @@ def test_gradcheck_total_loss_pre_llm():
     # differences measure the same thing only with the anchor pinned at its
     # base value.
     params, z, prompts, answers = tiny(model.ANCHOR_PRE_LLM)
-    cfg = params.cfg
     with ad.no_grad():
         base = llm_forward(params, z, prompts)
-        anchor = base.visual(0).value.reshape(-1, cfg.d_l)
         base_total = total_loss(base, answers, params)[0].value
 
     def pinned_loss():
-        trace = llm_forward(params, z, prompts)
-        rows = ad.reshape(trace.visual(cfg.target_layer), anchor.shape)
-        pre = model._patch_pred_loss(rows, ad.constant(anchor), params.pred_head)
-        return ad.add(lm_loss(trace, answers), ad.scale(pre, cfg.lam))
+        return total_loss(anchored_at(llm_forward(params, z, prompts), base.layers[0].value),
+                          answers, params)[0]
 
     with ad.no_grad():
         assert pinned_loss().value == base_total
@@ -164,7 +168,7 @@ def test_lm_loss_matches_numpy_reference():
         p.value[...] = rng.normal(size=p.value.shape)
     with ad.no_grad():
         trace = llm_forward(params, z, prompts)
-        got = lm_loss(trace, answers).value
+        got = ad.cross_entropy(trace.logits, answers).value
     last = trace.layers[-1].value[:, -1]
     mu = last.mean(axis=-1, keepdims=True)
     var = ((last - mu) ** 2).mean(axis=-1, keepdims=True)
@@ -183,7 +187,6 @@ def test_pre_llm_anchor_passes_exactly_zero_gradient():
     # every parameter, bitwise, the gradient of the same loss with the anchor
     # replaced by a constant copy of layer 0's visual rows.
     params, z, prompts, answers = tiny(model.ANCHOR_PRE_LLM)
-    cfg = params.cfg
 
     def grads(loss):
         for p in params.trainable():
@@ -196,14 +199,46 @@ def test_pre_llm_anchor_passes_exactly_zero_gradient():
     with_stop_gradient = grads(total)
 
     trace = llm_forward(params, z, prompts)
-    anchor = ad.constant(trace.visual(0).value.reshape(-1, cfg.d_l).copy())
-    rows = ad.reshape(trace.visual(cfg.target_layer), anchor.shape)
-    pinned = ad.add(lm_loss(trace, answers),
-                    ad.scale(model._patch_pred_loss(rows, anchor, params.pred_head), cfg.lam))
+    pinned = total_loss(anchored_at(trace, trace.layers[0].value.copy()), answers, params)[0]
     assert pinned.value == total.value
     with_constant = grads(pinned)
     for p, a, b in zip(params.trainable(), with_stop_gradient, with_constant):
         assert a.tobytes() == b.tobytes(), p.name
+
+
+def flat_pre_loss(trace, params):
+    """pre_loss as computed on rows flattened to [B * N_p, d]: the target
+    layer's visual rows and the anchor each reshaped before the prediction
+    head and the cosine."""
+    cfg = params.cfg
+    n_rows = trace.z.shape[0] * trace.z.shape[1]
+    rows = ad.reshape(trace.visual(cfg.target_layer), (n_rows, cfg.d_l))
+    if cfg.anchor == model.ANCHOR_PRE_LLM:
+        anchor = ad.reshape(ad.stop_gradient(trace.visual(0)), (n_rows, cfg.d_l))
+    else:
+        anchor = ad.constant(trace.z.reshape(n_rows, model.D_V))
+    sims = ad.cosine_rows(params.pred_head(rows), anchor)
+    return ad.scale(ad.sum_all(sims), -1.0 / sims.value.size)
+
+
+@pytest.mark.parametrize("anchor", model.ANCHORS)
+@pytest.mark.parametrize("target_layer", [1, 2])
+def test_pre_loss_on_the_trace_rows_is_bitwise_the_flattened_rows(anchor, target_layer):
+    params, z, prompts, _ = tiny(anchor, float64=False)
+    params.cfg.target_layer = target_layer
+
+    def value_and_grads(loss_fn):
+        for p in params.trainable():
+            p.grad[...] = 0.0
+        loss = loss_fn(llm_forward(params, z, prompts), params)
+        ad.backward(loss)
+        return [loss.value] + [p.grad.copy() for p in params.trainable()]
+
+    got, want = value_and_grads(model.pre_loss), value_and_grads(flat_pre_loss)
+    assert got[0].dtype == np.float32
+    for p, a, b in zip(["value"] + params.trainable(), got, want):
+        assert a.tobytes() == b.tobytes(), p
+    assert any(g.any() for g in got[1:])
 
 
 def test_dump_round_trip_reads_the_given_id_order_and_the_float32_states(tmp_path):

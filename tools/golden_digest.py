@@ -38,7 +38,6 @@ import argparse
 import contextlib
 import csv
 import hashlib
-import math
 import os
 import re
 import sys
@@ -47,9 +46,11 @@ from pathlib import Path
 import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+sys.path.insert(0, str(Path(__file__).resolve().parent))
 
 from prelab.archive import read_archive  # noqa: E402
 from prelab.cli import main  # noqa: E402
+from loss_drift import rel_diff  # noqa: E402
 
 RUNS = {
     "base": ["--lambda", "0"],
@@ -107,18 +108,8 @@ def compare(want_lines, have_lines) -> list:
     return [f"{status[path]}  {path}" for path in sorted(status)]
 
 
-def rel_change(a: float, b: float) -> float:
-    """|a - b| / max(|a|, |b|): 0 for equal values (NaN equal to NaN), inf
-    when only one side is finite."""
-    if a == b or (math.isnan(a) and math.isnan(b)):
-        return 0.0
-    if not (math.isfinite(a) and math.isfinite(b)):
-        return math.inf
-    return abs(a - b) / max(abs(a), abs(b))
-
-
 def _max_rel(xs, ys) -> float:
-    return max((rel_change(float(x), float(y)) for x, y in zip(xs, ys)), default=0.0)
+    return max((rel_diff(float(x), float(y)) for x, y in zip(xs, ys)), default=0.0)
 
 
 def _tensor_change(a: np.ndarray, b: np.ndarray) -> float:

@@ -18,7 +18,7 @@ record a parent by copying the script into the parent's tools/.
 The compare mode prints, per shape and column, the largest relative
 difference |a - b| / max(|a|, |b|) and the step where it occurs (NaN equal
 to NaN, as in pre_loss at lambda 0; a value non-finite on one side only
-counts as infinitely far). It exits 1 if any exceeds --bound.
+counts as infinitely far). It exits 1 if any exceeds BOUND, 1e-5.
 """
 
 from __future__ import annotations
@@ -41,6 +41,7 @@ SHAPES = {"train-paper": {"grid": 8, "lam": 0.5, "target_layer": 4},
           "train-paper-last-layer": {"grid": 8, "lam": 0.5, "target_layer": 8}}
 N_EXAMPLES, SEED, STEPS, SCHEDULE_STEPS, BATCH = 400, 0, 100, 500, 8
 COLUMNS = ("lm_loss", "pre_loss", "total_loss", "grad_norm")
+BOUND = 1e-5  # the largest relative difference --compare accepts
 
 
 def record(grid: int, lam: float, target_layer: int, work: Path) -> dict:
@@ -56,6 +57,8 @@ def record(grid: int, lam: float, target_layer: int, work: Path) -> dict:
 
 
 def rel_diff(a: float, b: float) -> float:
+    """|a - b| / max(|a|, |b|): 0 for equal values (NaN equal to NaN), inf
+    when only one side is finite."""
     if a == b or (math.isnan(a) and math.isnan(b)):
         return 0.0
     if not (math.isfinite(a) and math.isfinite(b)):
@@ -63,7 +66,7 @@ def rel_diff(a: float, b: float) -> float:
     return abs(a - b) / max(abs(a), abs(b))
 
 
-def compare(a: dict, b: dict, bound: float) -> int:
+def compare(a: dict, b: dict) -> int:
     worst_overall = 0.0
     for shape in SHAPES:
         for col in COLUMNS:
@@ -72,21 +75,19 @@ def compare(a: dict, b: dict, bound: float) -> int:
             worst_overall = max(worst_overall, diffs[step])
             print(f"{shape:22s} {col:10s} max rel diff {diffs[step]:.3g} at step {step + 1} "
                   f"({a[shape][col][step]!r} vs {b[shape][col][step]!r})")
-    verdict = "within" if worst_overall <= bound else "OVER"
-    print(f"largest {worst_overall:.3g}: {verdict} the bound {bound:g}")
-    return 0 if worst_overall <= bound else 1
+    verdict = "within" if worst_overall <= BOUND else "OVER"
+    print(f"largest {worst_overall:.3g}: {verdict} the bound {BOUND:g}")
+    return 0 if worst_overall <= BOUND else 1
 
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("out", nargs="?", help="JSON file to write (record mode)")
     ap.add_argument("--compare", nargs=2, metavar=("A", "B"), help="two records to compare")
-    ap.add_argument("--bound", type=float, default=1e-5,
-                    help="largest relative difference --compare accepts (default 1e-5)")
     args = ap.parse_args(argv)
     if args.compare:
         a, b = (json.loads(Path(p).read_text()) for p in args.compare)
-        return compare(a, b, args.bound)
+        return compare(a, b)
     if not args.out:
         ap.error("give OUT.json, or --compare A B")
     with tempfile.TemporaryDirectory() as work:
