@@ -12,8 +12,9 @@ id is a deterministic reverse-topological order.
 
 No op writes into an array it was given or has returned, so every node
 value stays as it was made until backward has run. Backward closures rely
-on it: they keep views of their inputs, layer_norm's rebuilds x-hat from
-its input and gelu_linear's the GELU output from its.
+on it: they keep views of their inputs, and rebuild what is cheap to
+rebuild rather than keep it. norm_linear's rebuilds x-hat and the normed
+rows from its input, and gelu_linear's the GELU output from its.
 
 stop_gradient() is a first-class primitive: it re-wraps a value as a
 parentless constant node, so nothing upstream of it can ever receive
@@ -217,6 +218,20 @@ def _check_residual(op: str, residual, out: np.ndarray) -> None:
                          f"output {out.dtype} {out.shape}")
 
 
+def _check_projection(op: str, x: Node, w: Node, b: Node) -> None:
+    """The shapes of a projection: x [..., d_in], w [d_in, d_out], b [d_out] or None."""
+    if w.value.ndim != 2 or x.value.ndim < 1 or x.shape[-1] != w.shape[0]:
+        raise ShapeError(f"{op} expects [..., d_in] and [d_in, d_out], "
+                         f"got {x.shape} and {w.shape}")
+    if b is not None and b.shape != w.shape[1:]:
+        raise ShapeError(f"{op} bias shape {b.shape} != ({w.shape[1]},)")
+
+
+def _projection_grads(x2: np.ndarray, g2: np.ndarray, b: Node) -> list:
+    """The gradients of w and b (if any) of x2 @ w (+ b), given g2 = dout."""
+    return [x2.T @ g2] + ([] if b is None else [g2.sum(axis=0)])
+
+
 def linear(x: Node, w: Node, b: Node = None, residual: Node = None) -> Node:
     """x @ w (+ b) (+ residual) over the last axis of x. Leading axes are
     flattened into the rows of one 2-D GEMM, so the weight gradient x2.T @ g2
@@ -225,11 +240,7 @@ def linear(x: Node, w: Node, b: Node = None, residual: Node = None) -> Node:
     x @ w + b), and takes g unchanged in backward. Backward keeps x and w,
     which the graph holds anyway, and nothing of the output."""
     xv, wv = x.value, w.value
-    if wv.ndim != 2 or xv.ndim < 1 or xv.shape[-1] != wv.shape[0]:
-        raise ShapeError(f"linear expects [..., d_in] and [d_in, d_out], "
-                         f"got {x.shape} and {w.shape}")
-    if b is not None and b.value.shape != wv.shape[1:]:
-        raise ShapeError(f"linear bias shape {b.shape} != ({wv.shape[1]},)")
+    _check_projection("linear", x, w, b)
     x2 = xv.reshape(-1, wv.shape[0])
     v = x2 @ wv
     if b is not None:
@@ -241,9 +252,7 @@ def linear(x: Node, w: Node, b: Node = None, residual: Node = None) -> Node:
 
     def bk(g):
         g2 = g.reshape(-1, wv.shape[1])
-        grads = [(g2 @ wv.T).reshape(xv.shape), x2.T @ g2]
-        if b is not None:
-            grads.append(g2.sum(axis=0))
+        grads = [(g2 @ wv.T).reshape(xv.shape), *_projection_grads(x2, g2, b)]
         if residual is not None:
             grads.append(g)
         return grads
@@ -399,34 +408,48 @@ def causal_attention(qkv: Node, heads: int, first_row: int = 0) -> Node:
     return record("causal_attention", out.reshape(bsz, t - q0, d), (qkv,), bk)
 
 
-def layer_norm(a: Node, gamma: Node, beta: Node) -> Node:
-    """Normalize the last axis to zero mean / unit variance, then affine.
+def norm_linear(x: Node, gamma: Node, beta: Node, w: Node, b: Node = None) -> Node:
+    """Layer norm over the last axis, y = x-hat * gamma + beta, then y @ w
+    (+ b): one tape op, bitwise the chain of a layer norm and ad.linear.
     Every row moment, forward and backward, is one GEMV of the rows with a
     1/d vector, not numpy's reduction along each short row. Backward keeps
-    the row means and 1/sigma, not x-hat: it rebuilds x-hat from the input,
-    which the graph holds anyway, with the forward's two expressions."""
-    x = a.value
-    d = x.shape[-1]
-    avg = np.full(d, 1.0 / d, dtype=x.dtype)
-    x2 = x.reshape(-1, d)
+    the row means and 1/sigma, not x-hat or y: it rebuilds x-hat from x,
+    which the graph holds anyway, and then y, with the forward's
+    expressions, for the weight gradient."""
+    xv, wv = x.value, w.value
+    _check_projection("norm_linear", x, w, b)
+    d = xv.shape[-1]
+    avg = np.full(d, 1.0 / d, dtype=xv.dtype)
+    x2 = xv.reshape(-1, d)
     mean = (x2 @ avg)[:, None]
     xhat = x2 - mean
     inv = (1.0 / np.sqrt((xhat * xhat) @ avg + LAYER_NORM_EPS))[:, None]
-    xhat *= inv  # in place: one [.., d] buffer fewer at the peak
-    v = (xhat * gamma.value + beta.value).reshape(x.shape)
+    # x-hat, then y, in place in x2 - mean's buffer: the bits of the
+    # expressions written out, and no other [.., d] array made
+    xhat *= inv
+    xhat *= gamma.value
+    xhat += beta.value
+    v = xhat @ wv
+    if b is not None:
+        v += b.value
 
     def bk(g):
+        g2 = g.reshape(-1, wv.shape[1])
+        gh = g2 @ wv.T  # y's gradient, made x's in place
         xhat = x2 - mean
         xhat *= inv
-        g = g.reshape(xhat.shape)
-        gh = g * gamma.value
+        ggamma, gbeta = (gh * xhat).sum(axis=0), gh.sum(axis=0)
+        gh *= gamma.value
         dot = (gh * xhat) @ avg
         gh -= (gh @ avg)[:, None]
         gh -= xhat * dot[:, None]
         gh *= inv
-        return gh.reshape(x.shape), (g * xhat).sum(axis=0), g.sum(axis=0)
+        xhat *= gamma.value  # y, in x-hat's buffer, which is read no more
+        xhat += beta.value
+        return [gh.reshape(xv.shape), ggamma, gbeta, *_projection_grads(xhat, g2, b)]
 
-    return record("layer_norm", v, (a, gamma, beta), bk)
+    return record("norm_linear", v.reshape(xv.shape[:-1] + wv.shape[1:]),
+                  (x, gamma, beta, w, *(() if b is None else (b,))), bk)
 
 
 _SQRT2 = math.sqrt(2.0)

@@ -152,6 +152,10 @@ def cmd_train(args) -> int:
     dataset = _load_dataset_checked(run_cfg.dataset, run_cfg, splits)
     out = Path(run_cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
+    # an earlier run's outputs must not pass as this run's if it fails;
+    # Trainer.run rewrites train_log.csv from its first step
+    for name in ("checkpoint.prea", "train_time.csv", "eval.csv"):
+        (out / name).unlink(missing_ok=True)
     (out / "config.json").write_text(
         json.dumps(run_cfg.to_dict(), indent=2, sort_keys=True) + "\n")
 

@@ -15,7 +15,8 @@ in the label map and every answer is verifiable from the label map alone.
 
 A dataset directory holds only manifest.json (n, seed and grid). Every
 example is drawn from its own substream of the seed, so loading generates
-the examples of the splits it names, the same every time. Everything else
+the examples of the splits it names, the same every time, and holds their
+pixels as float32, the precision they are rounded to. Everything else
 about an image is a constant below: the patch size, the classes, the object
 count and extent, and the noise.
 """
@@ -250,7 +251,7 @@ class DatasetError(RuntimeError):
 @dataclass
 class Example:
     id: int
-    image: np.ndarray
+    image: np.ndarray  # [g*PATCH, g*PATCH] float32
     labels: np.ndarray
     prompt: np.ndarray
     answer: np.ndarray
@@ -310,11 +311,12 @@ def load_dataset(path, splits=SPLIT_NAMES) -> Dataset:
     `Dataset.splits` holds only those splits, each an id-ordered list of
     Examples; no example of another split is generated. Each split's images
     and label maps are one contiguous array that its Examples are views of.
-    Pixels are rounded to float32 and held as float64, which keeps them bit for
-    bit those of format 2 and of every artifact made from it. Raises
-    DatasetError, naming the manifest, for one that is not a UTF-8 JSON
-    object, of an unknown format, or with a field that the generator cannot
-    take, such as a spec key other than grid.
+    Pixels are rounded to float32 and held as float32; widened to float64,
+    as the encoder widens them, they are bit for bit those of format 2 and
+    of every artifact made from it. Raises DatasetError, naming the
+    manifest, for one that is not a UTF-8 JSON object, of an unknown
+    format, or with a field that the generator cannot take, such as a spec
+    key other than grid.
     """
     path = Path(path) / "manifest.json"
     try:
@@ -337,12 +339,12 @@ def load_dataset(path, splits=SPLIT_NAMES) -> Dataset:
     g = spec.grid
     ds = Dataset(spec=spec, seed=seed)
     for split_name in splits:
-        images = np.empty((len(ids[split_name]), g * PATCH, g * PATCH))
+        images = np.empty((len(ids[split_name]), g * PATCH, g * PATCH), dtype=np.float32)
         labels = np.empty((len(ids[split_name]), g, g), dtype=np.int64)
         examples = []
         for k, i in enumerate(ids[split_name]):
             img, qa = generate_example(seed, i, spec)
-            images[k] = img.pixels.astype(np.float32)
+            images[k] = img.pixels  # rounded to float32
             labels[k] = img.labels
             examples.append(Example(i, images[k], labels[k], qa.prompt, qa.answer,
                                     qa.probe_label))

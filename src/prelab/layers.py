@@ -25,27 +25,32 @@ PARAM_DTYPE = np.float32
 
 class Linear:
     """x @ w + b (+ residual) over the last axis as one ad.linear tape op:
-    any leading axes of x become the rows of a single 2-D GEMM."""
+    any leading axes of x become the rows of a single 2-D GEMM. Given a
+    LayerNorm, it normalizes x first, in one ad.norm_linear op, which keeps
+    no normed rows but rebuilds them in backward; that op takes no residual."""
 
     def __init__(self, name: str, d_in: int, d_out: int, rng: RngStream, bias: bool = True):
         w = rng.split("w").truncated_normal((d_in, d_out), INIT_STD)
         self.w = Parameter(f"{name}.w", w.astype(PARAM_DTYPE))
         self.b = Parameter(f"{name}.b", np.zeros(d_out, PARAM_DTYPE)) if bias else None
 
-    def __call__(self, x: Node, residual: Node = None) -> Node:
-        return ad.linear(x, self.w.node(), None if self.b is None else self.b.node(), residual)
+    def __call__(self, x: Node, residual: Node = None, norm: LayerNorm = None) -> Node:
+        b = None if self.b is None else self.b.node()
+        if norm is not None:
+            return ad.norm_linear(x, norm.gamma.node(), norm.beta.node(), self.w.node(), b)
+        return ad.linear(x, self.w.node(), b, residual)
 
     def params(self):
         return [self.w] if self.b is None else [self.w, self.b]
 
 
 class LayerNorm:
+    """The affine parameters of a layer norm. Every norm feeds a projection,
+    so it runs as part of that projection: Linear(x, norm=this)."""
+
     def __init__(self, name: str, d: int):
         self.gamma = Parameter(f"{name}.gamma", np.ones(d, PARAM_DTYPE))
         self.beta = Parameter(f"{name}.beta", np.zeros(d, PARAM_DTYPE))
-
-    def __call__(self, x: Node) -> Node:
-        return ad.layer_norm(x, self.gamma.node(), self.beta.node())
 
     def params(self):
         return [self.gamma, self.beta]
@@ -64,10 +69,11 @@ class Embedding:
 
 
 class Mlp:
-    """Two-layer feed-forward map with GELU between and no norm, plus an
-    optional residual: the decoder block's MLP (d_out = d_in) and the
-    prediction head that maps hidden states to the anchor feature space.
-    fc1 is one ad.linear; the GELU, fc2 and the residual are one
+    """Two-layer feed-forward map with GELU between, plus an optional norm
+    before it and an optional residual: the decoder block's MLP (d_out =
+    d_in, normed) and the prediction head that maps hidden states to the
+    anchor feature space (no norm). fc1 is one ad.linear, or with the norm
+    one ad.norm_linear; the GELU, fc2 and the residual are one
     ad.gelu_linear, which keeps the fc1 output and Phi of it for backward,
     not the GELU output or its own."""
 
@@ -75,18 +81,21 @@ class Mlp:
         self.fc1 = Linear(f"{name}.fc1", d_in, d_hidden, rng.split("fc1"))
         self.fc2 = Linear(f"{name}.fc2", d_hidden, d_out, rng.split("fc2"))
 
-    def __call__(self, x: Node, residual: Node = None) -> Node:
-        return ad.gelu_linear(self.fc1(x), self.fc2.w.node(), self.fc2.b.node(), residual)
+    def __call__(self, x: Node, residual: Node = None, norm: LayerNorm = None) -> Node:
+        return ad.gelu_linear(self.fc1(x, norm=norm), self.fc2.w.node(), self.fc2.b.node(),
+                              residual)
 
     def params(self):
         return self.fc1.params() + self.fc2.params()
 
 
 class CausalSelfAttention:
-    """Multi-head causal self-attention: a fused q/k/v projection, the
-    attention core as one tape op (ad.causal_attention: heads split, scaled,
-    masked, softmaxed, applied to v and merged again) and an output
-    projection, which adds the residual in. Neither projection has a bias."""
+    """Multi-head causal self-attention: a fused q/k/v projection, after an
+    optional norm, the attention core as one tape op (ad.causal_attention:
+    heads split, scaled, masked, softmaxed, applied to v and merged again)
+    and an output projection, which adds the residual in. Neither
+    projection has a bias. The residual has x's rows; with first_row, its
+    rows [first_row, T) are added to the output's."""
 
     def __init__(self, name: str, d: int, heads: int, rng: RngStream):
         if d % heads != 0:
@@ -95,8 +104,12 @@ class CausalSelfAttention:
         self.wqkv = Linear(f"{name}.qkv", d, 3 * d, rng.split("qkv"), bias=False)
         self.wo = Linear(f"{name}.o", d, d, rng.split("o"), bias=False)
 
-    def __call__(self, x: Node, first_row: int = 0, residual: Node = None) -> Node:
-        return self.wo(ad.causal_attention(self.wqkv(x), self.heads, first_row), residual)
+    def __call__(self, x: Node, first_row: int = 0, residual: Node = None,
+                 norm: LayerNorm = None) -> Node:
+        qkv = self.wqkv(x, norm=norm)
+        if first_row and residual is not None:
+            residual = ad.narrow(residual, 1, first_row, residual.value.shape[1] - first_row)
+        return self.wo(ad.causal_attention(qkv, self.heads, first_row), residual)
 
     def params(self):
         return self.wqkv.params() + self.wo.params()
@@ -104,9 +117,10 @@ class CausalSelfAttention:
 
 class DecoderBlock:
     """Pre-norm transformer decoder block: x + attn(ln(x)), x + mlp(ln(x)).
-    Attention's output projection and the MLP each add the residual into
-    their own output, so the tape keeps the block's two sums and neither
-    op's output apart from them.
+    Each norm runs inside the projection it feeds (ad.norm_linear), so the
+    tape keeps neither norm's output. Attention's output projection and the
+    MLP each add the residual into their own output, so the tape keeps the
+    block's two sums and neither op's output apart from them.
     With first_row, it returns only the rows [first_row, T): LN1 and the
     q/k/v projection run on all rows, whose keys and values attention
     reads, and the rest of the block on the returned rows alone."""
@@ -118,11 +132,8 @@ class DecoderBlock:
         self.mlp = Mlp(f"{name}.mlp", d, mlp_hidden, d, rng.split("mlp"))
 
     def __call__(self, x: Node, first_row: int = 0) -> Node:
-        normed = self.ln1(x)
-        if first_row:
-            x = ad.narrow(x, 1, first_row, x.value.shape[1] - first_row)
-        x = self.attn(normed, first_row, residual=x)
-        return self.mlp(self.ln2(x), residual=x)
+        x = self.attn(x, first_row, residual=x, norm=self.ln1)
+        return self.mlp(x, residual=x, norm=self.ln2)
 
     def params(self):
         return self.ln1.params() + self.attn.params() + self.ln2.params() + self.mlp.params()

@@ -218,7 +218,7 @@ def llm_forward(params: MllmParams, z: np.ndarray, prompts: np.ndarray,
         recorded.append(h)
     b, t, d = h.value.shape
     last = ad.reshape(ad.narrow(h, 1, t - 1, 1), (b, d))
-    logits = params.head(params.ln_f(last))
+    logits = params.head(last, norm=params.ln_f)
     return ForwardTrace(z=z, layers=recorded, logits=logits)
 
 
@@ -257,7 +257,8 @@ def total_loss(trace: ForwardTrace, answers: np.ndarray, params: MllmParams):
 def _dump_entries(grid, ids, z, hv) -> dict:
     """The dump's layout: meta/grid (the 2-vector grid), then for each id in
     order ex<ID>/z and ex<ID>/hv00..hv<L> (layer index in the name), each
-    name mapped to its row of z [N, N_p, D_V] or hv [L+1, N, N_p, d_l]."""
+    name mapped to its row of z (N rows of [N_p, D_V]) or hv [L+1, N, N_p,
+    d_l]."""
     entries = {"meta/grid": grid}
     for row, ex_id in enumerate(ids):
         entries[f"ex{ex_id:08d}/z"] = z[row]
@@ -279,14 +280,15 @@ def read_hidden_states(path, ids, layers: int, shape: tuple) -> np.ndarray:
     the [layers+1, N, *shape] visual states, rows in the order of ids, in the
     dump's float32, bit for bit the values written. The archive reads each
     hv entry straight into its row of the returned array, so the states are
-    held once.
+    held once, and every z entry, which no caller reads, into one reused
+    [N_p, D_V] row.
 
     Raises ValueError unless the archive holds exactly the _dump_entries of
     ids, each hv of shape `shape` and each z of shape (shape[0], D_V), and
     the grid covers shape[0] patches.
     """
     hv = np.empty((layers + 1, len(ids), *shape), dtype=np.float32)
-    z = np.empty((len(ids), shape[0], D_V), dtype=np.float32)
+    z = [np.empty((shape[0], D_V), dtype=np.float32)] * len(ids)
     grid = np.empty(2, dtype=np.float32)
     read_archive(path, into=_dump_entries(grid, ids, z, hv))
     if grid.prod() != shape[0]:

@@ -101,6 +101,31 @@ def gelu_op(a):
     return ad.record("gelu", x * phi, (a,), bk)
 
 
+def layer_norm_op(a, gamma, beta):
+    """Layer norm as a tape op of its own, with the expressions
+    ad.norm_linear fuses, keeping x-hat for backward."""
+    x = a.value
+    d = x.shape[-1]
+    avg = np.full(d, 1.0 / d, dtype=x.dtype)
+    x2 = x.reshape(-1, d)
+    mean = (x2 @ avg)[:, None]
+    xhat = x2 - mean
+    inv = (1.0 / np.sqrt((xhat * xhat) @ avg + ad.LAYER_NORM_EPS))[:, None]
+    xhat *= inv
+
+    def bk(g):
+        g = g.reshape(xhat.shape)
+        gh = g * gamma.value
+        dot = (gh * xhat) @ avg
+        gh -= (gh @ avg)[:, None]
+        gh -= xhat * dot[:, None]
+        gh *= inv
+        return gh.reshape(x.shape), (g * xhat).sum(axis=0), g.sum(axis=0)
+
+    return ad.record("layer_norm", (xhat * gamma.value + beta.value).reshape(x.shape),
+                     (a, gamma, beta), bk)
+
+
 def values_and_grads(build, arrays, g, dtype):
     """The value of build({name: node}) over fresh parameters cast to dtype,
     then each parameter's gradient of sum(value * g)."""
@@ -347,41 +372,79 @@ class TestPrimitiveGradients:
         with pytest.raises(ShapeError):
             ad.cross_entropy(ad.constant(np.ones((2, 2, 3))), np.zeros(2, dtype=int))
 
-    def test_layer_norm(self):
-        gamma = ad.constant(RNG.normal(size=(6,)) + 1.0)
-        beta = ad.constant(RNG.normal(size=(6,)))
-        w = ad.constant(RNG.normal(size=(4, 6)))
-        check_grad(lambda x: ad.sum_all(mul(ad.layer_norm(x, gamma, beta), w)),
-                   RNG.normal(size=(4, 6)))
+    @staticmethod
+    def check_norm_linear(arg, x, **tolerance):
+        # argument arg of x, gamma, beta, w and b varies, the others fixed
+        args = [x] + [RNG.normal(size=s) for s in ((6,), (6,), (6, 4), (4,))]
+        args[1] += 1.0
+        w = ad.constant(RNG.normal(size=x.shape[:-1] + (4,)))
+        check_grad(lambda node: ad.sum_all(mul(ad.norm_linear(
+            *(node if i == arg else ad.constant(a) for i, a in enumerate(args))), w)),
+            args[arg], **tolerance)
 
-    def test_layer_norm_affine_grads(self):
-        x = ad.constant(RNG.normal(size=(5, 4)))
-        w = ad.constant(RNG.normal(size=(5, 4)))
-        check_grad(lambda g: ad.sum_all(mul(
-            ad.layer_norm(x, g, ad.constant(np.zeros(4))), w)),
-            RNG.normal(size=(4,)) + 1.0)
+    @pytest.mark.parametrize("arg", range(5))
+    def test_norm_linear(self, arg):
+        x = RNG.normal(size=(2, 3, 6))
+        if arg:  # a constant row, whose x-hat is 0; x's own check is below
+            x[0, 1] = 0.7
+        self.check_norm_linear(arg, x)
 
-    def test_float32_layer_norm_within_1e_6_of_float64(self):
-        x = (RNG.normal(size=(3, 5, 64)) * 2.0 + 0.5).astype(np.float32)
-        gamma = (RNG.normal(size=(64,)) + 1.0).astype(np.float32)
-        beta = RNG.normal(size=(64,)).astype(np.float32)
-        w = RNG.normal(size=(3, 5, 64)).astype(np.float32)
-        runs = {}
-        for dtype in (np.float32, np.float64):
-            params = [Parameter(name, v.astype(dtype))
-                      for name, v in (("x", x), ("gamma", gamma), ("beta", beta))]
-            out = ad.layer_norm(*(p.node() for p in params))
-            backward(ad.sum_all(mul(out, ad.constant(w.astype(dtype)))))
-            runs[dtype] = [out.value] + [p.grad for p in params]
+    def test_norm_linear_x_at_a_constant_row(self):
+        # x-hat 0 and 1/sigma 1e6 (the eps's), so x's gradient is about 1e6
+        # and is linear only over a step far below 1e-6, whose rounding the
+        # looser tolerance allows
+        self.check_norm_linear(0, np.full((1, 6), 0.7), h=1e-8, tol=1e-3)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("rows, bias", [((2, 5), True), ((10,), False)])
+    def test_norm_linear_is_bitwise_the_unfused_chain(self, dtype, rows, bias):
+        # the decoder block's [B, T, d] into a projection with a bias, and
+        # 2-D rows into one without: value and every gradient, byte for byte
+        arrays = {"x": RNG.normal(size=rows + (8,)) * 2.0 + 0.5,
+                  "gamma": RNG.normal(size=(8,)) + 1.0, "beta": RNG.normal(size=(8,)),
+                  "w": RNG.normal(size=(8, 6))}
+        if bias:
+            arrays["b"] = RNG.normal(size=(6,))
+        g = RNG.normal(size=rows + (6,))
+
+        def chain(n):
+            return ad.linear(layer_norm_op(n["x"], n["gamma"], n["beta"]), n["w"], n.get("b"))
+
+        fused = values_and_grads(lambda n: ad.norm_linear(
+            n["x"], n["gamma"], n["beta"], n["w"], n.get("b")), arrays, g, dtype)
+        unfused = values_and_grads(chain, arrays, g, dtype)
+        assert [a.tobytes() for a in fused] == [a.tobytes() for a in unfused]
+        assert all(a.dtype == dtype for a in fused)
+
+    def test_float32_norm_linear_within_1e_6_of_float64(self):
+        arrays = {"x": RNG.normal(size=(3, 5, 64)) * 2.0 + 0.5,
+                  "gamma": RNG.normal(size=(64,)) + 1.0, "beta": RNG.normal(size=(64,)),
+                  "w": RNG.normal(size=(64, 16)), "b": RNG.normal(size=(16,))}
+        arrays = {name: a.astype(np.float32) for name, a in arrays.items()}
+        g = RNG.normal(size=(3, 5, 16)).astype(np.float32)
+        runs = {dtype: values_and_grads(lambda n: ad.norm_linear(*n.values()), arrays, g, dtype)
+                for dtype in (np.float32, np.float64)}
         for got, ref in zip(runs[np.float32], runs[np.float64], strict=True):
             assert got.dtype == np.float32
             assert rel_err(got, ref) <= 1e-6
 
-    def test_layer_norm_statistics(self):
+    def test_norm_linear_statistics(self):
+        # through an identity projection, the normed rows themselves
         x = ad.constant(RNG.normal(size=(10, 32)))
-        out = ad.layer_norm(x, ad.constant(np.ones(32)), ad.constant(np.zeros(32))).value
+        out = ad.norm_linear(x, ad.constant(np.ones(32)), ad.constant(np.zeros(32)),
+                             ad.constant(np.eye(32))).value
         assert np.max(np.abs(out.mean(axis=-1))) < 1e-12
         assert np.max(np.abs(out.var(axis=-1) - 1.0)) < 1e-9
+
+    def test_norm_linear_shape_errors(self):
+        x, g = ad.constant(np.ones((2, 3))), ad.constant(np.ones(3))
+        w, b = ad.constant(np.ones((3, 4))), ad.constant(np.ones(4))
+        ad.norm_linear(x, g, g, w, b)
+        for bad in ((x, g, g, ad.constant(np.ones((4, 4))), b),
+                    (x, g, g, w, ad.constant(np.ones(3))),
+                    (x, g, g, ad.constant(np.ones((3, 4, 1))), b), (ad.constant(1.0), g, g, w, b)):
+            with pytest.raises(ShapeError):
+                ad.norm_linear(*bad)
 
     @pytest.mark.parametrize("arg, residual", [(i, True) for i in range(4)]
                              + [(i, False) for i in range(3)])

@@ -9,11 +9,12 @@ with an entry added, dropped or narrowed, or a checkpoint), two reports
 whose similarity maps probe different patches, or a metrics directory
 missing a file, a similarity map included, or a layer's metrics.csv row,
 or with a map cut to 2 of its 4 rows, exit code 1, with no checkpoint, for a
-run that diverges, exit code 1 for a checkpoint with an entry the model has
-no parameter for, dump and metrics that never generate a train example, and
-train that never generates a probe-test example, nor a probe-train one
-without --diag-every, and metrics that accepts its own run's dump at shapes
-where a batch of 1 and dump's batch of 16 round apart."""
+run that diverges, even into the directory of an earlier run, exit code 1
+for a checkpoint with an entry the model has no parameter for, dump and
+metrics that never generate a train example, and train that never
+generates a probe-test example, nor a probe-train one without --diag-every,
+and metrics that accepts its own run's dump at shapes where a batch of 1
+and dump's batch of 16 round apart."""
 
 import json
 import re
@@ -452,3 +453,21 @@ def test_diverged_training_exits_1_without_a_checkpoint(golden, tmp_path, capsys
     assert "language-model loss diverged" in capsys.readouterr().err
     assert not (out / "checkpoint.prea").exists()
     assert len((out / "train_log.csv").read_text().splitlines()) == 2  # header, step 1
+
+
+def test_failed_training_leaves_no_output_of_an_earlier_run(golden, tmp_path, capsys):
+    # a diverged run into the directory of a finished one: dump must not
+    # take the earlier run's checkpoint for this run's
+    w, _, _ = golden
+    out = tmp_path / "run"
+    shutil.copytree(w / "run", out)
+    assert (out / "eval.csv").exists()
+    rc = main(["train", "--data", str(w / "data"), "--out", str(out), "--steps", "6",
+               "--batch-size", "4", "--seed", "5", "--lr", "1e6"] + TINY_MODEL)
+    assert rc == 1
+    assert "language-model loss diverged" in capsys.readouterr().err
+    assert json.loads((out / "config.json").read_text())["seed"] == 5
+    assert sorted(p.name for p in out.iterdir()) == ["config.json", "train_log.csv"]
+    assert main(["dump", "--run", str(out), "--data", str(w / "data"),
+                 "--out", str(tmp_path / "hidden.prea")]) == 2
+    assert "no checkpoint.prea" in capsys.readouterr().err

@@ -31,10 +31,12 @@ def dataset_files(path):
 
 def example_arrays(ds):
     """Every array of every loaded example, split by split in load order
-    (SPLIT_NAMES by default), then in id order."""
+    (SPLIT_NAMES by default), then in id order. The float32 image comes
+    widened to float64, as the encoder widens it: bit for bit the array
+    that datasets held as float64 before, so the pinned digests still hold."""
     return [arr for split in ds.splits.values() for ex in split
-            for arr in (np.int64(ex.id), ex.image, ex.labels, ex.prompt, ex.answer,
-                        np.int64(ex.probe_label))]
+            for arr in (np.int64(ex.id), ex.image.astype(np.float64), ex.labels, ex.prompt,
+                        ex.answer, np.int64(ex.probe_label))]
 
 
 def record_generated_ids(monkeypatch):
@@ -150,8 +152,8 @@ def test_load_returns_the_generated_arrays(tmp_path):
         ex_rng = root.split(ex.id)
         img = generate_image(ex_rng.split("image"), spec)
         qa = generate_qa(img, ex_rng.split("qa"))
-        assert ex.image.dtype == np.float64
-        assert ex.image.tobytes() == img.pixels.astype(np.float32).astype(np.float64).tobytes()
+        assert ex.image.dtype == np.float32
+        assert ex.image.tobytes() == img.pixels.astype(np.float32).tobytes()
         for got, want in ((ex.labels, img.labels), (ex.prompt, qa.prompt),
                           (ex.answer, qa.answer)):
             assert got.dtype == np.int64 and got.shape == want.shape

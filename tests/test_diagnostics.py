@@ -300,7 +300,7 @@ class TestLogitLens:
     def test_last_layer_decodes_as_the_model(self):
         params, visual = _lens_states()
         with ad.no_grad():
-            logits = params.head(params.ln_f(ad.constant(visual[-1]))).value
+            logits = params.head(ad.constant(visual[-1]), norm=params.ln_f).value
         lens = logit_lens(visual, params.ln_f.gamma.value, params.ln_f.beta.value,
                           params.head.w.value, params.head.b.value)
         assert len(lens) == 3

@@ -96,7 +96,11 @@ def test_mlp_and_prediction_head_shapes():
 
 
 def test_layer_norm_module_stats():
+    # a norm runs inside the projection it feeds; through an identity one,
+    # the output is the normed rows
     ln = LayerNorm("n", 12)
-    out = ln(constant(RNG.normal(size=(7, 12)))).value
+    lin = Linear("l", 12, 12, RngStream(1))
+    lin.w.value[...] = np.eye(12)
+    out = lin(constant(RNG.normal(size=(7, 12))), norm=ln).value
     assert np.max(np.abs(out.mean(axis=-1))) < 1e-12
     assert np.max(np.abs(out.var(axis=-1) - 1.0)) < 1e-9

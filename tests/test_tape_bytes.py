@@ -1,6 +1,7 @@
 """tools/tape_bytes.py: the bytes a train step's tape holds after the
 forward pass, per op, split into node values and backward-closure arrays,
-with each buffer counted once and parameter storage left out."""
+with each buffer counted once and parameter storage left out, and a warm
+step's traced peak after the live bytes it starts from."""
 
 import importlib.util
 from pathlib import Path
@@ -20,18 +21,20 @@ spec.loader.exec_module(tape_bytes)
 
 def test_a_buffer_counts_once_and_parameters_not_at_all():
     f32 = np.float32
-    w, gamma, beta = (Parameter(n, np.ones(s, f32)) for n, s in (("w", (4, 3)), ("g", 3), ("b", 3)))
+    w, gamma, beta, w2 = (Parameter(n, np.ones(s, f32))
+                          for n, s in (("w", (4, 3)), ("g", 3), ("b", 3), ("w2", (3, 2))))
     x = ad.constant(np.ones((5, 4), f32))  # 80 bytes
-    y = ad.layer_norm(ad.linear(x, w.node()), gamma.node(), beta.node())
-    per_op = tape_bytes.tape_bytes(ad.sum_all(ad.reshape(y, (15,))))
-    # linear's closure holds views of x and w alone; layer_norm's holds a
+    y = ad.norm_linear(ad.linear(x, w.node()), gamma.node(), beta.node(), w2.node())
+    per_op = tape_bytes.tape_bytes(ad.sum_all(ad.reshape(y, (10,))))
+    # linear's closure holds views of x and w alone; norm_linear's holds a
     # view of its input, the 1/d vector (12 bytes), the row means and the
-    # 1/sigma column (20 bytes each); reshape's value is a view of y
-    assert per_op == {"const": [1, 80, 0], "param": [3, 0, 0], "linear": [1, 60, 0],
-                      "layer_norm": [1, 60, 52], "reshape": [1, 0, 0], "sum": [1, 4, 0]}
+    # 1/sigma column (20 bytes each), and no normed rows; reshape's value
+    # is a view of y
+    assert per_op == {"const": [1, 80, 0], "param": [4, 0, 0], "linear": [1, 60, 0],
+                      "norm_linear": [1, 40, 52], "reshape": [1, 0, 0], "sum": [1, 4, 0]}
 
 
-@pytest.mark.parametrize("target_layer, want", [(1, (67, 16612, 5752)), (2, (66, 20644, 8224))])
+@pytest.mark.parametrize("target_layer, want", [(1, (62, 14116, 5752)), (2, (61, 17476, 8224))])
 def test_train_step_tape_totals_at_a_tiny_shape(target_layer, want):
     # (nodes, value bytes, backward bytes), with the answer-row last block
     # (target layer 1) and with the prediction loss reading the whole last
@@ -46,3 +49,21 @@ def test_table_lists_the_largest_op_first_and_the_totals_last():
     lines = tape_bytes.format_table({"small": [2, 1000, 0], "big": [1, 2_000_000, 500_000]})
     assert [line.split()[0] for line in lines] == ["op", "big", "small", "total"]
     assert lines[-1].split() == ["total", "3", "2.001", "0.500", "2.501"]
+
+
+def test_peak_lines_follow_the_table(capsys):
+    assert tape_bytes.format_peak(4_843_000, 30_535_000) == [
+        "live before a warm step          4.843 MB", "peak of that step               30.535 MB"]
+    assert tape_bytes.main(["train-paper"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].split()[0] == "op" and lines[-3].split()[0] == "total"
+    assert [line[:30].rstrip() for line in lines[-2:]] == ["live before a warm step",
+                                                           "peak of that step"]
+
+
+def test_a_warm_step_peaks_above_what_it_starts_with():
+    # the parameters, gradients and AdamW moments, then the tape on top
+    cfg = MllmConfig(grid=2, d_l=8, layers=2, heads=2, lam=0.5, target_layer=1)
+    live, peak = tape_bytes.step_peak_bytes(cfg, batch_size=3)
+    n_values = sum(p.value.size for p in tape_bytes.fresh_step(cfg, 3)[0].trainable())
+    assert 4 * 4 * n_values <= live < peak

@@ -1,5 +1,5 @@
 """Print how many bytes one train step's tape holds after the forward pass,
-per op.
+per op, and how many bytes a warm train step holds at its peak.
 
     python3 tools/tape_bytes.py [SHAPE]
 
@@ -17,12 +17,20 @@ counts once: node values are attributed first, in tape order, then the
 closures' arrays, so a closure that captures its input's own buffer adds
 nothing. Parameter storage is not the tape's and is left out. The tape is
 every node reachable from the loss along parents.
+
+The two lines after the table come from tracemalloc over a second model
+built the same way: the bytes live before its second train step
+(parameters, gradients, AdamW's moments and the batch), and that step's
+peak, live bytes included. numpy reports its array buffers to tracemalloc,
+so these count what the program allocates, not the interpreter or the
+allocator's free pages that peak RSS also holds.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -87,15 +95,21 @@ def tape_bytes(loss: ad.Node) -> dict:
     return out
 
 
-def step_tape_bytes(cfg: MllmConfig, batch_size: int) -> dict:
-    """tape_bytes of one train step of a fresh model at cfg, on a random
-    batch, measured when the step calls backward."""
+def fresh_step(cfg: MllmConfig, batch_size: int) -> tuple:
+    """A fresh model at cfg, its AdamW and a random batch."""
     params = MllmParams(cfg)
     opt = AdamW(params.trainable(), WarmupCosine(1e-3, 500))
     rng = np.random.default_rng(SEED)
     batch = Batch(z=rng.normal(size=(batch_size, cfg.n_patches, D_V)),
                   prompts=rng.integers(0, VOCAB_SIZE, size=(batch_size, PROMPT_LEN)),
                   answers=rng.integers(0, VOCAB_SIZE, size=batch_size))
+    return params, opt, batch
+
+
+def step_tape_bytes(cfg: MllmConfig, batch_size: int) -> dict:
+    """tape_bytes of one train step of a fresh model at cfg, on a random
+    batch, measured when the step calls backward."""
+    params, opt, batch = fresh_step(cfg, batch_size)
     measured = {}
     backward = ad.backward
 
@@ -109,6 +123,28 @@ def step_tape_bytes(cfg: MllmConfig, batch_size: int) -> dict:
     finally:
         ad.backward = backward
     return measured
+
+
+def step_peak_bytes(cfg: MllmConfig, batch_size: int) -> tuple:
+    """(live bytes, peak bytes) by tracemalloc of the second train step of a
+    fresh model at cfg on a random batch: what is live as it starts, and the
+    most that is live during it."""
+    tracemalloc.start()
+    try:
+        params, opt, batch = fresh_step(cfg, batch_size)
+        train_step(params, opt, batch)
+        live = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        train_step(params, opt, batch)
+        return live, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def format_peak(live: int, peak: int) -> list:
+    """The two lines of step_peak_bytes, in MB."""
+    return [f"{'live before a warm step':<30}{live / 1e6:>8.3f} MB",
+            f"{'peak of that step':<30}{peak / 1e6:>8.3f} MB"]
 
 
 def format_table(per_op: dict) -> list:
@@ -126,8 +162,9 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("shape", nargs="?", choices=sorted(SHAPES), default="train-paper")
     args = ap.parse_args(argv)
-    per_op = step_tape_bytes(MllmConfig(**SHAPES[args.shape]), BATCH)
-    print("\n".join(format_table(per_op)))
+    cfg = MllmConfig(**SHAPES[args.shape])
+    print("\n".join(format_table(step_tape_bytes(cfg, BATCH))))
+    print("\n".join(format_peak(*step_peak_bytes(cfg, BATCH))))
     return 0
 
 
