@@ -13,8 +13,8 @@ id is a deterministic reverse-topological order.
 No op writes into an array it was given or has returned, so every node
 value stays as it was made until backward has run. Backward closures rely
 on it: they keep views of their inputs, and rebuild what is cheap to
-rebuild rather than keep it. norm_linear's rebuilds x-hat and the normed
-rows from its input, and gelu_linear's the GELU output from its.
+rebuild rather than keep it: linear's rebuilds its input map, the normed
+rows or the GELU output, from its input.
 
 stop_gradient() is a first-class primitive: it re-wraps a value as a
 parentless constant node, so nothing upstream of it can ever receive
@@ -210,56 +210,6 @@ def scale(a: Node, c: float) -> Node:
     return record("scale", v, (a,), bk)
 
 
-def _check_residual(op: str, residual, out: np.ndarray) -> None:
-    """A residual added in place must match the output: += would broadcast a
-    smaller one, or round a float64 one down to float32."""
-    if residual is not None and (residual.shape, residual.value.dtype) != (out.shape, out.dtype):
-        raise ShapeError(f"{op} residual {residual.value.dtype} {residual.shape} != "
-                         f"output {out.dtype} {out.shape}")
-
-
-def _check_projection(op: str, x: Node, w: Node, b: Node) -> None:
-    """The shapes of a projection: x [..., d_in], w [d_in, d_out], b [d_out] or None."""
-    if w.value.ndim != 2 or x.value.ndim < 1 or x.shape[-1] != w.shape[0]:
-        raise ShapeError(f"{op} expects [..., d_in] and [d_in, d_out], "
-                         f"got {x.shape} and {w.shape}")
-    if b is not None and b.shape != w.shape[1:]:
-        raise ShapeError(f"{op} bias shape {b.shape} != ({w.shape[1]},)")
-
-
-def _projection_grads(x2: np.ndarray, g2: np.ndarray, b: Node) -> list:
-    """The gradients of w and b (if any) of x2 @ w (+ b), given g2 = dout."""
-    return [x2.T @ g2] + ([] if b is None else [g2.sum(axis=0)])
-
-
-def linear(x: Node, w: Node, b: Node = None, residual: Node = None) -> Node:
-    """x @ w (+ b) (+ residual) over the last axis of x. Leading axes are
-    flattened into the rows of one 2-D GEMM, so the weight gradient x2.T @ g2
-    is one GEMM too, not one per batch entry plus a sum over the batch.
-    The residual is added into the output in place, bitwise add(residual,
-    x @ w + b), and takes g unchanged in backward. Backward keeps x and w,
-    which the graph holds anyway, and nothing of the output."""
-    xv, wv = x.value, w.value
-    _check_projection("linear", x, w, b)
-    x2 = xv.reshape(-1, wv.shape[0])
-    v = x2 @ wv
-    if b is not None:
-        v += b.value
-    out = v.reshape(xv.shape[:-1] + wv.shape[1:])
-    _check_residual("linear", residual, out)
-    if residual is not None:
-        out += residual.value
-
-    def bk(g):
-        g2 = g.reshape(-1, wv.shape[1])
-        grads = [(g2 @ wv.T).reshape(xv.shape), *_projection_grads(x2, g2, b)]
-        if residual is not None:
-            grads.append(g)
-        return grads
-
-    return record("linear", out, (x, w, *(n for n in (b, residual) if n is not None)), bk)
-
-
 def reshape(a: Node, shape) -> Node:
     shape = tuple(shape)
     v = a.value.reshape(shape)
@@ -408,50 +358,6 @@ def causal_attention(qkv: Node, heads: int, first_row: int = 0) -> Node:
     return record("causal_attention", out.reshape(bsz, t - q0, d), (qkv,), bk)
 
 
-def norm_linear(x: Node, gamma: Node, beta: Node, w: Node, b: Node = None) -> Node:
-    """Layer norm over the last axis, y = x-hat * gamma + beta, then y @ w
-    (+ b): one tape op, bitwise the chain of a layer norm and ad.linear.
-    Every row moment, forward and backward, is one GEMV of the rows with a
-    1/d vector, not numpy's reduction along each short row. Backward keeps
-    the row means and 1/sigma, not x-hat or y: it rebuilds x-hat from x,
-    which the graph holds anyway, and then y, with the forward's
-    expressions, for the weight gradient."""
-    xv, wv = x.value, w.value
-    _check_projection("norm_linear", x, w, b)
-    d = xv.shape[-1]
-    avg = np.full(d, 1.0 / d, dtype=xv.dtype)
-    x2 = xv.reshape(-1, d)
-    mean = (x2 @ avg)[:, None]
-    xhat = x2 - mean
-    inv = (1.0 / np.sqrt((xhat * xhat) @ avg + LAYER_NORM_EPS))[:, None]
-    # x-hat, then y, in place in x2 - mean's buffer: the bits of the
-    # expressions written out, and no other [.., d] array made
-    xhat *= inv
-    xhat *= gamma.value
-    xhat += beta.value
-    v = xhat @ wv
-    if b is not None:
-        v += b.value
-
-    def bk(g):
-        g2 = g.reshape(-1, wv.shape[1])
-        gh = g2 @ wv.T  # y's gradient, made x's in place
-        xhat = x2 - mean
-        xhat *= inv
-        ggamma, gbeta = (gh * xhat).sum(axis=0), gh.sum(axis=0)
-        gh *= gamma.value
-        dot = (gh * xhat) @ avg
-        gh -= (gh @ avg)[:, None]
-        gh -= xhat * dot[:, None]
-        gh *= inv
-        xhat *= gamma.value  # y, in x-hat's buffer, which is read no more
-        xhat += beta.value
-        return [gh.reshape(xv.shape), ggamma, gbeta, *_projection_grads(xhat, g2, b)]
-
-    return record("norm_linear", v.reshape(xv.shape[:-1] + wv.shape[1:]),
-                  (x, gamma, beta, w, *(() if b is None else (b,))), bk)
-
-
 _SQRT2 = math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 # erf(x) = x P(x^2) / Q(x^2) on [-4, 4], highest power first: the
@@ -487,39 +393,87 @@ def _erf(x: np.ndarray) -> np.ndarray:
     return p
 
 
-def gelu_linear(h: Node, w: Node, b: Node, residual: Node = None) -> Node:
-    """The erf GELU, h * Phi(h), then @ w + b (+ residual) over the last
-    axis: one tape op, bitwise the chain gelu -> linear (-> add). Float32
-    takes erf from _erf's float32 approximation (within 4.5e-7), any other
-    dtype math.erf. Backward keeps h, which the graph holds anyway, and
-    Phi(h), not the GELU output: it rebuilds that as h * Phi(h) for the
-    weight gradient. The residual takes g unchanged."""
-    hv, wv = h.value, w.value
-    if wv.ndim != 2 or hv.ndim < 1 or hv.shape[-1] != wv.shape[0] or b.shape != wv.shape[1:]:
-        raise ShapeError(f"gelu_linear expects [..., d_in], [d_in, d_out] and [d_out], "
-                         f"got {h.shape}, {w.shape} and {b.shape}")
-    h2 = hv.reshape(-1, hv.shape[-1])
-    phi = 0.5 * (1.0 + _erf(h2 / _SQRT2))
-    v = (h2 * phi) @ wv
-    v += b.value
-    out = v.reshape(hv.shape[:-1] + wv.shape[1:])
-    _check_residual("gelu_linear", residual, out)
+def linear(x: Node, w: Node, b: Node = None, residual: Node = None, norm: tuple = None,
+           gelu: bool = False) -> Node:
+    """a @ w (+ b) (+ residual) over the last axis of x, as one tape op. The
+    input map a is x (op "linear"), its layer norm x-hat * gamma + beta given
+    norm=(gamma, beta) nodes (op "norm_linear"), or its erf GELU x * Phi(x)
+    given gelu=True (op "gelu_linear"): bitwise the chain of the map, the
+    projection and an add of the residual as ops of their own. The leading
+    axes of x become the rows of one 2-D GEMM, so the weight gradient is one
+    GEMM too. The residual is added in place and takes g unchanged. Backward
+    keeps x and w, which the graph holds anyway, and what the map's backward
+    reads, the norm's row means and 1/sigma or the GELU's Phi(x); it rebuilds
+    a from x with the forward's expressions (selective recomputation,
+    Korthikanti et al. 2022). The norm's row moments are GEMVs of the rows
+    with a 1/d vector, not numpy's reductions along each short row. Float32
+    takes erf from _erf's approximation (within 4.5e-7), any other dtype
+    from math.erf."""
+    if norm is not None and gelu:
+        raise ValueError("linear takes a layer norm or the GELU as its input map, not both")
+    op = "norm_linear" if norm is not None else "gelu_linear" if gelu else "linear"
+    xv, wv = x.value, w.value
+    if wv.ndim != 2 or xv.ndim < 1 or xv.shape[-1] != wv.shape[0]:
+        raise ShapeError(f"{op} expects [..., d_in] and [d_in, d_out], got {x.shape} and {w.shape}")
+    if b is not None and b.shape != wv.shape[1:]:
+        raise ShapeError(f"{op} bias shape {b.shape} != ({wv.shape[1]},)")
+    x2 = xv.reshape(-1, wv.shape[0])
+    if norm is not None:
+        gamma, beta = norm[0].value, norm[1].value
+        avg = np.full(x2.shape[1], 1.0 / x2.shape[1], dtype=x2.dtype)
+        mean = (x2 @ avg)[:, None]
+        a = x2 - mean
+        inv = (1.0 / np.sqrt((a * a) @ avg + LAYER_NORM_EPS))[:, None]
+        # x-hat, then y, in place in x2 - mean's buffer: the bits of the
+        # expressions written out, and no other [.., d] array made
+        a *= inv
+        a *= gamma
+        a += beta
+    elif gelu:
+        phi = 0.5 * (1.0 + _erf(x2 / _SQRT2))
+        a = x2 * phi
+    else:
+        a = x2
+    v = a @ wv
+    if b is not None:
+        v += b.value
+    out = v.reshape(xv.shape[:-1] + wv.shape[1:])
     if residual is not None:
+        # += would broadcast a smaller residual, or round a float64 one down
+        if (residual.shape, residual.value.dtype) != (out.shape, out.dtype):
+            raise ShapeError(f"{op} residual {residual.value.dtype} {residual.shape} != "
+                             f"output {out.dtype} {out.shape}")
         out += residual.value
 
     def bk(g):
         g2 = g.reshape(-1, wv.shape[1])
-        gact = g2 @ wv.T
-        act = h2 * phi
-        gw = act.T @ g2
-        del act
-        pdf = _INV_SQRT_2PI * np.exp(-0.5 * h2 * h2)
-        grads = [(gact * (phi + h2 * pdf)).reshape(hv.shape), gw, g2.sum(axis=0)]
+        ga = g2 @ wv.T  # a's gradient, made x's in place
+        if norm is not None:
+            a = x2 - mean
+            a *= inv
+            grads = [ga, (ga * a).sum(axis=0), ga.sum(axis=0)]
+            ga *= gamma
+            dot = (ga * a) @ avg
+            ga -= (ga @ avg)[:, None]
+            ga -= a * dot[:, None]
+            ga *= inv
+            a *= gamma  # y, in x-hat's buffer, which is read no more
+            a += beta
+        elif gelu:
+            grads = [ga * (phi + x2 * (_INV_SQRT_2PI * np.exp(-0.5 * x2 * x2)))]
+            a = x2 * phi
+        else:
+            a, grads = x2, [ga]
+        grads[0] = grads[0].reshape(xv.shape)
+        grads.append(a.T @ g2)
+        if b is not None:
+            grads.append(g2.sum(axis=0))
         if residual is not None:
             grads.append(g)
         return grads
 
-    return record("gelu_linear", out, (h, w, b, *(() if residual is None else (residual,))), bk)
+    return record(op, out, (x, *(norm or ()), w, *(n for n in (b, residual) if n is not None)),
+                  bk)
 
 
 def embedding(table: Node, ids: np.ndarray) -> Node:

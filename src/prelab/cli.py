@@ -65,15 +65,21 @@ class RunConfig(MllmConfig):
             raise ConfigError(f"diag cadence must be >= 0, got {self.diag_every}")
 
 
-_RUN_FIELDS = {f.name for f in fields(RunConfig)}
+_RUN_FIELDS = {f.name: type(f.default) for f in fields(RunConfig)}
 
 
 def run_config_from_dict(raw: dict) -> RunConfig:
     """Strict constructor: unknown keys are rejected, never ignored (a typo
-    in a knob name must not silently run a different experiment)."""
-    unknown = set(raw) - _RUN_FIELDS
+    in a knob name must not silently run a different experiment), and so is
+    a value of another type than its field's: an int field takes an int, a
+    float field an int or a float, a str field a str, and no field a bool."""
+    unknown = raw.keys() - _RUN_FIELDS.keys()
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+    for key, value in raw.items():
+        want = _RUN_FIELDS[key]
+        if type(value) not in ((int, float) if want is float else (want,)):  # a bool is no int
+            raise ConfigError(f"config key {key!r} must be {want.__name__}, got {value!r}")
     cfg = RunConfig(**raw)
     cfg.validate()
     return cfg

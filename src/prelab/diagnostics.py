@@ -155,18 +155,18 @@ def logit_lens(visual_by_layer, ln_gamma, ln_beta, head_w, head_b) -> list:
     output head; per layer, softmax each patch and average the resulting
     distributions over all patches and examples. Returns, per layer, the
     LOGIT_LENS_TOP_K most probable tokens as [(token_id, mass)], by falling
-    mass (ties by token id). The norm and head are the model's own
-    ad.norm_linear forward, and the decode runs in the dtype of the states
-    given (float32 for a dump, as in the model), so the last layer decodes
-    exactly as the model does.
+    mass (ties by token id). The norm and head are the model's own forward,
+    one ad.linear with the norm as its input map, and the decode runs in the
+    dtype of the states given (float32 for a dump, as in the model), so the
+    last layer decodes exactly as the model does.
     The average over patches accumulates in float64.
 
     visual_by_layer: sequence over layers of [M, d] stacked patch states.
     """
-    norm_head = [ad.constant(a) for a in (ln_gamma, ln_beta, head_w, head_b)]
+    gamma, beta, w, b = (ad.constant(a) for a in (ln_gamma, ln_beta, head_w, head_b))
     out = []
     for states in visual_by_layer:
-        probs = ad.norm_linear(ad.constant(states), *norm_head).value  # softmaxed in place
+        probs = ad.linear(ad.constant(states), w, b, norm=(gamma, beta)).value  # softmaxed in place
         probs -= probs.max(axis=-1, keepdims=True)
         np.exp(probs, out=probs)
         probs /= probs.sum(axis=-1, keepdims=True)

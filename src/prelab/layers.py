@@ -24,21 +24,22 @@ PARAM_DTYPE = np.float32
 
 
 class Linear:
-    """x @ w + b (+ residual) over the last axis as one ad.linear tape op:
-    any leading axes of x become the rows of a single 2-D GEMM. Given a
-    LayerNorm, it normalizes x first, in one ad.norm_linear op, which keeps
-    no normed rows but rebuilds them in backward; that op takes no residual."""
+    """a @ w + b (+ residual) over the last axis of x as one ad.linear tape
+    op, any leading axes of x the rows of a single 2-D GEMM. The input map a
+    is x, or x normed by a given LayerNorm, or the GELU of x with gelu=True;
+    the op keeps neither the normed rows nor the GELU output for backward,
+    but rebuilds them there."""
 
     def __init__(self, name: str, d_in: int, d_out: int, rng: RngStream, bias: bool = True):
         w = rng.split("w").truncated_normal((d_in, d_out), INIT_STD)
         self.w = Parameter(f"{name}.w", w.astype(PARAM_DTYPE))
         self.b = Parameter(f"{name}.b", np.zeros(d_out, PARAM_DTYPE)) if bias else None
 
-    def __call__(self, x: Node, residual: Node = None, norm: LayerNorm = None) -> Node:
+    def __call__(self, x: Node, residual: Node = None, norm: LayerNorm = None,
+                 gelu: bool = False) -> Node:
         b = None if self.b is None else self.b.node()
-        if norm is not None:
-            return ad.norm_linear(x, norm.gamma.node(), norm.beta.node(), self.w.node(), b)
-        return ad.linear(x, self.w.node(), b, residual)
+        affine = None if norm is None else (norm.gamma.node(), norm.beta.node())
+        return ad.linear(x, self.w.node(), b, residual, affine, gelu)
 
     def params(self):
         return [self.w] if self.b is None else [self.w, self.b]
@@ -72,18 +73,17 @@ class Mlp:
     """Two-layer feed-forward map with GELU between, plus an optional norm
     before it and an optional residual: the decoder block's MLP (d_out =
     d_in, normed) and the prediction head that maps hidden states to the
-    anchor feature space (no norm). fc1 is one ad.linear, or with the norm
-    one ad.norm_linear; the GELU, fc2 and the residual are one
-    ad.gelu_linear, which keeps the fc1 output and Phi of it for backward,
-    not the GELU output or its own."""
+    anchor feature space (no norm). Each layer is one ad.linear: fc1 with
+    the norm as its input map, and fc2 with the GELU as its input map and
+    the residual added in, which keeps the fc1 output and Phi of it for
+    backward, not the GELU output or its own."""
 
     def __init__(self, name: str, d_in: int, d_hidden: int, d_out: int, rng: RngStream):
         self.fc1 = Linear(f"{name}.fc1", d_in, d_hidden, rng.split("fc1"))
         self.fc2 = Linear(f"{name}.fc2", d_hidden, d_out, rng.split("fc2"))
 
     def __call__(self, x: Node, residual: Node = None, norm: LayerNorm = None) -> Node:
-        return ad.gelu_linear(self.fc1(x, norm=norm), self.fc2.w.node(), self.fc2.b.node(),
-                              residual)
+        return self.fc2(self.fc1(x, norm=norm), residual, gelu=True)
 
     def params(self):
         return self.fc1.params() + self.fc2.params()
@@ -117,10 +117,10 @@ class CausalSelfAttention:
 
 class DecoderBlock:
     """Pre-norm transformer decoder block: x + attn(ln(x)), x + mlp(ln(x)).
-    Each norm runs inside the projection it feeds (ad.norm_linear), so the
-    tape keeps neither norm's output. Attention's output projection and the
-    MLP each add the residual into their own output, so the tape keeps the
-    block's two sums and neither op's output apart from them.
+    Each norm is the input map of the projection it feeds (one ad.linear),
+    so the tape keeps neither norm's output. Attention's output projection
+    and the MLP's fc2 each add the residual into their own output, so the
+    tape keeps the block's two sums and neither op's output apart from them.
     With first_row, it returns only the rows [first_row, T): LN1 and the
     q/k/v projection run on all rows, whose keys and values attention
     reads, and the rest of the block on the returned rows alone."""

@@ -89,8 +89,8 @@ def attention_reference_grad(qkv, heads, g):
 
 def gelu_op(a):
     """The erf GELU as a tape op of its own, with the expressions
-    ad.gelu_linear fuses: x * Phi(x) forward, g * (Phi(x) + x * pdf(x))
-    backward."""
+    ad.linear fuses given gelu=True: x * Phi(x) forward, g * (Phi(x) + x *
+    pdf(x)) backward."""
     x = a.value
     phi = 0.5 * (1.0 + ad._erf(x / math.sqrt(2.0)))
 
@@ -102,8 +102,8 @@ def gelu_op(a):
 
 
 def layer_norm_op(a, gamma, beta):
-    """Layer norm as a tape op of its own, with the expressions
-    ad.norm_linear fuses, keeping x-hat for backward."""
+    """Layer norm as a tape op of its own, with the expressions ad.linear
+    fuses given a norm, keeping x-hat for backward."""
     x = a.value
     d = x.shape[-1]
     avg = np.full(d, 1.0 / d, dtype=x.dtype)
@@ -217,12 +217,30 @@ class TestPrimitiveGradients:
         assert [a.tobytes() for a in fused] == [a.tobytes() for a in chain]
         assert all(a.dtype == dtype for a in fused)
 
-    def test_linear_shape_errors(self):
-        x = ad.constant(np.ones((2, 3)))
-        with pytest.raises(ShapeError):
-            ad.linear(x, ad.constant(np.ones((4, 2))))
-        with pytest.raises(ShapeError):
-            ad.linear(x, ad.constant(np.ones((3, 2))), ad.constant(np.ones(3)))
+    @pytest.mark.parametrize("input_map", ["x", "norm", "gelu"])
+    def test_linear_shape_errors(self, input_map):
+        # the projection's shapes, and a residual += would broadcast (the
+        # first two) or round down from float64, refused under every map
+        f32 = np.float32
+        kw = {"x": {}, "gelu": {"gelu": True},
+              "norm": {"norm": (ad.constant(np.ones(4, f32)), ad.constant(np.zeros(4, f32)))}}
+        x = ad.constant(np.ones((2, 3, 4), f32))
+        w, b = ad.constant(np.ones((4, 5), f32)), ad.constant(np.zeros(5, f32))
+        ad.linear(x, w, b, ad.constant(np.ones((2, 3, 5), f32)), **kw[input_map])
+        for bad in ((x, ad.constant(np.ones((5, 5), f32)), b), (x, w, ad.constant(np.ones(4, f32))),
+                    (x, ad.constant(np.ones((4, 5, 1), f32)), b), (ad.constant(f32(1.0)), w, b)):
+            with pytest.raises(ShapeError):
+                ad.linear(*bad, **kw[input_map])
+        for shape, dtype in (((5,), f32), ((1, 3, 5), f32), ((2, 3, 5), np.float64)):
+            for bias in (None, b):
+                with pytest.raises(ShapeError, match="residual"):
+                    ad.linear(x, w, bias, ad.constant(np.ones(shape, dtype)), **kw[input_map])
+
+    def test_linear_refuses_a_norm_and_the_gelu_together(self):
+        x, g = ad.constant(np.ones((2, 3))), ad.constant(np.ones(3))
+        w = ad.constant(np.ones((3, 4)))
+        with pytest.raises(ValueError, match="not both"):
+            ad.linear(x, w, norm=(g, g), gelu=True)
 
     def test_reshape(self):
         w = ad.constant(RNG.normal(size=(6, 2)))
@@ -373,31 +391,35 @@ class TestPrimitiveGradients:
             ad.cross_entropy(ad.constant(np.ones((2, 2, 3))), np.zeros(2, dtype=int))
 
     @staticmethod
-    def check_norm_linear(arg, x, **tolerance):
+    def check_linear_with_norm(arg, x, **tolerance):
         # argument arg of x, gamma, beta, w and b varies, the others fixed
         args = [x] + [RNG.normal(size=s) for s in ((6,), (6,), (6, 4), (4,))]
         args[1] += 1.0
         w = ad.constant(RNG.normal(size=x.shape[:-1] + (4,)))
-        check_grad(lambda node: ad.sum_all(mul(ad.norm_linear(
+
+        def op(x, gamma, beta, w, b):
+            return ad.linear(x, w, b, norm=(gamma, beta))
+
+        check_grad(lambda node: ad.sum_all(mul(op(
             *(node if i == arg else ad.constant(a) for i, a in enumerate(args))), w)),
             args[arg], **tolerance)
 
     @pytest.mark.parametrize("arg", range(5))
-    def test_norm_linear(self, arg):
+    def test_linear_with_norm(self, arg):
         x = RNG.normal(size=(2, 3, 6))
         if arg:  # a constant row, whose x-hat is 0; x's own check is below
             x[0, 1] = 0.7
-        self.check_norm_linear(arg, x)
+        self.check_linear_with_norm(arg, x)
 
-    def test_norm_linear_x_at_a_constant_row(self):
+    def test_linear_with_norm_x_at_a_constant_row(self):
         # x-hat 0 and 1/sigma 1e6 (the eps's), so x's gradient is about 1e6
         # and is linear only over a step far below 1e-6, whose rounding the
         # looser tolerance allows
-        self.check_norm_linear(0, np.full((1, 6), 0.7), h=1e-8, tol=1e-3)
+        self.check_linear_with_norm(0, np.full((1, 6), 0.7), h=1e-8, tol=1e-3)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("rows, bias", [((2, 5), True), ((10,), False)])
-    def test_norm_linear_is_bitwise_the_unfused_chain(self, dtype, rows, bias):
+    def test_linear_with_norm_is_bitwise_the_unfused_chain(self, dtype, rows, bias):
         # the decoder block's [B, T, d] into a projection with a bias, and
         # 2-D rows into one without: value and every gradient, byte for byte
         arrays = {"x": RNG.normal(size=rows + (8,)) * 2.0 + 0.5,
@@ -410,52 +432,44 @@ class TestPrimitiveGradients:
         def chain(n):
             return ad.linear(layer_norm_op(n["x"], n["gamma"], n["beta"]), n["w"], n.get("b"))
 
-        fused = values_and_grads(lambda n: ad.norm_linear(
-            n["x"], n["gamma"], n["beta"], n["w"], n.get("b")), arrays, g, dtype)
+        fused = values_and_grads(lambda n: ad.linear(
+            n["x"], n["w"], n.get("b"), norm=(n["gamma"], n["beta"])), arrays, g, dtype)
         unfused = values_and_grads(chain, arrays, g, dtype)
         assert [a.tobytes() for a in fused] == [a.tobytes() for a in unfused]
         assert all(a.dtype == dtype for a in fused)
 
-    def test_float32_norm_linear_within_1e_6_of_float64(self):
+    def test_float32_linear_with_norm_within_1e_6_of_float64(self):
         arrays = {"x": RNG.normal(size=(3, 5, 64)) * 2.0 + 0.5,
                   "gamma": RNG.normal(size=(64,)) + 1.0, "beta": RNG.normal(size=(64,)),
                   "w": RNG.normal(size=(64, 16)), "b": RNG.normal(size=(16,))}
         arrays = {name: a.astype(np.float32) for name, a in arrays.items()}
         g = RNG.normal(size=(3, 5, 16)).astype(np.float32)
-        runs = {dtype: values_and_grads(lambda n: ad.norm_linear(*n.values()), arrays, g, dtype)
+        runs = {dtype: values_and_grads(lambda n: ad.linear(
+                    n["x"], n["w"], n["b"], norm=(n["gamma"], n["beta"])), arrays, g, dtype)
                 for dtype in (np.float32, np.float64)}
         for got, ref in zip(runs[np.float32], runs[np.float64], strict=True):
             assert got.dtype == np.float32
             assert rel_err(got, ref) <= 1e-6
 
-    def test_norm_linear_statistics(self):
+    def test_linear_with_norm_statistics(self):
         # through an identity projection, the normed rows themselves
         x = ad.constant(RNG.normal(size=(10, 32)))
-        out = ad.norm_linear(x, ad.constant(np.ones(32)), ad.constant(np.zeros(32)),
-                             ad.constant(np.eye(32))).value
+        out = ad.linear(x, ad.constant(np.eye(32)),
+                        norm=(ad.constant(np.ones(32)), ad.constant(np.zeros(32)))).value
         assert np.max(np.abs(out.mean(axis=-1))) < 1e-12
         assert np.max(np.abs(out.var(axis=-1) - 1.0)) < 1e-9
 
-    def test_norm_linear_shape_errors(self):
-        x, g = ad.constant(np.ones((2, 3))), ad.constant(np.ones(3))
-        w, b = ad.constant(np.ones((3, 4))), ad.constant(np.ones(4))
-        ad.norm_linear(x, g, g, w, b)
-        for bad in ((x, g, g, ad.constant(np.ones((4, 4))), b),
-                    (x, g, g, w, ad.constant(np.ones(3))),
-                    (x, g, g, ad.constant(np.ones((3, 4, 1))), b), (ad.constant(1.0), g, g, w, b)):
-            with pytest.raises(ShapeError):
-                ad.norm_linear(*bad)
-
     @pytest.mark.parametrize("arg, residual", [(i, True) for i in range(4)]
                              + [(i, False) for i in range(3)])
-    def test_gelu_linear(self, arg, residual):
+    def test_linear_with_gelu(self, arg, residual):
         # each of h, w, b and the residual in turn, the others fixed
         shapes = ((2, 3, 4), (4, 5), (5,)) + (((2, 3, 5),) if residual else ())
         args = [RNG.normal(size=s) for s in shapes]
         args[0] *= 2.0  # well into the GELU's curve
         w = ad.constant(RNG.normal(size=(2, 3, 5)))
-        check_grad(lambda node: ad.sum_all(mul(ad.gelu_linear(
-            *(node if i == arg else ad.constant(a) for i, a in enumerate(args))), w)), args[arg])
+        check_grad(lambda node: ad.sum_all(mul(ad.linear(
+            *(node if i == arg else ad.constant(a) for i, a in enumerate(args)), gelu=True), w)),
+            args[arg])
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("rows, d_out, residual", [((2, 5), 8, True), ((10,), 6, False)])
@@ -473,32 +487,12 @@ class TestPrimitiveGradients:
             out = ad.linear(gelu_op(ad.linear(n["x"], n["w1"], n["b1"])), n["w2"], n["b2"])
             return ad.add(n["r"], out) if residual else out
 
-        fused = values_and_grads(lambda n: ad.gelu_linear(
-            ad.linear(n["x"], n["w1"], n["b1"]), n["w2"], n["b2"], n.get("r")), arrays, g, dtype)
+        fused = values_and_grads(lambda n: ad.linear(
+            ad.linear(n["x"], n["w1"], n["b1"]), n["w2"], n["b2"], n.get("r"), gelu=True),
+            arrays, g, dtype)
         unfused = values_and_grads(chain, arrays, g, dtype)
         assert [a.tobytes() for a in fused] == [a.tobytes() for a in unfused]
         assert all(a.dtype == dtype for a in fused)
-
-    def test_gelu_linear_shape_errors(self):
-        h = ad.constant(np.ones((2, 3)))
-        w, b = ad.constant(np.ones((3, 4))), ad.constant(np.ones(4))
-        ad.gelu_linear(h, w, b)
-        for bad in ((h, ad.constant(np.ones((4, 4))), b), (h, w, ad.constant(np.ones(3))),
-                    (h, ad.constant(np.ones((3, 4, 1))), b), (ad.constant(1.0), w, b)):
-            with pytest.raises(ShapeError):
-                ad.gelu_linear(*bad)
-
-    def test_residual_of_another_shape_or_dtype_is_refused(self):
-        # += would broadcast the first two, and round the float64 one down
-        x = ad.constant(np.ones((2, 3, 4), dtype=np.float32))
-        w, b = ad.constant(np.ones((4, 4), np.float32)), ad.constant(np.zeros(4, np.float32))
-        for shape, dtype in (((4,), np.float32), ((1, 3, 4), np.float32),
-                             ((2, 3, 4), np.float64)):
-            residual = ad.constant(np.ones(shape, dtype=dtype))
-            with pytest.raises(ShapeError, match="residual"):
-                ad.linear(x, w, None, residual)
-            with pytest.raises(ShapeError, match="residual"):
-                ad.gelu_linear(x, w, b, residual)
 
     def test_embedding(self):
         ids = np.array([[0, 2], [2, 1]])
@@ -668,12 +662,12 @@ class TestFloat32Erf:
         assert got.tobytes() == np.array([[math.erf(v) for v in row] for row in x]).tobytes()
         assert np.all(np.abs(got - erf(x)) <= 2 * np.spacing(np.abs(erf(x))))
 
-    def test_float32_gelu_linear_stays_float32(self):
+    def test_float32_linear_with_gelu_stays_float32(self):
         # an identity weight and a zero bias make it the GELU, exactly
         x = (RNG.normal(size=(4, 8)) * 3.0).astype(np.float32)
         params = [Parameter(name, v) for name, v in
                   (("x", x), ("w", np.eye(8, dtype=np.float32)), ("b", np.zeros(8, np.float32)))]
-        out = ad.gelu_linear(*(p.node() for p in params))
+        out = ad.linear(*(p.node() for p in params), gelu=True)
         backward(ad.sum_all(out))
         assert out.value.dtype == np.float32
         assert all(p.grad.dtype == np.float32 for p in params)

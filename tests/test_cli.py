@@ -1,8 +1,8 @@
 """CLI tests: a golden tiny pipeline, the run config round trip, exit code
 2, with nothing written, for a config key or flag that does not exist, a
-model width or head count below 1, a NaN or infinite learning rate or
-lambda, a negative train or gen-data seed, a dataset that does not match the
-run, a dump of a dataset with an empty probe split, metrics on an archive
+config value of another type than its field's, a model width or head count
+below 1, a NaN or infinite learning rate or lambda, a negative train or
+gen-data seed, a dataset that does not match the run, a dump of a dataset with an empty probe split, metrics on an archive
 that is not the run's dump of the dataset's probe examples (a dump of
 another model shape or seed, of no examples or without one example, a dump
 with an entry added, dropped or narrowed, or a checkpoint), two reports
@@ -95,19 +95,34 @@ def test_config_json_round_trips(golden):
     assert cfg.grid == 4 and cfg.steps == 3 and cfg.dataset == str(w / "data")
 
 
-# weight_decay and patch stand for run directories written while they were run fields
-@pytest.mark.parametrize("key", ["bogus", "weight_decay", "patch"])
-def test_unknown_config_key_exits_2(golden, tmp_path, capsys, key):
+def dump_with_config_edit(golden, tmp_path, key, value) -> int:
+    """dump's exit code on a copy of the golden run whose config.json has
+    key set to value."""
     w, _, _ = golden
     run = tmp_path / "run"
     shutil.copytree(w / "run", run)
     raw = json.loads((run / "config.json").read_text())
-    raw[key] = 1
+    raw[key] = value
     (run / "config.json").write_text(json.dumps(raw))
-    rc = main(["dump", "--run", str(run), "--data", str(w / "data"),
-               "--out", str(tmp_path / "h.prea")])
-    assert rc == 2
+    return main(["dump", "--run", str(run), "--data", str(w / "data"),
+                 "--out", str(tmp_path / "h.prea")])
+
+
+# weight_decay and patch stand for run directories written while they were run fields
+@pytest.mark.parametrize("key", ["bogus", "weight_decay", "patch"])
+def test_unknown_config_key_exits_2(golden, tmp_path, capsys, key):
+    assert dump_with_config_edit(golden, tmp_path, key, 1) == 2
     assert f"unknown config keys: ['{key}']" in capsys.readouterr().err
+    assert not (tmp_path / "h.prea").exists()
+
+
+@pytest.mark.parametrize("key, value", [("lam", "0.5"), ("layers", 2.0), ("lam", True),
+                                        ("target_layer", 1.0), ("seed", 0.0)])
+def test_a_config_value_of_another_type_exits_2(golden, tmp_path, capsys, key, value):
+    # a float field takes an int or a float, an int field an int, and no
+    # field a bool, though Python counts a bool as an int
+    assert dump_with_config_edit(golden, tmp_path, key, value) == 2
+    assert f"config key '{key}' must be" in capsys.readouterr().err
     assert not (tmp_path / "h.prea").exists()
 
 

@@ -40,7 +40,7 @@ def test_nontrivial_composition():
     t = ad.constant(rng.normal(size=(6, 4)))
 
     def loss():
-        h = ad.gelu_linear(p.node(), ad.constant(np.eye(4)), ad.constant(np.zeros(4)))
+        h = ad.linear(p.node(), ad.constant(np.eye(4)), ad.constant(np.zeros(4)), gelu=True)
         return mean(ad.cosine_rows(h, t))
 
     err = finite_diff_check(loss, [p])

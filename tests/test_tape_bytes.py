@@ -24,14 +24,30 @@ def test_a_buffer_counts_once_and_parameters_not_at_all():
     w, gamma, beta, w2 = (Parameter(n, np.ones(s, f32))
                           for n, s in (("w", (4, 3)), ("g", 3), ("b", 3), ("w2", (3, 2))))
     x = ad.constant(np.ones((5, 4), f32))  # 80 bytes
-    y = ad.norm_linear(ad.linear(x, w.node()), gamma.node(), beta.node(), w2.node())
+    y = ad.linear(ad.linear(x, w.node()), w2.node(), norm=(gamma.node(), beta.node()))
     per_op = tape_bytes.tape_bytes(ad.sum_all(ad.reshape(y, (10,))))
-    # linear's closure holds views of x and w alone; norm_linear's holds a
-    # view of its input, the 1/d vector (12 bytes), the row means and the
-    # 1/sigma column (20 bytes each), and no normed rows; reshape's value
-    # is a view of y
+    # the linear op's closure holds views of x and w alone; the norm_linear
+    # op's holds a view of its input, the 1/d vector (12 bytes), the row
+    # means and the 1/sigma column (20 bytes each), and no normed rows;
+    # reshape's value is a view of y
     assert per_op == {"const": [1, 80, 0], "param": [4, 0, 0], "linear": [1, 60, 0],
                       "norm_linear": [1, 40, 52], "reshape": [1, 0, 0], "sum": [1, 4, 0]}
+
+
+@pytest.mark.parametrize("scaled, backward_bytes", [(False, 0), (True, 12)])
+def test_an_empty_closure_cell_counts_nothing(scaled, backward_bytes):
+    # backward reads k, which the forward binds on one branch alone
+    def op(a):
+        if scaled:
+            k = np.full(3, 2.0, np.float32)
+
+        def bk(g):
+            return (g * k if scaled else g,)
+
+        return ad.record("op", a.value * 2.0, (a,), bk)
+
+    per_op = tape_bytes.tape_bytes(ad.sum_all(op(Parameter("x", np.ones(3, np.float32)).node())))
+    assert per_op["op"] == [1, 12, backward_bytes]
 
 
 @pytest.mark.parametrize("target_layer, want", [(1, (62, 14116, 5752)), (2, (61, 17476, 8224))])

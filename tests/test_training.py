@@ -172,8 +172,8 @@ def tape(loss) -> list:
 @pytest.mark.parametrize("lam, target_layer", [(0.5, 1), (0.5, 2), (0.0, 2)])
 def test_backward_leaves_every_node_value_on_the_tape_bitwise(dataset, monkeypatch, lam,
                                                               target_layer):
-    # Backward closures keep views of their inputs, and norm_linear's and
-    # gelu_linear's rebuild arrays from theirs, so no op may write into a
+    # Backward closures keep views of their inputs, and linear's rebuilds
+    # the normed rows or the GELU output from its, so no op may write into a
     # node value, in the forward or in backward: each value, copied when its
     # node is made, must be the same once backward has run.
     t = trainer(dataset, lam=lam)

@@ -65,6 +65,15 @@ def _arrays(obj):
             yield from _arrays(item)
 
 
+def _contents(cell):
+    """A closure cell's contents, or None for an empty cell: a name the
+    closure reads that was bound on a branch the op did not take."""
+    try:
+        return cell.cell_contents
+    except ValueError:
+        return None
+
+
 def tape_bytes(loss: ad.Node) -> dict:
     """{op: [nodes, value bytes, backward bytes]} of the tape behind loss."""
     nodes, seen, stack = [], set(), [loss]
@@ -91,7 +100,7 @@ def tape_bytes(loss: ad.Node) -> dict:
             claim(node.op, [node.value], 1)
     for node in nodes:
         cells = getattr(node.backward_fn, "__closure__", None) or ()
-        claim(node.op, [a for c in cells for a in _arrays(c.cell_contents)], 2)
+        claim(node.op, [a for c in cells for a in _arrays(_contents(c))], 2)
     return out
 
 
