@@ -118,10 +118,6 @@ def constant(value) -> Node:
     return Node(np.asarray(value), op="const")
 
 
-def as_node(x) -> Node:
-    return x if isinstance(x, Node) else constant(x)
-
-
 def record(op: str, value, parents, backward_fn) -> Node:
     """Register one primitive application on the tape.
 
@@ -191,7 +187,6 @@ def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def add(a: Node, b: Node) -> Node:
-    a, b = as_node(a), as_node(b)
     v = a.value + b.value
 
     def bk(g):
@@ -222,7 +217,6 @@ def reshape(a: Node, shape) -> Node:
 
 
 def concat(nodes, axis: int) -> Node:
-    nodes = [as_node(n) for n in nodes]
     v = np.concatenate([n.value for n in nodes], axis=axis)
     sizes = [n.value.shape[axis] for n in nodes]
     offsets = np.cumsum(sizes)[:-1]
@@ -429,9 +423,11 @@ def linear(x: Node, w: Node, b: Node = None, residual: Node = None, norm: tuple 
         a *= inv
         a *= gamma
         a += beta
+        kept = (avg, mean, inv, gamma, beta)
     elif gelu:
         phi = 0.5 * (1.0 + _erf(x2 / _SQRT2))
         a = x2 * phi
+        kept = phi
     else:
         a = x2
     v = a @ wv
@@ -444,11 +440,14 @@ def linear(x: Node, w: Node, b: Node = None, residual: Node = None, norm: tuple 
             raise ShapeError(f"{op} residual {residual.value.dtype} {residual.shape} != "
                              f"output {out.dtype} {out.shape}")
         out += residual.value
+    # one closure cell for the map's kept arrays and flags for b and residual
+    has_b, has_residual = b is not None, residual is not None
 
     def bk(g):
         g2 = g.reshape(-1, wv.shape[1])
         ga = g2 @ wv.T  # a's gradient, made x's in place
-        if norm is not None:
+        if op == "norm_linear":
+            avg, mean, inv, gamma, beta = kept
             a = x2 - mean
             a *= inv
             grads = [ga, (ga * a).sum(axis=0), ga.sum(axis=0)]
@@ -459,16 +458,17 @@ def linear(x: Node, w: Node, b: Node = None, residual: Node = None, norm: tuple 
             ga *= inv
             a *= gamma  # y, in x-hat's buffer, which is read no more
             a += beta
-        elif gelu:
+        elif op == "gelu_linear":
+            phi = kept
             grads = [ga * (phi + x2 * (_INV_SQRT_2PI * np.exp(-0.5 * x2 * x2)))]
             a = x2 * phi
         else:
             a, grads = x2, [ga]
         grads[0] = grads[0].reshape(xv.shape)
         grads.append(a.T @ g2)
-        if b is not None:
+        if has_b:
             grads.append(g2.sum(axis=0))
-        if residual is not None:
+        if has_residual:
             grads.append(g)
         return grads
 

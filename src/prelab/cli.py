@@ -72,15 +72,22 @@ def run_config_from_dict(raw: dict) -> RunConfig:
     """Strict constructor: unknown keys are rejected, never ignored (a typo
     in a knob name must not silently run a different experiment), and so is
     a value of another type than its field's: an int field takes an int, a
-    float field an int or a float, a str field a str, and no field a bool."""
+    float field a float or an int, read as a float (1 and 1.0 hash as one
+    config), a str field a str, and no field a bool."""
     unknown = raw.keys() - _RUN_FIELDS.keys()
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+    values = {}
     for key, value in raw.items():
         want = _RUN_FIELDS[key]
         if type(value) not in ((int, float) if want is float else (want,)):  # a bool is no int
             raise ConfigError(f"config key {key!r} must be {want.__name__}, got {value!r}")
-    cfg = RunConfig(**raw)
+        try:
+            values[key] = want(value)
+        except OverflowError:
+            raise ConfigError(
+                f"config key {key!r} must be float, got an int too large for one") from None
+    cfg = RunConfig(**values)
     cfg.validate()
     return cfg
 
@@ -305,9 +312,7 @@ def cmd_metrics(args) -> int:
     sims = [similarity_map(states, sim_patch, grid=run_cfg.grid)
             for states in hv[:, ids.index(sim_id)]]
     # logit lens through the run's output head, over every patch of every example
-    lens = logit_lens(hv.reshape(n_layers, -1, run_cfg.d_l),
-                      params.ln_f.gamma.value, params.ln_f.beta.value,
-                      params.head.w.value, params.head.b.value)
+    lens = logit_lens(hv.reshape(n_layers, -1, run_cfg.d_l), params.head)
     meta = {
         "version": __version__,
         "config": run_cfg.to_dict(),

@@ -150,23 +150,23 @@ def linear_probe(features_by_layer, labels, train_idx, test_idx) -> list:
 # logit lens
 # ---------------------------------------------------------------------------
 
-def logit_lens(visual_by_layer, ln_gamma, ln_beta, head_w, head_b) -> list:
-    """Decode visual hidden states of every layer through the final norm and
-    output head; per layer, softmax each patch and average the resulting
-    distributions over all patches and examples. Returns, per layer, the
-    LOGIT_LENS_TOP_K most probable tokens as [(token_id, mass)], by falling
-    mass (ties by token id). The norm and head are the model's own forward,
-    one ad.linear with the norm as its input map, and the decode runs in the
-    dtype of the states given (float32 for a dump, as in the model), so the
-    last layer decodes exactly as the model does.
-    The average over patches accumulates in float64.
+def logit_lens(visual_by_layer, head) -> list:
+    """Decode visual hidden states of every layer through the model's
+    output head, the layers.Linear whose input map is the final norm; per
+    layer, softmax each patch and average the resulting distributions over
+    all patches and examples. Returns, per layer, the LOGIT_LENS_TOP_K most
+    probable tokens as [(token_id, mass)], by falling mass (ties by token
+    id). The head is the run's own, called as the model calls it, so the
+    last layer decodes exactly as the model does; the decode runs in the
+    dtype of the states given (float32 for a dump, as in the model). The
+    average over patches accumulates in float64.
 
     visual_by_layer: sequence over layers of [M, d] stacked patch states.
     """
-    gamma, beta, w, b = (ad.constant(a) for a in (ln_gamma, ln_beta, head_w, head_b))
     out = []
     for states in visual_by_layer:
-        probs = ad.linear(ad.constant(states), w, b, norm=(gamma, beta)).value  # softmaxed in place
+        with ad.no_grad():
+            probs = head(ad.constant(states)).value  # softmaxed in place
         probs -= probs.max(axis=-1, keepdims=True)
         np.exp(probs, out=probs)
         probs /= probs.sum(axis=-1, keepdims=True)

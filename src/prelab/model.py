@@ -23,7 +23,7 @@ from . import autodiff as ad
 from .autodiff import Node, stop_gradient
 from .archive import write_archive, read_archive
 from .data import PATCH, PROMPT_LEN, VOCAB_SIZE
-from .layers import DecoderBlock, Embedding, LayerNorm, Linear, Mlp
+from .layers import DecoderBlock, Embedding, Linear, Mlp
 from .numerics import RngStream, ShapeError
 
 ANCHOR_PRE_LLM = "pre-llm"
@@ -135,15 +135,14 @@ class MllmParams:
                          rng.split(f"block{i}"))
             for i in range(cfg.layers)
         ]
-        self.ln_f = LayerNorm("ln_f", cfg.d_l)
-        self.head = Linear("head", cfg.d_l, VOCAB_SIZE, rng.split("head"))
+        self.head = Linear("head", cfg.d_l, VOCAB_SIZE, rng.split("head"), norm="ln_f")
         self.pred_head = Mlp("pred_head", cfg.d_l, cfg.d_l, cfg.d_anchor, rng.split("pred_head"))
 
     def trainable(self) -> list:
         out = self.proj.params() + self.tok_emb.params() + self.pos_emb.params()
         for block in self.blocks:
             out += block.params()
-        out += self.ln_f.params() + self.head.params() + self.pred_head.params()
+        out += self.head.params() + self.pred_head.params()
         return out
 
 
@@ -196,10 +195,11 @@ def llm_forward(params: MllmParams, z: np.ndarray, prompts: np.ndarray,
     """Run the decoder over [prompt, visual] and record every layer.
 
     prompts: [B, PROMPT_LEN] token ids. Attention is causal over the whole
-    sequence. The answer logits come from the last row only, through ln_f
-    and head. z is cast to the parameters' dtype, so the whole forward runs
-    in that dtype. With answer_row_only, for callers that read no row of
-    layer L but the answer row, the last block computes that row alone.
+    sequence. The answer logits come from the last row only, through the
+    head and its norm ln_f. z is cast to the parameters' dtype, so the whole
+    forward runs in that dtype. With answer_row_only, for callers that read
+    no row of layer L but the answer row, the last block computes that row
+    alone.
     """
     cfg = params.cfg
     z = np.asarray(z, dtype=params.proj.w.value.dtype)
@@ -218,7 +218,7 @@ def llm_forward(params: MllmParams, z: np.ndarray, prompts: np.ndarray,
         recorded.append(h)
     b, t, d = h.value.shape
     last = ad.reshape(ad.narrow(h, 1, t - 1, 1), (b, d))
-    logits = params.head(last, norm=params.ln_f)
+    logits = params.head(last)
     return ForwardTrace(z=z, layers=recorded, logits=logits)
 
 

@@ -25,10 +25,11 @@ import numpy as np
 import pytest
 
 from prelab.cli import (RunConfig, _run_config_from_args, build_parser, load_run_config,
-                        main)
+                        main, run_config_from_dict)
 from prelab.archive import read_archive, write_archive
 from prelab.data import split_ids
 from prelab.model import dump_hidden_states
+from prelab.reports import config_hash
 from test_data import record_generated_ids
 
 TINY_MODEL = ["--grid", "4", "--layers", "2", "--d-l", "16", "--heads", "2",
@@ -117,13 +118,23 @@ def test_unknown_config_key_exits_2(golden, tmp_path, capsys, key):
 
 
 @pytest.mark.parametrize("key, value", [("lam", "0.5"), ("layers", 2.0), ("lam", True),
-                                        ("target_layer", 1.0), ("seed", 0.0)])
+                                        ("target_layer", 1.0), ("seed", 0.0),
+                                        pytest.param("lam", 10 ** 400, id="lam-10**400")])
 def test_a_config_value_of_another_type_exits_2(golden, tmp_path, capsys, key, value):
-    # a float field takes an int or a float, an int field an int, and no
-    # field a bool, though Python counts a bool as an int
+    # a float field takes an int a float can hold or a float, an int field
+    # an int, and no field a bool, though Python counts a bool as an int
     assert dump_with_config_edit(golden, tmp_path, key, value) == 2
     assert f"config key '{key}' must be" in capsys.readouterr().err
     assert not (tmp_path / "h.prea").exists()
+
+
+@pytest.mark.parametrize("key", ["lam", "lr"])
+def test_a_float_field_reads_an_int_as_a_float(key):
+    # one experiment, one config hash, whether its file says 1 or 1.0
+    as_int, as_float = (run_config_from_dict({"dataset": "d", "out_dir": "o", key: value})
+                        for value in (1, 1.0))
+    assert type(getattr(as_int, key)) is float
+    assert config_hash(as_int.to_dict()) == config_hash(as_float.to_dict())
 
 
 REMOVED_FLAGS = [

@@ -1,6 +1,9 @@
+import copy
+
 import numpy as np
 import pytest
 
+from gradcheck import cast_to_float64
 from prelab import autodiff as ad
 from prelab.diagnostics import (CONTRAST_FLOOR, NoEligibleClassError, PatchMetrics, contrast,
                                 layer_metrics, linear_probe, logit_lens,
@@ -287,7 +290,7 @@ def _lens_states():
     cfg = MllmConfig(grid=2, d_l=8, layers=2, heads=2, target_layer=1)
     params = MllmParams(cfg)
     rng = np.random.default_rng(1)
-    for p in params.ln_f.params():
+    for p in params.head.norm:
         p.value[...] = rng.normal(size=p.value.shape)
     z = encode_image(params, rng.uniform(size=(3, 8, 8)))
     with ad.no_grad():
@@ -300,9 +303,8 @@ class TestLogitLens:
     def test_last_layer_decodes_as_the_model(self):
         params, visual = _lens_states()
         with ad.no_grad():
-            logits = params.head(ad.constant(visual[-1]), norm=params.ln_f).value
-        lens = logit_lens(visual, params.ln_f.gamma.value, params.ln_f.beta.value,
-                          params.head.w.value, params.head.b.value)
+            logits = params.head(ad.constant(visual[-1])).value
+        lens = logit_lens(visual, params.head)
         assert len(lens) == 3
         e = np.exp(logits - logits.max(axis=-1, keepdims=True))
         expected = (e / e.sum(axis=-1, keepdims=True)).mean(axis=0, dtype=np.float64)
@@ -314,10 +316,10 @@ class TestLogitLens:
     def test_float32_decode_matches_a_float64_decode(self):
         params, visual = _lens_states()
         assert all(v.dtype == np.float32 for v in visual)
-        head = (params.ln_f.gamma.value, params.ln_f.beta.value,
-                params.head.w.value, params.head.b.value)
-        lens32 = logit_lens(visual, *head)
-        lens64 = logit_lens([v.astype(np.float64) for v in visual], *head)
+        head64 = copy.deepcopy(params.head)
+        cast_to_float64(head64.params())
+        lens32 = logit_lens(visual, params.head)
+        lens64 = logit_lens([v.astype(np.float64) for v in visual], head64)
         for top32, top64 in zip(lens32, lens64, strict=True):
             assert [t for t, _ in top32] == [t for t, _ in top64]
             mass32, mass64 = (np.array([mass for _, mass in top]) for top in (top32, top64))

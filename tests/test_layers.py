@@ -2,7 +2,7 @@ import numpy as np
 
 from prelab import autodiff as ad
 from prelab.autodiff import backward, constant
-from prelab.layers import CausalSelfAttention, DecoderBlock, Embedding, LayerNorm, Linear, Mlp
+from prelab.layers import CausalSelfAttention, DecoderBlock, Embedding, Linear, Mlp
 from prelab.numerics import RngStream
 
 RNG = np.random.default_rng(31)
@@ -96,11 +96,11 @@ def test_mlp_and_prediction_head_shapes():
 
 
 def test_layer_norm_module_stats():
-    # a norm runs inside the projection it feeds; through an identity one,
-    # the output is the normed rows
-    ln = LayerNorm("n", 12)
-    lin = Linear("l", 12, 12, RngStream(1))
+    # a norm runs inside the projection it feeds, which owns its gain and
+    # shift; through an identity one, the output is the normed rows
+    lin = Linear("l", 12, 12, RngStream(1), norm="n")
+    assert [p.name for p in lin.params()] == ["n.gamma", "n.beta", "l.w", "l.b"]
     lin.w.value[...] = np.eye(12)
-    out = lin(constant(RNG.normal(size=(7, 12))), norm=ln).value
+    out = lin(constant(RNG.normal(size=(7, 12)))).value
     assert np.max(np.abs(out.mean(axis=-1))) < 1e-12
     assert np.max(np.abs(out.var(axis=-1) - 1.0)) < 1e-9

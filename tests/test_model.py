@@ -164,7 +164,8 @@ def test_lm_loss_matches_numpy_reference():
     # answer is predicted from the last visual row, and only from it.
     params, z, prompts, answers = tiny(model.ANCHOR_PRE_LLM)
     rng = np.random.default_rng(2)
-    for p in params.ln_f.params():  # move the final norm off its identity init
+    gamma, beta = params.head.norm
+    for p in (gamma, beta):  # move the final norm off its identity init
         p.value[...] = rng.normal(size=p.value.shape)
     with ad.no_grad():
         trace = llm_forward(params, z, prompts)
@@ -172,14 +173,25 @@ def test_lm_loss_matches_numpy_reference():
     last = trace.layers[-1].value[:, -1]
     mu = last.mean(axis=-1, keepdims=True)
     var = ((last - mu) ** 2).mean(axis=-1, keepdims=True)
-    normed = (last - mu) / np.sqrt(var + ad.LAYER_NORM_EPS) * params.ln_f.gamma.value \
-        + params.ln_f.beta.value
+    normed = (last - mu) / np.sqrt(var + ad.LAYER_NORM_EPS) * gamma.value + beta.value
     logits = normed @ params.head.w.value + params.head.b.value
     logp = logits - logits.max(axis=-1, keepdims=True)
     logp -= np.log(np.exp(logp).sum(axis=-1, keepdims=True))
     want = -logp[np.arange(len(answers)), answers].mean()
     assert trace.logits.value.shape == (3, 64)
     assert abs(got - want) <= 1e-12 * abs(want)
+
+
+def test_trainable_names_and_order_are_the_checkpoints():
+    # the checkpoint's entries, AdamW's flat layout and grad_norm's order:
+    # each norm's gain and shift come before the projection it feeds
+    params = MllmParams(MllmConfig(grid=2, d_l=8, layers=1, heads=2, target_layer=1))
+    assert [p.name for p in params.trainable()] == [
+        "proj.w", "proj.b", "tok_emb.table", "pos_emb.table",
+        "block0.ln1.gamma", "block0.ln1.beta", "block0.attn.qkv.w", "block0.attn.o.w",
+        "block0.ln2.gamma", "block0.ln2.beta", "block0.mlp.fc1.w", "block0.mlp.fc1.b",
+        "block0.mlp.fc2.w", "block0.mlp.fc2.b", "ln_f.gamma", "ln_f.beta", "head.w", "head.b",
+        "pred_head.fc1.w", "pred_head.fc1.b", "pred_head.fc2.w", "pred_head.fc2.b"]
 
 
 def test_pre_llm_anchor_passes_exactly_zero_gradient():
