@@ -1,11 +1,12 @@
 """Command-line surface: gen-data, train, dump, metrics, report.
 
-Exit codes: 0 success, 2 validation error (bad flags or config, a dataset
-that does not match the run, a dump that is not the run's, or a metrics
-directory that lacks a file, a layer's map or metrics row included, or
-whose similarity map is not the run's grid), 1 runtime error. Every output is
-byte-deterministic for fixed inputs and seeds, except train_time.csv,
-which holds the per-step wall times of a training run.
+Exit codes: 0 success, 2 validation error (bad flags or config, a
+config.json that is not a JSON object, a dataset that does not match the
+run, a dump that is not the run's, or a metrics directory that lacks a
+file, a layer's map or metrics row included, or whose similarity map is
+not the run's grid), 1 runtime error. Every output is byte-deterministic
+for fixed inputs and seeds, except train_time.csv, which holds the
+per-step wall times of a training run.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -24,6 +25,7 @@ from .data import PROBE_SPLITS, DataSpec, Dataset, generate_dataset, load_datase
 from .diagnostics import layer_metrics, logit_lens, similarity_map
 from .model import (ANCHORS, D_V, MllmConfig, llm_forward, load_checkpoint,
                     dump_hidden_states, read_hidden_states, save_checkpoint)
+from .numerics import ConfigError
 from .reports import (MetricsDirError, config_hash, read_metrics, write_comparison,
                       write_metrics)
 from .training import Trainer, check_dataset_matches, make_batch
@@ -32,43 +34,10 @@ DUMP_BATCH = 16  # examples per forward: [16, 68, 128] float32 temporaries (0.6 
 HELD_OUT_LM_EXAMPLES = 64  # probe-train examples behind --diag-every's eval_lm
 
 
-class ConfigError(ValueError):
-    """Invalid run configuration or command arguments."""
+_RUN_FIELDS = {f.name: type(f.default) for f in fields(MllmConfig)}
 
 
-@dataclass
-class RunConfig(MllmConfig):
-    """Everything a training run needs: the model fields it inherits plus
-    the run fields below; serialized flat next to its outputs. The rest of
-    the recipe is fixed: warmup + cosine from lr over `steps`, no weight
-    decay (see Trainer)."""
-
-    dataset: str = ""
-    out_dir: str = ""
-    steps: int = 500
-    batch_size: int = 8
-    lr: float = 3e-4
-    diag_every: int = 0
-
-    def validate(self) -> None:
-        try:
-            super().validate()
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
-        if self.steps < 1:
-            raise ConfigError(f"steps must be >= 1, got {self.steps}")
-        if self.batch_size < 1:
-            raise ConfigError(f"batch size must be >= 1, got {self.batch_size}")
-        if not 0 <= self.lr < np.inf:  # written so that NaN fails too
-            raise ConfigError(f"learning rate must be finite and >= 0, got {self.lr}")
-        if self.diag_every < 0:
-            raise ConfigError(f"diag cadence must be >= 0, got {self.diag_every}")
-
-
-_RUN_FIELDS = {f.name: type(f.default) for f in fields(RunConfig)}
-
-
-def run_config_from_dict(raw: dict) -> RunConfig:
+def run_config_from_dict(raw: dict) -> MllmConfig:
     """Strict constructor: unknown keys are rejected, never ignored (a typo
     in a knob name must not silently run a different experiment), and so is
     a value of another type than its field's: an int field takes an int, a
@@ -87,13 +56,21 @@ def run_config_from_dict(raw: dict) -> RunConfig:
         except OverflowError:
             raise ConfigError(
                 f"config key {key!r} must be float, got an int too large for one") from None
-    cfg = RunConfig(**values)
+    cfg = MllmConfig(**values)
     cfg.validate()
     return cfg
 
 
-def load_run_config(path) -> RunConfig:
-    return run_config_from_dict(json.loads(Path(path).read_text()))
+def load_run_config(path) -> MllmConfig:
+    """The config of a run's config.json; ConfigError, naming the file, for
+    one that is not a JSON object."""
+    try:
+        raw = json.loads(Path(path).read_text())
+    except ValueError as exc:  # UnicodeDecodeError and JSONDecodeError alike
+        raise ConfigError(f"{path}: not a JSON config: {exc}") from None
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{path}: the config is not a JSON object")
+    return run_config_from_dict(raw)
 
 
 # ---------------------------------------------------------------------------
@@ -101,50 +78,40 @@ def load_run_config(path) -> RunConfig:
 # ---------------------------------------------------------------------------
 
 def cmd_gen_data(args) -> int:
-    if args.n < 1:
-        raise ConfigError(f"--n must be >= 1, got {args.n}")
-    if args.seed < 0:
-        raise ConfigError(f"--seed must be >= 0, got {args.seed}")
-    spec = DataSpec(grid=args.grid)
-    try:
-        spec.validate()
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
     out = Path(args.out)
-    manifest = generate_dataset(args.n, args.seed, out, spec)
+    manifest = generate_dataset(args.n, args.seed, out, DataSpec(grid=args.grid))
     print(f"dataset written to {out}")
     print(f"  n={manifest['n']} seed={manifest['seed']} "
           f"splits={manifest['counts']}")
     return 0
 
 
-# Run fields whose flag is not "--" + the field name with dashes, or that
-# take more than a type and a default. Every other field gets a plain flag
-# typed and defaulted from RunConfig.
+# Config fields whose flag is not "--" + the field name with dashes, or
+# that take more than a type and a default. Every other field gets a plain
+# flag typed and defaulted from MllmConfig.
 _FLAG_SPECS = {
     "dataset": {"flag": "--data", "required": True, "metavar": "DATA",
                 "help": "dataset directory"},
     "out_dir": {"flag": "--out", "required": True, "metavar": "OUT",
                 "help": "run output directory"},
-    "lam": {"flag": "--lambda", "type": float, "default": RunConfig.lam,
+    "lam": {"flag": "--lambda", "type": float, "default": MllmConfig.lam,
             "help": "auxiliary loss weight; 0 runs the pure baseline"},
-    "anchor": {"choices": ANCHORS, "default": RunConfig.anchor},
+    "anchor": {"choices": ANCHORS, "default": MllmConfig.anchor},
 }
 
 
 def _add_run_flags(p: argparse.ArgumentParser) -> None:
-    model_fields = fields(MllmConfig)
-    for f in fields(RunConfig)[len(model_fields):] + model_fields:  # run flags first
+    for f in fields(MllmConfig):
         spec = dict(_FLAG_SPECS.get(f.name, {"type": type(f.default), "default": f.default}))
         flag = spec.pop("flag", "--" + f.name.replace("_", "-"))
         p.add_argument(flag, dest=f.name, **spec)
 
 
-def _run_config_from_args(args) -> RunConfig:
+def _run_config_from_args(args) -> MllmConfig:
     return run_config_from_dict({k: v for k, v in vars(args).items() if k in _RUN_FIELDS})
 
 
-def _load_dataset_checked(path, run_cfg: RunConfig, splits) -> Dataset:
+def _load_dataset_checked(path, run_cfg: MllmConfig, splits) -> Dataset:
     """Load the named splits of a dataset, refusing (exit 2) one whose patch
     grid differs from the run's."""
     path = Path(path)
@@ -172,8 +139,7 @@ def cmd_train(args) -> int:
     (out / "config.json").write_text(
         json.dumps(run_cfg.to_dict(), indent=2, sort_keys=True) + "\n")
 
-    trainer = Trainer(run_cfg, dataset, steps=run_cfg.steps,
-                      batch_size=run_cfg.batch_size, lr=run_cfg.lr)
+    trainer = Trainer(run_cfg, dataset, steps=run_cfg.steps, batch_size=run_cfg.batch_size)
 
     eval_rows = []
 
@@ -220,7 +186,7 @@ def _load_run(run_dir):
         raise ValueError(f"{ckpt_path}: {exc}") from None
 
 
-def _probe_splits(path, run_cfg: RunConfig) -> tuple:
+def _probe_splits(path, run_cfg: MllmConfig) -> tuple:
     """The probe-train and probe-test examples, each in id order, that dump
     writes and metrics reads; exit 2 if either split is empty."""
     dataset = _load_dataset_checked(path, run_cfg, PROBE_SPLITS)

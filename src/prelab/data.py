@@ -31,7 +31,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .numerics import RngStream
+from .numerics import ConfigError, RngStream
 
 # ---------------------------------------------------------------------------
 # vocabulary: fixed 64 symbols, no learned tokenizer
@@ -91,7 +91,7 @@ class DataSpec:
 
     def validate(self) -> None:
         if type(self.grid) is not int or not 2 <= self.grid <= 10:
-            raise ValueError(f"grid must be an int in [2, 10], got {self.grid!r}")
+            raise ConfigError(f"grid must be an int in [2, 10], got {self.grid!r}")
 
 
 _PATTERN_SEED = 0x7E0C1A55
@@ -293,9 +293,12 @@ def generate_example(seed: int, i: int, spec: DataSpec) -> tuple:
 def generate_dataset(n: int, seed: int, out_dir, spec: DataSpec) -> dict:
     """Write the manifest of an n-example dataset to out_dir and return it:
     its format, n, seed, spec ({"grid": g}) and split counts. The examples
-    are generated when the dataset is loaded."""
+    are generated when the dataset is loaded. Raises ConfigError, before it
+    makes any directory, for n < 1, seed < 0 or an invalid spec."""
     if n < 1:
-        raise ValueError(f"dataset size must be >= 1, got {n}")
+        raise ConfigError(f"dataset size must be >= 1, got {n}")
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
     spec.validate()
     manifest = {"format": DATASET_FORMAT, "seed": int(seed), "n": int(n), "spec": asdict(spec),
                 "counts": {name: len(ids) for name, ids in split_ids(n).items()}}

@@ -33,6 +33,9 @@ class Linear:
 
     def __init__(self, name: str, d_in: int, d_out: int, rng: RngStream, bias: bool = True,
                  norm: str = None, gelu: bool = False):
+        if norm is not None and gelu:
+            raise ValueError("a Linear takes a layer norm or the GELU as its input map, "
+                             "not both")
         self.norm = () if norm is None else (
             Parameter(f"{norm}.gamma", np.ones(d_in, PARAM_DTYPE)),
             Parameter(f"{norm}.beta", np.zeros(d_in, PARAM_DTYPE)))
@@ -92,8 +95,6 @@ class CausalSelfAttention:
     first_row, its rows [first_row, T) are added to the output's."""
 
     def __init__(self, name: str, d: int, heads: int, rng: RngStream, norm: str = None):
-        if d % heads != 0:
-            raise ValueError(f"model width {d} not divisible by {heads} heads")
         self.heads = heads
         self.wqkv = Linear(f"{name}.qkv", d, 3 * d, rng.split("qkv"), bias=False, norm=norm)
         self.wo = Linear(f"{name}.o", d, d, rng.split("o"), bias=False)

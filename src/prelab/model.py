@@ -24,7 +24,7 @@ from .autodiff import Node, stop_gradient
 from .archive import write_archive, read_archive
 from .data import PATCH, PROMPT_LEN, VOCAB_SIZE
 from .layers import DecoderBlock, Embedding, Linear, Mlp
-from .numerics import RngStream, ShapeError
+from .numerics import ConfigError, RngStream, ShapeError
 
 ANCHOR_PRE_LLM = "pre-llm"
 ANCHOR_PRE_PROJ = "pre-proj"
@@ -40,6 +40,18 @@ class NonFiniteLossError(RuntimeError):
 
 @dataclass
 class MllmConfig:
+    """A run's whole config, written flat to its config.json: its dataset
+    and output directories, its schedule and diagnostics cadence, and the
+    model. The rest of the recipe is fixed: warmup + cosine from lr over
+    `steps`, no weight decay (see training.Trainer). validate raises
+    ConfigError for an invalid setting."""
+
+    dataset: str = ""
+    out_dir: str = ""
+    steps: int = 500
+    batch_size: int = 8
+    lr: float = 3e-4
+    diag_every: int = 0
     grid: int = 8
     d_l: int = 64
     layers: int = 8
@@ -51,20 +63,28 @@ class MllmConfig:
 
     def validate(self) -> None:
         if not 0 <= self.lam < np.inf:  # written so that NaN fails too
-            raise ValueError(f"lambda must be finite and >= 0, got {self.lam}")
+            raise ConfigError(f"lambda must be finite and >= 0, got {self.lam}")
         if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if not 1 <= self.target_layer <= self.layers:
-            raise ValueError(
+            raise ConfigError(
                 f"target_layer {self.target_layer} outside [1, {self.layers}]")
         # a layer norm over one feature outputs beta whatever its input
         for name, least in (("d_l", 2), ("heads", 1)):
             if getattr(self, name) < least:
-                raise ValueError(f"{name} must be >= {least}, got {getattr(self, name)}")
+                raise ConfigError(f"{name} must be >= {least}, got {getattr(self, name)}")
         if self.d_l % self.heads != 0:
-            raise ValueError(f"d_l {self.d_l} not divisible by heads {self.heads}")
+            raise ConfigError(f"d_l {self.d_l} not divisible by heads {self.heads}")
         if self.anchor not in ANCHORS:
-            raise ValueError(f"unknown anchor source {self.anchor!r}")
+            raise ConfigError(f"unknown anchor source {self.anchor!r}")
+        if self.steps < 1:
+            raise ConfigError(f"steps must be >= 1, got {self.steps}")
+        if self.batch_size < 1:
+            raise ConfigError(f"batch size must be >= 1, got {self.batch_size}")
+        if not 0 <= self.lr < np.inf:
+            raise ConfigError(f"learning rate must be finite and >= 0, got {self.lr}")
+        if self.diag_every < 0:
+            raise ConfigError(f"diag cadence must be >= 0, got {self.diag_every}")
 
     @property
     def n_patches(self) -> int:

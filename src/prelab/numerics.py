@@ -22,6 +22,10 @@ class ShapeError(ValueError):
     """Operand shapes violate an operation's contract."""
 
 
+class ConfigError(ValueError):
+    """Invalid run configuration or command arguments."""
+
+
 def covariance(x) -> np.ndarray:
     """Sample covariance (divisor N-1) of rows of x (shape N x D), centered
     per column. Output is made exactly symmetric by mirroring the upper

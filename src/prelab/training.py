@@ -105,19 +105,17 @@ class Trainer:
     """Deterministic single-threaded trainer over a generated dataset.
 
     The optimizer is AdamW with no weight decay, at a warmup + cosine
-    schedule from lr that spans `steps`. Batch sampling draws uniformly
+    schedule from cfg.lr that spans `steps`. Batch sampling draws uniformly
     (with replacement) from the train split using a stream keyed only by the
     run seed, so two configs with the same seed see identical batches.
     """
 
-    def __init__(self, cfg: MllmConfig, dataset: Dataset, steps: int,
-                 batch_size: int = 8, lr: float = 3e-4):
-        cfg.validate()
+    def __init__(self, cfg: MllmConfig, dataset: Dataset, steps: int, batch_size: int):
         check_dataset_matches(dataset, cfg)
         self.steps = steps
         self.batch_size = batch_size
         self.params = MllmParams(cfg)
-        self.opt = AdamW(self.params.trainable(), WarmupCosine(lr, steps))
+        self.opt = AdamW(self.params.trainable(), WarmupCosine(cfg.lr, steps))
         self.batch_rng = RngStream(cfg.seed).split("batches")
         self.train_examples = dataset.splits["train"]
         if not self.train_examples:

@@ -1,8 +1,10 @@
 """CLI tests: a golden tiny pipeline, the run config round trip, exit code
 2, with nothing written, for a config key or flag that does not exist, a
-config value of another type than its field's, a model width or head count
-below 1, a NaN or infinite learning rate or lambda, a negative train or
-gen-data seed, a dataset that does not match the run, a dump of a dataset with an empty probe split, metrics on an archive
+config value of another type than its field's, a config.json that is not a
+JSON object, a model width or head count below 1, a NaN or infinite
+learning rate or lambda, a negative train seed, a gen-data seed, size or
+grid out of range, with the library's message, a dataset that does not
+match the run, a dump of a dataset with an empty probe split, metrics on an archive
 that is not the run's dump of the dataset's probe examples (a dump of
 another model shape or seed, of no examples or without one example, a dump
 with an entry added, dropped or narrowed, or a checkpoint), two reports
@@ -24,11 +26,11 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from prelab.cli import (RunConfig, _run_config_from_args, build_parser, load_run_config,
-                        main, run_config_from_dict)
+from prelab.cli import (_run_config_from_args, build_parser, load_run_config, main,
+                        run_config_from_dict)
 from prelab.archive import read_archive, write_archive
 from prelab.data import split_ids
-from prelab.model import dump_hidden_states
+from prelab.model import MllmConfig, dump_hidden_states
 from prelab.reports import config_hash
 from test_data import record_generated_ids
 
@@ -117,6 +119,21 @@ def test_unknown_config_key_exits_2(golden, tmp_path, capsys, key):
     assert not (tmp_path / "h.prea").exists()
 
 
+@pytest.mark.parametrize("text", ["[]", '"x"', '{"anchor": "pre-llm", "batch_size": 4'],
+                         ids=["list", "string", "truncated"])
+def test_a_config_json_that_is_not_a_json_object_exits_2(golden, tmp_path, capsys, text):
+    w, _, _ = golden
+    run = tmp_path / "run"
+    shutil.copytree(w / "run", run)
+    (run / "config.json").write_text(text)
+    for command, args in (("dump", []), ("metrics", ["--hidden", w / "hidden.prea"])):
+        out = tmp_path / command
+        argv = [command, "--run", run, "--data", w / "data", "--out", out] + args
+        assert main([str(a) for a in argv]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {run / 'config.json'}: ")
+        assert not out.exists()
+
+
 @pytest.mark.parametrize("key, value", [("lam", "0.5"), ("layers", 2.0), ("lam", True),
                                         ("target_layer", 1.0), ("seed", 0.0),
                                         pytest.param("lam", 10 ** 400, id="lam-10**400")])
@@ -167,13 +184,13 @@ def test_a_removed_flag_exits_2_and_writes_nothing(golden, tmp_path, capsys, com
 def test_flags_cover_every_run_field():
     defaults = _run_config_from_args(build_parser().parse_args(
         ["train", "--data", "d", "--out", "o"]))
-    assert defaults == RunConfig(dataset="d", out_dir="o")
+    assert defaults == MllmConfig(dataset="d", out_dir="o")
     argv = ["train", "--data", "d2", "--out", "o2", "--steps", "7", "--batch-size", "3",
             "--lr", "0.01", "--lambda", "0.25", "--target-layer", "2",
             "--anchor", "pre-proj", "--seed", "9", "--grid", "5", "--d-l", "24",
             "--layers", "3", "--heads", "3", "--diag-every", "2"]
     cfg = _run_config_from_args(build_parser().parse_args(argv))
-    unset = [f.name for f in fields(RunConfig)
+    unset = [f.name for f in fields(MllmConfig)
              if getattr(cfg, f.name) == getattr(defaults, f.name)]
     assert unset == []
     assert (cfg.dataset, cfg.out_dir, cfg.lam) == ("d2", "o2", 0.25)
@@ -222,11 +239,18 @@ def test_train_with_a_non_finite_or_negative_setting_exits_2_and_writes_nothing(
     assert not out.exists()
 
 
-def test_gen_data_with_a_negative_seed_exits_2_and_writes_nothing(tmp_path, capsys):
+@pytest.mark.parametrize("flag, value, found", [
+    ("--seed", "-1", "seed must be >= 0, got -1"),
+    ("--n", "0", "dataset size must be >= 1, got 0"),
+    ("--grid", "1", "grid must be an int in [2, 10], got 1"),
+    ("--grid", "11", "grid must be an int in [2, 10], got 11"),
+])
+def test_gen_data_with_a_setting_out_of_range_exits_2_and_writes_nothing(
+        tmp_path, capsys, flag, value, found):
     out = tmp_path / "data"
-    rc = main(["gen-data", "--n", "5", "--seed", "-1", "--out", str(out)])
+    rc = main(["gen-data", "--n", "5", "--out", str(out), flag, value])
     assert rc == 2
-    assert "--seed must be >= 0, got -1" in capsys.readouterr().err
+    assert capsys.readouterr().err == f"error: {found}\n"
     assert not out.exists()
 
 

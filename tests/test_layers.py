@@ -1,6 +1,8 @@
 import numpy as np
+import pytest
 
 from prelab import autodiff as ad
+from prelab import layers
 from prelab.autodiff import backward, constant
 from prelab.layers import CausalSelfAttention, DecoderBlock, Embedding, Linear, Mlp
 from prelab.numerics import RngStream
@@ -31,6 +33,14 @@ def test_linear_flattens_leading_axes():
     assert out.shape == (2, 4, 3)
     flat = lin(constant(x.reshape(8, 6))).value
     assert np.array_equal(out.reshape(8, 3), flat)
+
+
+def test_linear_with_a_norm_and_the_gelu_is_refused_before_it_makes_a_parameter(monkeypatch):
+    made = []
+    monkeypatch.setattr(layers, "Parameter", lambda name, value: made.append(name))
+    with pytest.raises(ValueError, match="a layer norm or the GELU as its input map, not both"):
+        Linear("l", 4, 4, RngStream(0), norm="n", gelu=True)
+    assert made == []
 
 
 def test_attention_matches_numpy_reference():

@@ -22,7 +22,7 @@ import pytest
 from prelab import autodiff as ad
 from prelab import cli, model, training
 from prelab.archive import read_archive, write_archive
-from prelab.cli import RunConfig, main
+from prelab.cli import main
 from prelab.data import PATCH, VOCAB_SIZE, DataSpec, generate_dataset, load_dataset
 from prelab.model import (MllmConfig, MllmParams, NonFiniteLossError, llm_forward,
                           load_checkpoint, save_checkpoint, total_loss)
@@ -319,8 +319,8 @@ def trained_run(tmp_path, n=40):
     data, run = tmp_path / "data", tmp_path / "run"
     generate_dataset(n, 2, data, DataSpec(grid=4))
     dataset = load_dataset(data)
-    cfg = RunConfig(grid=4, d_l=16, layers=2, heads=2, target_layer=1, seed=3,
-                    dataset=str(data), out_dir=str(run), steps=3, batch_size=4)
+    cfg = MllmConfig(grid=4, d_l=16, layers=2, heads=2, target_layer=1, seed=3,
+                     dataset=str(data), out_dir=str(run), steps=3, batch_size=4)
     t = Trainer(cfg, dataset, steps=cfg.steps, batch_size=cfg.batch_size)
     t.run(run / "train_log.csv", lambda report: None)
     (run / "config.json").write_text(json.dumps(cfg.to_dict()))
