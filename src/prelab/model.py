@@ -4,13 +4,13 @@ token and an auxiliary patch-prediction loss that anchors intermediate-layer
 visual hidden states to their pre-decoder (or pre-projection) values through
 a stop-gradient.
 
-Sequence layout is [prompt tokens, visual tokens] under causal attention.
-Every answer is one token, predicted from the last visual position (the
-next-token shift), so it conditions on both the prompt and the image and is
-never an input. Learned position embeddings are added to the prompt only;
-visual tokens carry a fixed 2-D sinusoidal code from the encoder, which
-keeps the recorded layer-0 visual segment bitwise equal to the projector
-output.
+Sequence layout, decided in `embed` alone, is [prompt tokens, visual
+tokens] under causal attention. Every answer is one token, predicted from
+the last visual position (the next-token shift), so it conditions on both
+the prompt and the image and is never an input. Learned position
+embeddings are added to the prompt only; visual tokens carry a fixed 2-D
+sinusoidal code from the encoder, which keeps the recorded layer-0 visual
+segment bitwise equal to the projector output.
 """
 
 from __future__ import annotations
@@ -168,17 +168,17 @@ class MllmParams:
 
 @dataclass
 class ForwardTrace:
-    """Recorded forward pass over [prompt | visual]: the raw encoder
-    features z, whose N_p = z.shape[1] visual rows follow the prompt, the
-    layer-0..L hidden states, and the answer logits read at the last visual
-    position. visual(l) reads layer l's visual rows as a [B, N_p, d_l]
-    view; layer 0's are bitwise the projector output. With answer_row_only,
-    layers[L] is [B, 1, d_l], the answer row alone."""
+    """Recorded forward pass over the sequence that embed lays out: the raw
+    encoder features z, whose N_p = z.shape[1] visual rows start at row
+    visual_start, the layer-0..L hidden states, and the answer logits read
+    at the last row. visual(l) reads layer l's visual rows as a
+    [B, N_p, d_l] view; layer 0's are bitwise the projector output. With
+    answer_row_only, layers[L] is [B, 1, d_l], the answer row alone."""
 
     z: np.ndarray            # [B, N_p, D_V] frozen encoder output
-    layers: list             # L+1 nodes of [B, PROMPT_LEN + N_p, d_l]; 0 = decoder input
+    layers: list             # L+1 nodes of [B, T, d_l]; 0 = decoder input
     logits: Node             # [B, vocab], predicting the answer token
-    visual_start = PROMPT_LEN
+    visual_start: int        # the first visual row, as embed placed it
 
     def visual(self, layer: int) -> Node:
         """Layer `layer`'s visual rows, [B, N_p, d_l]; ValueError if the
@@ -210,36 +210,50 @@ def encode_image(params: MllmParams, images: np.ndarray) -> np.ndarray:
     return patches @ params.wv + params.pos_code
 
 
-def llm_forward(params: MllmParams, z: np.ndarray, prompts: np.ndarray,
-                answer_row_only: bool = False) -> ForwardTrace:
-    """Run the decoder over [prompt, visual] and record every layer.
-
-    prompts: [B, PROMPT_LEN] token ids. Attention is causal over the whole
-    sequence. The answer logits come from the last row only, through the
-    head and its norm ln_f. z is cast to the parameters' dtype, so the whole
-    forward runs in that dtype. With answer_row_only, for callers that read
-    no row of layer L but the answer row, the last block computes that row
-    alone.
-    """
+def embed(params: MllmParams, z: np.ndarray, prompts: np.ndarray) -> tuple:
+    """The layer-0 sequence [prompt | proj(z)], [B, PROMPT_LEN + N_p, d_l],
+    and the row where its visual rows start: the one place that decides the
+    sequence layout. prompts: [B, PROMPT_LEN] token ids, z as in the trace."""
     cfg = params.cfg
-    z = np.asarray(z, dtype=params.proj.w.value.dtype)
     prompts = np.asarray(prompts, dtype=np.int64)
     if z.ndim != 3 or z.shape[1:] != (cfg.n_patches, D_V):
         raise ShapeError(f"visual features must be [B, {cfg.n_patches}, {D_V}], got {z.shape}")
-    if prompts.shape[1] != PROMPT_LEN:
-        raise ShapeError(f"prompt length {prompts.shape[1]} != {PROMPT_LEN}")
-
+    if prompts.shape != (z.shape[0], PROMPT_LEN):
+        raise ShapeError(f"prompts must be [{z.shape[0]}, {PROMPT_LEN}] for visual features "
+                         f"of shape {z.shape}, got {prompts.shape}")
     prompt_emb = ad.add(params.tok_emb(prompts), params.pos_emb(np.arange(PROMPT_LEN)))
-    h = ad.concat([prompt_emb, params.proj(ad.constant(z))], axis=1)
+    return ad.concat([prompt_emb, params.proj(ad.constant(z))], axis=1), PROMPT_LEN
 
-    recorded = [h]
+
+def run_blocks(params: MllmParams, h: Node, answer_row_only: bool = False) -> list:
+    """Every block's output over h, in order. With answer_row_only the last
+    block computes h's last row alone, [B, 1, d_l]."""
+    out = []
     for block in params.blocks:
         h = block(h, h.value.shape[1] - 1 if answer_row_only and block is params.blocks[-1] else 0)
-        recorded.append(h)
+        out.append(h)
+    return out
+
+
+def answer_logits(params: MllmParams, h: Node) -> Node:
+    """The answer logits [B, vocab], read from h's last row through the
+    head and its norm ln_f."""
     b, t, d = h.value.shape
-    last = ad.reshape(ad.narrow(h, 1, t - 1, 1), (b, d))
-    logits = params.head(last)
-    return ForwardTrace(z=z, layers=recorded, logits=logits)
+    return params.head(ad.reshape(ad.narrow(h, 1, t - 1, 1), (b, d)))
+
+
+def llm_forward(params: MllmParams, z: np.ndarray, prompts: np.ndarray,
+                answer_row_only: bool = False) -> ForwardTrace:
+    """Run the decoder over the sequence that embed lays out, causal over
+    all of it, and record every layer and the answer logits of its last row.
+    z is cast to the parameters' dtype, so the whole forward runs in that
+    dtype. With answer_row_only, for callers that read no row of layer L but
+    the answer row, the last block computes that row alone."""
+    z = np.asarray(z, dtype=params.proj.w.value.dtype)
+    h, visual_start = embed(params, z, prompts)
+    layers = [h] + run_blocks(params, h, answer_row_only)
+    return ForwardTrace(z=z, layers=layers, logits=answer_logits(params, layers[-1]),
+                        visual_start=visual_start)
 
 
 def pre_loss(trace: ForwardTrace, params: MllmParams) -> Node:

@@ -13,6 +13,7 @@ from gradcheck import cast_to_float64, finite_diff_check
 from prelab.archive import read_archive
 from prelab.model import (MllmConfig, MllmParams, dump_hidden_states, encode_image,
                           llm_forward, read_hidden_states, total_loss)
+from prelab.numerics import ShapeError
 
 # tiny() casts the model to float64, as central differences need. Central
 # differences at h=1e-6 against backward, seed 0: the max relative error
@@ -123,13 +124,28 @@ def test_reading_other_rows_of_an_answer_row_layer_fails():
 
 @pytest.mark.parametrize("float64", [True, False])
 def test_layer_0_visual_rows_are_bitwise_the_projector_output(float64):
-    # the pre-llm anchor reads layer 0's visual rows as the projected tokens
+    # the pre-llm anchor reads layer 0's visual rows as the projected tokens;
+    # the rows before them are the prompt's token plus position embeddings
     params, z, prompts, _ = tiny(model.ANCHOR_PRE_LLM, float64=float64)
     with ad.no_grad():
         trace = llm_forward(params, z, prompts)
         projected = params.proj(ad.constant(trace.z)).value
+        _, visual_start = model.embed(params, trace.z, prompts)
     assert projected.dtype == (np.float64 if float64 else np.float32)
     assert trace.visual(0).value.tobytes() == projected.tobytes()
+    assert trace.visual_start == visual_start
+    embedded = params.tok_emb.table.value[prompts] + params.pos_emb.table.value[:PROMPT_LEN]
+    assert trace.layers[0].value[:, :visual_start].tobytes() == embedded.tobytes()
+
+
+@pytest.mark.parametrize("prompts", [np.zeros(PROMPT_LEN, dtype=np.int64),
+                                     np.zeros((2, PROMPT_LEN), dtype=np.int64)],
+                         ids=["1-d", "other-batch"])
+def test_forward_refuses_prompts_of_another_shape(prompts):
+    params, z, _, _ = tiny(model.ANCHOR_PRE_LLM)
+    with pytest.raises(ShapeError) as err:
+        llm_forward(params, z, prompts)
+    assert str(prompts.shape) in str(err.value) and str(z.shape) in str(err.value)
 
 
 @pytest.mark.parametrize("anchor", [model.ANCHOR_PRE_LLM, model.ANCHOR_PRE_PROJ])

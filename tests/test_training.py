@@ -41,8 +41,9 @@ def dataset(tmp_path_factory):
 
 
 def trainer(dataset, lam=0.5):
-    cfg = MllmConfig(grid=4, d_l=16, layers=2, heads=2, target_layer=1, lam=lam, seed=3)
-    return Trainer(cfg, dataset, steps=3, batch_size=4)
+    cfg = MllmConfig(steps=3, batch_size=4, grid=4, d_l=16, layers=2, heads=2, target_layer=1,
+                     lam=lam, seed=3)
+    return Trainer(cfg, dataset, steps=cfg.steps, batch_size=cfg.batch_size)
 
 
 def losses(reports):
@@ -62,9 +63,9 @@ def test_same_seed_gives_identical_losses(dataset, tmp_path):
 
 
 def test_trainer_refuses_a_mismatched_dataset(dataset):
-    cfg = MllmConfig(grid=5, d_l=16, layers=2, heads=2, target_layer=1)
+    cfg = MllmConfig(steps=3, batch_size=4, grid=5, d_l=16, layers=2, heads=2, target_layer=1)
     with pytest.raises(ValueError, match="^dataset has grid 4, the run has 5$"):
-        Trainer(cfg, dataset, steps=3, batch_size=4)
+        Trainer(cfg, dataset, steps=cfg.steps, batch_size=cfg.batch_size)
 
 
 def test_lambda_zero_reports_pre_as_nan(dataset, tmp_path):
@@ -147,7 +148,8 @@ def test_train_step_does_not_refault_freed_memory(tmp_path):
     import resource  # POSIX only, like the policy
 
     generate_dataset(40, 5, tmp_path, DataSpec(grid=8))
-    t = Trainer(MllmConfig(grid=8, seed=5), load_dataset(tmp_path), steps=500, batch_size=8)
+    cfg = MllmConfig(steps=500, batch_size=8, grid=8, seed=5)
+    t = Trainer(cfg, load_dataset(tmp_path), steps=cfg.steps, batch_size=cfg.batch_size)
     batches = [t.sample_batch() for _ in range(6)]
     for batch in batches[:3]:
         train_step(t.params, t.opt, batch)
@@ -224,7 +226,8 @@ def off_dtype(seen, dtype) -> list:
 def test_train_step_runs_in_float32_throughout(tmp_path, monkeypatch):
     # The train-paper size: grid 8, the default model (lambda 0.5, pre-llm), B 8.
     generate_dataset(40, 6, tmp_path, DataSpec(grid=8))
-    t = Trainer(MllmConfig(grid=8, seed=6), load_dataset(tmp_path), steps=500, batch_size=8)
+    cfg = MllmConfig(steps=500, batch_size=8, grid=8, seed=6)
+    t = Trainer(cfg, load_dataset(tmp_path), steps=cfg.steps, batch_size=cfg.batch_size)
     seen = set()
     monkeypatch.setattr(ad, "backward", lambda loss: seen.update(backward_dtypes(loss)))
     report = train_step(t.params, t.opt, t.sample_batch())

@@ -48,8 +48,9 @@ def record(grid: int, lam: float, target_layer: int, work: Path) -> dict:
     data = work / f"data-grid{grid}"
     if not data.exists():
         generate_dataset(N_EXAMPLES, SEED, data, DataSpec(grid=grid))
-    cfg = MllmConfig(grid=grid, lam=lam, target_layer=target_layer, seed=SEED)
-    trainer = Trainer(cfg, load_dataset(data), steps=SCHEDULE_STEPS, batch_size=BATCH)
+    cfg = MllmConfig(steps=SCHEDULE_STEPS, batch_size=BATCH, grid=grid, lam=lam,
+                     target_layer=target_layer, seed=SEED)
+    trainer = Trainer(cfg, load_dataset(data), steps=cfg.steps, batch_size=cfg.batch_size)
     reports = [train_step(trainer.params, trainer.opt, trainer.sample_batch())
                for _ in range(STEPS)]
     return {name: [getattr(r, attr) for r in reports]
